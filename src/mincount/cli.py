@@ -89,9 +89,9 @@ def run(config: RunConfig, out=None, err=None) -> int:
         if config.input_path == "-":
             text = sys.stdin.read()
         else:
-            with open(config.input_path) as handle:
+            with open(config.input_path, encoding="utf-8") as handle:
                 text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read input: {exc}", file=err)
         return EXIT_USAGE
     try:
@@ -108,11 +108,15 @@ def run(config: RunConfig, out=None, err=None) -> int:
     acyclic = is_acyclic(graph)
     head_cycle_free = is_head_cycle_free(formula, graph)
 
-    if config.emit_depgraph:
-        with open(config.emit_depgraph, "w") as handle:
-            handle.write(to_dot(graph))
-    if config.emit_pair:
-        write_pair_files(build_pair(formula), config.emit_pair)
+    try:
+        if config.emit_depgraph:
+            with open(config.emit_depgraph, "w") as handle:
+                handle.write(to_dot(graph))
+        if config.emit_pair:
+            write_pair_files(build_pair(formula), config.emit_pair)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=err)
+        return EXIT_USAGE
 
     if config.mode == "brute":
         try:

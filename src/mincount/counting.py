@@ -8,6 +8,16 @@ side is absent and the recursion is a plain model count where free
 original variables contribute a power-of-two multiplier and auxiliary
 variables, being functionally determined, contribute nothing.
 
+Each search node makes about one pass over its residual.  When a node
+splits, every component gets an occurrence index (variable -> clause
+positions on each side), and both children of the component's decision
+propagate through that one index, starting from the decision alone.  A
+child's assignment holds only the decision and what it propagates:
+residual clauses never mention an assigned variable, so no assignment is
+copied from node to node.  Untouched clauses are carried into the
+residual as they are, and the branch heuristic reads its occurrence
+counts from the index.
+
 The recursion is realized with an explicit stack so that chain formulas
 cannot exhaust the interpreter's recursion limit.  Each counting run owns
 its mutable state; independent runs over the same immutable formula may
@@ -86,41 +96,65 @@ class BranchPolicy:
         if self.heuristic not in (MIN_ID, MAX_OCCURRENCE):
             raise ValueError(f"unknown branch heuristic {self.heuristic!r}")
 
-    def pick(self, clauses, orig_limit: int) -> int:
+    def pick(self, occurrences, orig_limit: int) -> int:
+        """Choose from a component's occurrence index (see ``_index``)."""
+        candidates = [
+            var for var, (in_search, _) in occurrences.items()
+            if in_search and var <= orig_limit
+        ]
         if self.heuristic == MIN_ID:
-            return min(abs(lit) for clause in clauses for lit in clause if abs(lit) <= orig_limit)
-        counts: dict[int, int] = {}
-        for clause in clauses:
-            for lit in clause:
-                var = abs(lit)
-                if var <= orig_limit:
-                    counts[var] = counts.get(var, 0) + 1
-        best = -1
-        best_count = -1
-        for var in sorted(counts):
-            if counts[var] > best_count:
-                best, best_count = var, counts[var]
-        return best
-
-
-def _reduce(clause, assign):
-    """Residual of a clause under ``assign``; None when satisfied."""
-    out = []
-    for lit in clause:
-        value = assign.get(abs(lit))
-        if value is None:
-            out.append(lit)
-        elif value == (lit > 0):
-            return None
-    return tuple(out)
+            return min(candidates)
+        return min(candidates, key=lambda var: (-len(occurrences[var][0]), var))
 
 
 _SEARCH = 0
 _JUSTIFICATION = 1
 
 
-def _bcp(search, justification, assign, copy_lo, stats):
-    """Condition both sides and propagate units to fixpoint.
+def _index(search, justification):
+    """Occurrence index of a residual pair, and its connected groups.
+
+    The index maps every variable to two lists, its occurrences in the
+    search clauses and in the justification clauses.  An occurrence is
+    the clause's position ``i`` for a positive literal and ``~i`` for a
+    negative one.  The keys are exactly the variables of the pair.
+
+    The groups come from the same pass: ``group_of`` maps every variable
+    to the list of variables it shares clauses with, transitively, and
+    variables of one group share one list.  A clause joining two groups
+    moves the smaller into the larger.
+    """
+    occurrences: dict[int, tuple[list, list]] = {}
+    group_of: dict[int, list] = {}
+    for side, clauses in enumerate((search, justification)):
+        for index, clause in enumerate(clauses):
+            group = None
+            for lit in clause:
+                var = abs(lit)
+                entry = occurrences.get(var)
+                if entry is None:
+                    entry = occurrences[var] = ([], [])
+                    if group is None:
+                        group = [var]
+                    else:
+                        group.append(var)
+                    group_of[var] = group
+                else:
+                    other = group_of[var]
+                    if group is None:
+                        group = other
+                    elif other is not group:
+                        if len(other) > len(group):
+                            group, other = other, group
+                        for moved in other:
+                            group_of[moved] = group
+                        group.extend(other)
+                entry[side].append(index if lit > 0 else ~index)
+    return occurrences, group_of
+
+
+def _bcp(search, justification, assign, copy_lo, stats, occurrences=None):
+    """Condition both sides on ``assign`` and propagate units to fixpoint.
 
     Mutates ``assign``.  Search-side units (original and auxiliary
     literals) are asserted and, through the shared dictionary, seen by
@@ -130,111 +164,110 @@ def _bcp(search, justification, assign, copy_lo, stats):
     variables arising on the justification side are left in place; the
     search side derives the same assignment itself.
 
-    Propagation is driven by an occurrence index built per call, so a
-    long cascade costs time linear in the literals it touches rather
-    than one full rescan per derived unit.
+    Inside the search, ``occurrences`` is the index ``_split_components``
+    built for this component, shared by both children of a decision; the
+    clauses are already at fixpoint, so the queue starts from the
+    decision alone and propagation reads only the occurrences of assigned
+    variables.  Without it (the root and the base cases) the unit clauses
+    are queued beside the assignment and the index is built here.
 
     Returns ``(search_residual, justification_residual)`` or the conflict
-    sentinel when a search clause is emptied.
+    sentinel when a search clause is emptied.  Residual clauses mention
+    no assigned variable; a clause no assignment touched is kept as is.
     """
-    sides = [search, justification if justification is not None else ()]
-    dead = [bytearray(len(sides[0])), bytearray(len(sides[1]))]
-    free = [[0] * len(sides[0]), [0] * len(sides[1])]
-    occurrences: dict[int, list] = {}
-    queue: list[int] = []
+    just = justification if justification is not None else ()
+    sides = (search, just)
+    free = (list(map(len, search)), list(map(len, just)))
+    dead = (bytearray(len(search)), bytearray(len(just)))
+    queue = list(assign)
+    seeded = len(queue)
     # A falsified justification clause mid-propagation is only an invariant
-    # violation if the search side fails to conflict by the fixpoint; a
-    # search conflict always wins, as it did when whole rounds ran the
-    # search side first.
+    # violation if the search side fails to conflict by the fixpoint.
     justification_violated = False
+    conflict = False
 
-    def settle(lit: int, side: int) -> bool:
-        """Apply a derived unit; False signals a search-side conflict."""
-        nonlocal justification_violated
-        var = abs(lit)
-        if side == _JUSTIFICATION and var < copy_lo:
-            return True
-        value = lit > 0
-        current = assign.get(var)
-        if current is None:
-            assign[var] = value
-            stats.propagations += 1
-            queue.append(var)
-            return True
-        if current == value:
-            return True
-        if side == _SEARCH:
-            return False
-        justification_violated = True
-        return True
-
-    for side in (_SEARCH, _JUSTIFICATION):
-        for index, clause in enumerate(sides[side]):
-            count = 0
-            last_open = 0
-            is_dead = False
-            for lit in clause:
-                value = assign.get(abs(lit))
-                if value is None:
-                    count += 1
-                    last_open = lit
-                    occurrences.setdefault(abs(lit), []).append((side, index, lit))
-                elif value == (lit > 0):
-                    is_dead = True
-            if is_dead:
-                dead[side][index] = 1
-                continue
-            free[side][index] = count
-            if count == 0:
+    if occurrences is None:
+        for side, clauses in enumerate(sides):
+            for clause in clauses:
+                if len(clause) > 1:
+                    continue
+                if clause:
+                    var = abs(clause[0])
+                    if side == _JUSTIFICATION and var < copy_lo:
+                        continue
+                    value = assign.get(var)
+                    if value is None:
+                        assign[var] = clause[0] > 0
+                        queue.append(var)
+                        continue
+                    if value == (clause[0] > 0):
+                        continue
+                # The clause is empty or its only literal is false.
                 if side == _SEARCH:
-                    return _CONFLICT
-                justification_violated = True
-            elif count == 1 and not settle(last_open, side):
-                return _CONFLICT
+                    conflict = True
+                else:
+                    justification_violated = True
+        if queue and not conflict:
+            occurrences, _ = _index(search, just)
 
     head = 0
-    while head < len(queue):
+    while head < len(queue) and not conflict:
         var = queue[head]
         head += 1
-        value = assign[var]
-        for side, index, lit in occurrences.get(var, ()):
-            if dead[side][index]:
-                continue
-            if value == (lit > 0):
-                dead[side][index] = 1
-                continue
-            free[side][index] -= 1
-            remaining = free[side][index]
-            if remaining == 0:
-                if side == _SEARCH:
-                    return _CONFLICT
-                justification_violated = True
-            elif remaining == 1:
-                unit = 0
-                for candidate in sides[side][index]:
-                    if abs(candidate) not in assign:
-                        unit = candidate
+        entry = occurrences.get(var)
+        if entry is None:
+            continue
+        positive = assign[var]
+        for side in (_SEARCH, _JUSTIFICATION):
+            side_dead = dead[side]
+            side_free = free[side]
+            for occurrence in entry[side]:
+                index = occurrence if occurrence >= 0 else ~occurrence
+                if side_dead[index]:
+                    continue
+                if (occurrence >= 0) == positive:
+                    side_dead[index] = 1
+                    continue
+                remaining = side_free[index] - 1
+                side_free[index] = remaining
+                if remaining > 1:
+                    continue
+                if remaining == 0:
+                    if side == _SEARCH:
+                        conflict = True
                         break
-                if unit == 0:
+                    justification_violated = True
+                    continue
+                for unit in sides[side][index]:
+                    if abs(unit) not in assign:
+                        break
+                else:
                     # The last open literal was settled but its queue entry
                     # is still pending; that entry finishes the clause.
                     continue
-                if not settle(unit, side):
-                    return _CONFLICT
+                unit_var = abs(unit)
+                if side == _SEARCH or unit_var >= copy_lo:
+                    assign[unit_var] = unit > 0
+                    queue.append(unit_var)
+            if conflict:
+                break
 
+    stats.propagations += len(queue) - seeded
+    if conflict:
+        return _CONFLICT
     if justification_violated:
         raise RuntimeError(
             "justification clause falsified; the search side must conflict first"
         )
 
     residuals = []
-    for side in (_SEARCH, _JUSTIFICATION):
-        out = []
-        for index, clause in enumerate(sides[side]):
-            if dead[side][index]:
-                continue
-            out.append(tuple(lit for lit in clause if abs(lit) not in assign))
-        residuals.append(tuple(out))
+    for clauses, side_dead, side_free in zip(sides, dead, free):
+        residuals.append(tuple([
+            clause if open_count == len(clause)
+            else tuple([lit for lit in clause if abs(lit) not in assign])
+            for clause, is_dead, open_count in zip(clauses, side_dead, side_free)
+            if not is_dead
+        ]))
     if justification is None:
         return residuals[0], None
     return residuals[0], residuals[1]
@@ -243,61 +276,48 @@ def _bcp(search, justification, assign, copy_lo, stats):
 def _split_components(search, justification, enabled):
     """Group residual clauses by variable connectivity.
 
-    Returns ``(search_clauses, justification_clauses, vars)`` triples.
+    Returns ``(search_clauses, justification_clauses, occurrences)``
+    triples ordered by smallest variable, where ``occurrences`` is the
+    group's index (see ``_index``); its keys are the group's variables.
     With decomposition disabled everything lands in a single group, which
     still feeds the free-variable bookkeeping of the caller.
     """
     just = justification if justification is not None else ()
+    occurrences, group_of = _index(search, just)
     if not enabled:
-        everything = {abs(lit) for clause in search for lit in clause}
-        everything |= {abs(lit) for clause in just for lit in clause}
-        return [(search, justification, everything)]
+        return [(search, justification, occurrences)]
+    if not occurrences:
+        return []
+    if len(next(iter(group_of.values()))) == len(occurrences):
+        return [(search, justification, occurrences)]
 
-    parent: dict[int, int] = {}
-
-    def find(var):
-        root = var
-        while parent[root] != root:
-            root = parent[root]
-        while parent[var] != root:
-            parent[var], var = root, parent[var]
-        return root
-
-    for clause in list(search) + list(just):
-        variables = [abs(lit) for lit in clause]
-        for var in variables:
-            parent.setdefault(var, var)
-        first = find(variables[0])
-        for var in variables[1:]:
-            root = find(var)
-            if root != first:
-                # Smaller root wins so grouping is deterministic.
-                if root < first:
-                    parent[first] = root
-                    first = root
-                else:
-                    parent[root] = first
-
-    groups: dict[int, list] = {}
-    for clause in search:
-        entry = groups.setdefault(find(abs(clause[0])), [[], [], set()])
-        entry[0].append(clause)
-        entry[2].update(abs(lit) for lit in clause)
-    for clause in just:
-        entry = groups.setdefault(find(abs(clause[0])), [[], [], set()])
-        entry[1].append(clause)
-        entry[2].update(abs(lit) for lit in clause)
-    out = []
-    for root in sorted(groups):
-        part_search, part_just, variables = groups[root]
-        out.append(
-            (
-                tuple(part_search),
-                tuple(part_just) if justification is not None else None,
-                variables,
-            )
+    # Several groups: renumber the clauses and their index entries per group.
+    groups = sorted({id(group): group for group in group_of.values()}.values(), key=min)
+    slot = {id(group): number for number, group in enumerate(groups)}
+    parts = [([], [], {}) for _ in groups]
+    position = ([0] * len(search), [0] * len(just))
+    for side, clauses in enumerate((search, just)):
+        side_position = position[side]
+        for index, clause in enumerate(clauses):
+            part = parts[slot[id(group_of[abs(clause[0])])]][side]
+            side_position[index] = len(part)
+            part.append(clause)
+    search_position, just_position = position
+    # Popping frees the old entries as the new ones are made.
+    while occurrences:
+        var, (in_search, in_just) = occurrences.popitem()
+        parts[slot[id(group_of[var])]][2][var] = (
+            [search_position[i] if i >= 0 else ~search_position[~i] for i in in_search],
+            [just_position[i] if i >= 0 else ~just_position[~i] for i in in_just],
         )
-    return out
+    return [
+        (
+            tuple(part_search),
+            tuple(part_just) if justification is not None else None,
+            part_occurrences,
+        )
+        for part_search, part_just, part_occurrences in parts
+    ]
 
 
 def _justification_base(justification, assign, copy_lo, stats) -> int:
@@ -317,7 +337,8 @@ def _justification_base(justification, assign, copy_lo, stats) -> int:
         if var not in local:
             local[var] = False
     result = _bcp((), justification, local, copy_lo, stats)
-    assert result is not _CONFLICT
+    if result is _CONFLICT:
+        raise RuntimeError("search-free propagation reported a search conflict")
     _, residual = result
     stats.base_cases += 1
     if not residual:
@@ -338,20 +359,25 @@ def _run(search, justification, assign, scope, *, orig_limit, copy_lo, policy,
          use_decomposition, stats, trace):
     """Explicit-stack evaluation of the counting recursion.
 
+    ``assign`` holds only what the current node assigns: the root's given
+    assignment, or a decision plus what it propagates.  Residual clauses
+    never mention an assigned variable, so nothing above the node is
+    needed and no assignment is copied.
+
     ``scope`` (model-count mode only) is the set of original variables
     the current subproblem owns; originals that drop out of all clauses
     without being assigned are free and double the count.  In pair mode
     ``scope`` is None and free originals default to false, contributing
     a factor of one.
     """
-    tasks = [("count", search, justification, assign, scope)]
+    tasks = [("count", search, justification, None, assign, scope)]
     values = []
     while tasks:
         task = tasks.pop()
         op = task[0]
         if op == "count":
-            _, search, justification, assign, scope = task
-            result = _bcp(search, justification, assign, copy_lo, stats)
+            _, search, justification, occurrences, assign, scope = task
+            result = _bcp(search, justification, assign, copy_lo, stats, occurrences)
             if result is _CONFLICT:
                 values.append(0)
                 continue
@@ -371,34 +397,34 @@ def _run(search, justification, assign, scope, *, orig_limit, copy_lo, policy,
             if justification is None:
                 covered = set()
                 for _, _, variables in components:
-                    covered |= variables
+                    covered.update(variables)
                 free = sum(
                     1 for var in scope if var not in assign and var not in covered
                 )
             else:
                 free = 0
             tasks.append(("combine", len(components), free))
-            for part_search, part_just, variables in components:
+            for part_search, part_just, occurrences in components:
                 if not part_search:
                     # Justification-only component: straight to the base case.
                     values.append(
                         _justification_base(part_just, assign, copy_lo, stats)
                     )
                     continue
-                var = policy.pick(part_search, orig_limit)
+                var = policy.pick(occurrences, orig_limit)
                 stats.decisions += 1
                 part_scope = (
-                    frozenset(v for v in variables if v <= orig_limit)
+                    frozenset(v for v in occurrences if v <= orig_limit)
                     if justification is None
                     else None
                 )
                 tasks.append(("sum", var))
-                high = dict(assign)
-                high[var] = True
-                low = dict(assign)
-                low[var] = False
-                tasks.append(("count", part_search, part_just, high, part_scope))
-                tasks.append(("count", part_search, part_just, low, part_scope))
+                tasks.append(
+                    ("count", part_search, part_just, occurrences, {var: True}, part_scope)
+                )
+                tasks.append(
+                    ("count", part_search, part_just, occurrences, {var: False}, part_scope)
+                )
         elif op == "sum":
             high_count = values.pop()
             low_count = values.pop()

@@ -175,9 +175,11 @@ def parse_dimacs(source) -> CnfFormula:
     ``source`` may be a string or an iterable of lines.  Comment lines
     starting with ``c`` are ignored, except ``c vr <kind> <lo> <hi>``
     (kind one of orig/aux/copy) which restores variable-range metadata
-    written by :func:`write_dimacs`.  Duplicate literals within a clause
-    are dropped (first occurrence kept) and tautological clauses are
-    removed; both events are counted in the formula's parse stats.
+    written by :func:`write_dimacs`; an inverted range, one that overlaps
+    an earlier range, or ranges that leave a literal uncovered are a
+    :class:`ParseError`.  Duplicate literals within a clause are dropped
+    (first occurrence kept) and tautological clauses are removed; both
+    events are counted in the formula's parse stats.
     """
     if isinstance(source, str):
         lines = source.splitlines()
@@ -186,6 +188,7 @@ def parse_dimacs(source) -> CnfFormula:
 
     header: tuple[int, int] | None = None
     ranges: list[VarRange] = []
+    range_lines: list[int] = []
     clauses: list[tuple[int, ...]] = []
     tautologies = 0
     duplicates = 0
@@ -220,7 +223,16 @@ def parse_dimacs(source) -> CnfFormula:
                     lo, hi = int(parts[3]), int(parts[4])
                 except ValueError:
                     continue
+                if lo > hi:
+                    raise ParseError(f"inverted variable range {line!r}", line_no)
+                for other, other_line in zip(ranges, range_lines):
+                    if lo <= other.hi and other.lo <= hi:
+                        raise ParseError(
+                            f"variable range {line!r} overlaps the range on line {other_line}",
+                            line_no,
+                        )
                 ranges.append(VarRange(parts[2], lo, hi))
+                range_lines.append(line_no)
             continue
         if line.startswith("p"):
             if header is not None:
@@ -269,12 +281,16 @@ def parse_dimacs(source) -> CnfFormula:
     else:
         num_original = header[0]
         var_ranges = (VarRange(ORIG, 1, header[0]),)
-    return CnfFormula(
-        tuple(clauses),
-        num_original,
-        var_ranges,
-        ParseStats(tautologies, duplicates),
-    )
+    try:
+        return CnfFormula(
+            tuple(clauses),
+            num_original,
+            var_ranges,
+            ParseStats(tautologies, duplicates),
+        )
+    except ValueError as exc:
+        # Declared ranges that leave a literal uncovered.
+        raise ParseError(str(exc)) from None
 
 
 def write_dimacs(formula: CnfFormula, extra_comments=()) -> str:

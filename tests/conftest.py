@@ -22,20 +22,21 @@ def ex2():
 
 
 def random_formula(rng: random.Random, min_vars=4, max_vars=12, min_clauses=4,
-                   max_clauses=40, max_len=4) -> CnfFormula:
-    """Random CNF with mixed polarities and clause lengths 1..max_len."""
+                   max_clauses=40, max_len=4, min_len=1) -> CnfFormula:
+    """Random CNF with mixed polarities and clause lengths min_len..max_len."""
     n = rng.randint(min_vars, max_vars)
     m = rng.randint(min_clauses, max_clauses)
     clauses = []
     for _ in range(m):
-        k = rng.randint(1, max_len)
+        k = rng.randint(min_len, max_len)
         chosen = rng.sample(range(1, n + 1), min(k, n))
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in chosen))
     return CnfFormula(tuple(clauses), n)
 
 
 def random_acyclic_formula(rng: random.Random, min_vars=4, max_vars=10,
-                           min_clauses=3, max_clauses=25, max_len=4) -> CnfFormula:
+                           min_clauses=3, max_clauses=25, max_len=4,
+                           min_len=1) -> CnfFormula:
     """Random CNF whose dependency graph is guaranteed acyclic.
 
     Every clause places its negated variables strictly below its positive
@@ -48,7 +49,7 @@ def random_acyclic_formula(rng: random.Random, min_vars=4, max_vars=10,
     rank = {v: i for i, v in enumerate(order)}
     clauses = []
     for _ in range(m):
-        k = rng.randint(1, max_len)
+        k = rng.randint(min_len, max_len)
         chosen = sorted(rng.sample(range(1, n + 1), min(k, n)), key=rank.get)
         split = rng.randint(0, len(chosen))
         clauses.append(tuple(-v for v in chosen[:split]) + tuple(chosen[split:]))

@@ -142,3 +142,23 @@ def test_missing_file_exit_code(capsys):
 def test_bad_flag_exit_code(capsys):
     code, _, err = run_main(capsys, ["--nope", "x.cnf"])
     assert code == EXIT_USAGE
+
+
+def test_non_utf8_input_exit_code(tmp_path, capsys):
+    path = tmp_path / "latin1.cnf"
+    path.write_bytes(b"c caf\xe9\np cnf 1 1\n1 0\n")
+    code, out, err = run_main(capsys, [str(path)])
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "s mc" not in out
+
+
+@pytest.mark.parametrize("flag", ["--emit-depgraph", "--emit-pair"])
+def test_unwritable_emit_path_exit_code(flag, ex2_path, tmp_path, capsys):
+    # A path below a regular file cannot be created, whoever runs the test.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run_main(capsys, [flag, str(blocker / "out"), ex2_path])
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "s mc" not in out

@@ -24,6 +24,7 @@ from mincount import (
     propagate_to_fixpoint,
     with_forced_clauses,
 )
+from mincount.counting import _CONFLICT, _bcp, _split_components
 from mincount.formula import COPY, ORIG, VarRange
 
 from conftest import random_acyclic_formula, random_formula
@@ -125,6 +126,44 @@ class TestDecompose:
 
     def test_empty_pair_has_no_components(self):
         assert decompose(build_pair(parse_dimacs("p cnf 0 0\n"))) == []
+
+
+class TestPropagation:
+    def test_shared_index_matches_fresh_index(self):
+        # Both children of a decision propagate through the index their
+        # component got at the split; building a fresh index from the
+        # decision and the unit clauses must reach the same fixpoint.
+        rng = random.Random(505)
+        compared = 0
+        for _ in range(80):
+            f = random_formula(rng, max_clauses=25, min_len=2)
+            pair = build_pair(f)
+            copy_lo = pair.copy_map.first_copy_id
+            root = _bcp(pair.search.clauses, pair.justification.clauses, {}, copy_lo,
+                        CountStats())
+            if root is _CONFLICT:
+                continue
+            for search, just, occurrences in _split_components(*root, True):
+                if not search:
+                    continue
+                var = BranchPolicy().pick(occurrences, f.num_original_vars)
+                for value in (False, True):
+                    shared_assign, fresh_assign = {var: value}, {var: value}
+                    shared = _bcp(search, just, shared_assign, copy_lo, CountStats(),
+                                  occurrences)
+                    fresh = _bcp(search, just, fresh_assign, copy_lo, CountStats())
+                    assert (shared is _CONFLICT) == (fresh is _CONFLICT)
+                    if shared is not _CONFLICT:
+                        assert shared == fresh
+                        assert shared_assign == fresh_assign
+                        compared += 1
+        assert compared > 50
+
+    def test_untouched_clauses_are_kept(self):
+        search = ((1, 2), (3, 4), (-1, 5, 6))
+        residual, _ = _bcp(search, None, {1: True}, 7, CountStats())
+        assert residual == ((3, 4), (5, 6))
+        assert residual[0] is search[1]
 
 
 class TestBaseCase:
@@ -242,3 +281,62 @@ class TestInvariants:
     def test_branch_policy_validation(self):
         with pytest.raises(ValueError, match="heuristic"):
             BranchPolicy("random")
+
+
+# Count, mode and (decisions, components, base_cases, sat_calls) of the
+# default engine on the formulas of ``_search_shape_formulas``.  They pin
+# the search itself: a faster core must visit the same nodes.
+# ``propagations`` is left out because it depends on propagation order.
+SEARCH_SHAPES = [
+    (369, "general", 165, 55, 188, 0),
+    (216, "acyclic", 13, 9, 0, 0),
+    (24, "general", 13, 7, 18, 0),
+    (78, "acyclic", 24, 15, 0, 0),
+    (10, "general", 13, 3, 13, 2),
+    (40, "acyclic", 20, 6, 0, 0),
+    (58, "acyclic", 35, 17, 0, 0),
+    (51, "acyclic", 16, 9, 0, 0),
+    (96, "acyclic", 10, 6, 0, 0),
+    (118, "acyclic", 29, 12, 0, 0),
+    (36, "general", 14, 7, 18, 0),
+    (22, "acyclic", 16, 8, 0, 0),
+    (24, "acyclic", 6, 3, 0, 0),
+    (137, "acyclic", 49, 14, 0, 0),
+    (512, "general", 49, 17, 57, 6),
+    (144, "acyclic", 18, 9, 0, 0),
+    (10, "general", 17, 2, 19, 12),
+    (165, "acyclic", 48, 24, 0, 0),
+    (531, "general", 357, 119, 416, 11),
+    (14, "acyclic", 15, 4, 0, 0),
+]
+
+
+def _search_shape_formulas():
+    """Twenty seeded formulas of 25-40 variables with 2-3 literal clauses."""
+    rng = random.Random(7)
+    for i in range(len(SEARCH_SHAPES)):
+        if i % 2 == 0:
+            yield random_formula(rng, min_vars=25, max_vars=40, min_clauses=30,
+                                 max_clauses=50, max_len=3, min_len=2)
+        else:
+            yield random_acyclic_formula(rng, min_vars=25, max_vars=40, min_clauses=25,
+                                         max_clauses=45, max_len=3, min_len=2)
+
+
+class TestSearchShape:
+    def test_counts_and_counters_are_pinned(self):
+        for formula, expected in zip(_search_shape_formulas(), SEARCH_SHAPES):
+            result = count_minimal(formula)
+            stats = result.stats
+            assert (
+                result.count, stats.mode, stats.decisions, stats.components,
+                stats.base_cases, stats.sat_calls,
+            ) == expected
+
+    def test_strategies_agree_on_pinned_formulas(self):
+        for formula, expected in zip(_search_shape_formulas(), SEARCH_SHAPES):
+            count, mode = expected[:2]
+            assert count_minimal(formula, use_decomposition=False).count == count
+            assert count_minimal(formula, policy=BranchPolicy(MIN_ID)).count == count
+            if mode == "acyclic":
+                assert count_minimal(formula, force_mode="general").count == count

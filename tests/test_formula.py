@@ -92,6 +92,24 @@ class TestParse:
         assert back.var_ranges == f.var_ranges
         assert back.clauses == f.clauses
 
+    def test_inverted_var_range_names_line(self):
+        with pytest.raises(ParseError, match=r"line 2: inverted variable range"):
+            parse_dimacs("c vr orig 1 2\nc vr aux 5 3\np cnf 5 1\n1 2 0\n")
+
+    @pytest.mark.parametrize("second", ["c vr aux 2 4", "c vr copy 1 1", "c vr aux 0 9"])
+    def test_overlapping_var_ranges_name_line(self, second):
+        text = f"c vr orig 1 2\n{second}\np cnf 9 1\n1 2 0\n"
+        with pytest.raises(ParseError, match=r"line 2: .*overlaps the range on line 1"):
+            parse_dimacs(text)
+
+    def test_literal_outside_var_ranges(self):
+        with pytest.raises(ParseError, match="outside declared variable ranges"):
+            parse_dimacs("c vr orig 1 1\np cnf 2 1\n1 2 0\n")
+
+    def test_adjacent_var_ranges_accepted(self):
+        f = parse_dimacs("c vr orig 1 2\nc vr aux 3 4\nc vr copy 5 6\np cnf 6 1\n1 2 0\n")
+        assert [(vr.lo, vr.hi) for vr in f.var_ranges] == [(1, 2), (3, 4), (5, 6)]
+
 
 class TestCondition:
     def test_unit_extraction(self):
