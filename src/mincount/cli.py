@@ -105,8 +105,6 @@ def run(config: RunConfig, out=None, err=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
-    acyclic = is_acyclic(graph)
-    head_cycle_free = is_head_cycle_free(formula, graph)
 
     try:
         if config.emit_depgraph:
@@ -127,15 +125,16 @@ def run(config: RunConfig, out=None, err=None) -> int:
     else:
         force = None if config.mode == "auto" else config.mode
         try:
-            result = count_minimal(formula, force_mode=force)
+            result = count_minimal(formula, force_mode=force, graph=graph)
         except ValueError as exc:
             print(f"error: {exc}", file=err)
             return EXIT_MODE
 
     if config.stats:
         stats = result.stats.as_dict()
-        stats.setdefault("acyclic", acyclic)
-        stats.setdefault("head_cycle_free", head_cycle_free)
+        if "acyclic" not in stats:  # the oracle does not read the graph
+            stats["acyclic"] = is_acyclic(graph)
+            stats["head_cycle_free"] = is_head_cycle_free(formula, graph)
         stats["vars"] = len(formula.variables())
         stats["clauses"] = len(formula.clauses)
         stats["tautologies_dropped"] = formula.parse_stats.tautologies_dropped

@@ -18,6 +18,10 @@ copied from node to node.  Untouched clauses are carried into the
 residual as they are, and the branch heuristic reads its occurrence
 counts from the index.
 
+A run caches the count of each residual pair it solves, keyed by the
+pair's clauses as they are, so a component or a base case that comes
+back is not solved again.
+
 The recursion is realized with an explicit stack so that chain formulas
 cannot exhaust the interpreter's recursion limit.  Each counting run owns
 its mutable state; independent runs over the same immutable formula may
@@ -26,9 +30,9 @@ execute concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
-from .depgraph import build_dependency_graph, is_acyclic, is_head_cycle_free
+from .depgraph import DepGraph, build_dependency_graph, is_acyclic, is_head_cycle_free
 from .formula import COPY, CnfFormula, VarRange
 from .sat import solve
 from .transform import PairState, build_pair, with_forced_clauses
@@ -41,13 +45,18 @@ MODE_GENERAL = "general"
 
 _CONFLICT = object()
 
+# Clauses the cache keys of one run may hold, each key counted one clause
+# more so that 0 turns the cache off.  The oldest entries go first.
+_CACHE_CLAUSE_BUDGET = 2**20
+
 
 @dataclass
 class CountStats:
     """Search statistics accumulated over one counting run.
 
     ``components`` counts the sub-pairs produced by decomposition steps
-    that actually split their node.
+    that actually split their node.  ``cache_hits`` counts the components
+    and base cases the cache answered; ``cache_entries`` is its final size.
     """
 
     decisions: int = 0
@@ -55,6 +64,9 @@ class CountStats:
     components: int = 0
     sat_calls: int = 0
     base_cases: int = 0
+    cache_hits: int = 0
+    cache_entries: int = 0
+    cache_evictions: int = 0
     mode: str = ""
     acyclic: bool | None = None
     head_cycle_free: bool | None = None
@@ -65,13 +77,8 @@ class CountStats:
             out["acyclic"] = self.acyclic
         if self.head_cycle_free is not None:
             out["head_cycle_free"] = self.head_cycle_free
-        out.update(
-            decisions=self.decisions,
-            propagations=self.propagations,
-            components=self.components,
-            sat_calls=self.sat_calls,
-            base_cases=self.base_cases,
-        )
+        # The counters are the int fields, in declaration order.
+        out.update((f.name, getattr(self, f.name)) for f in fields(self) if f.type == "int")
         return out
 
 
@@ -370,6 +377,27 @@ def _run(search, justification, assign, scope, *, orig_limit, copy_lo, policy,
     ``scope`` is None and free originals default to false, contributing
     a factor of one.
     """
+    cache, held = {}, 0
+
+    def remember(key, value):
+        nonlocal held
+        cache[key] = value
+        held += 1 + len(key[0]) + len(key[1] or ())
+        while held > _CACHE_CLAUSE_BUDGET:
+            old = next(iter(cache))
+            held -= 1 + len(old[0]) + len(old[1] or ())
+            del cache[old]
+            stats.cache_evictions += 1
+        return value
+
+    def base(justification, assign):
+        key = ((), justification)
+        value = cache.get(key)
+        if value is None:
+            return remember(key, _justification_base(justification, assign, copy_lo, stats))
+        stats.cache_hits += 1
+        return value
+
     tasks = [("count", search, justification, None, assign, scope)]
     values = []
     while tasks:
@@ -387,9 +415,7 @@ def _run(search, justification, assign, scope, *, orig_limit, copy_lo, policy,
                     free = sum(1 for var in scope if var not in assign)
                     values.append(1 << free)
                 else:
-                    values.append(
-                        _justification_base(justification, assign, copy_lo, stats)
-                    )
+                    values.append(base(justification, assign))
                 continue
             components = _split_components(search, justification, use_decomposition)
             if len(components) > 1:
@@ -407,9 +433,13 @@ def _run(search, justification, assign, scope, *, orig_limit, copy_lo, policy,
             for part_search, part_just, occurrences in components:
                 if not part_search:
                     # Justification-only component: straight to the base case.
-                    values.append(
-                        _justification_base(part_just, assign, copy_lo, stats)
-                    )
+                    values.append(base(part_just, assign))
+                    continue
+                key = (part_search, part_just)
+                value = cache.get(key)
+                if value is not None:
+                    stats.cache_hits += 1
+                    values.append(value)
                     continue
                 var = policy.pick(occurrences, orig_limit)
                 stats.decisions += 1
@@ -418,7 +448,7 @@ def _run(search, justification, assign, scope, *, orig_limit, copy_lo, policy,
                     if justification is None
                     else None
                 )
-                tasks.append(("sum", var))
+                tasks.append(("sum", var, key))
                 tasks.append(
                     ("count", part_search, part_just, occurrences, {var: True}, part_scope)
                 )
@@ -430,13 +460,14 @@ def _run(search, justification, assign, scope, *, orig_limit, copy_lo, policy,
             low_count = values.pop()
             if trace is not None:
                 trace.append(("decision", task[1], low_count, high_count))
-            values.append(low_count + high_count)
+            values.append(remember(task[2], low_count + high_count))
         else:  # combine
             _, width, free = task
             product = 1
             for _ in range(width):
                 product *= values.pop()
             values.append(product << free)
+    stats.cache_entries = len(cache)
     return values[0]
 
 
@@ -480,7 +511,7 @@ def count_pair(pair: PairState, *, policy: BranchPolicy | None = None,
 
 def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
                   use_decomposition: bool = True, force_mode: str | None = None,
-                  trace=None) -> CountResult:
+                  trace=None, graph: DepGraph | None = None) -> CountResult:
     """Count the minimal models of a CNF formula.
 
     When the dependency graph is acyclic the count equals the model count
@@ -488,8 +519,9 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
     justification side is needed.  Cyclic formulas go through the pair
     recursion.  ``force_mode`` overrides the automatic choice; forcing
     the acyclic strategy on a cyclic formula raises ``ValueError``.
+    ``graph`` is the formula's dependency graph, if the caller has built it.
     """
-    graph = build_dependency_graph(formula)
+    graph = graph if graph is not None else build_dependency_graph(formula)
     acyclic = is_acyclic(graph)
     mode = force_mode if force_mode is not None else (
         MODE_ACYCLIC if acyclic else MODE_GENERAL

@@ -9,6 +9,7 @@ diagnostic only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .formula import ORIG, CnfFormula
 
@@ -17,6 +18,11 @@ from .formula import ORIG, CnfFormula
 class DepGraph:
     nodes: frozenset[int]
     arcs: frozenset[tuple[int, int]]
+
+    @cached_property
+    def sccs(self) -> SccDecomposition:
+        """The strongly connected components, computed on first use."""
+        return strongly_connected_components(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +121,7 @@ def is_acyclic(graph: DepGraph) -> bool:
     """True iff the graph has no directed cycle."""
     if any(a == b for a, b in graph.arcs):
         return False
-    decomposition = strongly_connected_components(graph)
-    return all(len(component) == 1 for component in decomposition.components)
+    return all(len(component) == 1 for component in graph.sccs.components)
 
 
 def is_head_cycle_free(formula: CnfFormula, graph: DepGraph) -> bool:
@@ -125,10 +130,9 @@ def is_head_cycle_free(formula: CnfFormula, graph: DepGraph) -> bool:
     Two distinct variables lie on a common cycle exactly when they share
     a strongly connected component.
     """
-    decomposition = strongly_connected_components(graph)
-    component_of = decomposition.component_of
+    component_of = graph.sccs.component_of
     cyclic = {
-        pos for pos, component in enumerate(decomposition.components) if len(component) > 1
+        pos for pos, component in enumerate(graph.sccs.components) if len(component) > 1
     }
     for clause in formula.clauses:
         seen: dict[int, int] = {}

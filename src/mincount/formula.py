@@ -276,7 +276,9 @@ def parse_dimacs(source) -> CnfFormula:
 
     if ranges:
         orig = [r for r in ranges if r.kind == ORIG]
-        num_original = orig[0].hi if orig else header[0]
+        if not orig:
+            raise ParseError("'c vr' ranges declared without an 'orig' range", range_lines[0])
+        num_original = orig[0].hi
         var_ranges = tuple(ranges)
     else:
         num_original = header[0]

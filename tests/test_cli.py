@@ -59,9 +59,11 @@ def test_stats_lines_precede_count(ex2_path, capsys):
     lines = out.strip().splitlines()
     assert lines[-1] == "s mc 1"
     assert all(line.startswith("c stat ") for line in lines[:-1])
-    keys = {line.split()[2] for line in lines[:-1]}
+    keys = [line.split()[2] for line in lines[:-1]]
     assert {"mode", "decisions", "propagations", "components",
-            "sat_calls", "base_cases", "acyclic", "head_cycle_free"} <= keys
+            "sat_calls", "base_cases", "acyclic", "head_cycle_free"} <= set(keys)
+    start = keys.index("base_cases") + 1
+    assert keys[start:start + 3] == ["cache_hits", "cache_entries", "cache_evictions"]
     assert "c stat mode general" in lines
 
 
@@ -109,6 +111,56 @@ def test_emit_pair_round_trips(ex2_path, tmp_path, capsys):
     assert "c vr copy 4 6" in copy_text
     justification = parse_dimacs(copy_text)
     assert len(justification.clauses) == 6
+
+
+@pytest.mark.parametrize("mode", ["auto", "acyclic", "general", "brute"])
+def test_one_graph_and_one_scc_pass_per_run(mode, ex1_path, capsys, monkeypatch):
+    import mincount.cli as cli_module
+    import mincount.counting as counting_module
+    import mincount.depgraph as depgraph_module
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (cli_module, counting_module):
+        monkeypatch.setattr(module, "build_dependency_graph",
+                            counted("graph", module.build_dependency_graph))
+    monkeypatch.setattr(depgraph_module, "strongly_connected_components",
+                        counted("scc", depgraph_module.strongly_connected_components))
+    code, out, _ = run_main(capsys, ["--stats", "--mode", mode, ex1_path])
+    assert code == EXIT_OK
+    assert "c stat acyclic true" in out and "c stat head_cycle_free true" in out
+    assert calls == ["graph", "scc"]
+
+
+def test_auxiliary_ids_in_input_exit_code(tmp_path, capsys):
+    # The forced formula of a three-literal clause declares auxiliary ids;
+    # fed back in, it has no dependency graph.
+    path = tmp_path / "in.cnf"
+    path.write_text("p cnf 3 1\n1 2 3 0\n")
+    outdir = tmp_path / "pair"
+    assert run_main(capsys, ["--emit-pair", str(outdir), str(path)])[0] == EXIT_OK
+    assert "c vr aux" in (outdir / "forced.cnf").read_text()
+    for mode in ("auto", "acyclic", "general", "brute"):
+        code, out, err = run_main(capsys, ["--mode", mode, str(outdir / "forced.cnf")])
+        assert code == EXIT_USAGE
+        assert err.startswith("error: dependency graph requires original variables only, ")
+        assert err.count("\n") == 1
+        assert out == ""
+
+
+def test_var_ranges_without_orig_range_exit_code(tmp_path, capsys):
+    path = tmp_path / "aux.cnf"
+    path.write_text("c vr aux 1 2\np cnf 2 1\n1 2 0\n")
+    code, out, err = run_main(capsys, [str(path)])
+    assert code == EXIT_USAGE
+    assert err == "error: line 1: 'c vr' ranges declared without an 'orig' range\n"
+    assert out == ""
 
 
 def test_emit_depgraph(ex2_path, tmp_path, capsys):

@@ -24,6 +24,7 @@ from mincount import (
     propagate_to_fixpoint,
     with_forced_clauses,
 )
+import mincount.counting as counting
 from mincount.counting import _CONFLICT, _bcp, _split_components
 from mincount.formula import COPY, ORIG, VarRange
 
@@ -284,9 +285,10 @@ class TestInvariants:
 
 
 # Count, mode and (decisions, components, base_cases, sat_calls) of the
-# default engine on the formulas of ``_search_shape_formulas``.  They pin
-# the search itself: a faster core must visit the same nodes.
-# ``propagations`` is left out because it depends on propagation order.
+# default engine without its cache on the formulas of
+# ``_search_shape_formulas``.  They pin the search itself: a faster core
+# must visit the same nodes.  ``propagations`` is left out because it
+# depends on propagation order.
 SEARCH_SHAPES = [
     (369, "general", 165, 55, 188, 0),
     (216, "acyclic", 13, 9, 0, 0),
@@ -311,6 +313,32 @@ SEARCH_SHAPES = [
 ]
 
 
+# (count, decisions, base_cases, sat_calls, cache_hits) of the default
+# engine, cache on, on the same formulas.
+CACHED_SEARCH_SHAPES = [
+    (369, 66, 1, 0, 87),
+    (216, 13, 0, 0, 0),
+    (24, 11, 1, 0, 15),
+    (78, 18, 0, 0, 6),
+    (10, 12, 3, 2, 10),
+    (40, 18, 0, 0, 2),
+    (58, 26, 0, 0, 9),
+    (51, 11, 0, 0, 4),
+    (96, 10, 0, 0, 0),
+    (118, 23, 0, 0, 5),
+    (36, 11, 1, 0, 14),
+    (22, 10, 0, 0, 4),
+    (24, 6, 0, 0, 0),
+    (137, 28, 0, 0, 14),
+    (512, 34, 5, 4, 37),
+    (144, 12, 0, 0, 4),
+    (10, 16, 9, 8, 9),
+    (165, 27, 0, 0, 12),
+    (531, 174, 4, 3, 222),
+    (14, 14, 0, 0, 1),
+]
+
+
 def _search_shape_formulas():
     """Twenty seeded formulas of 25-40 variables with 2-3 literal clauses."""
     rng = random.Random(7)
@@ -324,7 +352,8 @@ def _search_shape_formulas():
 
 
 class TestSearchShape:
-    def test_counts_and_counters_are_pinned(self):
+    def test_counts_and_counters_are_pinned(self, monkeypatch):
+        monkeypatch.setattr(counting, "_CACHE_CLAUSE_BUDGET", 0)
         for formula, expected in zip(_search_shape_formulas(), SEARCH_SHAPES):
             result = count_minimal(formula)
             stats = result.stats
@@ -340,3 +369,90 @@ class TestSearchShape:
             assert count_minimal(formula, policy=BranchPolicy(MIN_ID)).count == count
             if mode == "acyclic":
                 assert count_minimal(formula, force_mode="general").count == count
+
+    def test_cached_counts_and_counters_are_pinned(self):
+        for formula, expected in zip(_search_shape_formulas(), CACHED_SEARCH_SHAPES):
+            result = count_minimal(formula)
+            stats = result.stats
+            assert (
+                result.count, stats.decisions, stats.base_cases, stats.sat_calls,
+                stats.cache_hits,
+            ) == expected
+            assert stats.cache_evictions == 0
+            assert 0 < stats.cache_entries <= stats.decisions + stats.base_cases
+
+
+def _differential_formulas(seed, number):
+    """Seeded formulas of 25-80 variables, alternately general and acyclic."""
+    rng = random.Random(seed)
+    for i in range(number):
+        n = rng.randint(25, 80)
+        if i % 2 == 0:
+            yield random_formula(rng, min_vars=n, max_vars=n, min_clauses=13 * n // 10,
+                                 max_clauses=16 * n // 10, max_len=3, min_len=2)
+        else:
+            yield random_acyclic_formula(rng, min_vars=n, max_vars=n, min_clauses=n,
+                                         max_clauses=13 * n // 10, max_len=3, min_len=2)
+
+
+def _shifted(formula, offset):
+    return tuple(
+        tuple(lit + offset if lit > 0 else lit - offset for lit in clause)
+        for clause in formula.clauses
+    )
+
+
+class TestDifferential:
+    """Strategies that must agree, and laws the count must obey, above the
+    oracle's variable limit."""
+
+    def test_strategies_agree(self, monkeypatch):
+        evictions = 0
+        for formula in _differential_formulas(11, 12):
+            result = count_minimal(formula)
+            count = result.count
+            assert count_minimal(formula, use_decomposition=False).count == count
+            assert count_minimal(formula, policy=BranchPolicy(MIN_ID)).count == count
+            if result.stats.mode == "acyclic":
+                assert count_minimal(formula, force_mode="general").count == count
+            with monkeypatch.context() as patch:
+                patch.setattr(counting, "_CACHE_CLAUSE_BUDGET", 0)
+                uncached = count_minimal(formula)
+                assert uncached.count == count
+                assert uncached.stats.cache_hits == uncached.stats.cache_entries == 0
+                patch.setattr(counting, "_CACHE_CLAUSE_BUDGET", 12)
+                tiny = count_minimal(formula)
+                assert tiny.count == count
+                evictions += tiny.stats.cache_evictions
+        assert evictions > 0
+
+    def test_renaming_variables_keeps_the_count(self):
+        rng = random.Random(12)
+        for formula in _differential_formulas(13, 8):
+            n = formula.num_original_vars
+            image = list(range(1, n + 1))
+            rng.shuffle(image)
+            renamed = tuple(
+                tuple(image[abs(lit) - 1] * (1 if lit > 0 else -1) for lit in clause)
+                for clause in formula.clauses
+            )
+            assert (
+                count_minimal(CnfFormula(renamed, n)).count == count_minimal(formula).count
+            )
+
+    def test_fresh_unused_variable_keeps_the_count(self):
+        for formula in _differential_formulas(14, 8):
+            widened = CnfFormula(formula.clauses, formula.num_original_vars + 1)
+            assert count_minimal(widened).count == count_minimal(formula).count
+
+    def test_disjoint_union_multiplies_the_counts(self):
+        formulas = list(_differential_formulas(15, 8))
+        for left, right in zip(formulas[::2], formulas[1::2]):
+            offset = left.num_original_vars
+            union = CnfFormula(
+                left.clauses + _shifted(right, offset), offset + right.num_original_vars
+            )
+            assert (
+                count_minimal(union).count
+                == count_minimal(left).count * count_minimal(right).count
+            )

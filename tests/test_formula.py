@@ -102,6 +102,11 @@ class TestParse:
         with pytest.raises(ParseError, match=r"line 2: .*overlaps the range on line 1"):
             parse_dimacs(text)
 
+    @pytest.mark.parametrize("ranges", ["c vr aux 1 2\n", "c vr copy 3 4\nc vr aux 1 2\n"])
+    def test_var_ranges_without_orig_range_name_line(self, ranges):
+        with pytest.raises(ParseError, match=r"line 1: .*without an 'orig' range"):
+            parse_dimacs(f"{ranges}p cnf 4 1\n1 2 0\n")
+
     def test_literal_outside_var_ranges(self):
         with pytest.raises(ParseError, match="outside declared variable ranges"):
             parse_dimacs("c vr orig 1 1\np cnf 2 1\n1 2 0\n")
