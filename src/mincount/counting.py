@@ -380,6 +380,8 @@ def _run(search, justification, assign, scope, *, orig_limit, copy_lo, policy,
     cache, held = {}, 0
 
     def remember(key, value):
+        # No key comes twice: while a component's sum is pending, the nodes
+        # in between see strictly fewer or disjoint variables.
         nonlocal held
         cache[key] = value
         held += 1 + len(key[0]) + len(key[1] or ())
