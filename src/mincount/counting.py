@@ -22,6 +22,11 @@ A run caches the count of each residual pair it solves, keyed by the
 pair's clauses as they are, so a component or a base case that comes
 back is not solved again.
 
+``count_minimal`` splits its input into variable-disjoint parts before
+any transform and counts them one after another, each renumbered and
+with its own run, on the strategy its own dependency graph calls for:
+an acyclic part of a cyclic input gets no copy variables.
+
 The recursion is realized with an explicit stack so that chain formulas
 cannot exhaust the interpreter's recursion limit.  Each counting run owns
 its mutable state; independent runs over the same immutable formula may
@@ -55,8 +60,10 @@ class CountStats:
     """Search statistics accumulated over one counting run.
 
     ``components`` counts the sub-pairs produced by decomposition steps
-    that actually split their node.  ``cache_hits`` counts the components
-    and base cases the cache answered; ``cache_entries`` is its final size.
+    that actually split their node, the input's included.  ``cache_hits``
+    counts the components and base cases the cache answered;
+    ``cache_entries`` is its final size, summed over the input's parts.
+    ``general_parts`` of the ``parts`` took the general path.
     """
 
     decisions: int = 0
@@ -67,6 +74,8 @@ class CountStats:
     cache_hits: int = 0
     cache_entries: int = 0
     cache_evictions: int = 0
+    parts: int = 0
+    general_parts: int = 0
     mode: str = ""
     acyclic: bool | None = None
     head_cycle_free: bool | None = None
@@ -109,6 +118,9 @@ class BranchPolicy:
             var for var, (in_search, _) in occurrences.items()
             if in_search and var <= orig_limit
         ]
+        if not candidates:
+            raise ValueError("no original variable to branch on: the auxiliary "
+                             "variables are not determined by the originals")
         if self.heuristic == MIN_ID:
             return min(candidates)
         return min(candidates, key=lambda var: (-len(occurrences[var][0]), var))
@@ -469,7 +481,7 @@ def _run(search, justification, assign, scope, *, orig_limit, copy_lo, policy,
             for _ in range(width):
                 product *= values.pop()
             values.append(product << free)
-    stats.cache_entries = len(cache)
+    stats.cache_entries += len(cache)
     return values[0]
 
 
@@ -511,16 +523,53 @@ def count_pair(pair: PairState, *, policy: BranchPolicy | None = None,
     return CountResult(count, stats)
 
 
+def _input_parts(clauses):
+    """``(variables, formula)`` per variable-disjoint part, ``[]`` if connected.
+
+    ``variables`` holds the part's input ids in increasing order, and
+    ``formula`` its clauses in input order with ``variables[i - 1]``
+    renumbered to ``i``.  An empty clause is a part of its own.
+    """
+    _, group_of = _index(clauses, ())
+    grouped = {}
+    for clause in clauses:
+        key = id(group_of[abs(clause[0])]) if clause else None
+        grouped.setdefault(key, []).append(clause)
+    if len(grouped) < 2:
+        return []
+    parts = []
+    for part_clauses in grouped.values():
+        variables = sorted({abs(lit) for clause in part_clauses for lit in clause})
+        number = {var: new for new, var in enumerate(variables, 1)}
+        renumbered = tuple(
+            tuple(number[lit] if lit > 0 else -number[-lit] for lit in clause)
+            for clause in part_clauses
+        )
+        parts.append((variables, CnfFormula(renumbered, len(variables))))
+    return parts
+
+
+def _count_part(formula, general, stats, **options) -> int:
+    stats.parts += 1
+    if general:
+        stats.general_parts += 1
+        return count_pair(build_pair(formula), stats=stats, **options).count
+    return count_models(with_forced_clauses(formula), stats=stats, **options).count
+
+
 def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
                   use_decomposition: bool = True, force_mode: str | None = None,
                   trace=None, graph: DepGraph | None = None) -> CountResult:
     """Count the minimal models of a CNF formula.
 
-    When the dependency graph is acyclic the count equals the model count
-    of the formula strengthened with its forced implications, so no
-    justification side is needed.  Cyclic formulas go through the pair
-    recursion.  ``force_mode`` overrides the automatic choice; forcing
-    the acyclic strategy on a cyclic formula raises ``ValueError``.
+    A model is minimal exactly when its restriction to every
+    variable-disjoint part is, so the parts are counted one by one and
+    their counts multiply (unless ``use_decomposition`` is off).  An
+    acyclic part's count is the model count of the part strengthened with
+    its forced implications, so no justification side is needed; cyclic
+    parts go through the pair recursion.  ``force_mode`` overrides the
+    choice for every part; forcing the acyclic strategy on a cyclic
+    formula raises ``ValueError``.  ``trace`` entries name input ids.
     ``graph`` is the formula's dependency graph, if the caller has built it.
     """
     graph = graph if graph is not None else build_dependency_graph(formula)
@@ -535,17 +584,25 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
     stats = CountStats(
         mode=mode, acyclic=acyclic, head_cycle_free=is_head_cycle_free(formula, graph)
     )
-    if mode == MODE_ACYCLIC:
-        return count_models(
-            with_forced_clauses(formula),
-            policy=policy, use_decomposition=use_decomposition,
-            stats=stats, trace=trace,
-        )
-    return count_pair(
-        build_pair(formula),
-        policy=policy, use_decomposition=use_decomposition,
-        stats=stats, trace=trace,
-    )
+    options = {"policy": policy, "use_decomposition": use_decomposition}
+    parts = _input_parts(formula.clauses) if use_decomposition else []
+    if not parts:
+        count = _count_part(formula, mode == MODE_GENERAL, stats, trace=trace, **options)
+        return CountResult(count, stats)
+
+    # Each part is renumbered, so each gets its own trace (and cache).
+    stats.components += len(parts)
+    cyclic = {var for scc in graph.sccs.components if len(scc) > 1 for var in scc}
+    cyclic.update(a for a, b in graph.arcs if a == b)
+    count = 1
+    for variables, part in parts:
+        general = (mode == MODE_GENERAL) if force_mode else not cyclic.isdisjoint(variables)
+        part_trace = [] if trace is not None else None
+        count *= _count_part(part, general, stats, trace=part_trace, **options)
+        if trace is not None:
+            trace.extend((kind, variables[var - 1], low, high)
+                         for kind, var, low, high in part_trace)
+    return CountResult(count, stats)
 
 
 def decompose(pair: PairState) -> list[PairState]:

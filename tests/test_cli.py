@@ -63,8 +63,45 @@ def test_stats_lines_precede_count(ex2_path, capsys):
     assert {"mode", "decisions", "propagations", "components",
             "sat_calls", "base_cases", "acyclic", "head_cycle_free"} <= set(keys)
     start = keys.index("base_cases") + 1
-    assert keys[start:start + 3] == ["cache_hits", "cache_entries", "cache_evictions"]
+    assert keys[start:start + 5] == [
+        "cache_hits", "cache_entries", "cache_evictions", "parts", "general_parts"
+    ]
     assert "c stat mode general" in lines
+    assert "c stat parts 1" in lines and "c stat general_parts 1" in lines
+
+
+# ex2's implication 3-cycle beside an acyclic part over variables 4-6.
+SPLIT_TEXT = "p cnf 6 5\n-1 2 0\n-2 3 0\n-3 1 0\n4 5 0\n-5 6 0\n"
+
+
+def test_split_input_stats(tmp_path, capsys):
+    path = tmp_path / "split.cnf"
+    path.write_text(SPLIT_TEXT)
+    code, out, _ = run_main(capsys, ["--stats", "--check", str(path)])
+    assert code == EXIT_OK
+    lines = out.strip().splitlines()
+    assert "c stat mode general" in lines
+    assert "c stat parts 2" in lines and "c stat general_parts 1" in lines
+    assert "c check OK" in lines
+    assert lines[-1] == "s mc 2"
+
+
+def test_acyclic_mode_rejected_on_input_with_a_cyclic_part(tmp_path, capsys):
+    path = tmp_path / "split.cnf"
+    path.write_text(SPLIT_TEXT)
+    code, out, err = run_main(capsys, ["--mode", "acyclic", str(path)])
+    assert code == EXIT_MODE
+    assert "cycle" in err
+    assert "s mc" not in out
+
+
+@pytest.mark.parametrize("mode", ["auto", "general"])
+def test_empty_clause_in_one_part_counts_zero(mode, tmp_path, capsys):
+    path = tmp_path / "empty.cnf"
+    path.write_text(SPLIT_TEXT.replace("p cnf 6 5", "p cnf 6 6") + "0\n")
+    code, out, _ = run_main(capsys, ["--mode", mode, str(path)])
+    assert code == EXIT_OK
+    assert out == "s mc 0\n"
 
 
 def test_check_passes(ex1_path, capsys):
@@ -115,6 +152,20 @@ def test_emit_pair_round_trips(ex2_path, tmp_path, capsys):
 
 @pytest.mark.parametrize("mode", ["auto", "acyclic", "general", "brute"])
 def test_one_graph_and_one_scc_pass_per_run(mode, ex1_path, capsys, monkeypatch):
+    assert _graph_and_scc_calls(capsys, monkeypatch, ["--mode", mode, ex1_path]) == [
+        "graph", "scc"]
+
+
+@pytest.mark.parametrize("mode", ["auto", "acyclic", "general"])
+def test_one_graph_and_one_scc_pass_per_run_on_split_input(mode, tmp_path, capsys,
+                                                            monkeypatch):
+    path = tmp_path / "split.cnf"
+    path.write_text("p cnf 4 2\n1 2 0\n3 4 0\n")
+    argv = ["--mode", mode, str(path)]
+    assert _graph_and_scc_calls(capsys, monkeypatch, argv) == ["graph", "scc"]
+
+
+def _graph_and_scc_calls(capsys, monkeypatch, argv):
     import mincount.cli as cli_module
     import mincount.counting as counting_module
     import mincount.depgraph as depgraph_module
@@ -132,10 +183,10 @@ def test_one_graph_and_one_scc_pass_per_run(mode, ex1_path, capsys, monkeypatch)
                             counted("graph", module.build_dependency_graph))
     monkeypatch.setattr(depgraph_module, "strongly_connected_components",
                         counted("scc", depgraph_module.strongly_connected_components))
-    code, out, _ = run_main(capsys, ["--stats", "--mode", mode, ex1_path])
+    code, out, _ = run_main(capsys, ["--stats"] + argv)
     assert code == EXIT_OK
     assert "c stat acyclic true" in out and "c stat head_cycle_free true" in out
-    assert calls == ["graph", "scc"]
+    return calls
 
 
 def test_auxiliary_ids_in_input_exit_code(tmp_path, capsys):

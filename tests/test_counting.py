@@ -83,6 +83,11 @@ class TestCountModels:
         f = parse_dimacs("p cnf 3 1\n1 2 0\n")
         assert count_models(f).count == 3  # counted over occurring variables
 
+    def test_auxiliary_only_component_is_an_error(self):
+        f = parse_dimacs("c vr orig 1 1\nc vr aux 2 3\np cnf 3 1\n2 3 0\n")
+        with pytest.raises(ValueError, match="not determined by the originals"):
+            count_models(f)
+
     def test_matches_enumeration(self):
         rng = random.Random(8)
         for _ in range(60):
@@ -291,7 +296,7 @@ class TestInvariants:
 # depends on propagation order.
 SEARCH_SHAPES = [
     (369, "general", 165, 55, 188, 0),
-    (216, "acyclic", 13, 9, 0, 0),
+    (216, "acyclic", 13, 10, 0, 0),
     (24, "general", 13, 7, 18, 0),
     (78, "acyclic", 24, 15, 0, 0),
     (10, "general", 13, 3, 13, 2),
@@ -300,7 +305,7 @@ SEARCH_SHAPES = [
     (51, "acyclic", 16, 9, 0, 0),
     (96, "acyclic", 10, 6, 0, 0),
     (118, "acyclic", 29, 12, 0, 0),
-    (36, "general", 14, 7, 18, 0),
+    (36, "general", 14, 7, 16, 0),
     (22, "acyclic", 16, 8, 0, 0),
     (24, "acyclic", 6, 3, 0, 0),
     (137, "acyclic", 49, 14, 0, 0),
@@ -326,7 +331,7 @@ CACHED_SEARCH_SHAPES = [
     (51, 11, 0, 0, 4),
     (96, 10, 0, 0, 0),
     (118, 23, 0, 0, 5),
-    (36, 11, 1, 0, 14),
+    (36, 11, 1, 0, 12),
     (22, 10, 0, 0, 4),
     (24, 6, 0, 0, 0),
     (137, 28, 0, 0, 14),
@@ -380,6 +385,65 @@ class TestSearchShape:
             ) == expected
             assert stats.cache_evictions == 0
             assert 0 < stats.cache_entries <= stats.decisions + stats.base_cases
+
+    def test_split_rows_are_the_sums_of_their_parts(self, monkeypatch):
+        # Rows 1 and 10 are the pinned inputs with two parts.  Their
+        # counters are the sums over the parts counted alone, plus one
+        # component per part for the split of the input.
+        split_rows = []
+        for budget, pins in ((0, SEARCH_SHAPES), (counting._CACHE_CLAUSE_BUDGET,
+                                                  CACHED_SEARCH_SHAPES)):
+            monkeypatch.setattr(counting, "_CACHE_CLAUSE_BUDGET", budget)
+            for row, formula in enumerate(_search_shape_formulas()):
+                parts = _parts(formula)
+                if len(parts) < 2:
+                    continue
+                split_rows.append(row)
+                whole = count_minimal(formula)
+                alone = [count_minimal(part) for part in parts]
+                assert all(result.stats.parts == 1 for result in alone)
+                count = 1
+                for result in alone:
+                    count *= result.count
+
+                def total(name):
+                    return sum(getattr(result.stats, name) for result in alone)
+
+                assert whole.count == count
+                assert (whole.stats.parts, whole.stats.general_parts) == (
+                    len(parts), total("general_parts"))
+                assert whole.stats.components == len(parts) + total("components")
+                for name in ("decisions", "base_cases", "sat_calls", "cache_hits",
+                             "cache_entries"):
+                    assert getattr(whole.stats, name) == total(name)
+                if budget == 0:
+                    derived = (count, whole.stats.mode, total("decisions"),
+                               len(parts) + total("components"), total("base_cases"),
+                               total("sat_calls"))
+                else:
+                    derived = (count, total("decisions"), total("base_cases"),
+                               total("sat_calls"), total("cache_hits"))
+                assert derived == pins[row]
+        assert split_rows == [1, 10, 1, 10]
+
+
+def _parts(formula):
+    """The variable-disjoint parts of a formula over its own ids, clauses in
+    input order; a reference for the engine's split of the input."""
+    parts = []  # (variables, clause positions)
+    for position, clause in enumerate(formula.clauses):
+        variables = {abs(lit) for lit in clause}
+        touching = [part for part in parts if part[0] & variables]
+        for part in touching:
+            parts.remove(part)
+            variables |= part[0]
+        positions = sorted([position] + [p for part in touching for p in part[1]])
+        parts.append((variables, positions))
+    parts.sort(key=lambda part: part[1][0])
+    return [
+        CnfFormula(tuple(formula.clauses[p] for p in positions), formula.num_original_vars)
+        for _, positions in parts
+    ]
 
 
 def _differential_formulas(seed, number):
@@ -456,3 +520,80 @@ class TestDifferential:
                 count_minimal(union).count
                 == count_minimal(left).count * count_minimal(right).count
             )
+
+
+def _unions(seed, number):
+    """Seeded unions of a cyclic and an acyclic 25-80-variable formula."""
+    formulas = list(_differential_formulas(seed, 2 * number))
+    for cyclic, acyclic in zip(formulas[::2], formulas[1::2]):
+        offset = cyclic.num_original_vars
+        union = CnfFormula(
+            cyclic.clauses + _shifted(acyclic, offset), offset + acyclic.num_original_vars
+        )
+        yield cyclic, acyclic, union
+
+
+class TestSplitInput:
+    """Variable-disjoint parts of the input are counted one by one."""
+
+    def test_union_of_cyclic_and_acyclic_parts(self):
+        for cyclic, acyclic, union in _unions(28, 4):
+            left, right = count_minimal(cyclic), count_minimal(acyclic)
+            assert (left.stats.mode, right.stats.mode) == ("general", "acyclic")
+            result = count_minimal(union)
+            assert result.count == left.count * right.count
+            assert result.stats.mode == "general"
+            assert result.stats.general_parts == 1
+            assert result.stats.parts == left.stats.parts + right.stats.parts >= 2
+            whole = count_minimal(union, use_decomposition=False)
+            assert whole.count == result.count
+            assert (whole.stats.parts, whole.stats.general_parts,
+                    whole.stats.components) == (1, 1, 0)
+            assert count_minimal(union, policy=BranchPolicy(MIN_ID)).count == result.count
+            forced = count_minimal(union, force_mode="general")
+            assert forced.count == result.count
+            assert forced.stats.general_parts == forced.stats.parts == result.stats.parts
+            with pytest.raises(ValueError, match="cycle"):
+                count_minimal(union, force_mode="acyclic")
+
+    def test_trace_names_input_ids(self):
+        for cyclic, acyclic, union in _unions(28, 2):
+            offset = cyclic.num_original_vars
+            left, right, whole = [], [], []
+            count_minimal(cyclic, trace=left)
+            count_minimal(acyclic, trace=right)
+            count_minimal(union, trace=whole)
+            shifted = [(kind, var + offset, low, high) for kind, var, low, high in right]
+            assert whole == left + shifted
+
+    def test_self_arc_makes_its_part_cyclic(self):
+        # The tautology (1, -1) gives the arc 1 -> 1; the acyclic path would
+        # let variable 1 justify itself.
+        union = CnfFormula(((1, -1), (2, 3)), 3)
+        result = count_minimal(union)
+        assert result.count == count_minimal_brute(union).count == 2
+        assert (result.stats.parts, result.stats.general_parts) == (2, 1)
+
+    def test_empty_clause_in_one_part(self):
+        _, _, union = next(_unions(28, 1))
+        for mode in (None, "general"):
+            with_empty = CnfFormula(union.clauses + ((),), union.num_original_vars)
+            result = count_minimal(with_empty, force_mode=mode)
+            assert result.count == 0
+            assert result.stats.parts >= 3
+
+    def test_small_unions_match_oracle(self):
+        rng = random.Random(606)
+        for _ in range(120):
+            clauses, offset = (), 0
+            while True:
+                part = random_formula(rng, min_vars=2, max_vars=7, min_clauses=2,
+                                      max_clauses=10, max_len=3)
+                if offset + part.num_original_vars > 20 or (clauses and rng.random() < 0.4):
+                    break
+                clauses += _shifted(part, offset)
+                offset += part.num_original_vars
+            union = CnfFormula(clauses, offset)
+            expected = count_minimal_brute(union).count
+            assert count_minimal(union).count == expected
+            assert count_minimal(union, force_mode="general").count == expected
