@@ -1,6 +1,6 @@
 """Command-line driver.
 
-Reads a DIMACS CNF file, selects a counting strategy, and prints the
+Reads a DIMACS CNF file, counts it in the chosen mode, and prints the
 count in competition style: optional ``c stat`` lines followed by a
 final ``s mc <count>`` line.
 
@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from .bruteforce import DEFAULT_VAR_LIMIT, VariableLimitError, count_minimal_brute
-from .counting import count_minimal
+from .counting import MODE_ACYCLIC, MODE_GENERAL, copied_variables, count_minimal
 from .depgraph import build_dependency_graph, is_acyclic, is_head_cycle_free, to_dot
 from .formula import ParseError, parse_dimacs
 from .transform import build_pair, write_pair_files
@@ -56,7 +56,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("input", help="path to a DIMACS CNF file, or - for stdin")
     parser.add_argument(
         "--mode", choices=MODES, default="auto",
-        help="counting strategy (default: auto)",
+        help="which variables get copies, or the oracle (default: auto)",
     )
     parser.add_argument(
         "--check", action="store_true",
@@ -68,7 +68,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--emit-pair", metavar="DIR",
-        help="write the transformed formulas as DIMACS files into DIR",
+        help="write the pair the chosen mode counts as DIMACS files into DIR",
     )
     parser.add_argument(
         "--emit-depgraph", metavar="FILE",
@@ -106,12 +106,14 @@ def run(config: RunConfig, out=None, err=None) -> int:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
 
+    force = config.mode if config.mode in (MODE_ACYCLIC, MODE_GENERAL) else None
     try:
         if config.emit_depgraph:
             with open(config.emit_depgraph, "w") as handle:
                 handle.write(to_dot(graph))
         if config.emit_pair:
-            write_pair_files(build_pair(formula), config.emit_pair)
+            copied = copied_variables(formula, graph, force)
+            write_pair_files(build_pair(formula, copied), config.emit_pair)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=err)
         return EXIT_USAGE
@@ -123,7 +125,6 @@ def run(config: RunConfig, out=None, err=None) -> int:
             print(f"error: {exc}", file=err)
             return EXIT_MODE
     else:
-        force = None if config.mode == "auto" else config.mode
         try:
             result = count_minimal(formula, force_mode=force, graph=graph)
         except ValueError as exc:

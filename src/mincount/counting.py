@@ -1,12 +1,15 @@
 """Minimal-model counting over the search/justification pair.
 
-The engine walks one recursion for both strategies: unit propagation,
-component decomposition, branching on a decision variable, and a base
-case.  On the general path the base case runs a SAT-backed justification
-check over the live copy variables; on the acyclic path the justification
-side is absent and the recursion is a plain model count where free
-original variables contribute a power-of-two multiplier and auxiliary
-variables, being functionally determined, contribute nothing.
+The engine walks one recursion: unit propagation, component
+decomposition, branching on a decision variable, and a base case.  Only
+the variables on a cycle of the dependency graph get a copy variable on
+the justification side; an acyclic input gets none, and its pair is the
+input strengthened with its forced implications.  Once the search side
+is empty, a justification residual that is empty too counts one; any
+other runs a SAT-backed justification check over the live copy
+variables.  Originals left unassigned there default to false, the
+minimal choice, and auxiliary variables, being functionally determined,
+contribute nothing.
 
 Each search node makes about one pass over its residual.  When a node
 splits, every component gets an occurrence index (variable -> clause
@@ -24,8 +27,7 @@ back is not solved again.
 
 ``count_minimal`` splits its input into variable-disjoint parts before
 any transform and counts them one after another, each renumbered and
-with its own run, on the strategy its own dependency graph calls for:
-an acyclic part of a cyclic input gets no copy variables.
+with its own run and its own copy variables.
 
 The recursion is realized with an explicit stack so that chain formulas
 cannot exhaust the interpreter's recursion limit.  Each counting run owns
@@ -40,7 +42,7 @@ from dataclasses import dataclass, fields, replace
 from .depgraph import DepGraph, build_dependency_graph, is_acyclic, is_head_cycle_free
 from .formula import COPY, CnfFormula, VarRange
 from .sat import solve
-from .transform import PairState, build_pair, with_forced_clauses
+from .transform import PairState, build_pair
 
 MIN_ID = "min-id"
 MAX_OCCURRENCE = "max-occurrence"
@@ -63,7 +65,8 @@ class CountStats:
     that actually split their node, the input's included.  ``cache_hits``
     counts the components and base cases the cache answered;
     ``cache_entries`` is its final size, summed over the input's parts.
-    ``general_parts`` of the ``parts`` took the general path.
+    ``general_parts`` of the ``parts`` had at least one copy variable, and
+    ``copy_vars`` is the number of copy variables built.
     """
 
     decisions: int = 0
@@ -76,6 +79,7 @@ class CountStats:
     cache_evictions: int = 0
     parts: int = 0
     general_parts: int = 0
+    copy_vars: int = 0
     mode: str = ""
     acyclic: bool | None = None
     head_cycle_free: bool | None = None
@@ -194,10 +198,9 @@ def _bcp(search, justification, assign, copy_lo, stats, occurrences=None):
     sentinel when a search clause is emptied.  Residual clauses mention
     no assigned variable; a clause no assignment touched is kept as is.
     """
-    just = justification if justification is not None else ()
-    sides = (search, just)
-    free = (list(map(len, search)), list(map(len, just)))
-    dead = (bytearray(len(search)), bytearray(len(just)))
+    sides = (search, justification)
+    free = (list(map(len, search)), list(map(len, justification)))
+    dead = (bytearray(len(search)), bytearray(len(justification)))
     queue = list(assign)
     seeded = len(queue)
     # A falsified justification clause mid-propagation is only an invariant
@@ -227,7 +230,7 @@ def _bcp(search, justification, assign, copy_lo, stats, occurrences=None):
                 else:
                     justification_violated = True
         if queue and not conflict:
-            occurrences, _ = _index(search, just)
+            occurrences, _ = _index(search, justification)
 
     head = 0
     while head < len(queue) and not conflict:
@@ -287,8 +290,6 @@ def _bcp(search, justification, assign, copy_lo, stats, occurrences=None):
             for clause, is_dead, open_count in zip(clauses, side_dead, side_free)
             if not is_dead
         ]))
-    if justification is None:
-        return residuals[0], None
     return residuals[0], residuals[1]
 
 
@@ -298,11 +299,9 @@ def _split_components(search, justification, enabled):
     Returns ``(search_clauses, justification_clauses, occurrences)``
     triples ordered by smallest variable, where ``occurrences`` is the
     group's index (see ``_index``); its keys are the group's variables.
-    With decomposition disabled everything lands in a single group, which
-    still feeds the free-variable bookkeeping of the caller.
+    With decomposition disabled everything lands in a single group.
     """
-    just = justification if justification is not None else ()
-    occurrences, group_of = _index(search, just)
+    occurrences, group_of = _index(search, justification)
     if not enabled:
         return [(search, justification, occurrences)]
     if not occurrences:
@@ -314,8 +313,8 @@ def _split_components(search, justification, enabled):
     groups = sorted({id(group): group for group in group_of.values()}.values(), key=min)
     slot = {id(group): number for number, group in enumerate(groups)}
     parts = [([], [], {}) for _ in groups]
-    position = ([0] * len(search), [0] * len(just))
-    for side, clauses in enumerate((search, just)):
+    position = ([0] * len(search), [0] * len(justification))
+    for side, clauses in enumerate((search, justification)):
         side_position = position[side]
         for index, clause in enumerate(clauses):
             part = parts[slot[id(group_of[abs(clause[0])])]][side]
@@ -330,11 +329,7 @@ def _split_components(search, justification, enabled):
             [just_position[i] if i >= 0 else ~just_position[~i] for i in in_just],
         )
     return [
-        (
-            tuple(part_search),
-            tuple(part_just) if justification is not None else None,
-            part_occurrences,
-        )
+        (tuple(part_search), tuple(part_just), part_occurrences)
         for part_search, part_just, part_occurrences in parts
     ]
 
@@ -374,7 +369,7 @@ def _justification_base(justification, assign, copy_lo, stats) -> int:
     return 0 if solve(query).satisfiable else 1
 
 
-def _run(search, justification, assign, scope, *, orig_limit, copy_lo, policy,
+def _run(search, justification, assign, *, orig_limit, copy_lo, policy,
          use_decomposition, stats, trace):
     """Explicit-stack evaluation of the counting recursion.
 
@@ -382,12 +377,6 @@ def _run(search, justification, assign, scope, *, orig_limit, copy_lo, policy,
     assignment, or a decision plus what it propagates.  Residual clauses
     never mention an assigned variable, so nothing above the node is
     needed and no assignment is copied.
-
-    ``scope`` (model-count mode only) is the set of original variables
-    the current subproblem owns; originals that drop out of all clauses
-    without being assigned are free and double the count.  In pair mode
-    ``scope`` is None and free originals default to false, contributing
-    a factor of one.
     """
     cache, held = {}, 0
 
@@ -396,15 +385,17 @@ def _run(search, justification, assign, scope, *, orig_limit, copy_lo, policy,
         # in between see strictly fewer or disjoint variables.
         nonlocal held
         cache[key] = value
-        held += 1 + len(key[0]) + len(key[1] or ())
+        held += 1 + len(key[0]) + len(key[1])
         while held > _CACHE_CLAUSE_BUDGET:
             old = next(iter(cache))
-            held -= 1 + len(old[0]) + len(old[1] or ())
+            held -= 1 + len(old[0]) + len(old[1])
             del cache[old]
             stats.cache_evictions += 1
         return value
 
     def base(justification, assign):
+        if not justification:
+            return 1
         key = ((), justification)
         value = cache.get(key)
         if value is None:
@@ -412,38 +403,25 @@ def _run(search, justification, assign, scope, *, orig_limit, copy_lo, policy,
         stats.cache_hits += 1
         return value
 
-    tasks = [("count", search, justification, None, assign, scope)]
+    tasks = [("count", search, justification, None, assign)]
     values = []
     while tasks:
         task = tasks.pop()
         op = task[0]
         if op == "count":
-            _, search, justification, occurrences, assign, scope = task
+            _, search, justification, occurrences, assign = task
             result = _bcp(search, justification, assign, copy_lo, stats, occurrences)
             if result is _CONFLICT:
                 values.append(0)
                 continue
             search, justification = result
             if not search:
-                if justification is None:
-                    free = sum(1 for var in scope if var not in assign)
-                    values.append(1 << free)
-                else:
-                    values.append(base(justification, assign))
+                values.append(base(justification, assign))
                 continue
             components = _split_components(search, justification, use_decomposition)
             if len(components) > 1:
                 stats.components += len(components)
-            if justification is None:
-                covered = set()
-                for _, _, variables in components:
-                    covered.update(variables)
-                free = sum(
-                    1 for var in scope if var not in assign and var not in covered
-                )
-            else:
-                free = 0
-            tasks.append(("combine", len(components), free))
+            tasks.append(("combine", len(components)))
             for part_search, part_just, occurrences in components:
                 if not part_search:
                     # Justification-only component: straight to the base case.
@@ -457,18 +435,9 @@ def _run(search, justification, assign, scope, *, orig_limit, copy_lo, policy,
                     continue
                 var = policy.pick(occurrences, orig_limit)
                 stats.decisions += 1
-                part_scope = (
-                    frozenset(v for v in occurrences if v <= orig_limit)
-                    if justification is None
-                    else None
-                )
                 tasks.append(("sum", var, key))
-                tasks.append(
-                    ("count", part_search, part_just, occurrences, {var: True}, part_scope)
-                )
-                tasks.append(
-                    ("count", part_search, part_just, occurrences, {var: False}, part_scope)
-                )
+                tasks.append(("count", part_search, part_just, occurrences, {var: True}))
+                tasks.append(("count", part_search, part_just, occurrences, {var: False}))
         elif op == "sum":
             high_count = values.pop()
             low_count = values.pop()
@@ -476,35 +445,12 @@ def _run(search, justification, assign, scope, *, orig_limit, copy_lo, policy,
                 trace.append(("decision", task[1], low_count, high_count))
             values.append(remember(task[2], low_count + high_count))
         else:  # combine
-            _, width, free = task
             product = 1
-            for _ in range(width):
+            for _ in range(task[1]):
                 product *= values.pop()
-            values.append(product << free)
+            values.append(product)
     stats.cache_entries += len(cache)
     return values[0]
-
-
-def count_models(formula: CnfFormula, *, policy: BranchPolicy | None = None,
-                 use_decomposition: bool = True, stats: CountStats | None = None,
-                 trace=None) -> CountResult:
-    """Exact model count over the formula's original variables.
-
-    Auxiliary variables are propagated but never branched on and never
-    counted; with the biconditional encoding they are determined by the
-    originals.
-    """
-    stats = stats if stats is not None else CountStats()
-    policy = policy or BranchPolicy()
-    orig_limit = formula.num_original_vars
-    scope = frozenset(v for v in formula.variables() if v <= orig_limit)
-    copy_lo = max((vr.hi for vr in formula.var_ranges), default=0) + 1
-    count = _run(
-        formula.clauses, None, {}, scope,
-        orig_limit=orig_limit, copy_lo=copy_lo, policy=policy,
-        use_decomposition=use_decomposition, stats=stats, trace=trace,
-    )
-    return CountResult(count, stats)
 
 
 def count_pair(pair: PairState, *, policy: BranchPolicy | None = None,
@@ -514,8 +460,7 @@ def count_pair(pair: PairState, *, policy: BranchPolicy | None = None,
     stats = stats if stats is not None else CountStats()
     policy = policy or BranchPolicy()
     count = _run(
-        pair.search.clauses, pair.justification.clauses,
-        dict(pair.assignment.values), None,
+        pair.search.clauses, pair.justification.clauses, dict(pair.assignment.values),
         orig_limit=pair.search.num_original_vars,
         copy_lo=pair.copy_map.first_copy_id, policy=policy,
         use_decomposition=use_decomposition, stats=stats, trace=trace,
@@ -549,12 +494,30 @@ def _input_parts(clauses):
     return parts
 
 
-def _count_part(formula, general, stats, **options) -> int:
+def copied_variables(formula: CnfFormula, graph: DepGraph, force_mode: str | None = None):
+    """The variables the pair of a mode gives a copy variable.
+
+    Forced ``general`` copies every variable and forced ``acyclic`` none.
+    Otherwise a variable is copied when it lies on a cycle of ``graph``,
+    the formula's dependency graph: in a non-trivial SCC or on a self-arc.
+    The search side demands that every true variable be forced, so only
+    a set of true variables that support one another in a cycle can lack
+    justification.
+    """
+    if force_mode == MODE_GENERAL:
+        return formula.variables()
+    if force_mode == MODE_ACYCLIC:
+        return set()
+    cyclic = {var for scc in graph.sccs.components if len(scc) > 1 for var in scc}
+    cyclic.update(a for a, b in graph.arcs if a == b)
+    return cyclic
+
+
+def _count_part(formula, copied, stats, **options) -> int:
     stats.parts += 1
-    if general:
-        stats.general_parts += 1
-        return count_pair(build_pair(formula), stats=stats, **options).count
-    return count_models(with_forced_clauses(formula), stats=stats, **options).count
+    stats.copy_vars += len(copied)
+    stats.general_parts += bool(copied)
+    return count_pair(build_pair(formula, copied), stats=stats, **options).count
 
 
 def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
@@ -564,13 +527,15 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
 
     A model is minimal exactly when its restriction to every
     variable-disjoint part is, so the parts are counted one by one and
-    their counts multiply (unless ``use_decomposition`` is off).  An
-    acyclic part's count is the model count of the part strengthened with
-    its forced implications, so no justification side is needed; cyclic
-    parts go through the pair recursion.  ``force_mode`` overrides the
-    choice for every part; forcing the acyclic strategy on a cyclic
-    formula raises ``ValueError``.  ``trace`` entries name input ids.
-    ``graph`` is the formula's dependency graph, if the caller has built it.
+    their counts multiply (unless ``use_decomposition`` is off).  Every
+    part goes through the pair recursion, with copy variables for the
+    variables ``copied_variables`` names: those on a cycle of the
+    dependency graph, so an acyclic part has no justification side and
+    its count is the model count of the part strengthened with its
+    forced implications.  ``force_mode`` ``general`` copies every
+    variable; ``acyclic`` copies none and raises ``ValueError`` on a
+    cyclic formula.  ``trace`` entries name input ids.  ``graph`` is the
+    formula's dependency graph, if the caller has built it.
     """
     graph = graph if graph is not None else build_dependency_graph(formula)
     acyclic = is_acyclic(graph)
@@ -584,21 +549,20 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
     stats = CountStats(
         mode=mode, acyclic=acyclic, head_cycle_free=is_head_cycle_free(formula, graph)
     )
+    copied = copied_variables(formula, graph, force_mode)
     options = {"policy": policy, "use_decomposition": use_decomposition}
     parts = _input_parts(formula.clauses) if use_decomposition else []
     if not parts:
-        count = _count_part(formula, mode == MODE_GENERAL, stats, trace=trace, **options)
+        count = _count_part(formula, copied, stats, trace=trace, **options)
         return CountResult(count, stats)
 
     # Each part is renumbered, so each gets its own trace (and cache).
     stats.components += len(parts)
-    cyclic = {var for scc in graph.sccs.components if len(scc) > 1 for var in scc}
-    cyclic.update(a for a, b in graph.arcs if a == b)
     count = 1
     for variables, part in parts:
-        general = (mode == MODE_GENERAL) if force_mode else not cyclic.isdisjoint(variables)
+        part_copied = [new for new, var in enumerate(variables, 1) if var in copied]
         part_trace = [] if trace is not None else None
-        count *= _count_part(part, general, stats, trace=part_trace, **options)
+        count *= _count_part(part, part_copied, stats, trace=part_trace, **options)
         if trace is not None:
             trace.extend((kind, variables[var - 1], low, high)
                          for kind, var, low, high in part_trace)

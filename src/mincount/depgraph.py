@@ -1,9 +1,9 @@
 """Dependency graph over CNF variables and SCC-based structure tests.
 
 The graph has an arc a -> b whenever some clause contains ``-a`` and
-``b`` (as a positive literal).  Acyclicity of this graph decides which
-counting strategy applies; head-cycle-freeness is computed as a
-diagnostic only.
+``b`` (as a positive literal).  Only the variables on a cycle of this
+graph get copy variables in the counting pair; head-cycle-freeness is
+computed as a diagnostic only.
 """
 
 from __future__ import annotations

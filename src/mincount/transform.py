@@ -1,9 +1,11 @@
 """Constructions for the counting pair.
 
 The search side strengthens the input so that every true variable is
-forced by one of its clauses; the justification side introduces one copy
-variable per original and implications that let a SAT check detect true
-atoms whose truth is not justified.
+forced by one of its clauses; the justification side introduces copy
+variables and implications that let a SAT check detect true atoms whose
+truth is not justified.  As every true atom is forced, only the variables
+on a cycle of the dependency graph need a copy; the full pair copies
+every variable.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ class CopyVarMap:
 
     Copy ids occupy the contiguous block right above ``offset``, which is
     chosen past the auxiliary range so the three ranges stay disjoint.
+    The id of a variable that gets no copy stays unused.
     """
 
     offset: int
@@ -140,32 +143,32 @@ def with_forced_clauses(formula: CnfFormula) -> CnfFormula:
     )
 
 
-def copy_formula(formula: CnfFormula, copy_map: CopyVarMap) -> CnfFormula:
+def copy_formula(formula: CnfFormula, copy_map: CopyVarMap, copied=None) -> CnfFormula:
     """Copy-variable implications used for justification checking.
 
-    Three clause groups: one implication copy(x) -> x per occurring
-    variable; per input clause with at least one positive literal, the
-    clause's image over copy variables; and a unit requiring x false for
-    every variable that never occurs positively.  Clauses without a
-    positive literal produce no image.
+    Only the variables in ``copied`` (default: every occurring variable)
+    get a copy; any other variable stands for itself.  Three clause
+    groups: one implication copy(x) -> x per copied variable; per input
+    clause with a positive literal and a copied variable, the clause's
+    image, each copied variable replaced by its copy; and a unit
+    requiring x false for every copied variable that never occurs
+    positively.  The other clauses produce no image: one without a
+    positive literal holds in every subset of a model, and one without a
+    copied variable is already on the search side.
     """
-    occurring = sorted(formula.variables())
+    copy_of = {
+        x: copy_map.copy_of(x)
+        for x in sorted(formula.variables() if copied is None else copied)
+    }
     positive = {lit for clause in formula.clauses for lit in clause if lit > 0}
-    clauses: list[tuple[int, ...]] = []
-    for x in occurring:
-        clauses.append((-copy_map.copy_of(x), x))
+    clauses: list[tuple[int, ...]] = [(-copy, x) for x, copy in copy_of.items()]
     for clause in formula.clauses:
-        positives = [lit for lit in clause if lit > 0]
-        if not positives:
-            continue
-        negatives = [-lit for lit in clause if lit < 0]
-        clauses.append(
-            tuple(-copy_map.copy_of(b) for b in negatives)
-            + tuple(copy_map.copy_of(a) for a in positives)
-        )
-    for x in occurring:
-        if x not in positive:
-            clauses.append((-x,))
+        positives = [copy_of.get(lit, lit) for lit in clause if lit > 0]
+        if positives and any(abs(lit) in copy_of for lit in clause):
+            clauses.append(
+                tuple([-copy_of.get(-lit, -lit) for lit in clause if lit < 0] + positives)
+            )
+    clauses.extend((-x,) for x in copy_of if x not in positive)
     ranges = (
         VarRange(ORIG, 1, formula.num_original_vars),
         VarRange(COPY, copy_map.first_copy_id, copy_map.offset + copy_map.num_original_vars),
@@ -173,32 +176,34 @@ def copy_formula(formula: CnfFormula, copy_map: CopyVarMap) -> CnfFormula:
     return CnfFormula(tuple(clauses), formula.num_original_vars, ranges)
 
 
-def build_pair(formula: CnfFormula) -> PairState:
-    """Assemble the search/justification pair for an input formula."""
-    n = formula.num_original_vars
-    forced = tseitin_cnf(forced_formula(formula), n + 1)
-    aux_ranges = [vr for vr in forced.var_ranges if vr.kind == AUX]
-    aux_hi = aux_ranges[0].hi if aux_ranges else n
-    copy_map = CopyVarMap(offset=aux_hi, num_original_vars=n)
-    search = CnfFormula(formula.clauses + forced.clauses, n, forced.var_ranges)
-    justification = copy_formula(formula, copy_map)
-    return PairState(search, justification, Assignment(), copy_map)
+def build_pair(formula: CnfFormula, copied=None) -> PairState:
+    """Assemble the search/justification pair for an input formula.
+
+    ``copied`` names the variables that get a copy (default: every one that
+    occurs); with none the justification side is empty.
+    """
+    search = with_forced_clauses(formula)
+    offset = max(vr.hi for vr in search.var_ranges)
+    copy_map = CopyVarMap(offset=offset, num_original_vars=formula.num_original_vars)
+    return PairState(search, copy_formula(formula, copy_map, copied), Assignment(), copy_map)
 
 
 def write_pair_files(pair: PairState, directory: str) -> tuple[str, str]:
     """Write the pair as DIMACS files ``forced.cnf`` and ``copy.cnf``.
 
     Both files carry ``c vr`` range comments; the copy file additionally
-    records one ``c copy <orig> <copy>`` comment per map entry.
+    records one ``c copy <orig> <copy>`` comment per copied variable.
     """
     os.makedirs(directory, exist_ok=True)
     search_path = os.path.join(directory, "forced.cnf")
     copy_path = os.path.join(directory, "copy.cnf")
     with open(search_path, "w") as handle:
         handle.write(write_dimacs(pair.search))
+    copy_map = pair.copy_map
     copy_comments = [
-        f"c copy {x} {pair.copy_map.copy_of(x)}"
-        for x in range(1, pair.copy_map.num_original_vars + 1)
+        f"c copy {copy_map.original_of(var)} {var}"
+        for var in sorted(pair.justification.variables())
+        if copy_map.is_copy(var)
     ]
     with open(copy_path, "w") as handle:
         handle.write(write_dimacs(pair.justification, extra_comments=copy_comments))

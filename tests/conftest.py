@@ -74,3 +74,51 @@ def cnf_formulas(draw, max_vars=6, max_clauses=10, max_len=3):
         signs = [draw(st.booleans()) for _ in range(k)]
         clauses.append(tuple(v if s else -v for v, s in zip(chosen, signs)))
     return CnfFormula(tuple(clauses), n)
+
+
+def planted_cycle_formula(rng: random.Random, min_vars=5, max_vars=14,
+                          clauses_per_var=1.2) -> CnfFormula:
+    """Random CNF whose cycles are planted rings of 2-5 variables.
+
+    Each ring is an implication cycle ``-r_i r_{i+1}``; some of its
+    clauses gain a negated variable of the same ring or a positive
+    acyclic variable, and one clause of positive literals supports it.
+    The other variables are acyclic: arcs among them only go up a
+    per-instance order, and the only arcs between the two kinds go from
+    a ring variable to an acyclic one.  So the non-trivial SCCs are
+    exactly the rings.
+    """
+    n = rng.randint(min_vars, max_vars)
+    ids = list(range(1, n + 1))
+    rng.shuffle(ids)
+    target = rng.uniform(0.2, 0.7) * n
+    rings = []
+    while len(ids) >= 2 and (not rings or sum(map(len, rings)) < target):
+        size = rng.randint(2, min(5, len(ids)))
+        rings.append(ids[:size])
+        del ids[:size]
+    order = ids  # the acyclic variables, arcs pointing forward in this list
+    ring_vars = [var for ring in rings for var in ring]
+    clauses = []
+    for ring in rings:
+        for i, var in enumerate(ring):
+            clause = [-var, ring[(i + 1) % len(ring)]]
+            others = [v for v in ring if v not in (var, ring[(i + 1) % len(ring)])]
+            if others and rng.random() < 0.3:
+                clause.append(-rng.choice(others))
+            if order and rng.random() < 0.3:
+                clause.append(rng.choice(order))
+            clauses.append(tuple(clause))
+        support = [rng.choice(ring)]
+        if rng.random() < 0.7:
+            support.append(rng.choice([v for v in range(1, n + 1) if v != support[0]]))
+        clauses.append(tuple(support))
+    for _ in range(round(clauses_per_var * len(order))):
+        chosen = sorted(rng.sample(order, min(rng.randint(2, 3), len(order))),
+                        key=order.index)
+        split = rng.randint(0, len(chosen))
+        clause = [-v for v in chosen[:split]] + chosen[split:]
+        if ring_vars and rng.random() < 0.4:
+            clause.append(-rng.choice(ring_vars))
+        clauses.append(tuple(clause))
+    return CnfFormula(tuple(clauses), n)

@@ -63,11 +63,13 @@ def test_stats_lines_precede_count(ex2_path, capsys):
     assert {"mode", "decisions", "propagations", "components",
             "sat_calls", "base_cases", "acyclic", "head_cycle_free"} <= set(keys)
     start = keys.index("base_cases") + 1
-    assert keys[start:start + 5] == [
-        "cache_hits", "cache_entries", "cache_evictions", "parts", "general_parts"
+    assert keys[start:start + 6] == [
+        "cache_hits", "cache_entries", "cache_evictions", "parts", "general_parts",
+        "copy_vars",
     ]
     assert "c stat mode general" in lines
     assert "c stat parts 1" in lines and "c stat general_parts 1" in lines
+    assert "c stat copy_vars 3" in lines
 
 
 # ex2's implication 3-cycle beside an acyclic part over variables 4-6.
@@ -82,6 +84,7 @@ def test_split_input_stats(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert "c stat mode general" in lines
     assert "c stat parts 2" in lines and "c stat general_parts 1" in lines
+    assert "c stat copy_vars 3" in lines
     assert "c check OK" in lines
     assert lines[-1] == "s mc 2"
 
@@ -148,6 +151,34 @@ def test_emit_pair_round_trips(ex2_path, tmp_path, capsys):
     assert "c vr copy 4 6" in copy_text
     justification = parse_dimacs(copy_text)
     assert len(justification.clauses) == 6
+
+
+@pytest.mark.parametrize("mode, copied", [
+    ("auto", [1, 2, 3]), ("general", [1, 2, 3, 4, 5, 6]), ("brute", [1, 2, 3])])
+def test_emit_pair_copies_what_the_mode_counts(mode, copied, tmp_path, capsys):
+    # Copies only for the implication cycle in auto; brute writes the auto pair.
+    path = tmp_path / "split.cnf"
+    path.write_text(SPLIT_TEXT)
+    outdir = tmp_path / "pair"
+    code, out, _ = run_main(capsys, ["--mode", mode, "--emit-pair", str(outdir), str(path)])
+    assert code == EXIT_OK
+    assert out.strip().splitlines()[-1] == "s mc 2"
+    copy_text = (outdir / "copy.cnf").read_text()
+    comments = [line.split()[2:] for line in copy_text.splitlines()
+                if line.startswith("c copy ")]
+    assert comments == [[str(x), str(x + 6)] for x in copied]
+    justification = parse_dimacs(copy_text)
+    copies = {abs(lit) for clause in justification.clauses for lit in clause if abs(lit) > 6}
+    assert copies == {x + 6 for x in copied}
+
+
+def test_emit_pair_acyclic_mode_has_no_copies(ex1_path, tmp_path, capsys):
+    outdir = tmp_path / "pair"
+    code, out, _ = run_main(capsys, ["--mode", "acyclic", "--emit-pair", str(outdir), ex1_path])
+    assert (code, out) == (EXIT_OK, "s mc 3\n")
+    copy_text = (outdir / "copy.cnf").read_text()
+    assert "c copy " not in copy_text
+    assert parse_dimacs(copy_text).clauses == ()
 
 
 @pytest.mark.parametrize("mode", ["auto", "acyclic", "general", "brute"])

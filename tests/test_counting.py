@@ -12,23 +12,22 @@ from mincount import (
     MIN_ID,
     PairState,
     base_case,
+    build_dependency_graph,
     build_pair,
     count_minimal,
     count_minimal_brute,
-    count_models,
     count_pair,
     decompose,
     enumerate_models,
     minimal_models_pairwise,
     parse_dimacs,
     propagate_to_fixpoint,
-    with_forced_clauses,
 )
 import mincount.counting as counting
 from mincount.counting import _CONFLICT, _bcp, _split_components
-from mincount.formula import COPY, ORIG, VarRange
+from mincount.formula import AUX, COPY, ORIG, VarRange
 
-from conftest import random_acyclic_formula, random_formula
+from conftest import planted_cycle_formula, random_acyclic_formula, random_formula
 
 
 class TestCountMinimal:
@@ -63,36 +62,26 @@ class TestCountMinimal:
 
 
 class TestCountModels:
-    def test_strengthened_positive_cycle(self, ex1):
-        assert count_models(with_forced_clauses(ex1)).count == 3
+    """The zero-copy pair counts the models of the input strengthened with
+    its forced implications."""
 
-    def test_plain_positive_cycle(self, ex1):
-        assert count_models(ex1).count == 4
+    def test_strengthened_positive_cycle(self, ex1):
+        assert count_pair(build_pair(ex1, ())).count == 3
 
     def test_single_unit_clause(self):
         f = parse_dimacs("p cnf 1 1\n1 0\n")
-        assert count_models(with_forced_clauses(f)).count == 1
-
-    def test_variables_freed_during_search_multiply(self):
-        # setting 1 true removes both clauses and frees 2 and 3: 4 models,
-        # plus the single model of the 1-false branch
-        f = parse_dimacs("p cnf 3 2\n1 2 0\n1 3 0\n")
-        assert count_models(f).count == 5
-
-    def test_unused_header_variables_not_counted(self):
-        f = parse_dimacs("p cnf 3 1\n1 2 0\n")
-        assert count_models(f).count == 3  # counted over occurring variables
+        stats = CountStats()
+        assert count_pair(build_pair(f, ()), stats=stats).count == 1
+        assert stats.base_cases == stats.sat_calls == stats.cache_entries == 0
 
     def test_auxiliary_only_component_is_an_error(self):
-        f = parse_dimacs("c vr orig 1 1\nc vr aux 2 3\np cnf 3 1\n2 3 0\n")
+        search = CnfFormula(((2, 3),), 1, (VarRange(ORIG, 1, 1), VarRange(AUX, 2, 3)))
+        justification = CnfFormula((), 1, (VarRange(ORIG, 1, 1), VarRange(COPY, 4, 4)))
+        pair = PairState(
+            search, justification, Assignment(), CopyVarMap(offset=3, num_original_vars=1)
+        )
         with pytest.raises(ValueError, match="not determined by the originals"):
-            count_models(f)
-
-    def test_matches_enumeration(self):
-        rng = random.Random(8)
-        for _ in range(60):
-            f = random_formula(rng, max_vars=9, max_clauses=25)
-            assert count_models(f).count == len(enumerate_models(f))
+            count_pair(pair)
 
 
 class TestCountPair:
@@ -100,8 +89,9 @@ class TestCountPair:
         stats = CountStats()
         result = count_pair(build_pair(ex2), stats=stats)
         assert result.count == 1
-        # one branch empties the copy side, the other needs the solver
-        assert stats.base_cases == 2
+        # one branch empties the copy side and counts one without a base
+        # case; the other needs the solver
+        assert stats.base_cases == 1
         assert stats.sat_calls == 1
 
     def test_disjoint_pairs_multiply(self):
@@ -167,7 +157,7 @@ class TestPropagation:
 
     def test_untouched_clauses_are_kept(self):
         search = ((1, 2), (3, 4), (-1, 5, 6))
-        residual, _ = _bcp(search, None, {1: True}, 7, CountStats())
+        residual, _ = _bcp(search, (), {1: True}, 7, CountStats())
         assert residual == ((3, 4), (5, 6))
         assert residual[0] is search[1]
 
@@ -251,9 +241,9 @@ class TestInvariants:
         rng = random.Random(303)
         for _ in range(60):
             f = random_acyclic_formula(rng)
-            direct = count_models(with_forced_clauses(f)).count
-            general = count_pair(build_pair(f)).count
-            assert direct == general == count_minimal(f).count
+            zero_copy = count_pair(build_pair(f, ())).count
+            full_copy = count_pair(build_pair(f)).count
+            assert zero_copy == full_copy == count_minimal(f).count
 
     def test_decision_split_partitions_the_count(self):
         # fixing any decision variable to false and to true in two
@@ -295,25 +285,25 @@ class TestInvariants:
 # must visit the same nodes.  ``propagations`` is left out because it
 # depends on propagation order.
 SEARCH_SHAPES = [
-    (369, "general", 165, 55, 188, 0),
+    (369, "general", 130, 64, 0, 0),
     (216, "acyclic", 13, 10, 0, 0),
-    (24, "general", 13, 7, 18, 0),
+    (24, "general", 13, 7, 0, 0),
     (78, "acyclic", 24, 15, 0, 0),
-    (10, "general", 13, 3, 13, 2),
+    (10, "general", 13, 3, 2, 2),
     (40, "acyclic", 20, 6, 0, 0),
     (58, "acyclic", 35, 17, 0, 0),
     (51, "acyclic", 16, 9, 0, 0),
     (96, "acyclic", 10, 6, 0, 0),
     (118, "acyclic", 29, 12, 0, 0),
-    (36, "general", 14, 7, 16, 0),
+    (36, "general", 14, 7, 0, 0),
     (22, "acyclic", 16, 8, 0, 0),
     (24, "acyclic", 6, 3, 0, 0),
     (137, "acyclic", 49, 14, 0, 0),
-    (512, "general", 49, 17, 57, 6),
+    (512, "general", 49, 17, 6, 6),
     (144, "acyclic", 18, 9, 0, 0),
-    (10, "general", 17, 2, 19, 12),
+    (10, "general", 14, 4, 8, 8),
     (165, "acyclic", 48, 24, 0, 0),
-    (531, "general", 357, 119, 416, 11),
+    (531, "general", 343, 115, 11, 11),
     (14, "acyclic", 15, 4, 0, 0),
 ]
 
@@ -321,25 +311,25 @@ SEARCH_SHAPES = [
 # (count, decisions, base_cases, sat_calls, cache_hits) of the default
 # engine, cache on, on the same formulas.
 CACHED_SEARCH_SHAPES = [
-    (369, 66, 1, 0, 87),
+    (369, 59, 0, 0, 53),
     (216, 13, 0, 0, 0),
-    (24, 11, 1, 0, 15),
+    (24, 11, 0, 0, 2),
     (78, 18, 0, 0, 6),
-    (10, 12, 3, 2, 10),
+    (10, 12, 2, 2, 1),
     (40, 18, 0, 0, 2),
     (58, 26, 0, 0, 9),
     (51, 11, 0, 0, 4),
     (96, 10, 0, 0, 0),
     (118, 23, 0, 0, 5),
-    (36, 11, 1, 0, 12),
+    (36, 11, 0, 0, 3),
     (22, 10, 0, 0, 4),
     (24, 6, 0, 0, 0),
     (137, 28, 0, 0, 14),
-    (512, 34, 5, 4, 37),
+    (512, 29, 2, 2, 10),
     (144, 12, 0, 0, 4),
-    (10, 16, 9, 8, 9),
+    (10, 13, 1, 1, 6),
     (165, 27, 0, 0, 12),
-    (531, 174, 4, 3, 222),
+    (531, 173, 1, 1, 122),
     (14, 14, 0, 0, 1),
 ]
 
@@ -477,8 +467,7 @@ class TestDifferential:
             count = result.count
             assert count_minimal(formula, use_decomposition=False).count == count
             assert count_minimal(formula, policy=BranchPolicy(MIN_ID)).count == count
-            if result.stats.mode == "acyclic":
-                assert count_minimal(formula, force_mode="general").count == count
+            assert count_minimal(formula, force_mode="general").count == count
             with monkeypatch.context() as patch:
                 patch.setattr(counting, "_CACHE_CLAUSE_BUDGET", 0)
                 uncached = count_minimal(formula)
@@ -489,6 +478,20 @@ class TestDifferential:
                 assert tiny.count == count
                 evictions += tiny.stats.cache_evictions
         assert evictions > 0
+
+    def test_planted_cycles_agree(self):
+        # Auto copies only the ring variables; forced general copies all.
+        rng = random.Random(16)
+        for _ in range(8):
+            formula = planted_cycle_formula(rng, min_vars=25, max_vars=80,
+                                            clauses_per_var=1.5)
+            result = count_minimal(formula)
+            cyclic = _cyclic_variables(formula)
+            assert result.stats.copy_vars == len(cyclic) < len(formula.variables())
+            general = count_minimal(formula, force_mode="general")
+            assert general.count == result.count
+            assert general.stats.copy_vars == len(formula.variables())
+            assert count_minimal(formula, use_decomposition=False).count == result.count
 
     def test_renaming_variables_keeps_the_count(self):
         rng = random.Random(12)
@@ -597,3 +600,43 @@ class TestSplitInput:
             expected = count_minimal_brute(union).count
             assert count_minimal(union).count == expected
             assert count_minimal(union, force_mode="general").count == expected
+
+
+def _cyclic_variables(formula):
+    """Variables in a non-trivial SCC of the formula's dependency graph."""
+    graph = build_dependency_graph(formula)
+    return {var for scc in graph.sccs.components if len(scc) > 1 for var in scc}
+
+
+class TestPlantedCycles:
+    """Copy variables only for the variables of cyclic SCCs."""
+
+    def test_small_planted_cycles_match_oracle(self):
+        rng = random.Random(909)
+        number, cyclic_total, mixed = 400, 0, 0
+        for _ in range(number):
+            formula = planted_cycle_formula(rng)
+            cyclic = _cyclic_variables(formula)
+            cyclic_total += len(cyclic)
+            mixed += 0 < len(cyclic) < len(formula.variables())
+            expected = count_minimal_brute(formula).count
+            auto = count_minimal(formula)
+            assert auto.count == expected
+            assert auto.stats.copy_vars == len(cyclic)
+            general = count_minimal(formula, force_mode="general")
+            assert general.count == expected
+            assert general.stats.copy_vars == len(formula.variables())
+            whole = count_minimal(formula, use_decomposition=False)
+            assert whole.count == expected
+            assert (whole.stats.copy_vars, whole.stats.general_parts) == (len(cyclic), 1)
+            assert count_minimal(formula, policy=BranchPolicy(MIN_ID)).count == expected
+        # The generator must keep planting cycles beside acyclic variables.
+        assert cyclic_total / number >= 2
+        assert mixed / number >= 0.4
+
+    def test_acyclic_input_has_no_copies_and_no_base_cases(self):
+        rng = random.Random(910)
+        for _ in range(30):
+            result = count_minimal(random_acyclic_formula(rng))
+            assert (result.stats.copy_vars, result.stats.general_parts) == (0, 0)
+            assert result.stats.base_cases == result.stats.sat_calls == 0

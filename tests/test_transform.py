@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from mincount import (
@@ -91,7 +92,33 @@ class TestCopyFormula:
         assert clause_set(cnf.clauses) == clause_set([(-3, 1), (-4, 2), (-1,), (-2,)])
 
 
+    def test_uncopied_variables_stand_for_themselves(self):
+        # 1, 2 and 5 are copied (to 7, 8 and 11); 3, 4 and 6 are not.
+        f = parse_dimacs("p cnf 6 5\n-1 2 0\n-2 1 3 0\n-3 4 0\n-4 -5 0\n-6 -1 0\n")
+        cnf = copy_formula(f, CopyVarMap(offset=6, num_original_vars=6), {1, 2, 5})
+        # Copy implications and never-positive units for copied variables
+        # only (6 gets no unit); no image for (-3, 4), which has no copied
+        # variable, nor for the clauses without a positive literal.
+        assert cnf.clauses == ((-7, 1), (-8, 2), (-11, 5), (-7, 8), (-8, 7, 3), (-5,))
+
+    def test_no_copies_no_clauses(self, ex2):
+        cnf = copy_formula(ex2, CopyVarMap(offset=3, num_original_vars=3), ())
+        assert cnf.clauses == ()
+
+
 class TestBuildPair:
+    def test_zero_copy_pair_is_the_strengthened_formula(self, ex2):
+        pair = build_pair(ex2, ())
+        assert pair.search == with_forced_clauses(ex2)
+        assert pair.justification.clauses == ()
+        assert pair.copy_map.first_copy_id == 4
+
+    def test_copies_only_for_the_given_variables(self):
+        f = parse_dimacs("p cnf 3 3\n-1 2 0\n-2 1 0\n-2 3 0\n")
+        pair = build_pair(f, {1, 2})
+        assert pair.search == build_pair(f).search
+        assert {var for var in pair.justification.variables() if var > 3} == {4, 5}
+
     def test_positive_cycle_shape(self, ex1):
         pair = build_pair(ex1)
         assert len(pair.search.clauses) == 6
@@ -186,13 +213,13 @@ class TestStrengthenedFormulaSemantics:
         rng = random.Random(23)
         for _ in range(30):
             f = random_formula(rng, min_vars=2, max_vars=6, min_clauses=1, max_clauses=10)
-            pair = build_pair(f)
             models = enumerate_models(f)
             minimal = {
                 m for m in models
                 if not any(other < m for other in models)
             }
-            for m in minimal:
+            copied = rng.sample(sorted(f.variables()), rng.randint(0, len(f.variables())))
+            for m, pair in itertools.product(minimal, (build_pair(f), build_pair(f, copied))):
                 tau = Assignment()
                 for v in sorted(pair.justification.variables()):
                     if v <= f.num_original_vars:
