@@ -17,14 +17,11 @@ from .counting import (
     BranchPolicy,
     CountResult,
     CountStats,
-    base_case,
     count_minimal,
     count_pair,
-    decompose,
 )
 from .depgraph import (
     DepGraph,
-    SccDecomposition,
     build_dependency_graph,
     is_acyclic,
     is_head_cycle_free,
@@ -34,32 +31,22 @@ from .depgraph import (
 from .formula import (
     AUX,
     COPY,
-    DECISION,
     ORIG,
-    PROPAGATED,
     Assignment,
     CnfFormula,
-    Conflict,
     ParseError,
-    ParseStats,
     VarRange,
-    condition,
     evaluate,
     parse_dimacs,
-    propagate_to_fixpoint,
     write_dimacs,
 )
-from .sat import SatResult, check_minimal, solve
+from .sat import check_minimal, solve
 from .transform import (
     CopyVarMap,
-    ForcedSpec,
     PairState,
     build_pair,
     copy_formula,
-    forced_formula,
-    tseitin_cnf,
     with_forced_clauses,
-    write_pair_files,
 )
 
 __version__ = "0.1.0"
@@ -69,15 +56,12 @@ __all__ = [
     "Assignment",
     "BranchPolicy",
     "CnfFormula",
-    "Conflict",
     "COPY",
     "CopyVarMap",
     "CountResult",
     "CountStats",
-    "DECISION",
     "DEFAULT_VAR_LIMIT",
     "DepGraph",
-    "ForcedSpec",
     "MAX_OCCURRENCE",
     "MIN_ID",
     "MODE_ACYCLIC",
@@ -87,35 +71,24 @@ __all__ = [
     "OracleDisagreementError",
     "PairState",
     "ParseError",
-    "ParseStats",
-    "PROPAGATED",
-    "SatResult",
-    "SccDecomposition",
     "VarRange",
     "VariableLimitError",
-    "base_case",
     "build_dependency_graph",
     "build_pair",
     "check_minimal",
-    "condition",
     "copy_formula",
     "count_minimal",
     "count_minimal_brute",
     "count_pair",
-    "decompose",
     "enumerate_models",
     "evaluate",
-    "forced_formula",
     "is_acyclic",
     "is_head_cycle_free",
     "minimal_models_pairwise",
     "parse_dimacs",
-    "propagate_to_fixpoint",
     "solve",
     "strongly_connected_components",
     "to_dot",
-    "tseitin_cnf",
     "with_forced_clauses",
     "write_dimacs",
-    "write_pair_files",
 ]

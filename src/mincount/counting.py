@@ -37,7 +37,7 @@ execute concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .depgraph import DepGraph, build_dependency_graph, is_acyclic, is_head_cycle_free
 from .formula import COPY, CnfFormula, VarRange
@@ -370,11 +370,11 @@ def _justification_base(justification, assign, copy_lo, stats) -> int:
 
 
 def _run(search, justification, assign, *, orig_limit, copy_lo, policy,
-         use_decomposition, stats, trace):
+         use_decomposition, stats):
     """Explicit-stack evaluation of the counting recursion.
 
-    ``assign`` holds only what the current node assigns: the root's given
-    assignment, or a decision plus what it propagates.  Residual clauses
+    ``assign`` holds only what the current node assigns: nothing at the
+    root, or a decision plus what it propagates.  Residual clauses
     never mention an assigned variable, so nothing above the node is
     needed and no assignment is copied.
     """
@@ -435,15 +435,11 @@ def _run(search, justification, assign, *, orig_limit, copy_lo, policy,
                     continue
                 var = policy.pick(occurrences, orig_limit)
                 stats.decisions += 1
-                tasks.append(("sum", var, key))
+                tasks.append(("sum", key))
                 tasks.append(("count", part_search, part_just, occurrences, {var: True}))
                 tasks.append(("count", part_search, part_just, occurrences, {var: False}))
         elif op == "sum":
-            high_count = values.pop()
-            low_count = values.pop()
-            if trace is not None:
-                trace.append(("decision", task[1], low_count, high_count))
-            values.append(remember(task[2], low_count + high_count))
+            values.append(remember(task[1], values.pop() + values.pop()))
         else:  # combine
             product = 1
             for _ in range(task[1]):
@@ -454,16 +450,20 @@ def _run(search, justification, assign, *, orig_limit, copy_lo, policy,
 
 
 def count_pair(pair: PairState, *, policy: BranchPolicy | None = None,
-               use_decomposition: bool = True, stats: CountStats | None = None,
-               trace=None) -> CountResult:
-    """Count minimal models by recursing over the search/justification pair."""
+               use_decomposition: bool = True,
+               stats: CountStats | None = None) -> CountResult:
+    """Count minimal models by recursing over the search/justification pair.
+
+    The recursion starts from the empty assignment; ``stats``, when
+    given, accumulates the run's counters.
+    """
     stats = stats if stats is not None else CountStats()
     policy = policy or BranchPolicy()
     count = _run(
-        pair.search.clauses, pair.justification.clauses, dict(pair.assignment.values),
+        pair.search.clauses, pair.justification.clauses, {},
         orig_limit=pair.search.num_original_vars,
         copy_lo=pair.copy_map.first_copy_id, policy=policy,
-        use_decomposition=use_decomposition, stats=stats, trace=trace,
+        use_decomposition=use_decomposition, stats=stats,
     )
     return CountResult(count, stats)
 
@@ -522,7 +522,7 @@ def _count_part(formula, copied, stats, **options) -> int:
 
 def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
                   use_decomposition: bool = True, force_mode: str | None = None,
-                  trace=None, graph: DepGraph | None = None) -> CountResult:
+                  graph: DepGraph | None = None) -> CountResult:
     """Count the minimal models of a CNF formula.
 
     A model is minimal exactly when its restriction to every
@@ -534,8 +534,8 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
     its count is the model count of the part strengthened with its
     forced implications.  ``force_mode`` ``general`` copies every
     variable; ``acyclic`` copies none and raises ``ValueError`` on a
-    cyclic formula.  ``trace`` entries name input ids.  ``graph`` is the
-    formula's dependency graph, if the caller has built it.
+    cyclic formula.  ``graph`` is the formula's dependency graph, if the
+    caller has built it.
     """
     graph = graph if graph is not None else build_dependency_graph(formula)
     acyclic = is_acyclic(graph)
@@ -553,51 +553,12 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
     options = {"policy": policy, "use_decomposition": use_decomposition}
     parts = _input_parts(formula.clauses) if use_decomposition else []
     if not parts:
-        count = _count_part(formula, copied, stats, trace=trace, **options)
-        return CountResult(count, stats)
+        return CountResult(_count_part(formula, copied, stats, **options), stats)
 
-    # Each part is renumbered, so each gets its own trace (and cache).
+    # Each part is renumbered, so each gets its own run and cache.
     stats.components += len(parts)
     count = 1
     for variables, part in parts:
         part_copied = [new for new, var in enumerate(variables, 1) if var in copied]
-        part_trace = [] if trace is not None else None
-        count *= _count_part(part, part_copied, stats, trace=part_trace, **options)
-        if trace is not None:
-            trace.extend((kind, variables[var - 1], low, high)
-                         for kind, var, low, high in part_trace)
+        count *= _count_part(part, part_copied, stats, **options)
     return CountResult(count, stats)
-
-
-def decompose(pair: PairState) -> list[PairState]:
-    """Split a conditioned pair into variable-disjoint sub-pairs.
-
-    Expects both sides already conditioned on the pair's assignment.  The
-    copy implication linking a variable to its copy keeps the two in one
-    component.  Returns an empty list when no clauses remain.
-    """
-    components = _split_components(
-        pair.search.clauses, pair.justification.clauses, True
-    )
-    out = []
-    for part_search, part_just, _ in components:
-        out.append(
-            PairState(
-                replace(pair.search, clauses=part_search),
-                replace(pair.justification, clauses=part_just),
-                pair.assignment.copy(),
-                pair.copy_map,
-            )
-        )
-    return out
-
-
-def base_case(pair: PairState, stats: CountStats | None = None) -> int:
-    """Justification base case for a pair whose search side is exhausted."""
-    stats = stats if stats is not None else CountStats()
-    return _justification_base(
-        pair.justification.clauses,
-        dict(pair.assignment.values),
-        pair.copy_map.first_copy_id,
-        stats,
-    )

@@ -1,4 +1,4 @@
-"""CNF clause database, DIMACS parsing, conditioning and unit propagation.
+"""CNF clause database, DIMACS reading and writing, and evaluation.
 
 Variables are positive integers and a literal is a signed integer: ``v``
 for the positive literal, ``-v`` for the negated one.  A clause is a tuple
@@ -10,14 +10,11 @@ variables.  Formulas are safe to share between concurrent tasks; an
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 ORIG = "orig"
 AUX = "aux"
 COPY = "copy"
-
-DECISION = "decision"
-PROPAGATED = "propagated"
 
 
 class ParseError(ValueError):
@@ -91,44 +88,39 @@ class CnfFormula:
 
 
 class Assignment:
-    """Partial truth assignment with an ordered trail of reasons.
+    """Partial truth assignment.
 
-    The trail records each assigned literal together with the reason it
-    was assigned (``DECISION`` or ``PROPAGATED``); a variable appears at
-    most once and ``values`` always agrees with the trail.
+    ``values`` maps each assigned variable to its value, in the order the
+    variables were assigned.
     """
 
-    __slots__ = ("values", "trail")
+    __slots__ = ("values",)
 
     def __init__(self):
         self.values: dict[int, bool] = {}
-        self.trail: list[tuple[int, str]] = []
 
     @classmethod
-    def from_literals(cls, literals, reason: str = DECISION) -> "Assignment":
+    def from_literals(cls, literals) -> "Assignment":
         out = cls()
         for lit in literals:
-            out.assign(lit, reason)
+            out.assign(lit)
         return out
 
     @classmethod
-    def from_true_set(cls, variables, true_vars, reason: str = DECISION) -> "Assignment":
+    def from_true_set(cls, variables, true_vars) -> "Assignment":
         """Total assignment over ``variables`` that sets exactly ``true_vars``."""
         out = cls()
         true_vars = set(true_vars)
         for var in sorted(variables):
-            out.assign(var if var in true_vars else -var, reason)
+            out.assign(var if var in true_vars else -var)
         return out
 
-    def assign(self, lit: int, reason: str = DECISION) -> None:
+    def assign(self, lit: int) -> None:
         var = abs(lit)
         value = lit > 0
-        if var in self.values:
-            if self.values[var] != value:
-                raise ValueError(f"variable {var} already assigned the opposite value")
-            return
+        if self.values.get(var, value) != value:
+            raise ValueError(f"variable {var} already assigned the opposite value")
         self.values[var] = value
-        self.trail.append((lit, reason))
 
     def lit_value(self, lit: int) -> bool | None:
         """True/False if the literal is satisfied/falsified, None if unassigned."""
@@ -136,15 +128,6 @@ class Assignment:
         if value is None:
             return None
         return value == (lit > 0)
-
-    def true_vars(self) -> set[int]:
-        return {var for var, value in self.values.items() if value}
-
-    def copy(self) -> "Assignment":
-        out = Assignment()
-        out.values = dict(self.values)
-        out.trail = list(self.trail)
-        return out
 
     def __contains__(self, var: int) -> bool:
         return var in self.values
@@ -155,18 +138,11 @@ class Assignment:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Assignment):
             return NotImplemented
-        return self.values == other.values and self.trail == other.trail
+        return self.values == other.values
 
     def __repr__(self) -> str:
-        lits = [lit for lit, _ in self.trail]
+        lits = [var if value else -var for var, value in self.values.items()]
         return f"Assignment({lits})"
-
-
-@dataclass(frozen=True)
-class Conflict:
-    """A clause whose literals are all falsified by the current assignment."""
-
-    clause: tuple[int, ...]
 
 
 def parse_dimacs(source) -> CnfFormula:
@@ -176,10 +152,11 @@ def parse_dimacs(source) -> CnfFormula:
     starting with ``c`` are ignored, except ``c vr <kind> <lo> <hi>``
     (kind one of orig/aux/copy) which restores variable-range metadata
     written by :func:`write_dimacs`; an inverted range, one that overlaps
-    an earlier range, or ranges that leave a literal uncovered are a
-    :class:`ParseError`.  Duplicate literals within a clause are dropped
-    (first occurrence kept) and tautological clauses are removed; both
-    events are counted in the formula's parse stats.
+    an earlier range, a second ``orig`` range, or ranges that leave a
+    literal uncovered are a :class:`ParseError`.  Duplicate literals
+    within a clause are dropped (first occurrence kept) and tautological
+    clauses are removed; both events are counted in the formula's parse
+    stats.
     """
     if isinstance(source, str):
         lines = source.splitlines()
@@ -275,10 +252,14 @@ def parse_dimacs(source) -> CnfFormula:
         raise ParseError("clause not terminated by 0", current_line or last_line)
 
     if ranges:
-        orig = [r for r in ranges if r.kind == ORIG]
+        orig = [(vr, line) for vr, line in zip(ranges, range_lines) if vr.kind == ORIG]
         if not orig:
             raise ParseError("'c vr' ranges declared without an 'orig' range", range_lines[0])
-        num_original = orig[0].hi
+        if len(orig) > 1:
+            raise ParseError(
+                f"second 'orig' range; the original range is on line {orig[0][1]}", orig[1][1]
+            )
+        num_original = orig[0][0].hi
         var_ranges = tuple(ranges)
     else:
         num_original = header[0]
@@ -310,56 +291,6 @@ def write_dimacs(formula: CnfFormula, extra_comments=()) -> str:
     for clause in formula.clauses:
         lines.append(" ".join(str(lit) for lit in clause) + " 0")
     return "\n".join(lines) + "\n"
-
-
-def condition(formula: CnfFormula, assignment: Assignment):
-    """Reduce the formula under a partial assignment.
-
-    Clauses satisfied by the assignment are removed and falsified literals
-    are deleted from the remaining clauses.  Returns the reduced formula,
-    or a :class:`Conflict` holding the first clause that becomes empty.
-    """
-    out = []
-    for clause in formula.clauses:
-        reduced = []
-        satisfied = False
-        for lit in clause:
-            status = assignment.lit_value(lit)
-            if status is None:
-                reduced.append(lit)
-            elif status:
-                satisfied = True
-                break
-        if satisfied:
-            continue
-        if not reduced:
-            return Conflict(clause)
-        out.append(tuple(reduced))
-    return replace(formula, clauses=tuple(out))
-
-
-def propagate_to_fixpoint(formula: CnfFormula, assignment: Assignment):
-    """Run unit propagation to fixpoint, extending ``assignment`` in place.
-
-    Repeatedly conditions the formula and asserts every unit clause's
-    literal with reason ``PROPAGATED`` until no unit clause remains.
-    Returns ``(residual, assignment)``, or a :class:`Conflict` if a clause
-    is emptied along the way.
-    """
-    current = condition(formula, assignment)
-    while not isinstance(current, Conflict):
-        pending = [clause[0] for clause in current.clauses if len(clause) == 1]
-        progressed = False
-        for lit in dict.fromkeys(pending):
-            # A complementary pending pair surfaces as a Conflict on the
-            # next conditioning pass.
-            if assignment.lit_value(lit) is None:
-                assignment.assign(lit, PROPAGATED)
-                progressed = True
-        if not progressed:
-            return current, assignment
-        current = condition(current, assignment)
-    return current
 
 
 def evaluate(formula: CnfFormula, assignment: Assignment) -> bool:

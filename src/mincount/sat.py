@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .formula import DECISION, PROPAGATED, Assignment, CnfFormula, evaluate
+from .formula import Assignment, CnfFormula, evaluate
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def solve(formula: CnfFormula, assumptions=()) -> SatResult:
     )
 
     assign: dict[int, bool] = {}
-    trail: list[tuple[int, str]] = []
+    trail: list[int] = []
     queue: deque[int] = deque()
     watched: dict[int, list[int]] = {}
     watch_pair: list[list[int]] = []
@@ -56,14 +56,14 @@ def solve(formula: CnfFormula, assumptions=()) -> SatResult:
             watched.setdefault(clause[0], []).append(index)
             watched.setdefault(clause[1], []).append(index)
 
-    def enqueue(lit: int, reason: str) -> bool:
+    def enqueue(lit: int) -> bool:
         var = abs(lit)
         value = lit > 0
         current = assign.get(var)
         if current is not None:
             return current == value
         assign[var] = value
-        trail.append((lit, reason))
+        trail.append(lit)
         queue.append(lit)
         return True
 
@@ -98,17 +98,14 @@ def solve(formula: CnfFormula, assumptions=()) -> SatResult:
                 if moved:
                     continue
                 if other_value is None:
-                    enqueue(other, PROPAGATED)
+                    enqueue(other)
                     pos += 1
                 else:
                     return False
         return True
 
-    for lit in assumptions:
-        if not enqueue(lit, DECISION):
-            return SatResult(False)
-    for lit in root_units:
-        if not enqueue(lit, PROPAGATED):
+    for lit in (*assumptions, *root_units):
+        if not enqueue(lit):
             return SatResult(False)
     if not propagate():
         return SatResult(False)
@@ -119,8 +116,7 @@ def solve(formula: CnfFormula, assumptions=()) -> SatResult:
 
     def backtrack_to(length: int) -> None:
         while len(trail) > length:
-            lit, _ = trail.pop()
-            del assign[abs(lit)]
+            del assign[abs(trail.pop())]
         queue.clear()
 
     while True:
@@ -130,12 +126,9 @@ def solve(formula: CnfFormula, assumptions=()) -> SatResult:
                 chosen = var
                 break
         if chosen is None:
-            witness = Assignment()
-            for lit, reason in trail:
-                witness.assign(lit, reason)
-            return SatResult(True, witness)
+            return SatResult(True, Assignment.from_literals(trail))
         decisions.append([len(trail), -chosen, False])
-        enqueue(-chosen, DECISION)
+        enqueue(-chosen)
         while not propagate():
             while decisions and decisions[-1][2]:
                 length, _, _ = decisions.pop()
@@ -145,7 +138,7 @@ def solve(formula: CnfFormula, assumptions=()) -> SatResult:
             length, lit, _ = decisions[-1]
             backtrack_to(length)
             decisions[-1] = [length, -lit, True]
-            enqueue(-lit, DECISION)
+            enqueue(-lit)
 
 
 def check_minimal(formula: CnfFormula, assignment: Assignment) -> bool:

@@ -13,28 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .formula import AUX, COPY, ORIG, Assignment, CnfFormula, VarRange, write_dimacs
-
-
-@dataclass(frozen=True)
-class ForcedSpec:
-    """Per-variable co-literal sets of the clauses that can force it true.
-
-    For each original variable x, ``co_literal_sets[x]`` holds one tuple
-    per clause containing x positively: the clause's remaining literals.
-    x may be true only if one of these tuples is entirely falsified.  A
-    variable with no entry at all must be false.
-    """
-
-    co_literal_sets: dict
-    num_original_vars: int
-
-    def must_be_false(self) -> list[int]:
-        return [
-            x
-            for x in range(1, self.num_original_vars + 1)
-            if not self.co_literal_sets[x]
-        ]
+from .formula import AUX, COPY, ORIG, CnfFormula, VarRange, write_dimacs
 
 
 @dataclass(frozen=True)
@@ -65,49 +44,42 @@ class CopyVarMap:
 
 @dataclass
 class PairState:
-    """The two formulas the counting recursion walks, plus shared state.
+    """The two formulas the counting recursion walks.
 
     ``search`` holds the input clauses strengthened with the forced
     implications (original + auxiliary variables); ``justification``
     holds the copy implications (original + copy variables).  The
-    assignment is shared across both sides.
+    recursion starts from the empty assignment.
     """
 
     search: CnfFormula
     justification: CnfFormula
-    assignment: Assignment
     copy_map: CopyVarMap
 
 
-def forced_formula(formula: CnfFormula) -> ForcedSpec:
-    """Collect, per variable, the co-literal sets of its positive clauses."""
-    sets = {x: [] for x in range(1, formula.num_original_vars + 1)}
+def with_forced_clauses(formula: CnfFormula) -> CnfFormula:
+    """The input formula conjoined with the CNF of its forced implications.
+
+    Each implication says: if x is true, some clause containing x
+    positively has all its other literals false.  Those other literals
+    form the clause's co-literal set for x.  Co-literal sets of size one
+    are inlined as single negated literals; larger sets get a fresh
+    auxiliary variable, numbered upward from n + 1, defined by a full
+    biconditional, so auxiliary values are functionally determined and
+    the model count over original variables is unchanged.  A variable
+    that can never be forced gets the unit clause requiring it false; a
+    variable forced by a unit clause of the input yields no implication
+    at all.
+    """
+    n = formula.num_original_vars
+    forcing = {x: [] for x in range(1, n + 1)}
     for clause in formula.clauses:
         for lit in clause:
             if lit > 0:
-                sets[lit].append(tuple(other for other in clause if other != lit))
-    return ForcedSpec(
-        {x: tuple(co) for x, co in sets.items()}, formula.num_original_vars
-    )
-
-
-def tseitin_cnf(spec: ForcedSpec, next_free_id: int) -> CnfFormula:
-    """CNF for the forced implications, introducing auxiliary variables.
-
-    Each implication says: if x is true, some clause containing x
-    positively has all its other literals false.  Co-literal sets of size
-    one are inlined as single negated literals; larger sets get a fresh
-    auxiliary variable defined by a full biconditional, so auxiliary
-    values are functionally determined and the model count over original
-    variables is unchanged.  A variable that can never be forced gets the
-    unit clause requiring it false; a variable forced by a unit clause of
-    the input yields no implication at all.
-    """
-    clauses: list[tuple[int, ...]] = []
-    aux_lo = next_free_id
-    next_id = next_free_id
-    for x in range(1, spec.num_original_vars + 1):
-        co_sets = spec.co_literal_sets[x]
+                forcing[lit].append(tuple(other for other in clause if other != lit))
+    clauses = list(formula.clauses)
+    next_id = n + 1
+    for x, co_sets in forcing.items():
         if not co_sets:
             clauses.append((-x,))
             continue
@@ -127,20 +99,10 @@ def tseitin_cnf(spec: ForcedSpec, next_free_id: int) -> CnfFormula:
                 clauses.append((aux,) + co)
                 implication.append(aux)
         clauses.append(tuple(implication))
-    ranges = [VarRange(ORIG, 1, spec.num_original_vars)]
-    if next_id > aux_lo:
-        ranges.append(VarRange(AUX, aux_lo, next_id - 1))
-    return CnfFormula(tuple(clauses), spec.num_original_vars, tuple(ranges))
-
-
-def with_forced_clauses(formula: CnfFormula) -> CnfFormula:
-    """The input formula conjoined with the CNF of its forced implications."""
-    forced = tseitin_cnf(forced_formula(formula), formula.num_original_vars + 1)
-    return CnfFormula(
-        formula.clauses + forced.clauses,
-        formula.num_original_vars,
-        forced.var_ranges,
-    )
+    ranges = [VarRange(ORIG, 1, n)]
+    if next_id > n + 1:
+        ranges.append(VarRange(AUX, n + 1, next_id - 1))
+    return CnfFormula(tuple(clauses), n, tuple(ranges))
 
 
 def copy_formula(formula: CnfFormula, copy_map: CopyVarMap, copied=None) -> CnfFormula:
@@ -185,7 +147,7 @@ def build_pair(formula: CnfFormula, copied=None) -> PairState:
     search = with_forced_clauses(formula)
     offset = max(vr.hi for vr in search.var_ranges)
     copy_map = CopyVarMap(offset=offset, num_original_vars=formula.num_original_vars)
-    return PairState(search, copy_formula(formula, copy_map, copied), Assignment(), copy_map)
+    return PairState(search, copy_formula(formula, copy_map, copied), copy_map)
 
 
 def write_pair_files(pair: PairState, directory: str) -> tuple[str, str]:

@@ -11,11 +11,10 @@ import time
 import pytest
 
 from mincount import (
-    Assignment,
     BranchPolicy,
     CnfFormula,
+    CountStats,
     MIN_ID,
-    base_case,
     build_dependency_graph,
     build_pair,
     check_minimal,
@@ -26,11 +25,10 @@ from mincount import (
     is_acyclic,
     minimal_models_pairwise,
     parse_dimacs,
-    tseitin_cnf,
-    forced_formula,
     copy_formula,
     with_forced_clauses,
 )
+from mincount.counting import _justification_base
 
 from conftest import EX1_TEXT, EX2_TEXT, random_acyclic_formula, random_formula, total_assignment
 
@@ -78,8 +76,8 @@ def test_criterion_2_implication_cycle_reproduction():
     graph = build_dependency_graph(f)
     arcs_ok = graph.arcs == frozenset({(1, 2), (2, 3), (3, 1)}) and not is_acyclic(graph)
 
-    forced = tseitin_cnf(forced_formula(f), 4)
-    forced_ok = {frozenset(c) for c in forced.clauses} == {
+    forced = with_forced_clauses(f).clauses[len(f.clauses):]
+    forced_ok = {frozenset(c) for c in forced} == {
         frozenset({-1, 3}), frozenset({-2, 1}), frozenset({-3, 2})
     }
 
@@ -93,12 +91,13 @@ def test_criterion_2_implication_cycle_reproduction():
     strengthened_count = len(enumerate_models(with_forced_clauses(f)))
     minimal_count = count_minimal(f).count
 
-    all_false = build_pair(f)
-    all_false.assignment = Assignment.from_literals([-1, -2, -3])
-    accepted = base_case(all_false)
-    all_true = build_pair(f)
-    all_true.assignment = Assignment.from_literals([1, 2, 3])
-    rejected = base_case(all_true)
+    copy_lo = pair.copy_map.first_copy_id
+    accepted = _justification_base(
+        pair.justification.clauses, {1: False, 2: False, 3: False}, copy_lo, CountStats()
+    )
+    rejected = _justification_base(
+        pair.justification.clauses, {1: True, 2: True, 3: True}, copy_lo, CountStats()
+    )
 
     elapsed = time.perf_counter() - started
     ok = (

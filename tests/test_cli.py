@@ -245,6 +245,17 @@ def test_var_ranges_without_orig_range_exit_code(tmp_path, capsys):
     assert out == ""
 
 
+def test_second_orig_range_exit_code(tmp_path, capsys):
+    path = tmp_path / "orig.cnf"
+    path.write_text("c vr orig 1 2\nc vr orig 3 4\np cnf 4 2\n1 3 0\n-3 4 0\n")
+    for mode in ("auto", "acyclic", "general", "brute"):
+        code, out, err = run_main(capsys, ["--mode", mode, str(path)])
+        assert code == EXIT_USAGE
+        assert err == ("error: line 2: second 'orig' range; "
+                       "the original range is on line 1\n")
+        assert out == ""
+
+
 def test_emit_depgraph(ex2_path, tmp_path, capsys):
     dot_path = tmp_path / "graph.dot"
     code, _, _ = run_main(capsys, ["--emit-depgraph", str(dot_path), ex2_path])

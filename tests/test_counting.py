@@ -1,9 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
 from mincount import (
-    Assignment,
     BranchPolicy,
     CnfFormula,
     CopyVarMap,
@@ -11,23 +12,25 @@ from mincount import (
     MAX_OCCURRENCE,
     MIN_ID,
     PairState,
-    base_case,
     build_dependency_graph,
     build_pair,
     count_minimal,
     count_minimal_brute,
     count_pair,
-    decompose,
     enumerate_models,
     minimal_models_pairwise,
     parse_dimacs,
-    propagate_to_fixpoint,
 )
 import mincount.counting as counting
-from mincount.counting import _CONFLICT, _bcp, _split_components
+from mincount.counting import _CONFLICT, _bcp, _justification_base, _split_components
 from mincount.formula import AUX, COPY, ORIG, VarRange
 
-from conftest import planted_cycle_formula, random_acyclic_formula, random_formula
+from conftest import (
+    cnf_formulas,
+    planted_cycle_formula,
+    random_acyclic_formula,
+    random_formula,
+)
 
 
 class TestCountMinimal:
@@ -77,9 +80,7 @@ class TestCountModels:
     def test_auxiliary_only_component_is_an_error(self):
         search = CnfFormula(((2, 3),), 1, (VarRange(ORIG, 1, 1), VarRange(AUX, 2, 3)))
         justification = CnfFormula((), 1, (VarRange(ORIG, 1, 1), VarRange(COPY, 4, 4)))
-        pair = PairState(
-            search, justification, Assignment(), CopyVarMap(offset=3, num_original_vars=1)
-        )
+        pair = PairState(search, justification, CopyVarMap(offset=3, num_original_vars=1))
         with pytest.raises(ValueError, match="not determined by the originals"):
             count_pair(pair)
 
@@ -106,22 +107,26 @@ class TestCountPair:
         assert count_pair(build_pair(f)).count == 0
 
 
+def _components(pair):
+    return _split_components(pair.search.clauses, pair.justification.clauses, True)
+
+
 class TestDecompose:
     def test_syntactically_disjoint(self):
-        pair = build_pair(parse_dimacs("p cnf 4 2\n1 2 0\n3 4 0\n"))
-        parts = decompose(pair)
+        parts = _components(build_pair(parse_dimacs("p cnf 4 2\n1 2 0\n3 4 0\n")))
         assert len(parts) == 2
         universes = [
-            part.search.variables() | part.justification.variables()
-            for part in parts
+            {abs(lit) for clause in search + just for lit in clause}
+            for search, just, _ in parts
         ]
         assert universes[0] & universes[1] == set()
+        assert [set(occurrences) for _, _, occurrences in parts] == universes
 
     def test_cycle_is_one_component(self, ex2):
-        assert len(decompose(build_pair(ex2))) == 1
+        assert len(_components(build_pair(ex2))) == 1
 
     def test_empty_pair_has_no_components(self):
-        assert decompose(build_pair(parse_dimacs("p cnf 0 0\n"))) == []
+        assert _components(build_pair(parse_dimacs("p cnf 0 0\n"))) == []
 
 
 class TestPropagation:
@@ -161,32 +166,76 @@ class TestPropagation:
         assert residual == ((3, 4), (5, 6))
         assert residual[0] is search[1]
 
+    CHAIN = ((-1, 2), (-2, 3), (-3, 1))
+
+    def test_implication_chain_forward(self):
+        assign, stats = {1: True}, CountStats()
+        assert _bcp(self.CHAIN, (), assign, 4, stats) == ((), ())
+        assert list(assign.items()) == [(1, True), (2, True), (3, True)]
+        assert stats.propagations == 2
+
+    def test_implication_chain_backward(self):
+        assign, stats = {1: False}, CountStats()
+        assert _bcp(self.CHAIN, (), assign, 4, stats) == ((), ())
+        assert list(assign.items()) == [(1, False), (3, False), (2, False)]
+        assert stats.propagations == 2
+
+    def test_no_unit_no_change(self):
+        assign, stats = {}, CountStats()
+        assert _bcp(((1, 2),), (), assign, 3, stats) == (((1, 2),), ())
+        assert assign == {}
+        assert stats.propagations == 0
+
+    def test_conflicting_units(self):
+        assert _bcp(((1,), (-1,)), (), {}, 2, CountStats()) is _CONFLICT
+
+    @given(cnf_formulas())
+    @settings(max_examples=60)
+    def test_fixpoint_of_the_pair(self, f):
+        pair = build_pair(f)
+        copy_lo = pair.copy_map.first_copy_id
+        sides = (pair.search.clauses, pair.justification.clauses)
+        assign = {}
+        result = _bcp(*sides, assign, copy_lo, CountStats())
+        if result is _CONFLICT:
+            assert any(
+                all(assign.get(abs(lit)) == (lit < 0) for lit in clause)
+                for clause in sides[0]
+            )
+            return
+        search, justification = result
+        assert all(len(clause) > 1 for clause in search)
+        assert not any(len(clause) == 1 and abs(clause[0]) >= copy_lo
+                       for clause in justification)
+        for clauses, residual in zip(sides, result):
+            assert not any(abs(lit) in assign for clause in residual for lit in clause)
+            # Each clause no assigned literal satisfies, less its assigned literals.
+            assert residual == tuple(
+                tuple(lit for lit in clause if abs(lit) not in assign)
+                for clause in clauses
+                if not any(assign.get(abs(lit)) == (lit > 0) for lit in clause)
+            )
+
+
+def _base_case(pair, assign, stats=None):
+    return _justification_base(pair.justification.clauses, assign,
+                               pair.copy_map.first_copy_id, stats or CountStats())
+
 
 class TestBaseCase:
     def test_all_false_assignment_accepted(self, ex2):
-        pair = build_pair(ex2)
-        pair.assignment = Assignment.from_literals([-1, -2, -3])
         stats = CountStats()
-        assert base_case(pair, stats) == 1
+        assert _base_case(build_pair(ex2), {1: False, 2: False, 3: False}, stats) == 1
         assert stats.sat_calls == 0
 
     def test_all_true_assignment_rejected(self, ex2):
-        pair = build_pair(ex2)
-        pair.assignment = Assignment.from_literals([1, 2, 3])
         stats = CountStats()
-        assert base_case(pair, stats) == 0
+        assert _base_case(build_pair(ex2), {1: True, 2: True, 3: True}, stats) == 0
         assert stats.sat_calls == 1
 
     def test_copy_units_propagate_to_empty(self):
-        search = CnfFormula((), 3, (VarRange(ORIG, 1, 3),))
-        justification = CnfFormula(
-            ((-4,), (-5,)), 3, (VarRange(ORIG, 1, 3), VarRange(COPY, 4, 6))
-        )
-        pair = PairState(
-            search, justification, Assignment(), CopyVarMap(offset=3, num_original_vars=3)
-        )
         stats = CountStats()
-        assert base_case(pair, stats) == 1
+        assert _justification_base(((-4,), (-5,)), {}, 4, stats) == 1
         assert stats.sat_calls == 0
 
     def test_accepts_exactly_the_minimal_models(self):
@@ -199,15 +248,15 @@ class TestBaseCase:
             models = enumerate_models(f)
             minimal = set(minimal_models_pairwise(models).models)
             for m in models:
-                tau = Assignment.from_true_set(range(1, f.num_original_vars + 1), m)
-                outcome = propagate_to_fixpoint(pair.search, tau)
-                if not isinstance(outcome, tuple):
+                assign = {var: var in m for var in range(1, f.num_original_vars + 1)}
+                outcome = _bcp(pair.search.clauses, (), assign,
+                               pair.copy_map.first_copy_id, CountStats())
+                if outcome is _CONFLICT:
                     continue  # candidate violates the forced implications
-                residual, tau = outcome
-                if residual.clauses:
+                residual, _ = outcome
+                if residual:
                     continue
-                probe = PairState(residual, pair.justification, tau, pair.copy_map)
-                assert base_case(probe) == (1 if m in minimal else 0)
+                assert _base_case(pair, assign) == (1 if m in minimal else 0)
                 checked += 1
         assert checked > 50
 
@@ -256,23 +305,10 @@ class TestInvariants:
             var = rng.randint(1, f.num_original_vars)
             halves = []
             for lit in (-var, var):
-                probe = PairState(
-                    pair.search,
-                    pair.justification,
-                    Assignment.from_literals([lit]),
-                    pair.copy_map,
-                )
+                search = replace(pair.search, clauses=pair.search.clauses + ((lit,),))
+                probe = PairState(search, pair.justification, pair.copy_map)
                 halves.append(count_pair(probe).count)
             assert total == sum(halves)
-
-    def test_trace_records_decisions(self, ex2):
-        trace = []
-        result = count_minimal(ex2, trace=trace)
-        assert trace, "general path must branch at least once"
-        kind, var, low, high = trace[-1]
-        assert kind == "decision"
-        assert 1 <= var <= 3
-        assert low + high == result.count  # root node of the recursion tree
 
     def test_branch_policy_validation(self):
         with pytest.raises(ValueError, match="heuristic"):
@@ -558,16 +594,6 @@ class TestSplitInput:
             assert forced.stats.general_parts == forced.stats.parts == result.stats.parts
             with pytest.raises(ValueError, match="cycle"):
                 count_minimal(union, force_mode="acyclic")
-
-    def test_trace_names_input_ids(self):
-        for cyclic, acyclic, union in _unions(28, 2):
-            offset = cyclic.num_original_vars
-            left, right, whole = [], [], []
-            count_minimal(cyclic, trace=left)
-            count_minimal(acyclic, trace=right)
-            count_minimal(union, trace=whole)
-            shifted = [(kind, var + offset, low, high) for kind, var, low, high in right]
-            assert whole == left + shifted
 
     def test_self_arc_makes_its_part_cyclic(self):
         # The tautology (1, -1) gives the arc 1 -> 1; the acyclic path would

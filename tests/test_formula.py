@@ -1,27 +1,18 @@
-import random
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mincount import (
     AUX,
     Assignment,
     CnfFormula,
-    Conflict,
-    DECISION,
     ORIG,
-    PROPAGATED,
     ParseError,
     VarRange,
-    condition,
     evaluate,
     parse_dimacs,
-    propagate_to_fixpoint,
     write_dimacs,
 )
 
-from conftest import EX1_TEXT, cnf_formulas, random_formula, total_assignment
+from conftest import EX1_TEXT, total_assignment
 
 
 class TestParse:
@@ -107,6 +98,17 @@ class TestParse:
         with pytest.raises(ParseError, match=r"line 1: .*without an 'orig' range"):
             parse_dimacs(f"{ranges}p cnf 4 1\n1 2 0\n")
 
+    @pytest.mark.parametrize("ranges", [
+        "c vr orig 1 2\nc vr orig 3 4\n",
+        "c vr orig 3 4\nc vr aux 5 6\nc vr orig 1 2\n",
+    ])
+    def test_second_orig_range_names_line(self, ranges):
+        second = ranges.count("\n")
+        with pytest.raises(
+            ParseError, match=rf"line {second}: second 'orig' range; .* on line 1"
+        ):
+            parse_dimacs(f"{ranges}p cnf 6 2\n1 3 0\n-3 4 0\n")
+
     def test_literal_outside_var_ranges(self):
         with pytest.raises(ParseError, match="outside declared variable ranges"):
             parse_dimacs("c vr orig 1 1\np cnf 2 1\n1 2 0\n")
@@ -114,115 +116,6 @@ class TestParse:
     def test_adjacent_var_ranges_accepted(self):
         f = parse_dimacs("c vr orig 1 2\nc vr aux 3 4\nc vr copy 5 6\np cnf 6 1\n1 2 0\n")
         assert [(vr.lo, vr.hi) for vr in f.var_ranges] == [(1, 2), (3, 4), (5, 6)]
-
-
-class TestCondition:
-    def test_unit_extraction(self):
-        f = parse_dimacs("p cnf 3 2\n-1 2 0\n-2 3 0\n")
-        reduced = condition(f, Assignment.from_literals([1]))
-        assert reduced.clauses == ((2,), (-2, 3))
-
-    def test_satisfied_clause_removed(self):
-        f = parse_dimacs("p cnf 2 1\n1 2 0\n")
-        reduced = condition(f, Assignment.from_literals([1]))
-        assert reduced.clauses == ()
-
-    def test_empty_clause_is_conflict(self):
-        f = parse_dimacs("p cnf 2 1\n1 2 0\n")
-        result = condition(f, Assignment.from_literals([-1, -2]))
-        assert isinstance(result, Conflict)
-        assert result.clause == (1, 2)
-
-    @given(cnf_formulas())
-    @settings(max_examples=60)
-    def test_idempotent_under_fixed_assignment(self, f):
-        rng = random.Random(7)
-        tau = Assignment.from_literals(
-            [v if rng.random() < 0.5 else -v
-             for v in sorted(f.variables()) if rng.random() < 0.5]
-        )
-        once = condition(f, tau)
-        if isinstance(once, Conflict):
-            return
-        assert condition(once, tau) == once
-
-    @given(cnf_formulas())
-    @settings(max_examples=60)
-    def test_total_assignment_dichotomy(self, f):
-        rng = random.Random(13)
-        tau = total_assignment(f, {v for v in f.variables() if rng.random() < 0.5})
-        reduced = condition(f, tau)
-        if evaluate(f, tau):
-            assert reduced.clauses == ()
-        else:
-            assert isinstance(reduced, Conflict)
-
-    @given(cnf_formulas())
-    @settings(max_examples=60)
-    def test_model_preservation(self, f):
-        rng = random.Random(29)
-        partial = Assignment.from_literals(
-            [v if rng.random() < 0.5 else -v
-             for v in sorted(f.variables()) if rng.random() < 0.4]
-        )
-        reduced = condition(f, partial)
-        if isinstance(reduced, Conflict):
-            return
-        total = partial.copy()
-        for v in sorted(f.variables()):
-            if v not in total:
-                total.assign(v if rng.random() < 0.5 else -v)
-        # conditioning never changes the truth value of any total extension
-        restricted = Assignment.from_literals(
-            [lit for lit, _ in total.trail if abs(lit) in reduced.variables()]
-        )
-        if reduced.variables():
-            assert evaluate(f, total) == evaluate(reduced, restricted)
-        else:
-            assert evaluate(f, total)
-
-
-class TestPropagate:
-    def test_implication_chain_forward(self):
-        f = parse_dimacs("p cnf 3 3\n-1 2 0\n-2 3 0\n-3 1 0\n")
-        tau = Assignment.from_literals([1])
-        residual, out = propagate_to_fixpoint(f, tau)
-        assert out is tau
-        assert residual.clauses == ()
-        assert tau.values == {1: True, 2: True, 3: True}
-        assert [lit for lit, reason in tau.trail if reason == PROPAGATED] == [2, 3]
-
-    def test_implication_chain_backward(self):
-        f = parse_dimacs("p cnf 3 3\n-1 2 0\n-2 3 0\n-3 1 0\n")
-        tau = Assignment.from_literals([-1])
-        residual, _ = propagate_to_fixpoint(f, tau)
-        assert residual.clauses == ()
-        assert tau.values == {1: False, 2: False, 3: False}
-        assert [lit for lit, reason in tau.trail if reason == PROPAGATED] == [-3, -2]
-
-    def test_no_unit_no_change(self):
-        f = parse_dimacs("p cnf 2 1\n1 2 0\n")
-        tau = Assignment()
-        residual, _ = propagate_to_fixpoint(f, tau)
-        assert residual.clauses == ((1, 2),)
-        assert len(tau) == 0
-
-    def test_conflicting_units(self):
-        f = parse_dimacs("p cnf 1 2\n1 0\n-1 0\n")
-        result = propagate_to_fixpoint(f, Assignment())
-        assert isinstance(result, Conflict)
-
-    @given(cnf_formulas())
-    @settings(max_examples=60)
-    def test_trail_bounded_and_single_valued(self, f):
-        tau = Assignment()
-        result = propagate_to_fixpoint(f, tau)
-        seen = [abs(lit) for lit, _ in tau.trail]
-        assert len(seen) == len(set(seen))
-        assert len(tau.trail) <= len(f.variables() | set(tau.values))
-        if not isinstance(result, Conflict):
-            residual, _ = result
-            assert all(len(c) > 1 for c in residual.clauses)
 
 
 class TestEvaluate:
@@ -246,7 +139,7 @@ class TestAssignment:
         with pytest.raises(ValueError):
             tau.assign(-1)
 
-    def test_same_reassignment_keeps_trail(self):
+    def test_same_reassignment_is_accepted(self):
         tau = Assignment.from_literals([1])
-        tau.assign(1, PROPAGATED)
-        assert tau.trail == [(1, DECISION)]
+        tau.assign(1)
+        assert tau.values == {1: True}

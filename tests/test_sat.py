@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from mincount import (
-    Assignment,
     build_pair,
     check_minimal,
-    condition,
     enumerate_models,
     evaluate,
     minimal_models_pairwise,
@@ -32,12 +30,13 @@ class TestSolve:
     def test_justification_query_of_unjustified_cycle(self, ex2):
         # the copy clauses of the implication cycle under the all-true
         # assignment, plus the demand that some copy be false
-        pair = build_pair(ex2)
-        residual = condition(pair.justification, Assignment.from_literals([1, 2, 3]))
-        query = type(residual)(
-            residual.clauses + ((-4, -5, -6),),
-            residual.num_original_vars,
-            residual.var_ranges,
+        justification = build_pair(ex2).justification
+        residual = tuple(c for c in justification.clauses if not {1, 2, 3} & set(c))
+        assert residual == ((-4, 5), (-5, 6), (-6, 4))
+        query = type(justification)(
+            residual + ((-4, -5, -6),),
+            justification.num_original_vars,
+            justification.var_ranges,
         )
         assert solve(query).satisfiable
 
@@ -58,6 +57,11 @@ class TestSolve:
             second = solve(f)
             assert first.satisfiable == second.satisfiable
             assert first.witness == second.witness
+            if first.satisfiable:
+                # the same values, assigned in the same order
+                assert list(first.witness.values.items()) == list(
+                    second.witness.values.items()
+                )
 
     @given(cnf_formulas())
     @settings(max_examples=80)
