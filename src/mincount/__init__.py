@@ -32,7 +32,6 @@ from .formula import (
     AUX,
     COPY,
     ORIG,
-    Assignment,
     CnfFormula,
     ParseError,
     VarRange,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AUX",
-    "Assignment",
     "BranchPolicy",
     "CnfFormula",
     "COPY",

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .counting import CountResult, CountStats
-from .formula import Assignment, CnfFormula
+from .formula import CnfFormula
 from .sat import check_minimal
 
 DEFAULT_VAR_LIMIT = 20
@@ -100,10 +100,8 @@ def count_minimal_brute(formula: CnfFormula, limit: int = DEFAULT_VAR_LIMIT) -> 
     """
     models = enumerate_models(formula, limit)
     minimal = minimal_models_pairwise(models)
-    occurring = formula.variables()
     for model in minimal:
-        assignment = Assignment.from_true_set(occurring, model)
-        if not check_minimal(formula, assignment):
+        if not check_minimal(formula, model):
             raise OracleDisagreementError(
                 f"pairwise-minimal model {sorted(model)} rejected by the SAT-based check"
             )

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .depgraph import DepGraph, build_dependency_graph, is_acyclic, is_head_cycle_free
-from .formula import COPY, CnfFormula, VarRange
+from .formula import CnfFormula
 from .sat import solve
 from .transform import PairState, build_pair
 
@@ -309,47 +309,35 @@ def _split_components(search, justification, enabled):
     if len(next(iter(group_of.values()))) == len(occurrences):
         return [(search, justification, occurrences)]
 
-    # Several groups: renumber the clauses and their index entries per group.
+    # Several groups: sort the clauses into them and index each group anew.
     groups = sorted({id(group): group for group in group_of.values()}.values(), key=min)
     slot = {id(group): number for number, group in enumerate(groups)}
-    parts = [([], [], {}) for _ in groups]
-    position = ([0] * len(search), [0] * len(justification))
+    parts = [([], []) for _ in groups]
     for side, clauses in enumerate((search, justification)):
-        side_position = position[side]
-        for index, clause in enumerate(clauses):
-            part = parts[slot[id(group_of[abs(clause[0])])]][side]
-            side_position[index] = len(part)
-            part.append(clause)
-    search_position, just_position = position
-    # Popping frees the old entries as the new ones are made.
-    while occurrences:
-        var, (in_search, in_just) = occurrences.popitem()
-        parts[slot[id(group_of[var])]][2][var] = (
-            [search_position[i] if i >= 0 else ~search_position[~i] for i in in_search],
-            [just_position[i] if i >= 0 else ~just_position[~i] for i in in_just],
-        )
+        for clause in clauses:
+            parts[slot[id(group_of[abs(clause[0])])]][side].append(clause)
+    del occurrences, group_of  # free the parent index before the groups' own
     return [
-        (tuple(part_search), tuple(part_just), part_occurrences)
-        for part_search, part_just, part_occurrences in parts
+        (tuple(part_search), tuple(part_just), _index(part_search, part_just)[0])
+        for part_search, part_just in parts
     ]
 
 
-def _justification_base(justification, assign, copy_lo, stats) -> int:
+def _justification_base(justification, copy_lo, stats) -> int:
     """Base case once the search side has no clauses left.
 
-    Unassigned originals default to false (the minimal choice) and their
-    effect propagates through the copy implications.  An empty residual
+    ``justification`` is a residual: it mentions no assigned variable.
+    Its originals default to false (the minimal choice) and their effect
+    propagates through the copy implications.  An empty residual then
     means every true atom is already justified.  Otherwise one SAT call
     asks whether the residual admits a model falsifying some live copy
     variable: if it does, some true atom lacks justification and the
     branch contributes nothing.
     """
-    local = dict(assign)
-    for var in sorted(
-        {abs(lit) for clause in justification for lit in clause if abs(lit) < copy_lo}
-    ):
-        if var not in local:
-            local[var] = False
+    local = dict.fromkeys(
+        sorted({abs(lit) for clause in justification for lit in clause if abs(lit) < copy_lo}),
+        False,
+    )
     result = _bcp((), justification, local, copy_lo, stats)
     if result is _CONFLICT:
         raise RuntimeError("search-free propagation reported a search conflict")
@@ -360,20 +348,15 @@ def _justification_base(justification, assign, copy_lo, stats) -> int:
     live = sorted({abs(lit) for clause in residual for lit in clause})
     if live and live[0] < copy_lo:
         raise RuntimeError("non-copy variable alive at a justification base case")
-    query = CnfFormula(
-        residual + (tuple(-var for var in live),),
-        num_original_vars=0,
-        var_ranges=(VarRange(COPY, 1, live[-1]),),
-    )
     stats.sat_calls += 1
-    return 0 if solve(query).satisfiable else 1
+    return 0 if solve(residual + (tuple(-var for var in live),)).satisfiable else 1
 
 
-def _run(search, justification, assign, *, orig_limit, copy_lo, policy,
+def _run(search, justification, *, orig_limit, copy_lo, policy,
          use_decomposition, stats):
     """Explicit-stack evaluation of the counting recursion.
 
-    ``assign`` holds only what the current node assigns: nothing at the
+    A node's assignment holds only what the node assigns: nothing at the
     root, or a decision plus what it propagates.  Residual clauses
     never mention an assigned variable, so nothing above the node is
     needed and no assignment is copied.
@@ -393,17 +376,17 @@ def _run(search, justification, assign, *, orig_limit, copy_lo, policy,
             stats.cache_evictions += 1
         return value
 
-    def base(justification, assign):
+    def base(justification):
         if not justification:
             return 1
         key = ((), justification)
         value = cache.get(key)
         if value is None:
-            return remember(key, _justification_base(justification, assign, copy_lo, stats))
+            return remember(key, _justification_base(justification, copy_lo, stats))
         stats.cache_hits += 1
         return value
 
-    tasks = [("count", search, justification, None, assign)]
+    tasks = [("count", search, justification, None, {})]
     values = []
     while tasks:
         task = tasks.pop()
@@ -416,7 +399,7 @@ def _run(search, justification, assign, *, orig_limit, copy_lo, policy,
                 continue
             search, justification = result
             if not search:
-                values.append(base(justification, assign))
+                values.append(base(justification))
                 continue
             components = _split_components(search, justification, use_decomposition)
             if len(components) > 1:
@@ -425,7 +408,7 @@ def _run(search, justification, assign, *, orig_limit, copy_lo, policy,
             for part_search, part_just, occurrences in components:
                 if not part_search:
                     # Justification-only component: straight to the base case.
-                    values.append(base(part_just, assign))
+                    values.append(base(part_just))
                     continue
                 key = (part_search, part_just)
                 value = cache.get(key)
@@ -460,7 +443,7 @@ def count_pair(pair: PairState, *, policy: BranchPolicy | None = None,
     stats = stats if stats is not None else CountStats()
     policy = policy or BranchPolicy()
     count = _run(
-        pair.search.clauses, pair.justification.clauses, {},
+        pair.search.clauses, pair.justification.clauses,
         orig_limit=pair.search.num_original_vars,
         copy_lo=pair.copy_map.first_copy_id, policy=policy,
         use_decomposition=use_decomposition, stats=stats,

@@ -4,8 +4,9 @@ Variables are positive integers and a literal is a signed integer: ``v``
 for the positive literal, ``-v`` for the negated one.  A clause is a tuple
 of literals and a formula is an immutable collection of clauses plus
 metadata describing which id ranges hold original, auxiliary and copy
-variables.  Formulas are safe to share between concurrent tasks; an
-``Assignment`` is a single-owner mutable value.
+variables.  A total assignment is the set of its true variables; every
+other variable is false.  Formulas are safe to share between concurrent
+tasks.
 """
 
 from __future__ import annotations
@@ -82,67 +83,6 @@ class CnfFormula:
             if var in vr:
                 return vr.kind
         raise ValueError(f"variable {var} not in any declared range")
-
-    def is_original(self, var: int) -> bool:
-        return 1 <= var <= self.num_original_vars
-
-
-class Assignment:
-    """Partial truth assignment.
-
-    ``values`` maps each assigned variable to its value, in the order the
-    variables were assigned.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self):
-        self.values: dict[int, bool] = {}
-
-    @classmethod
-    def from_literals(cls, literals) -> "Assignment":
-        out = cls()
-        for lit in literals:
-            out.assign(lit)
-        return out
-
-    @classmethod
-    def from_true_set(cls, variables, true_vars) -> "Assignment":
-        """Total assignment over ``variables`` that sets exactly ``true_vars``."""
-        out = cls()
-        true_vars = set(true_vars)
-        for var in sorted(variables):
-            out.assign(var if var in true_vars else -var)
-        return out
-
-    def assign(self, lit: int) -> None:
-        var = abs(lit)
-        value = lit > 0
-        if self.values.get(var, value) != value:
-            raise ValueError(f"variable {var} already assigned the opposite value")
-        self.values[var] = value
-
-    def lit_value(self, lit: int) -> bool | None:
-        """True/False if the literal is satisfied/falsified, None if unassigned."""
-        value = self.values.get(abs(lit))
-        if value is None:
-            return None
-        return value == (lit > 0)
-
-    def __contains__(self, var: int) -> bool:
-        return var in self.values
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Assignment):
-            return NotImplemented
-        return self.values == other.values
-
-    def __repr__(self) -> str:
-        lits = [var if value else -var for var, value in self.values.items()]
-        return f"Assignment({lits})"
 
 
 def parse_dimacs(source) -> CnfFormula:
@@ -293,15 +233,9 @@ def write_dimacs(formula: CnfFormula, extra_comments=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def evaluate(formula: CnfFormula, assignment: Assignment) -> bool:
-    """Truth value of the formula under a total assignment.
-
-    Raises ``ValueError`` when the assignment leaves an occurring
-    variable unassigned.
-    """
-    for var in formula.variables():
-        if var not in assignment:
-            raise ValueError(f"evaluate requires a total assignment; variable {var} is unassigned")
+def evaluate(formula: CnfFormula, true_vars) -> bool:
+    """Truth value of the formula when exactly ``true_vars`` are true."""
     return all(
-        any(assignment.lit_value(lit) for lit in clause) for clause in formula.clauses
+        any((lit > 0) == (abs(lit) in true_vars) for lit in clause)
+        for clause in formula.clauses
     )

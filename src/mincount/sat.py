@@ -10,36 +10,25 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .formula import Assignment, CnfFormula, evaluate
+from .formula import CnfFormula, evaluate
 
 
 @dataclass(frozen=True)
 class SatResult:
     satisfiable: bool
-    witness: Assignment | None = None
+    witness: frozenset | None = None
 
 
-def solve(formula: CnfFormula, assumptions=()) -> SatResult:
-    """Decide satisfiability of ``formula`` under the given assumption literals.
+def solve(clauses) -> SatResult:
+    """Decide satisfiability of a sequence of clause tuples.
 
-    Raises ``ValueError`` when the assumptions contain a complementary
-    pair.  The witness, when satisfiable, is total over the occurring
-    variables plus the assumption variables.
+    The witness, when satisfiable, is the set of occurring variables the
+    model sets true; every other occurring variable is false.
     """
-    assumptions = tuple(assumptions)
-    assumed: set[int] = set()
-    for lit in assumptions:
-        if -lit in assumed:
-            raise ValueError(f"inconsistent assumptions: {lit} and {-lit}")
-        assumed.add(lit)
-
-    clauses = [tuple(dict.fromkeys(clause)) for clause in formula.clauses]
+    clauses = [tuple(dict.fromkeys(clause)) for clause in clauses]
     if any(len(clause) == 0 for clause in clauses):
         return SatResult(False)
-    variables = sorted(
-        {abs(lit) for clause in clauses for lit in clause}
-        | {abs(lit) for lit in assumptions}
-    )
+    variables = sorted({abs(lit) for clause in clauses for lit in clause})
 
     assign: dict[int, bool] = {}
     trail: list[int] = []
@@ -104,7 +93,7 @@ def solve(formula: CnfFormula, assumptions=()) -> SatResult:
                     return False
         return True
 
-    for lit in (*assumptions, *root_units):
+    for lit in root_units:
         if not enqueue(lit):
             return SatResult(False)
     if not propagate():
@@ -126,7 +115,7 @@ def solve(formula: CnfFormula, assumptions=()) -> SatResult:
                 chosen = var
                 break
         if chosen is None:
-            return SatResult(True, Assignment.from_literals(trail))
+            return SatResult(True, frozenset(lit for lit in trail if lit > 0))
         decisions.append([len(trail), -chosen, False])
         enqueue(-chosen)
         while not propagate():
@@ -141,26 +130,20 @@ def solve(formula: CnfFormula, assumptions=()) -> SatResult:
             enqueue(-lit)
 
 
-def check_minimal(formula: CnfFormula, assignment: Assignment) -> bool:
-    """Decide whether a total model of the formula is a minimal model.
+def check_minimal(formula: CnfFormula, true_vars) -> bool:
+    """Decide whether the model setting exactly ``true_vars`` true is minimal.
 
-    Builds the formula that pins every false variable false and asks for
-    a model flipping at least one true variable; the input model is
-    minimal exactly when that formula is unsatisfiable.  A model with no
-    true variable is minimal without a solver call.  Raises
-    ``ValueError`` when the assignment is not a model of the formula.
+    Asks for a model of the formula that keeps every false variable
+    false and flips at least one true variable; the input model is
+    minimal exactly when there is none.  A model with no true variable
+    is minimal without a solver call.  Raises ``ValueError`` when
+    ``true_vars`` is not a model of the formula.
     """
-    if not evaluate(formula, assignment):
+    if not evaluate(formula, true_vars):
         raise ValueError("check_minimal requires a model of the formula")
     occurring = sorted(formula.variables())
-    true_vars = [var for var in occurring if assignment.values[var]]
-    if not true_vars:
+    flip_some = tuple(-var for var in occurring if var in true_vars)
+    if not flip_some:
         return True
-    false_units = tuple((-var,) for var in occurring if not assignment.values[var])
-    flip_some = tuple(-var for var in true_vars)
-    query = CnfFormula(
-        formula.clauses + false_units + (flip_some,),
-        formula.num_original_vars,
-        formula.var_ranges,
-    )
-    return not solve(query).satisfiable
+    false_units = tuple((-var,) for var in occurring if var not in true_vars)
+    return not solve(formula.clauses + false_units + (flip_some,)).satisfiable

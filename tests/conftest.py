@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from mincount import Assignment, CnfFormula, build_dependency_graph, is_acyclic, parse_dimacs
+from mincount import CnfFormula, build_dependency_graph, is_acyclic, parse_dimacs
 
 # Three-variable fixtures used throughout: a positive 3-cycle of clauses
 # and an implication 3-cycle, with a, b, c mapped to 1, 2, 3.
@@ -56,10 +56,6 @@ def random_acyclic_formula(rng: random.Random, min_vars=4, max_vars=10,
     formula = CnfFormula(tuple(clauses), n)
     assert is_acyclic(build_dependency_graph(formula))
     return formula
-
-
-def total_assignment(formula: CnfFormula, true_vars) -> Assignment:
-    return Assignment.from_true_set(formula.variables(), true_vars)
 
 
 @st.composite

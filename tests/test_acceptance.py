@@ -28,9 +28,9 @@ from mincount import (
     copy_formula,
     with_forced_clauses,
 )
-from mincount.counting import _justification_base
+from mincount.counting import _bcp, _justification_base
 
-from conftest import EX1_TEXT, EX2_TEXT, random_acyclic_formula, random_formula, total_assignment
+from conftest import EX1_TEXT, EX2_TEXT, random_acyclic_formula, random_formula
 
 SUITE3_SIZE = 1000
 SUITE4_SIZE = 300
@@ -92,12 +92,15 @@ def test_criterion_2_implication_cycle_reproduction():
     minimal_count = count_minimal(f).count
 
     copy_lo = pair.copy_map.first_copy_id
-    accepted = _justification_base(
-        pair.justification.clauses, {1: False, 2: False, 3: False}, copy_lo, CountStats()
-    )
-    rejected = _justification_base(
-        pair.justification.clauses, {1: True, 2: True, 3: True}, copy_lo, CountStats()
-    )
+
+    def base_case(assign):
+        # The base case takes a residual: condition the clauses first.
+        _, residual = _bcp((), pair.justification.clauses, dict(assign), copy_lo,
+                           CountStats())
+        return _justification_base(residual, copy_lo, CountStats())
+
+    accepted = base_case({1: False, 2: False, 3: False})
+    rejected = base_case({1: True, 2: True, 3: True})
 
     elapsed = time.perf_counter() - started
     ok = (
@@ -151,7 +154,7 @@ def test_criterion_5_minimality_test_agreement(suite3):
         models = enumerate_models(f)
         minimal = set(minimal_models_pairwise(models).models)
         for m in models:
-            sat_based = check_minimal(f, total_assignment(f, m))
+            sat_based = check_minimal(f, m)
             if sat_based != (m in minimal):
                 disagreements += 1
             checked += 1

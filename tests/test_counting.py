@@ -218,8 +218,11 @@ class TestPropagation:
 
 
 def _base_case(pair, assign, stats=None):
-    return _justification_base(pair.justification.clauses, assign,
-                               pair.copy_map.first_copy_id, stats or CountStats())
+    # The base case takes a residual: condition the clauses first.
+    stats = stats or CountStats()
+    copy_lo = pair.copy_map.first_copy_id
+    _, residual = _bcp((), pair.justification.clauses, dict(assign), copy_lo, stats)
+    return _justification_base(residual, copy_lo, stats)
 
 
 class TestBaseCase:
@@ -235,7 +238,7 @@ class TestBaseCase:
 
     def test_copy_units_propagate_to_empty(self):
         stats = CountStats()
-        assert _justification_base(((-4,), (-5,)), {}, 4, stats) == 1
+        assert _justification_base(((-4,), (-5,)), 4, stats) == 1
         assert stats.sat_calls == 0
 
     def test_accepts_exactly_the_minimal_models(self):

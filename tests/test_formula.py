@@ -2,7 +2,6 @@ import pytest
 
 from mincount import (
     AUX,
-    Assignment,
     CnfFormula,
     ORIG,
     ParseError,
@@ -12,7 +11,7 @@ from mincount import (
     write_dimacs,
 )
 
-from conftest import EX1_TEXT, total_assignment
+from conftest import EX1_TEXT
 
 
 class TestParse:
@@ -120,26 +119,10 @@ class TestParse:
 
 class TestEvaluate:
     def test_model(self, ex1):
-        assert evaluate(ex1, total_assignment(ex1, {1, 2}))
+        assert evaluate(ex1, {1, 2})
 
     def test_non_model(self, ex1):
-        assert not evaluate(ex1, total_assignment(ex1, {1}))
+        assert not evaluate(ex1, {1})
 
     def test_empty_formula_true(self):
-        assert evaluate(parse_dimacs("p cnf 0 0\n"), Assignment())
-
-    def test_partial_assignment_rejected(self, ex1):
-        with pytest.raises(ValueError, match="total"):
-            evaluate(ex1, Assignment.from_literals([1]))
-
-
-class TestAssignment:
-    def test_opposite_reassignment_rejected(self):
-        tau = Assignment.from_literals([1])
-        with pytest.raises(ValueError):
-            tau.assign(-1)
-
-    def test_same_reassignment_is_accepted(self):
-        tau = Assignment.from_literals([1])
-        tau.assign(1)
-        assert tau.values == {1: True}
+        assert evaluate(parse_dimacs("p cnf 0 0\n"), frozenset())

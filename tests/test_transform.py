@@ -3,7 +3,6 @@ import random
 
 from mincount import (
     AUX,
-    Assignment,
     CnfFormula,
     CopyVarMap,
     ORIG,
@@ -206,18 +205,15 @@ class TestStrengthenedFormulaSemantics:
             }
             copied = rng.sample(sorted(f.variables()), rng.randint(0, len(f.variables())))
             for m, pair in itertools.product(minimal, (build_pair(f), build_pair(f, copied))):
-                tau = Assignment()
-                for v in sorted(pair.justification.variables()):
-                    if v <= f.num_original_vars:
-                        tau.assign(v if v in m else -v)
-                    else:
-                        orig = pair.copy_map.original_of(v)
-                        tau.assign(v if orig in m else -v)
-                assert evaluate(pair.justification, tau)
+                true_vars = set(m) | {
+                    v for v in pair.justification.variables()
+                    if v > f.num_original_vars and pair.copy_map.original_of(v) in m
+                }
+                assert evaluate(pair.justification, true_vars)
 
 
 class TestPairConditioning:
     def test_all_true_exhausts_search_side(self, ex2):
         pair = build_pair(ex2)
         # every search clause is satisfied, so none survives conditioning
-        assert evaluate(pair.search, Assignment.from_literals([1, 2, 3]))
+        assert evaluate(pair.search, {1, 2, 3})
