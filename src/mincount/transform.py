@@ -88,7 +88,8 @@ def with_forced_clauses(formula: CnfFormula) -> CnfFormula:
             # clause, so the implication is vacuously true.
             continue
         implication = [-x]
-        for co in co_sets:
+        # A repeated input clause repeats its co-literal set; one is enough.
+        for co in dict.fromkeys(co_sets):
             if len(co) == 1:
                 implication.append(-co[0])
             else:

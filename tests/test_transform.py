@@ -58,6 +58,17 @@ class TestTseitinCnf:
     def test_unit_clause_makes_implication_vacuous(self):
         assert forced_clauses(parse_dimacs("p cnf 1 1\n1 0\n")) == ()
 
+    def test_repeated_clause_gives_one_co_literal_set(self):
+        # A repeated input clause once gave the implication (-1, 2, 2), whose
+        # unit (2, 2) under 1 = true never propagated.
+        f = parse_dimacs("p cnf 3 3\n1 -2 0\n1 -2 0\n2 3 0\n")
+        assert forced_clauses(f) == ((-1, 2), (-2, -3), (-3, -2))
+        assert count_minimal_brute(f).count == 2
+        # ... and a second auxiliary variable with an identical definition.
+        repeated = parse_dimacs("p cnf 3 3\n1 2 -3 0\n1 2 -3 0\n3 0\n")
+        aux = [vr for vr in with_forced_clauses(repeated).var_ranges if vr.kind == AUX]
+        assert aux == [type(aux[0])(AUX, 4, 5)]
+
 
 class TestCopyFormula:
     def test_implication_cycle_image(self, ex2):
