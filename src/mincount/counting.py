@@ -11,19 +11,19 @@ variables.  Originals left unassigned there default to false, the
 minimal choice, and auxiliary variables, being functionally determined,
 contribute nothing.
 
-Each search node makes about one pass over its residual.  When a node
-splits, every component gets an occurrence index (variable -> clause
-positions on each side), and both children of the component's decision
-propagate through that one index, starting from the decision alone.  A
-child's assignment holds only the decision and what it propagates:
-residual clauses never mention an assigned variable, so no assignment is
-copied from node to node.  Untouched clauses are carried into the
-residual as they are, and the branch heuristic reads its occurrence
-counts from the index.
+A run indexes its pair once, in a clause database whose sets of clauses
+and of variables are Python ints used as bit masks.  A search node is
+four such ints: the assigned variables, the satisfied clauses, and its
+component's clauses and variables.  An unsatisfied clause's assigned
+literals are all false, so no values are stored: a clause is a unit
+when exactly one of its variables is unassigned.  Both children of a decision
+start from their parent's ints, so nothing is copied or undone, and
+propagation, the component walk and the branch heuristic do their
+per-clause and per-variable work in integer operations.
 
-A run caches the count of each residual pair it solves, keyed by the
-pair's clauses as they are, so a component or a base case that comes
-back is not solved again.
+A run caches the count of each component and base case it solves,
+keyed by its clause and variable masks.  They fix the residual clauses,
+because the database of a run is fixed.
 
 ``count_minimal`` splits its input into variable-disjoint parts before
 any transform and counts them one after another, each renumbered and
@@ -52,9 +52,10 @@ MODE_GENERAL = "general"
 
 _CONFLICT = object()
 
-# Clauses the cache keys of one run may hold, each key counted one clause
-# more so that 0 turns the cache off.  The oldest entries go first.
-_CACHE_CLAUSE_BUDGET = 2**20
+# Words the cache keys of one run may hold: each key costs one word plus
+# the 30-bit digits of its two masks, so 0 turns the cache off.  The
+# oldest entries go first.
+_CACHE_WORD_BUDGET = 2**20
 
 
 @dataclass
@@ -101,6 +102,67 @@ class CountResult:
     stats: CountStats
 
 
+def _ids(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, in increasing order."""
+    digits = bin(mask)[:1:-1]
+    ids = []
+    position = digits.find("1")
+    while position >= 0:
+        ids.append(position)
+        position = digits.find("1", position + 1)
+    return ids
+
+
+class _Database:
+    """The fixed clauses of one run, indexed by bit masks.
+
+    Clause ids number the search clauses first, then the justification
+    clauses, and variable ids are at most ``top``.  ``lits[lit]`` is the
+    mask of the clauses holding the literal ``lit`` (a negative literal
+    indexes from the end), ``occurs[var]`` the mask of those holding
+    ``var`` either way, and ``clause_vars[id]`` a clause's variable mask.
+    A clause that repeats a variable (a tautology or a repeated literal)
+    is in ``repeats`` and never acts as a unit.  ``units`` are the
+    literals of the unit clauses that propagate: all search ones, and
+    justification ones over copy variables.
+    """
+
+    def __init__(self, search, justification, *, orig_limit, copy_lo, top):
+        self.clauses = clauses = tuple(search) + tuple(justification)
+        self.num_search = len(search)
+        self.search = (1 << len(search)) - 1
+        self.all = (1 << len(clauses)) - 1
+        self.variables = (1 << (top + 1)) - 2
+        self.originals = (1 << (orig_limit + 1)) - 2
+        self.copy_lo, self.below_copies = copy_lo, (1 << copy_lo) - 1
+        self.lits = lits = [0] * (2 * top + 1)
+        var_bits = [1 << var for var in range(top + 1)]
+        var_bits += var_bits[:0:-1]  # indexed by literal too
+        self.clause_vars = clause_vars = []
+        repeats = 0
+        for index, clause in enumerate(clauses):
+            bit, variables = 1 << index, 0
+            for lit in clause:
+                lits[lit] |= bit
+                variables |= var_bits[lit]
+            if variables.bit_count() < len(clause):
+                repeats |= bit
+            clause_vars.append(variables)
+        self.repeats = repeats
+        self.occurs = [lits[var] | lits[-var] for var in range(top + 1)]
+        self.units = [clause[0] for clause in search if len(clause) == 1]
+        self.units += [clause[0] for clause in justification
+                       if len(clause) == 1 and abs(clause[0]) >= copy_lo]
+        self.empty = () in search
+
+    def occurring(self, clauses: int) -> int:
+        """The mask of the variables the given clauses hold."""
+        variables = 0
+        for index in _ids(clauses):
+            variables |= self.clause_vars[index]
+        return variables
+
+
 @dataclass(frozen=True)
 class BranchPolicy:
     """Decision-variable selection among the unassigned originals.
@@ -116,250 +178,163 @@ class BranchPolicy:
         if self.heuristic not in (MIN_ID, MAX_OCCURRENCE):
             raise ValueError(f"unknown branch heuristic {self.heuristic!r}")
 
-    def pick(self, occurrences, orig_limit: int) -> int:
-        """Choose from a component's occurrence index (see ``_index``)."""
-        candidates = [
-            var for var, (in_search, _) in occurrences.items()
-            if in_search and var <= orig_limit
-        ]
-        if not candidates:
+    def pick(self, db: _Database, clauses: int, variables: int) -> int:
+        """Choose among a component's free originals in its search clauses."""
+        search, lits = clauses & db.search, db.lits
+        best = most = 0
+        for var in _ids(variables & db.originals):
+            count = (lits[var] & search).bit_count() + (lits[-var] & search).bit_count()
+            if count > most:
+                if self.heuristic == MIN_ID:
+                    return var
+                best, most = var, count
+        if not best:
             raise ValueError("no original variable to branch on: the auxiliary "
                              "variables are not determined by the originals")
-        if self.heuristic == MIN_ID:
-            return min(candidates)
-        return min(candidates, key=lambda var: (-len(occurrences[var][0]), var))
+        return best
 
 
-_SEARCH = 0
-_JUSTIFICATION = 1
+def _bcp(db: _Database, assigned: int, satisfied: int, queue: list, stats):
+    """Assert the literals of ``queue`` and propagate units to fixpoint.
 
+    ``assigned`` and ``satisfied`` are the masks of the assigned variables
+    and the satisfied clauses; ``queue`` is extended with the propagated
+    literals.  A queued literal over an assigned variable is skipped: it
+    comes from a unit clause, which propagating that variable checks.
 
-def _index(search, justification):
-    """Occurrence index of a residual pair, and its connected groups.
+    Search-side units (original and auxiliary literals) are asserted.
+    On the justification side only units over copy variables propagate,
+    and their values never feed back into the search side because copies
+    do not occur there.  Units over original variables arising on the
+    justification side are left in place; the search side derives the
+    same assignment itself.
 
-    The index maps every variable to two lists, its occurrences in the
-    search clauses and in the justification clauses.  An occurrence is
-    the clause's position ``i`` for a positive literal and ``~i`` for a
-    negative one.  The keys are exactly the variables of the pair.
-
-    The groups come from the same pass: ``group_of`` maps every variable
-    to the list of variables it shares clauses with, transitively, and
-    variables of one group share one list.  A clause joining two groups
-    moves the smaller into the larger.
+    Returns the new ``(assigned, satisfied)`` masks, or the conflict
+    sentinel when a search clause is emptied.
     """
-    occurrences: dict[int, tuple[list, list]] = {}
-    group_of: dict[int, list] = {}
-    for side, clauses in enumerate((search, justification)):
-        for index, clause in enumerate(clauses):
-            group = None
-            for lit in clause:
-                var = abs(lit)
-                entry = occurrences.get(var)
-                if entry is None:
-                    entry = occurrences[var] = ([], [])
-                    if group is None:
-                        group = [var]
-                    else:
-                        group.append(var)
-                    group_of[var] = group
-                else:
-                    other = group_of[var]
-                    if group is None:
-                        group = other
-                    elif other is not group:
-                        if len(other) > len(group):
-                            group, other = other, group
-                        for moved in other:
-                            group_of[moved] = group
-                        group.extend(other)
-                entry[side].append(index if lit > 0 else ~index)
-    return occurrences, group_of
-
-
-def _bcp(search, justification, assign, copy_lo, stats, occurrences=None):
-    """Condition both sides on ``assign`` and propagate units to fixpoint.
-
-    Mutates ``assign``.  Search-side units (original and auxiliary
-    literals) are asserted and, through the shared dictionary, seen by
-    the justification side.  On the justification side only units over
-    copy variables propagate, and their values never feed back into the
-    search side because copies do not occur there.  Units over original
-    variables arising on the justification side are left in place; the
-    search side derives the same assignment itself.
-
-    Inside the search, ``occurrences`` is the index ``_split_components``
-    built for this component, shared by both children of a decision; the
-    clauses are already at fixpoint, so the queue starts from the
-    decision alone and propagation reads only the occurrences of assigned
-    variables.  Without it (the root and the base cases) the unit clauses
-    are queued beside the assignment and the index is built here.
-
-    Returns ``(search_residual, justification_residual)`` or the conflict
-    sentinel when a search clause is emptied.  Residual clauses mention
-    no assigned variable; a clause no assignment touched is kept as is.
-    """
-    sides = (search, justification)
-    free = (list(map(len, search)), list(map(len, justification)))
-    dead = (bytearray(len(search)), bytearray(len(justification)))
-    queue = list(assign)
+    lits, clause_vars = db.lits, db.clause_vars
+    repeats, num_search, below_copies = db.repeats, db.num_search, db.below_copies
+    free = db.variables ^ assigned
+    for lit in queue:
+        bit = 1 << abs(lit)
+        if free & bit:
+            free ^= bit
+            satisfied |= lits[lit]
     seeded = len(queue)
     # A falsified justification clause mid-propagation is only an invariant
     # violation if the search side fails to conflict by the fixpoint.
-    justification_violated = False
-    conflict = False
-
-    if occurrences is None:
-        for side, clauses in enumerate(sides):
-            for clause in clauses:
-                if len(clause) > 1:
-                    continue
-                if clause:
-                    var = abs(clause[0])
-                    if side == _JUSTIFICATION and var < copy_lo:
-                        continue
-                    value = assign.get(var)
-                    if value is None:
-                        assign[var] = clause[0] > 0
-                        queue.append(var)
-                        continue
-                    if value == (clause[0] > 0):
-                        continue
-                # The clause is empty or its only literal is false.
-                if side == _SEARCH:
-                    conflict = True
-                else:
-                    justification_violated = True
-        if queue and not conflict:
-            occurrences, _ = _index(search, justification)
-
-    head = 0
-    while head < len(queue) and not conflict:
-        var = queue[head]
-        head += 1
-        entry = occurrences.get(var)
-        if entry is None:
-            continue
-        positive = assign[var]
-        for side in (_SEARCH, _JUSTIFICATION):
-            side_dead = dead[side]
-            side_free = free[side]
-            for occurrence in entry[side]:
-                index = occurrence if occurrence >= 0 else ~occurrence
-                if side_dead[index]:
-                    continue
-                if (occurrence >= 0) == positive:
-                    side_dead[index] = 1
-                    continue
-                remaining = side_free[index] - 1
-                side_free[index] = remaining
-                if remaining > 1:
-                    continue
-                if remaining == 0:
-                    if side == _SEARCH:
-                        conflict = True
-                        break
-                    justification_violated = True
-                    continue
-                for unit in sides[side][index]:
-                    if abs(unit) not in assign:
-                        break
-                else:
-                    # The last open literal was settled but its queue entry
-                    # is still pending; that entry finishes the clause.
-                    continue
-                unit_var = abs(unit)
-                if side == _SEARCH or unit_var >= copy_lo:
-                    assign[unit_var] = unit > 0
-                    queue.append(unit_var)
-            if conflict:
-                break
-
+    violated = False
+    for lit in queue:  # grows as units are found
+        falsified = lits[-lit] & ~satisfied
+        while falsified:
+            low = falsified & -falsified
+            falsified ^= low
+            if low & satisfied:
+                continue
+            index = low.bit_length() - 1
+            open_vars = clause_vars[index] & free
+            if open_vars & (open_vars - 1):
+                continue
+            if not open_vars:
+                if index < num_search:
+                    stats.propagations += len(queue) - seeded
+                    return _CONFLICT
+                violated = True
+            elif not low & repeats and (index < num_search or open_vars > below_copies):
+                free ^= open_vars
+                unit = open_vars.bit_length() - 1
+                if not lits[unit] & low:
+                    unit = -unit
+                satisfied |= lits[unit]
+                queue.append(unit)
     stats.propagations += len(queue) - seeded
-    if conflict:
-        return _CONFLICT
-    if justification_violated:
+    if violated:
         raise RuntimeError(
             "justification clause falsified; the search side must conflict first"
         )
-
-    residuals = []
-    for clauses, side_dead, side_free in zip(sides, dead, free):
-        residuals.append(tuple([
-            clause if open_count == len(clause)
-            else tuple([lit for lit in clause if abs(lit) not in assign])
-            for clause, is_dead, open_count in zip(clauses, side_dead, side_free)
-            if not is_dead
-        ]))
-    return residuals[0], residuals[1]
+    return db.variables ^ free, satisfied
 
 
-def _split_components(search, justification, enabled):
-    """Group residual clauses by variable connectivity.
+def _split_components(db: _Database, live: int, free: int, enabled: bool):
+    """Group the ``live`` clauses by their ``free`` variables' connectivity.
 
-    Returns ``(search_clauses, justification_clauses, occurrences)``
-    triples ordered by smallest variable, where ``occurrences`` is the
-    group's index (see ``_index``); its keys are the group's variables.
-    With decomposition disabled everything lands in a single group.
+    Returns ``(clauses, variables)`` mask pairs ordered by smallest
+    variable, each found by a walk from its lowest clause.  With
+    decomposition disabled everything lands in a single group.
     """
-    occurrences, group_of = _index(search, justification)
     if not enabled:
-        return [(search, justification, occurrences)]
-    if not occurrences:
-        return []
-    if len(next(iter(group_of.values()))) == len(occurrences):
-        return [(search, justification, occurrences)]
+        return [(live, db.occurring(live) & free)]
+    clause_vars, occurs = db.clause_vars, db.occurs
+    components = []
+    while live:
+        # The walk moves what it reaches out of ``live`` and ``free``.
+        start_live, start_free = live, free
+        first = live & -live
+        live ^= first
+        todo = clause_vars[first.bit_length() - 1] & free
+        free ^= todo
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            reached = occurs[bit.bit_length() - 1] & live
+            live ^= reached
+            while reached:
+                low = reached & -reached
+                reached ^= low
+                new_vars = clause_vars[low.bit_length() - 1] & free
+                if new_vars:
+                    free ^= new_vars
+                    todo |= new_vars
+        components.append((start_live ^ live, start_free ^ free))
+    components.sort(key=lambda component: component[1] & -component[1])
+    return components
 
-    # Several groups: sort the clauses into them and index each group anew.
-    groups = sorted({id(group): group for group in group_of.values()}.values(), key=min)
-    slot = {id(group): number for number, group in enumerate(groups)}
-    parts = [([], []) for _ in groups]
-    for side, clauses in enumerate((search, justification)):
-        for clause in clauses:
-            parts[slot[id(group_of[abs(clause[0])])]][side].append(clause)
-    del occurrences, group_of  # free the parent index before the groups' own
-    return [
-        (tuple(part_search), tuple(part_just), _index(part_search, part_just)[0])
-        for part_search, part_just in parts
-    ]
 
+def _justification_base(db: _Database, assigned: int, satisfied: int,
+                        clauses: int, variables: int, stats) -> int:
+    """Base case for justification ``clauses`` over free ``variables``.
 
-def _justification_base(justification, copy_lo, stats) -> int:
-    """Base case once the search side has no clauses left.
-
-    ``justification`` is a residual: it mentions no assigned variable.
-    Its originals default to false (the minimal choice) and their effect
-    propagates through the copy implications.  An empty residual then
-    means every true atom is already justified.  Otherwise one SAT call
-    asks whether the residual admits a model falsifying some live copy
+    The search side has no clause left there.  The originals among the
+    free variables default to false (the minimal choice) and their effect
+    propagates through the copy implications.  No clause left then means
+    every true atom is already justified.  Otherwise one SAT call asks
+    whether the residual admits a model falsifying some live copy
     variable: if it does, some true atom lacks justification and the
     branch contributes nothing.
     """
-    local = dict.fromkeys(
-        sorted({abs(lit) for clause in justification for lit in clause if abs(lit) < copy_lo}),
-        False,
-    )
-    result = _bcp((), justification, local, copy_lo, stats)
+    queue = [-var for var in _ids(variables & db.below_copies)]
+    result = _bcp(db, assigned, satisfied, queue, stats)
     if result is _CONFLICT:
         raise RuntimeError("search-free propagation reported a search conflict")
-    _, residual = result
+    assigned, satisfied = result
     stats.base_cases += 1
-    if not residual:
+    left = clauses & ~satisfied
+    if not left:
         return 1
+    # Only a clause holding an assigned variable needs a new tuple.
+    texts, clause_vars = db.clauses, db.clause_vars
+    residual = [
+        tuple([lit for lit in texts[index] if not assigned >> abs(lit) & 1])
+        if clause_vars[index] & assigned else texts[index]
+        for index in _ids(left)
+    ]
     live = sorted({abs(lit) for clause in residual for lit in clause})
-    if live and live[0] < copy_lo:
+    if live[0] < db.copy_lo:
         raise RuntimeError("non-copy variable alive at a justification base case")
     stats.sat_calls += 1
-    return 0 if solve(residual + (tuple(-var for var in live),)).satisfiable else 1
+    residual.append(tuple(-var for var in live))
+    return 0 if solve(residual).satisfiable else 1
 
 
-def _run(search, justification, *, orig_limit, copy_lo, policy,
-         use_decomposition, stats):
+def _words(mask: int) -> int:
+    return (mask.bit_length() + 29) // 30
+
+
+def _run(db: _Database, *, policy, use_decomposition, stats):
     """Explicit-stack evaluation of the counting recursion.
 
-    A node's assignment holds only what the node assigns: nothing at the
-    root, or a decision plus what it propagates.  Residual clauses
-    never mention an assigned variable, so nothing above the node is
-    needed and no assignment is copied.
+    A ``"count"`` task holds a node's four masks and the literals it
+    asserts: those of the unit clauses at the root, a decision below it.
     """
     cache, held = {}, 0
 
@@ -368,59 +343,62 @@ def _run(search, justification, *, orig_limit, copy_lo, policy,
         # in between see strictly fewer or disjoint variables.
         nonlocal held
         cache[key] = value
-        held += 1 + len(key[0]) + len(key[1])
-        while held > _CACHE_CLAUSE_BUDGET:
+        held += 1 + _words(key[0]) + _words(key[1])
+        while held > _CACHE_WORD_BUDGET:
             old = next(iter(cache))
-            held -= 1 + len(old[0]) + len(old[1])
+            held -= 1 + _words(old[0]) + _words(old[1])
             del cache[old]
             stats.cache_evictions += 1
         return value
 
-    def base(justification):
-        if not justification:
-            return 1
-        key = ((), justification)
+    def base(assigned, satisfied, clauses, variables):
+        key = (clauses, variables)
         value = cache.get(key)
         if value is None:
-            return remember(key, _justification_base(justification, copy_lo, stats))
+            return remember(key, _justification_base(db, assigned, satisfied, *key, stats))
         stats.cache_hits += 1
         return value
 
-    tasks = [("count", search, justification, None, {})]
+    if db.empty:
+        return 0
+    tasks = [("count", 0, 0, db.all, db.variables, list(db.units))]
     values = []
     while tasks:
         task = tasks.pop()
         op = task[0]
         if op == "count":
-            _, search, justification, occurrences, assign = task
-            result = _bcp(search, justification, assign, copy_lo, stats, occurrences)
+            _, assigned, satisfied, clauses, variables, queue = task
+            result = _bcp(db, assigned, satisfied, queue, stats)
             if result is _CONFLICT:
                 values.append(0)
                 continue
-            search, justification = result
-            if not search:
-                values.append(base(justification))
+            assigned, satisfied = result
+            live, free = clauses & ~satisfied, variables & ~assigned
+            if not live & db.search:
+                values.append(
+                    base(assigned, satisfied, live, db.occurring(live) & free) if live else 1
+                )
                 continue
-            components = _split_components(search, justification, use_decomposition)
+            components = _split_components(db, live, free, use_decomposition)
             if len(components) > 1:
                 stats.components += len(components)
             tasks.append(("combine", len(components)))
-            for part_search, part_just, occurrences in components:
-                if not part_search:
+            for key in components:
+                part_clauses, part_vars = key
+                if not part_clauses & db.search:
                     # Justification-only component: straight to the base case.
-                    values.append(base(part_just))
+                    values.append(base(assigned, satisfied, part_clauses, part_vars))
                     continue
-                key = (part_search, part_just)
                 value = cache.get(key)
                 if value is not None:
                     stats.cache_hits += 1
                     values.append(value)
                     continue
-                var = policy.pick(occurrences, orig_limit)
+                var = policy.pick(db, part_clauses, part_vars)
                 stats.decisions += 1
                 tasks.append(("sum", key))
-                tasks.append(("count", part_search, part_just, occurrences, {var: True}))
-                tasks.append(("count", part_search, part_just, occurrences, {var: False}))
+                tasks.append(("count", assigned, satisfied, part_clauses, part_vars, [var]))
+                tasks.append(("count", assigned, satisfied, part_clauses, part_vars, [-var]))
         elif op == "sum":
             values.append(remember(task[1], values.pop() + values.pop()))
         else:  # combine
@@ -441,13 +419,14 @@ def count_pair(pair: PairState, *, policy: BranchPolicy | None = None,
     given, accumulates the run's counters.
     """
     stats = stats if stats is not None else CountStats()
-    policy = policy or BranchPolicy()
-    count = _run(
+    sides = (pair.search, pair.justification)
+    db = _Database(
         pair.search.clauses, pair.justification.clauses,
-        orig_limit=pair.search.num_original_vars,
-        copy_lo=pair.copy_map.first_copy_id, policy=policy,
-        use_decomposition=use_decomposition, stats=stats,
+        orig_limit=pair.search.num_original_vars, copy_lo=pair.copy_map.first_copy_id,
+        top=max(vr.hi for side in sides for vr in side.var_ranges),
     )
+    count = _run(db, policy=policy or BranchPolicy(),
+                 use_decomposition=use_decomposition, stats=stats)
     return CountResult(count, stats)
 
 
@@ -458,7 +437,27 @@ def _input_parts(clauses):
     ``formula`` its clauses in input order with ``variables[i - 1]``
     renumbered to ``i``.  An empty clause is a part of its own.
     """
-    _, group_of = _index(clauses, ())
+    # Every variable maps to the list of the variables it shares clauses
+    # with, transitively; a clause joining two lists moves the smaller.
+    group_of: dict[int, list] = {}
+    for clause in clauses:
+        group = None
+        for lit in clause:
+            var = abs(lit)
+            other = group_of.get(var)
+            if other is None:
+                if group is None:
+                    group = []
+                group.append(var)
+                group_of[var] = group
+            elif group is None:
+                group = other
+            elif other is not group:
+                if len(other) > len(group):
+                    group, other = other, group
+                for moved in other:
+                    group_of[moved] = group
+                group.extend(other)
     grouped = {}
     for clause in clauses:
         key = id(group_of[abs(clause[0])]) if clause else None

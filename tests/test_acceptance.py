@@ -28,7 +28,7 @@ from mincount import (
     copy_formula,
     with_forced_clauses,
 )
-from mincount.counting import _bcp, _justification_base
+from mincount.counting import _Database, _bcp, _justification_base
 
 from conftest import EX1_TEXT, EX2_TEXT, random_acyclic_formula, random_formula
 
@@ -91,13 +91,19 @@ def test_criterion_2_implication_cycle_reproduction():
     strengthened_count = len(enumerate_models(with_forced_clauses(f)))
     minimal_count = count_minimal(f).count
 
-    copy_lo = pair.copy_map.first_copy_id
+    copy_map = pair.copy_map
+    db = _Database(pair.search.clauses, pair.justification.clauses,
+                   orig_limit=f.num_original_vars, copy_lo=copy_map.first_copy_id,
+                   top=copy_map.offset + copy_map.num_original_vars)
 
     def base_case(assign):
-        # The base case takes a residual: condition the clauses first.
-        _, residual = _bcp((), pair.justification.clauses, dict(assign), copy_lo,
-                           CountStats())
-        return _justification_base(residual, copy_lo, CountStats())
+        # Condition the justification side, the search side counting as
+        # satisfied, then run the base case on what is left.
+        queue = [var if value else -var for var, value in assign.items()]
+        assigned, satisfied = _bcp(db, 0, db.search, queue, CountStats())
+        live = db.all & ~satisfied
+        return _justification_base(db, assigned, satisfied, live,
+                                   db.occurring(live) & ~assigned, CountStats())
 
     accepted = base_case({1: False, 2: False, 3: False})
     rejected = base_case({1: True, 2: True, 3: True})

@@ -20,9 +20,17 @@ from mincount import (
     enumerate_models,
     minimal_models_pairwise,
     parse_dimacs,
+    with_forced_clauses,
 )
 import mincount.counting as counting
-from mincount.counting import _CONFLICT, _bcp, _justification_base, _split_components
+from mincount.counting import (
+    _CONFLICT,
+    _Database,
+    _bcp,
+    _ids,
+    _justification_base,
+    _split_components,
+)
 from mincount.formula import AUX, COPY, ORIG, VarRange
 
 from conftest import (
@@ -107,122 +115,147 @@ class TestCountPair:
         assert count_pair(build_pair(f)).count == 0
 
 
+def _database(search, justification=(), *, copy_lo, orig_limit=None):
+    """A run's clause database over the given clauses."""
+    top = max([copy_lo] + [abs(lit) for clause in search + justification for lit in clause])
+    return _Database(search, justification, orig_limit=orig_limit or copy_lo - 1,
+                     copy_lo=copy_lo, top=top)
+
+
+def _pair_database(pair, justification=True):
+    return _database(pair.search.clauses,
+                     pair.justification.clauses if justification else (),
+                     copy_lo=pair.copy_map.first_copy_id,
+                     orig_limit=pair.search.num_original_vars)
+
+
+def _literals(queue):
+    """The assignment a propagation queue made, first literal per variable."""
+    assign = {}
+    for lit in queue:
+        assign.setdefault(abs(lit), lit > 0)
+    return assign
+
+
 def _components(pair):
-    return _split_components(pair.search.clauses, pair.justification.clauses, True)
+    db = _pair_database(pair)
+    return db, _split_components(db, db.all, db.variables, True)
 
 
 class TestDecompose:
     def test_syntactically_disjoint(self):
-        parts = _components(build_pair(parse_dimacs("p cnf 4 2\n1 2 0\n3 4 0\n")))
+        db, parts = _components(build_pair(parse_dimacs("p cnf 4 2\n1 2 0\n3 4 0\n")))
         assert len(parts) == 2
         universes = [
-            {abs(lit) for clause in search + just for lit in clause}
-            for search, just, _ in parts
+            {abs(lit) for index in _ids(clauses) for lit in db.clauses[index]}
+            for clauses, _ in parts
         ]
         assert universes[0] & universes[1] == set()
-        assert [set(occurrences) for _, _, occurrences in parts] == universes
+        assert 1 in universes[0]
+        assert [set(_ids(variables)) for _, variables in parts] == universes
+        assert parts[0][0] | parts[1][0] == db.all
+        assert parts[0][0] & parts[1][0] == 0
 
     def test_cycle_is_one_component(self, ex2):
-        assert len(_components(build_pair(ex2))) == 1
+        db, parts = _components(build_pair(ex2))
+        assert parts == [(db.all, db.occurring(db.all))]
 
     def test_empty_pair_has_no_components(self):
-        assert _components(build_pair(parse_dimacs("p cnf 0 0\n"))) == []
+        assert _components(build_pair(parse_dimacs("p cnf 0 0\n")))[1] == []
 
 
 class TestPropagation:
-    def test_shared_index_matches_fresh_index(self):
-        # Both children of a decision propagate through the index their
-        # component got at the split; building a fresh index from the
-        # decision and the unit clauses must reach the same fixpoint.
+    def test_child_fixpoint_matches_fixpoint_from_scratch(self):
+        # Both children of a decision propagate from their parent's masks;
+        # propagating the decision together with the unit clauses from the
+        # empty assignment must reach the same fixpoint.
         rng = random.Random(505)
         compared = 0
         for _ in range(80):
             f = random_formula(rng, max_clauses=25, min_len=2)
-            pair = build_pair(f)
-            copy_lo = pair.copy_map.first_copy_id
-            root = _bcp(pair.search.clauses, pair.justification.clauses, {}, copy_lo,
-                        CountStats())
+            db = _pair_database(build_pair(f))
+            root = _bcp(db, 0, 0, list(db.units), CountStats())
             if root is _CONFLICT:
                 continue
-            for search, just, occurrences in _split_components(*root, True):
-                if not search:
+            assigned, satisfied = root
+            live, free = db.all & ~satisfied, db.variables & ~assigned
+            for clauses, variables in _split_components(db, live, free, True):
+                if not clauses & db.search:
                     continue
-                var = BranchPolicy().pick(occurrences, f.num_original_vars)
-                for value in (False, True):
-                    shared_assign, fresh_assign = {var: value}, {var: value}
-                    shared = _bcp(search, just, shared_assign, copy_lo, CountStats(),
-                                  occurrences)
-                    fresh = _bcp(search, just, fresh_assign, copy_lo, CountStats())
-                    assert (shared is _CONFLICT) == (fresh is _CONFLICT)
-                    if shared is not _CONFLICT:
-                        assert shared == fresh
-                        assert shared_assign == fresh_assign
+                var = BranchPolicy().pick(db, clauses, variables)
+                for lit in (-var, var):
+                    child = _bcp(db, assigned, satisfied, [lit], CountStats())
+                    fresh = _bcp(db, 0, 0, list(db.units) + [lit], CountStats())
+                    assert (child is _CONFLICT) == (fresh is _CONFLICT)
+                    if child is not _CONFLICT:
+                        assert child == fresh
                         compared += 1
         assert compared > 50
-
-    def test_untouched_clauses_are_kept(self):
-        search = ((1, 2), (3, 4), (-1, 5, 6))
-        residual, _ = _bcp(search, (), {1: True}, 7, CountStats())
-        assert residual == ((3, 4), (5, 6))
-        assert residual[0] is search[1]
 
     CHAIN = ((-1, 2), (-2, 3), (-3, 1))
 
     def test_implication_chain_forward(self):
-        assign, stats = {1: True}, CountStats()
-        assert _bcp(self.CHAIN, (), assign, 4, stats) == ((), ())
-        assert list(assign.items()) == [(1, True), (2, True), (3, True)]
+        db, queue, stats = _database(self.CHAIN, copy_lo=4), [1], CountStats()
+        assert _bcp(db, 0, 0, queue, stats) == (0b1110, db.all)
+        assert queue == [1, 2, 3]
         assert stats.propagations == 2
 
     def test_implication_chain_backward(self):
-        assign, stats = {1: False}, CountStats()
-        assert _bcp(self.CHAIN, (), assign, 4, stats) == ((), ())
-        assert list(assign.items()) == [(1, False), (3, False), (2, False)]
+        db, queue, stats = _database(self.CHAIN, copy_lo=4), [-1], CountStats()
+        assert _bcp(db, 0, 0, queue, stats) == (0b1110, db.all)
+        assert queue == [-1, -3, -2]
         assert stats.propagations == 2
 
     def test_no_unit_no_change(self):
-        assign, stats = {}, CountStats()
-        assert _bcp(((1, 2),), (), assign, 3, stats) == (((1, 2),), ())
-        assert assign == {}
+        queue, stats = [], CountStats()
+        assert _bcp(_database(((1, 2),), copy_lo=3), 0, 0, queue, stats) == (0, 0)
+        assert queue == []
         assert stats.propagations == 0
 
     def test_conflicting_units(self):
-        assert _bcp(((1,), (-1,)), (), {}, 2, CountStats()) is _CONFLICT
+        db = _database(((1,), (-1,)), copy_lo=2)
+        assert _bcp(db, 0, 0, list(db.units), CountStats()) is _CONFLICT
 
     @given(cnf_formulas())
     @settings(max_examples=60)
     def test_fixpoint_of_the_pair(self, f):
         pair = build_pair(f)
         copy_lo = pair.copy_map.first_copy_id
-        sides = (pair.search.clauses, pair.justification.clauses)
-        assign = {}
-        result = _bcp(*sides, assign, copy_lo, CountStats())
+        db = _pair_database(pair)
+        queue = list(db.units)
+        result = _bcp(db, 0, 0, queue, CountStats())
+        assign = _literals(queue)
         if result is _CONFLICT:
             assert any(
                 all(assign.get(abs(lit)) == (lit < 0) for lit in clause)
-                for clause in sides[0]
+                for clause in pair.search.clauses
             )
             return
-        search, justification = result
-        assert all(len(clause) > 1 for clause in search)
-        assert not any(len(clause) == 1 and abs(clause[0]) >= copy_lo
-                       for clause in justification)
-        for clauses, residual in zip(sides, result):
-            assert not any(abs(lit) in assign for clause in residual for lit in clause)
-            # Each clause no assigned literal satisfies, less its assigned literals.
-            assert residual == tuple(
-                tuple(lit for lit in clause if abs(lit) not in assign)
-                for clause in clauses
-                if not any(assign.get(abs(lit)) == (lit > 0) for lit in clause)
+        assigned, satisfied = result
+        assert assigned == sum(1 << var for var in assign)
+        # Exactly the clauses with a true literal are satisfied, and no
+        # residual search clause is a unit, nor a justification one over a copy.
+        assert _ids(satisfied) == [
+            index for index, clause in enumerate(db.clauses)
+            if any(assign.get(abs(lit)) == (lit > 0) for lit in clause)
+        ]
+        for index in _ids(db.all & ~satisfied):
+            residual = [lit for lit in db.clauses[index] if abs(lit) not in assign]
+            assert len(residual) > 1 or (
+                index >= len(pair.search.clauses) and abs(residual[0]) < copy_lo
             )
 
 
 def _base_case(pair, assign, stats=None):
-    # The base case takes a residual: condition the clauses first.
+    # The base case runs on the justification side at a unit fixpoint:
+    # the search side counts as satisfied.
     stats = stats or CountStats()
-    copy_lo = pair.copy_map.first_copy_id
-    _, residual = _bcp((), pair.justification.clauses, dict(assign), copy_lo, stats)
-    return _justification_base(residual, copy_lo, stats)
+    db = _pair_database(pair)
+    queue = [var if value else -var for var, value in assign.items()]
+    assigned, satisfied = _bcp(db, 0, db.search, queue, stats)
+    live = db.all & ~satisfied
+    return _justification_base(db, assigned, satisfied, live,
+                               db.occurring(live) & ~assigned, stats)
 
 
 class TestBaseCase:
@@ -237,9 +270,11 @@ class TestBaseCase:
         assert stats.sat_calls == 1
 
     def test_copy_units_propagate_to_empty(self):
+        # Original 1 defaults to false, which empties copy 4 and then copy 5.
         stats = CountStats()
-        assert _justification_base(((-4,), (-5,)), 4, stats) == 1
-        assert stats.sat_calls == 0
+        db = _database((), ((-4, 1), (-5, 4)), copy_lo=4)
+        assert _justification_base(db, 0, 0, db.all, 0b110010, stats) == 1
+        assert (stats.sat_calls, stats.base_cases, stats.propagations) == (0, 1, 2)
 
     def test_accepts_exactly_the_minimal_models(self):
         # drive the base case with every total candidate directly
@@ -248,20 +283,66 @@ class TestBaseCase:
         for _ in range(80):
             f = random_formula(rng, max_vars=7, max_clauses=14)
             pair = build_pair(f)
+            search = _pair_database(pair, justification=False)
             models = enumerate_models(f)
             minimal = set(minimal_models_pairwise(models).models)
             for m in models:
                 assign = {var: var in m for var in range(1, f.num_original_vars + 1)}
-                outcome = _bcp(pair.search.clauses, (), assign,
-                               pair.copy_map.first_copy_id, CountStats())
+                queue = [var if value else -var for var, value in assign.items()]
+                outcome = _bcp(search, 0, 0, queue, CountStats())
                 if outcome is _CONFLICT:
                     continue  # candidate violates the forced implications
-                residual, _ = outcome
-                if residual:
+                if outcome[1] != search.all:
                     continue
                 assert _base_case(pair, assign) == (1 if m in minimal else 0)
                 checked += 1
         assert checked > 50
+
+
+class TestRepeatedVariables:
+    """A clause that repeats a variable (a tautology such as the implication
+    ``with_forced_clauses`` builds for pin row 4, or a repeated literal)
+    never acts as a unit, and counts stay exact."""
+
+    @pytest.mark.parametrize("clause", [(-1, 2, -2), (-1, 2, 2)])
+    def test_never_a_unit(self, clause):
+        db, queue = _database((clause,), copy_lo=3), [1]
+        assert _bcp(db, 0, 0, queue, CountStats()) == (0b10, 0)
+        assert queue == [1]
+
+    def test_repeated_literal_falsified_is_a_conflict(self):
+        db = _database(((-1, 2, 2),), copy_lo=3)
+        assert _bcp(db, 0, 0, [1, -2], CountStats()) is _CONFLICT
+
+    def test_pinned_formula_has_a_tautology(self):
+        formula = list(_search_shape_formulas())[4]
+        assert (-22, 24, -24) in with_forced_clauses(formula).clauses
+
+    def test_hand_built_pairs_match_oracle(self):
+        # The search side gains a tautology and a copy of one of its clauses
+        # with a literal repeated; neither changes the models.
+        rng = random.Random(707)
+        for _ in range(60):
+            f = random_formula(rng, max_vars=10, max_clauses=16, min_len=2)
+            pair = build_pair(f)
+            first = f.clauses[0]
+            extra = ((-abs(first[0]), abs(first[1]), -abs(first[1])), first + first[-1:])
+            search = replace(pair.search, clauses=pair.search.clauses + extra)
+            hand_built = PairState(search, pair.justification, pair.copy_map)
+            assert count_pair(hand_built).count == count_minimal_brute(f).count
+
+    def test_duplicated_clause_matches_oracle(self):
+        rng = random.Random(808)
+        for _ in range(200):
+            f = random_formula(rng, max_vars=12, max_clauses=20)
+            clauses = list(f.clauses)
+            clauses.insert(rng.randrange(len(clauses) + 1), rng.choice(clauses))
+            duplicated = CnfFormula(tuple(clauses), f.num_original_vars)
+            expected = count_minimal_brute(duplicated).count
+            assert expected == count_minimal_brute(f).count
+            assert count_minimal(duplicated).count == expected
+            assert count_minimal(duplicated, force_mode="general").count == expected
+            assert count_minimal(duplicated, use_decomposition=False).count == expected
 
 
 class TestInvariants:
@@ -387,7 +468,7 @@ def _search_shape_formulas():
 
 class TestSearchShape:
     def test_counts_and_counters_are_pinned(self, monkeypatch):
-        monkeypatch.setattr(counting, "_CACHE_CLAUSE_BUDGET", 0)
+        monkeypatch.setattr(counting, "_CACHE_WORD_BUDGET", 0)
         for formula, expected in zip(_search_shape_formulas(), SEARCH_SHAPES):
             result = count_minimal(formula)
             stats = result.stats
@@ -420,9 +501,9 @@ class TestSearchShape:
         # counters are the sums over the parts counted alone, plus one
         # component per part for the split of the input.
         split_rows = []
-        for budget, pins in ((0, SEARCH_SHAPES), (counting._CACHE_CLAUSE_BUDGET,
+        for budget, pins in ((0, SEARCH_SHAPES), (counting._CACHE_WORD_BUDGET,
                                                   CACHED_SEARCH_SHAPES)):
-            monkeypatch.setattr(counting, "_CACHE_CLAUSE_BUDGET", budget)
+            monkeypatch.setattr(counting, "_CACHE_WORD_BUDGET", budget)
             for row, formula in enumerate(_search_shape_formulas()):
                 parts = _parts(formula)
                 if len(parts) < 2:
@@ -508,11 +589,11 @@ class TestDifferential:
             assert count_minimal(formula, policy=BranchPolicy(MIN_ID)).count == count
             assert count_minimal(formula, force_mode="general").count == count
             with monkeypatch.context() as patch:
-                patch.setattr(counting, "_CACHE_CLAUSE_BUDGET", 0)
+                patch.setattr(counting, "_CACHE_WORD_BUDGET", 0)
                 uncached = count_minimal(formula)
                 assert uncached.count == count
                 assert uncached.stats.cache_hits == uncached.stats.cache_entries == 0
-                patch.setattr(counting, "_CACHE_CLAUSE_BUDGET", 12)
+                patch.setattr(counting, "_CACHE_WORD_BUDGET", 12)
                 tiny = count_minimal(formula)
                 assert tiny.count == count
                 evictions += tiny.stats.cache_evictions

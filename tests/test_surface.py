@@ -5,7 +5,8 @@ import importlib
 from pathlib import Path
 
 import mincount
-from mincount import build_pair, parse_dimacs, solve
+import mincount.counting as counting
+from mincount import BranchPolicy, build_pair, count_minimal, count_pair, parse_dimacs, solve
 
 SOURCE = Path(mincount.__file__).parent
 
@@ -54,6 +55,34 @@ def test_traced_sites_resolve():
         if not callable(target):
             missing.append(f"{module_name}.{path}")
     assert missing == []
+
+
+def test_traced_layers_are_called_through_their_sites(monkeypatch, ex2):
+    # The tracer times a layer only while the engine calls it through its
+    # module or class attribute; inlining one would zero its metrics.
+    results = {}
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            results.setdefault(name, []).append(result)
+            return result
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("_bcp", "_split_components", "_justification_base"):
+        spy(counting, name)
+    spy(BranchPolicy, "pick")
+    assert count_minimal(ex2).count == 1
+    split = build_pair(parse_dimacs("p cnf 4 2\n1 2 0\n3 4 0\n"))
+    assert count_pair(split).count == 4
+    assert count_minimal(parse_dimacs("p cnf 1 2\n1 0\n-1 0\n")).count == 0
+    assert sorted(results) == ["_bcp", "_justification_base", "_split_components", "pick"]
+    assert all(type(result) is list for result in results["_split_components"])
+    assert any(len(result) > 1 for result in results["_split_components"])
+    assert results["_bcp"][-1] is counting._CONFLICT
 
 
 def test_traced_result_shapes():
