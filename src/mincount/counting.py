@@ -121,17 +121,17 @@ class _Database:
     mask of the clauses holding the literal ``lit`` (a negative literal
     indexes from the end), ``occurs[var]`` the mask of those holding
     ``var`` either way, and ``clause_vars[id]`` a clause's variable mask.
-    A clause that repeats a variable (a tautology or a repeated literal)
-    is in ``repeats`` and never acts as a unit.  ``units`` are the
-    literals of the unit clauses that propagate: all search ones, and
-    justification ones over copy variables.
+    ``clauses`` holds each clause with its repeated literals dropped; one
+    that still repeats a variable is a tautology, is in ``repeats`` and
+    never acts as a unit.  ``units`` are the literals of the unit clauses
+    that propagate: all search ones, and justification ones over copy
+    variables.
     """
 
     def __init__(self, search, justification, *, orig_limit, copy_lo, top):
-        self.clauses = clauses = tuple(search) + tuple(justification)
-        self.num_search = len(search)
-        self.search = (1 << len(search)) - 1
-        self.all = (1 << len(clauses)) - 1
+        self.num_search = num_search = len(search)
+        self.search = (1 << num_search) - 1
+        self.all = (1 << (num_search + len(justification))) - 1
         self.variables = (1 << (top + 1)) - 2
         self.originals = (1 << (orig_limit + 1)) - 2
         self.copy_lo, self.below_copies = copy_lo, (1 << copy_lo) - 1
@@ -139,21 +139,31 @@ class _Database:
         var_bits = [1 << var for var in range(top + 1)]
         var_bits += var_bits[:0:-1]  # indexed by literal too
         self.clause_vars = clause_vars = []
-        repeats = 0
+        clauses, repeats = list(search) + list(justification), 0
         for index, clause in enumerate(clauses):
             bit, variables = 1 << index, 0
             for lit in clause:
                 lits[lit] |= bit
                 variables |= var_bits[lit]
             if variables.bit_count() < len(clause):
-                repeats |= bit
+                clauses[index] = clause = tuple(dict.fromkeys(clause))
+                if variables.bit_count() < len(clause):
+                    repeats |= bit
             clause_vars.append(variables)
-        self.repeats = repeats
+        self.clauses, self.repeats = tuple(clauses), repeats
         self.occurs = [lits[var] | lits[-var] for var in range(top + 1)]
-        self.units = [clause[0] for clause in search if len(clause) == 1]
-        self.units += [clause[0] for clause in justification
-                       if len(clause) == 1 and abs(clause[0]) >= copy_lo]
+        self.units = [clause[0] for index, clause in enumerate(clauses) if len(clause) == 1
+                      and (index < num_search or abs(clause[0]) >= copy_lo)]
         self.empty = () in search
+
+    @classmethod
+    def of(cls, pair: PairState) -> _Database:
+        """The database of a pair; its variable ranges bound the ids."""
+        sides = (pair.search, pair.justification)
+        return cls(pair.search.clauses, pair.justification.clauses,
+                   orig_limit=pair.search.num_original_vars,
+                   copy_lo=pair.copy_map.first_copy_id,
+                   top=max(vr.hi for side in sides for vr in side.var_ranges))
 
     def occurring(self, clauses: int) -> int:
         """The mask of the variables the given clauses hold."""
@@ -419,13 +429,7 @@ def count_pair(pair: PairState, *, policy: BranchPolicy | None = None,
     given, accumulates the run's counters.
     """
     stats = stats if stats is not None else CountStats()
-    sides = (pair.search, pair.justification)
-    db = _Database(
-        pair.search.clauses, pair.justification.clauses,
-        orig_limit=pair.search.num_original_vars, copy_lo=pair.copy_map.first_copy_id,
-        top=max(vr.hi for side in sides for vr in side.var_ranges),
-    )
-    count = _run(db, policy=policy or BranchPolicy(),
+    count = _run(_Database.of(pair), policy=policy or BranchPolicy(),
                  use_decomposition=use_decomposition, stats=stats)
     return CountResult(count, stats)
 

@@ -91,10 +91,7 @@ def test_criterion_2_implication_cycle_reproduction():
     strengthened_count = len(enumerate_models(with_forced_clauses(f)))
     minimal_count = count_minimal(f).count
 
-    copy_map = pair.copy_map
-    db = _Database(pair.search.clauses, pair.justification.clauses,
-                   orig_limit=f.num_original_vars, copy_lo=copy_map.first_copy_id,
-                   top=copy_map.offset + copy_map.num_original_vars)
+    db = _Database.of(pair)
 
     def base_case(assign):
         # Condition the justification side, the search side counting as

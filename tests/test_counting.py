@@ -116,17 +116,10 @@ class TestCountPair:
 
 
 def _database(search, justification=(), *, copy_lo, orig_limit=None):
-    """A run's clause database over the given clauses."""
+    """A run's clause database over hand-written clauses."""
     top = max([copy_lo] + [abs(lit) for clause in search + justification for lit in clause])
     return _Database(search, justification, orig_limit=orig_limit or copy_lo - 1,
                      copy_lo=copy_lo, top=top)
-
-
-def _pair_database(pair, justification=True):
-    return _database(pair.search.clauses,
-                     pair.justification.clauses if justification else (),
-                     copy_lo=pair.copy_map.first_copy_id,
-                     orig_limit=pair.search.num_original_vars)
 
 
 def _literals(queue):
@@ -138,7 +131,7 @@ def _literals(queue):
 
 
 def _components(pair):
-    db = _pair_database(pair)
+    db = _Database.of(pair)
     return db, _split_components(db, db.all, db.variables, True)
 
 
@@ -173,7 +166,7 @@ class TestPropagation:
         compared = 0
         for _ in range(80):
             f = random_formula(rng, max_clauses=25, min_len=2)
-            db = _pair_database(build_pair(f))
+            db = _Database.of(build_pair(f))
             root = _bcp(db, 0, 0, list(db.units), CountStats())
             if root is _CONFLICT:
                 continue
@@ -221,7 +214,7 @@ class TestPropagation:
     def test_fixpoint_of_the_pair(self, f):
         pair = build_pair(f)
         copy_lo = pair.copy_map.first_copy_id
-        db = _pair_database(pair)
+        db = _Database.of(pair)
         queue = list(db.units)
         result = _bcp(db, 0, 0, queue, CountStats())
         assign = _literals(queue)
@@ -250,7 +243,7 @@ def _base_case(pair, assign, stats=None):
     # The base case runs on the justification side at a unit fixpoint:
     # the search side counts as satisfied.
     stats = stats or CountStats()
-    db = _pair_database(pair)
+    db = _Database.of(pair)
     queue = [var if value else -var for var, value in assign.items()]
     assigned, satisfied = _bcp(db, 0, db.search, queue, stats)
     live = db.all & ~satisfied
@@ -283,7 +276,8 @@ class TestBaseCase:
         for _ in range(80):
             f = random_formula(rng, max_vars=7, max_clauses=14)
             pair = build_pair(f)
-            search = _pair_database(pair, justification=False)
+            no_justification = replace(pair.justification, clauses=())
+            search = _Database.of(replace(pair, justification=no_justification))
             models = enumerate_models(f)
             minimal = set(minimal_models_pairwise(models).models)
             for m in models:
@@ -300,15 +294,20 @@ class TestBaseCase:
 
 
 class TestRepeatedVariables:
-    """A clause that repeats a variable (a tautology such as the implication
-    ``with_forced_clauses`` builds for pin row 4, or a repeated literal)
-    never acts as a unit, and counts stay exact."""
+    """A tautology (such as the implication ``with_forced_clauses`` builds
+    for pin row 4) never acts as a unit, a repeated literal counts once,
+    and counts stay exact."""
 
-    @pytest.mark.parametrize("clause", [(-1, 2, -2), (-1, 2, 2)])
-    def test_never_a_unit(self, clause):
-        db, queue = _database((clause,), copy_lo=3), [1]
+    def test_tautology_is_never_a_unit(self):
+        db, queue = _database(((-1, 2, -2),), copy_lo=3), [1]
         assert _bcp(db, 0, 0, queue, CountStats()) == (0b10, 0)
         assert queue == [1]
+
+    def test_repeated_literal_propagates(self):
+        db, queue = _database(((-1, 2, 2),), copy_lo=3), [1]
+        assert _bcp(db, 0, 0, queue, CountStats()) == (0b110, 1)
+        assert queue == [1, 2]
+        assert _database(((2, 2),), copy_lo=3).units == [2]
 
     def test_repeated_literal_falsified_is_a_conflict(self):
         db = _database(((-1, 2, 2),), copy_lo=3)
@@ -331,18 +330,26 @@ class TestRepeatedVariables:
             hand_built = PairState(search, pair.justification, pair.copy_map)
             assert count_pair(hand_built).count == count_minimal_brute(f).count
 
-    def test_duplicated_clause_matches_oracle(self):
+    @pytest.mark.parametrize("repeat", ["clause", "literal"])
+    def test_repeats_in_input_match_oracle(self, repeat):
+        # In (1, 2, 2), (1, 3) the auxiliary co-literal variable of (2, 2)
+        # is left a unit once 1 and 3 are false, and must propagate.
+        formulas = [CnfFormula(((1, 2, 2), (1, 3)), 3)] if repeat == "literal" else []
         rng = random.Random(808)
         for _ in range(200):
             f = random_formula(rng, max_vars=12, max_clauses=20)
             clauses = list(f.clauses)
-            clauses.insert(rng.randrange(len(clauses) + 1), rng.choice(clauses))
-            duplicated = CnfFormula(tuple(clauses), f.num_original_vars)
-            expected = count_minimal_brute(duplicated).count
-            assert expected == count_minimal_brute(f).count
-            assert count_minimal(duplicated).count == expected
-            assert count_minimal(duplicated, force_mode="general").count == expected
-            assert count_minimal(duplicated, use_decomposition=False).count == expected
+            if repeat == "clause":
+                clauses.insert(rng.randrange(len(clauses) + 1), rng.choice(clauses))
+            else:
+                index = rng.randrange(len(clauses))
+                clauses[index] += (rng.choice(clauses[index]),)
+            formulas.append(CnfFormula(tuple(clauses), f.num_original_vars))
+        for repeated in formulas:
+            expected = count_minimal_brute(repeated).count
+            assert count_minimal(repeated).count == expected
+            assert count_minimal(repeated, force_mode="general").count == expected
+            assert count_minimal(repeated, use_decomposition=False).count == expected
 
 
 class TestInvariants:
