@@ -11,23 +11,25 @@ variables.  Originals left unassigned there default to false, the
 minimal choice, and auxiliary variables, being functionally determined,
 contribute nothing.
 
-A run indexes its pair once, in a clause database whose sets of clauses
-and of variables are Python ints used as bit masks.  A search node is
-four such ints: the assigned variables, the satisfied clauses, and its
-component's clauses and variables.  An unsatisfied clause's assigned
-literals are all false, so no values are stored: a clause is a unit
-when exactly one of its variables is unassigned.  Both children of a decision
-start from their parent's ints, so nothing is copied or undone, and
-propagation, the component walk and the branch heuristic do their
-per-clause and per-variable work in integer operations.
+A run indexes its pair once, in the clause database of ``sat``, whose
+sets of clauses and of variables are Python ints used as bit masks, and
+propagates with its ``_bcp``, the one unit propagator, which ``solve``
+shares.  A search node is four such ints: the assigned variables, the
+satisfied clauses, and its component's clauses and variables.  An
+unsatisfied clause's assigned literals are all false, so no values are
+stored: a clause is a unit when exactly one of its variables is
+unassigned.  Both children of a decision start from their parent's
+ints, so nothing is copied or undone, and propagation, the component
+walk and the branch heuristic do their per-clause and per-variable work
+in integer operations.
 
 A run caches the count of each component and base case it solves,
 keyed by its clause and variable masks.  They fix the residual clauses,
 because the database of a run is fixed.
 
 ``count_minimal`` splits its input into variable-disjoint parts before
-any transform and counts them one after another, each renumbered and
-with its own run and its own copy variables.
+any transform and counts them one after another, each renumbered to its
+occurring variables and with its own run and its own copy variables.
 
 The recursion is realized with an explicit stack so that chain formulas
 cannot exhaust the interpreter's recursion limit.  Each counting run owns
@@ -41,7 +43,7 @@ from dataclasses import dataclass, fields
 
 from .depgraph import DepGraph, build_dependency_graph, is_acyclic, is_head_cycle_free
 from .formula import CnfFormula
-from .sat import solve
+from .sat import _CONFLICT, _Database, _bcp, _ids, _renumber, solve
 from .transform import PairState, build_pair
 
 MIN_ID = "min-id"
@@ -49,8 +51,6 @@ MAX_OCCURRENCE = "max-occurrence"
 
 MODE_ACYCLIC = "acyclic"
 MODE_GENERAL = "general"
-
-_CONFLICT = object()
 
 # Words the cache keys of one run may hold: each key costs one word plus
 # the 30-bit digits of its two masks, so 0 turns the cache off.  The
@@ -102,77 +102,6 @@ class CountResult:
     stats: CountStats
 
 
-def _ids(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, in increasing order."""
-    digits = bin(mask)[:1:-1]
-    ids = []
-    position = digits.find("1")
-    while position >= 0:
-        ids.append(position)
-        position = digits.find("1", position + 1)
-    return ids
-
-
-class _Database:
-    """The fixed clauses of one run, indexed by bit masks.
-
-    Clause ids number the search clauses first, then the justification
-    clauses, and variable ids are at most ``top``.  ``lits[lit]`` is the
-    mask of the clauses holding the literal ``lit`` (a negative literal
-    indexes from the end), ``occurs[var]`` the mask of those holding
-    ``var`` either way, and ``clause_vars[id]`` a clause's variable mask.
-    ``clauses`` holds each clause with its repeated literals dropped; one
-    that still repeats a variable is a tautology, is in ``repeats`` and
-    never acts as a unit.  ``units`` are the literals of the unit clauses
-    that propagate: all search ones, and justification ones over copy
-    variables.
-    """
-
-    def __init__(self, search, justification, *, orig_limit, copy_lo, top):
-        self.num_search = num_search = len(search)
-        self.search = (1 << num_search) - 1
-        self.all = (1 << (num_search + len(justification))) - 1
-        self.variables = (1 << (top + 1)) - 2
-        self.originals = (1 << (orig_limit + 1)) - 2
-        self.copy_lo, self.below_copies = copy_lo, (1 << copy_lo) - 1
-        self.lits = lits = [0] * (2 * top + 1)
-        var_bits = [1 << var for var in range(top + 1)]
-        var_bits += var_bits[:0:-1]  # indexed by literal too
-        self.clause_vars = clause_vars = []
-        clauses, repeats = list(search) + list(justification), 0
-        for index, clause in enumerate(clauses):
-            bit, variables = 1 << index, 0
-            for lit in clause:
-                lits[lit] |= bit
-                variables |= var_bits[lit]
-            if variables.bit_count() < len(clause):
-                clauses[index] = clause = tuple(dict.fromkeys(clause))
-                if variables.bit_count() < len(clause):
-                    repeats |= bit
-            clause_vars.append(variables)
-        self.clauses, self.repeats = tuple(clauses), repeats
-        self.occurs = [lits[var] | lits[-var] for var in range(top + 1)]
-        self.units = [clause[0] for index, clause in enumerate(clauses) if len(clause) == 1
-                      and (index < num_search or abs(clause[0]) >= copy_lo)]
-        self.empty = () in search
-
-    @classmethod
-    def of(cls, pair: PairState) -> _Database:
-        """The database of a pair; its variable ranges bound the ids."""
-        sides = (pair.search, pair.justification)
-        return cls(pair.search.clauses, pair.justification.clauses,
-                   orig_limit=pair.search.num_original_vars,
-                   copy_lo=pair.copy_map.first_copy_id,
-                   top=max(vr.hi for side in sides for vr in side.var_ranges))
-
-    def occurring(self, clauses: int) -> int:
-        """The mask of the variables the given clauses hold."""
-        variables = 0
-        for index in _ids(clauses):
-            variables |= self.clause_vars[index]
-        return variables
-
-
 @dataclass(frozen=True)
 class BranchPolicy:
     """Decision-variable selection among the unassigned originals.
@@ -202,67 +131,6 @@ class BranchPolicy:
             raise ValueError("no original variable to branch on: the auxiliary "
                              "variables are not determined by the originals")
         return best
-
-
-def _bcp(db: _Database, assigned: int, satisfied: int, queue: list, stats):
-    """Assert the literals of ``queue`` and propagate units to fixpoint.
-
-    ``assigned`` and ``satisfied`` are the masks of the assigned variables
-    and the satisfied clauses; ``queue`` is extended with the propagated
-    literals.  A queued literal over an assigned variable is skipped: it
-    comes from a unit clause, which propagating that variable checks.
-
-    Search-side units (original and auxiliary literals) are asserted.
-    On the justification side only units over copy variables propagate,
-    and their values never feed back into the search side because copies
-    do not occur there.  Units over original variables arising on the
-    justification side are left in place; the search side derives the
-    same assignment itself.
-
-    Returns the new ``(assigned, satisfied)`` masks, or the conflict
-    sentinel when a search clause is emptied.
-    """
-    lits, clause_vars = db.lits, db.clause_vars
-    repeats, num_search, below_copies = db.repeats, db.num_search, db.below_copies
-    free = db.variables ^ assigned
-    for lit in queue:
-        bit = 1 << abs(lit)
-        if free & bit:
-            free ^= bit
-            satisfied |= lits[lit]
-    seeded = len(queue)
-    # A falsified justification clause mid-propagation is only an invariant
-    # violation if the search side fails to conflict by the fixpoint.
-    violated = False
-    for lit in queue:  # grows as units are found
-        falsified = lits[-lit] & ~satisfied
-        while falsified:
-            low = falsified & -falsified
-            falsified ^= low
-            if low & satisfied:
-                continue
-            index = low.bit_length() - 1
-            open_vars = clause_vars[index] & free
-            if open_vars & (open_vars - 1):
-                continue
-            if not open_vars:
-                if index < num_search:
-                    stats.propagations += len(queue) - seeded
-                    return _CONFLICT
-                violated = True
-            elif not low & repeats and (index < num_search or open_vars > below_copies):
-                free ^= open_vars
-                unit = open_vars.bit_length() - 1
-                if not lits[unit] & low:
-                    unit = -unit
-                satisfied |= lits[unit]
-                queue.append(unit)
-    stats.propagations += len(queue) - seeded
-    if violated:
-        raise RuntimeError(
-            "justification clause falsified; the search side must conflict first"
-        )
-    return db.variables ^ free, satisfied
 
 
 def _split_components(db: _Database, live: int, free: int, enabled: bool):
@@ -313,7 +181,9 @@ def _justification_base(db: _Database, assigned: int, satisfied: int,
     branch contributes nothing.
     """
     queue = [-var for var in _ids(variables & db.below_copies)]
-    result = _bcp(db, assigned, satisfied, queue, stats)
+    seeded = len(queue)
+    result = _bcp(db, assigned, satisfied, queue)
+    stats.propagations += len(queue) - seeded
     if result is _CONFLICT:
         raise RuntimeError("search-free propagation reported a search conflict")
     assigned, satisfied = result
@@ -378,7 +248,9 @@ def _run(db: _Database, *, policy, use_decomposition, stats):
         op = task[0]
         if op == "count":
             _, assigned, satisfied, clauses, variables, queue = task
-            result = _bcp(db, assigned, satisfied, queue, stats)
+            seeded = len(queue)
+            result = _bcp(db, assigned, satisfied, queue)
+            stats.propagations += len(queue) - seeded
             if result is _CONFLICT:
                 values.append(0)
                 continue
@@ -434,13 +306,16 @@ def count_pair(pair: PairState, *, policy: BranchPolicy | None = None,
     return CountResult(count, stats)
 
 
-def _input_parts(clauses):
-    """``(variables, formula)`` per variable-disjoint part, ``[]`` if connected.
+def _input_parts(clauses, split):
+    """``(variables, clauses)`` per variable-disjoint part of the input.
 
     ``variables`` holds the part's input ids in increasing order, and
-    ``formula`` its clauses in input order with ``variables[i - 1]``
-    renumbered to ``i``.  An empty clause is a part of its own.
+    ``clauses`` its clauses in input order with ``variables[i - 1]``
+    renumbered to ``i``.  Unless ``split``, all clauses form one part;
+    otherwise an empty clause is a part of its own.  No clause, no part.
     """
+    if not split:
+        return [_renumber(clauses)] if clauses else []
     # Every variable maps to the list of the variables it shares clauses
     # with, transitively; a clause joining two lists moves the smaller.
     group_of: dict[int, list] = {}
@@ -466,18 +341,7 @@ def _input_parts(clauses):
     for clause in clauses:
         key = id(group_of[abs(clause[0])]) if clause else None
         grouped.setdefault(key, []).append(clause)
-    if len(grouped) < 2:
-        return []
-    parts = []
-    for part_clauses in grouped.values():
-        variables = sorted({abs(lit) for clause in part_clauses for lit in clause})
-        number = {var: new for new, var in enumerate(variables, 1)}
-        renumbered = tuple(
-            tuple(number[lit] if lit > 0 else -number[-lit] for lit in clause)
-            for clause in part_clauses
-        )
-        parts.append((variables, CnfFormula(renumbered, len(variables))))
-    return parts
+    return [_renumber(part) for part in grouped.values()]
 
 
 def copied_variables(formula: CnfFormula, graph: DepGraph, force_mode: str | None = None):
@@ -513,15 +377,16 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
 
     A model is minimal exactly when its restriction to every
     variable-disjoint part is, so the parts are counted one by one and
-    their counts multiply (unless ``use_decomposition`` is off).  Every
-    part goes through the pair recursion, with copy variables for the
-    variables ``copied_variables`` names: those on a cycle of the
-    dependency graph, so an acyclic part has no justification side and
-    its count is the model count of the part strengthened with its
-    forced implications.  ``force_mode`` ``general`` copies every
-    variable; ``acyclic`` copies none and raises ``ValueError`` on a
-    cyclic formula.  ``graph`` is the formula's dependency graph, if the
-    caller has built it.
+    their counts multiply (unless ``use_decomposition`` is off, which
+    makes the whole input one part).  Every part is renumbered to its
+    occurring variables and goes through the pair recursion, with copy
+    variables for the variables ``copied_variables`` names: those on a
+    cycle of the dependency graph, so an acyclic part has no
+    justification side and its count is the model count of the part
+    strengthened with its forced implications.  ``force_mode``
+    ``general`` copies every variable; ``acyclic`` copies none and raises
+    ``ValueError`` on a cyclic formula.  ``graph`` is the formula's
+    dependency graph, if the caller has built it.
     """
     graph = graph if graph is not None else build_dependency_graph(formula)
     acyclic = is_acyclic(graph)
@@ -537,14 +402,12 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
     )
     copied = copied_variables(formula, graph, force_mode)
     options = {"policy": policy, "use_decomposition": use_decomposition}
-    parts = _input_parts(formula.clauses) if use_decomposition else []
-    if not parts:
-        return CountResult(_count_part(formula, copied, stats, **options), stats)
-
     # Each part is renumbered, so each gets its own run and cache.
-    stats.components += len(parts)
+    parts = _input_parts(formula.clauses, use_decomposition)
+    if len(parts) > 1:
+        stats.components += len(parts)
     count = 1
     for variables, part in parts:
         part_copied = [new for new, var in enumerate(variables, 1) if var in copied]
-        count *= _count_part(part, part_copied, stats, **options)
+        count *= _count_part(CnfFormula(part, len(variables)), part_copied, stats, **options)
     return CountResult(count, stats)

@@ -1,16 +1,25 @@
-"""Deterministic DPLL satisfiability kernel with watched-literal propagation.
+"""The clause database, its unit propagator and a DPLL satisfiability kernel.
 
-Branching always picks the lowest unassigned variable id and tries false
+A clause database indexes fixed clauses by bit masks: Python ints whose
+bits are clause or variable ids.  ``_bcp`` propagates units over it from
+two immutable masks, the assigned variables and the satisfied clauses,
+so a search node needs no trail and nothing is undone.  It is the only
+unit propagator: the counting recursion runs it over a pair's database,
+and ``solve`` over a database of its own clauses.
+
+``solve`` branches on the lowest unassigned variable and tries false
 first, so two runs on identical inputs return identical results.  Each
 call is an independent solve; there is no incremental state.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .formula import CnfFormula, evaluate
+from .transform import PairState
+
+_CONFLICT = object()
 
 
 @dataclass(frozen=True)
@@ -19,115 +28,175 @@ class SatResult:
     witness: frozenset | None = None
 
 
+def _ids(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, in increasing order."""
+    digits = bin(mask)[:1:-1]
+    ids = []
+    position = digits.find("1")
+    while position >= 0:
+        ids.append(position)
+        position = digits.find("1", position + 1)
+    return ids
+
+
+class _Database:
+    """The fixed clauses of one counting run or ``solve`` call, indexed by
+    bit masks.
+
+    Clause ids number the search clauses first, then the justification
+    clauses, and variable ids are at most ``top``.  ``lits[lit]`` is the
+    mask of the clauses holding the literal ``lit`` (a negative literal
+    indexes from the end), ``occurs[var]`` the mask of those holding
+    ``var`` either way, and ``clause_vars[id]`` a clause's variable mask.
+    ``clauses`` holds each clause with its repeated literals dropped; one
+    that still repeats a variable is a tautology, is in ``repeats`` and
+    never acts as a unit.  ``units`` are the literals of the unit clauses
+    that propagate: all search ones, and justification ones over copy
+    variables.
+    """
+
+    def __init__(self, search, justification, *, orig_limit, copy_lo, top):
+        self.num_search = num_search = len(search)
+        self.search = (1 << num_search) - 1
+        self.all = (1 << (num_search + len(justification))) - 1
+        self.variables = (1 << (top + 1)) - 2
+        self.originals = (1 << (orig_limit + 1)) - 2
+        self.copy_lo, self.below_copies = copy_lo, (1 << copy_lo) - 1
+        self.lits = lits = [0] * (2 * top + 1)
+        var_bits = [1 << var for var in range(top + 1)]
+        var_bits += var_bits[:0:-1]  # indexed by literal too
+        self.clause_vars = clause_vars = []
+        clauses, repeats = list(search) + list(justification), 0
+        for index, clause in enumerate(clauses):
+            bit, variables = 1 << index, 0
+            for lit in clause:
+                lits[lit] |= bit
+                variables |= var_bits[lit]
+            if variables.bit_count() < len(clause):
+                clauses[index] = clause = tuple(dict.fromkeys(clause))
+                if variables.bit_count() < len(clause):
+                    repeats |= bit
+            clause_vars.append(variables)
+        self.clauses, self.repeats = tuple(clauses), repeats
+        self.occurs = [lits[var] | lits[-var] for var in range(top + 1)]
+        self.units = [clause[0] for index, clause in enumerate(clauses) if len(clause) == 1
+                      and (index < num_search or abs(clause[0]) >= copy_lo)]
+        self.empty = () in search
+
+    @classmethod
+    def of(cls, pair: PairState) -> _Database:
+        """The database of a pair; its variable ranges bound the ids."""
+        sides = (pair.search, pair.justification)
+        return cls(pair.search.clauses, pair.justification.clauses,
+                   orig_limit=pair.search.num_original_vars,
+                   copy_lo=pair.copy_map.first_copy_id,
+                   top=max(vr.hi for side in sides for vr in side.var_ranges))
+
+    def occurring(self, clauses: int) -> int:
+        """The mask of the variables the given clauses hold."""
+        variables = 0
+        for index in _ids(clauses):
+            variables |= self.clause_vars[index]
+        return variables
+
+
+def _bcp(db: _Database, assigned: int, satisfied: int, queue: list):
+    """Assert the literals of ``queue`` and propagate units to fixpoint.
+
+    ``assigned`` and ``satisfied`` are the masks of the assigned variables
+    and the satisfied clauses; ``queue`` is extended with the propagated
+    literals.  A queued literal over an assigned variable is skipped: it
+    comes from a unit clause, which propagating that variable checks.
+
+    Search-side units (original and auxiliary literals) are asserted.
+    On the justification side only units over copy variables propagate,
+    and their values never feed back into the search side because copies
+    do not occur there.  Units over original variables arising on the
+    justification side are left in place; the search side derives the
+    same assignment itself.
+
+    Returns the new ``(assigned, satisfied)`` masks, or the conflict
+    sentinel when a search clause is emptied.
+    """
+    lits, clause_vars = db.lits, db.clause_vars
+    repeats, num_search, below_copies = db.repeats, db.num_search, db.below_copies
+    free = db.variables ^ assigned
+    for lit in queue:
+        bit = 1 << abs(lit)
+        if free & bit:
+            free ^= bit
+            satisfied |= lits[lit]
+    # A falsified justification clause mid-propagation is only an invariant
+    # violation if the search side fails to conflict by the fixpoint.
+    violated = False
+    for lit in queue:  # grows as units are found
+        falsified = lits[-lit] & ~satisfied
+        while falsified:
+            low = falsified & -falsified
+            falsified ^= low
+            if low & satisfied:
+                continue
+            index = low.bit_length() - 1
+            open_vars = clause_vars[index] & free
+            if open_vars & (open_vars - 1):
+                continue
+            if not open_vars:
+                if index < num_search:
+                    return _CONFLICT
+                violated = True
+            elif not low & repeats and (index < num_search or open_vars > below_copies):
+                free ^= open_vars
+                unit = open_vars.bit_length() - 1
+                if not lits[unit] & low:
+                    unit = -unit
+                satisfied |= lits[unit]
+                queue.append(unit)
+    if violated:
+        raise RuntimeError(
+            "justification clause falsified; the search side must conflict first"
+        )
+    return db.variables ^ free, satisfied
+
+
+def _renumber(clauses):
+    """The occurring variables in increasing order, and ``clauses`` with
+    ``variables[i - 1]`` renumbered to ``i``."""
+    variables = sorted({abs(lit) for clause in clauses for lit in clause})
+    number = {var: new for new, var in enumerate(variables, 1)}
+    number.update({-var: -new for var, new in number.items()})
+    renumbered = tuple(tuple(map(number.__getitem__, clause)) for clause in clauses)
+    return variables, renumbered
+
+
 def solve(clauses) -> SatResult:
     """Decide satisfiability of a sequence of clause tuples.
 
     The witness, when satisfiable, is the set of occurring variables the
     model sets true; every other occurring variable is false.
     """
-    clauses = [tuple(dict.fromkeys(clause)) for clause in clauses]
-    if any(len(clause) == 0 for clause in clauses):
+    # Renumbered, so that sparse ids do not widen the masks.
+    variables, renumbered = _renumber(clauses)
+    top = len(variables)
+    db = _Database(renumbered, (), orig_limit=top, copy_lo=top + 1, top=top)
+    if db.empty:
         return SatResult(False)
-    variables = sorted({abs(lit) for clause in clauses for lit in clause})
-
-    assign: dict[int, bool] = {}
-    trail: list[int] = []
-    queue: deque[int] = deque()
-    watched: dict[int, list[int]] = {}
-    watch_pair: list[list[int]] = []
-    root_units: list[int] = []
-
-    for index, clause in enumerate(clauses):
-        watch_pair.append(list(clause[:2]))
-        if len(clause) == 1:
-            root_units.append(clause[0])
-        else:
-            watched.setdefault(clause[0], []).append(index)
-            watched.setdefault(clause[1], []).append(index)
-
-    def enqueue(lit: int) -> bool:
-        var = abs(lit)
-        value = lit > 0
-        current = assign.get(var)
-        if current is not None:
-            return current == value
-        assign[var] = value
-        trail.append(lit)
-        queue.append(lit)
-        return True
-
-    def propagate() -> bool:
-        while queue:
-            lit = queue.popleft()
-            falsified = -lit
-            watchers = watched.get(falsified)
-            if not watchers:
-                continue
-            pos = 0
-            while pos < len(watchers):
-                index = watchers[pos]
-                pair = watch_pair[index]
-                other = pair[1] if pair[0] == falsified else pair[0]
-                other_value = assign.get(abs(other))
-                if other_value == (other > 0):
-                    pos += 1
-                    continue
-                moved = False
-                for candidate in clauses[index]:
-                    if candidate == falsified or candidate == other:
-                        continue
-                    value = assign.get(abs(candidate))
-                    if value is None or value == (candidate > 0):
-                        pair[0], pair[1] = other, candidate
-                        watched.setdefault(candidate, []).append(index)
-                        watchers[pos] = watchers[-1]
-                        watchers.pop()
-                        moved = True
-                        break
-                if moved:
-                    continue
-                if other_value is None:
-                    enqueue(other)
-                    pos += 1
-                else:
-                    return False
-        return True
-
-    for lit in root_units:
-        if not enqueue(lit):
-            return SatResult(False)
-    if not propagate():
-        return SatResult(False)
-
-    # Chronological backtracking over an explicit decision stack: each
-    # entry is (trail length before the decision, literal, flipped yet).
-    decisions: list[list] = []
-
-    def backtrack_to(length: int) -> None:
-        while len(trail) > length:
-            del assign[abs(trail.pop())]
-        queue.clear()
-
-    while True:
-        chosen = None
-        for var in variables:
-            if var not in assign:
-                chosen = var
-                break
-        if chosen is None:
-            return SatResult(True, frozenset(lit for lit in trail if lit > 0))
-        decisions.append([len(trail), -chosen, False])
-        enqueue(-chosen)
-        while not propagate():
-            while decisions and decisions[-1][2]:
-                length, _, _ = decisions.pop()
-                backtrack_to(length)
-            if not decisions:
-                return SatResult(False)
-            length, lit, _ = decisions[-1]
-            backtrack_to(length)
-            decisions[-1] = [length, -lit, True]
-            enqueue(-lit)
+    # Depth first: a task is a node's masks, its true literals so far and
+    # the literals it asserts.
+    tasks = [(0, 0, (), list(db.units))]
+    while tasks:
+        assigned, satisfied, path, queue = tasks.pop()
+        result = _bcp(db, assigned, satisfied, queue)
+        if result is _CONFLICT:
+            continue
+        assigned, satisfied = result
+        path += tuple(lit for lit in queue if lit > 0)
+        if satisfied == db.all:
+            return SatResult(True, frozenset(variables[lit - 1] for lit in path))
+        free = db.variables & ~assigned
+        var = (free & -free).bit_length() - 1
+        tasks.append((assigned, satisfied, path, [var]))
+        tasks.append((assigned, satisfied, path, [-var]))
+    return SatResult(False)
 
 
 def check_minimal(formula: CnfFormula, true_vars) -> bool:

@@ -56,7 +56,8 @@ class TestCountMinimal:
         assert result.stats.head_cycle_free is True
 
     def test_empty_formula(self):
-        assert count_minimal(parse_dimacs("p cnf 0 0\n")).count == 1
+        result = count_minimal(parse_dimacs("p cnf 0 0\n"))
+        assert (result.count, result.stats.parts) == (1, 0)
 
     def test_forced_general_mode_on_acyclic_input(self, ex1):
         result = count_minimal(ex1, force_mode="general")
@@ -167,7 +168,7 @@ class TestPropagation:
         for _ in range(80):
             f = random_formula(rng, max_clauses=25, min_len=2)
             db = _Database.of(build_pair(f))
-            root = _bcp(db, 0, 0, list(db.units), CountStats())
+            root = _bcp(db, 0, 0, list(db.units))
             if root is _CONFLICT:
                 continue
             assigned, satisfied = root
@@ -177,8 +178,8 @@ class TestPropagation:
                     continue
                 var = BranchPolicy().pick(db, clauses, variables)
                 for lit in (-var, var):
-                    child = _bcp(db, assigned, satisfied, [lit], CountStats())
-                    fresh = _bcp(db, 0, 0, list(db.units) + [lit], CountStats())
+                    child = _bcp(db, assigned, satisfied, [lit])
+                    fresh = _bcp(db, 0, 0, list(db.units) + [lit])
                     assert (child is _CONFLICT) == (fresh is _CONFLICT)
                     if child is not _CONFLICT:
                         assert child == fresh
@@ -188,26 +189,23 @@ class TestPropagation:
     CHAIN = ((-1, 2), (-2, 3), (-3, 1))
 
     def test_implication_chain_forward(self):
-        db, queue, stats = _database(self.CHAIN, copy_lo=4), [1], CountStats()
-        assert _bcp(db, 0, 0, queue, stats) == (0b1110, db.all)
+        db, queue = _database(self.CHAIN, copy_lo=4), [1]
+        assert _bcp(db, 0, 0, queue) == (0b1110, db.all)
         assert queue == [1, 2, 3]
-        assert stats.propagations == 2
 
     def test_implication_chain_backward(self):
-        db, queue, stats = _database(self.CHAIN, copy_lo=4), [-1], CountStats()
-        assert _bcp(db, 0, 0, queue, stats) == (0b1110, db.all)
+        db, queue = _database(self.CHAIN, copy_lo=4), [-1]
+        assert _bcp(db, 0, 0, queue) == (0b1110, db.all)
         assert queue == [-1, -3, -2]
-        assert stats.propagations == 2
 
     def test_no_unit_no_change(self):
-        queue, stats = [], CountStats()
-        assert _bcp(_database(((1, 2),), copy_lo=3), 0, 0, queue, stats) == (0, 0)
+        queue = []
+        assert _bcp(_database(((1, 2),), copy_lo=3), 0, 0, queue) == (0, 0)
         assert queue == []
-        assert stats.propagations == 0
 
     def test_conflicting_units(self):
         db = _database(((1,), (-1,)), copy_lo=2)
-        assert _bcp(db, 0, 0, list(db.units), CountStats()) is _CONFLICT
+        assert _bcp(db, 0, 0, list(db.units)) is _CONFLICT
 
     @given(cnf_formulas())
     @settings(max_examples=60)
@@ -216,7 +214,7 @@ class TestPropagation:
         copy_lo = pair.copy_map.first_copy_id
         db = _Database.of(pair)
         queue = list(db.units)
-        result = _bcp(db, 0, 0, queue, CountStats())
+        result = _bcp(db, 0, 0, queue)
         assign = _literals(queue)
         if result is _CONFLICT:
             assert any(
@@ -245,7 +243,7 @@ def _base_case(pair, assign, stats=None):
     stats = stats or CountStats()
     db = _Database.of(pair)
     queue = [var if value else -var for var, value in assign.items()]
-    assigned, satisfied = _bcp(db, 0, db.search, queue, stats)
+    assigned, satisfied = _bcp(db, 0, db.search, queue)
     live = db.all & ~satisfied
     return _justification_base(db, assigned, satisfied, live,
                                db.occurring(live) & ~assigned, stats)
@@ -283,7 +281,7 @@ class TestBaseCase:
             for m in models:
                 assign = {var: var in m for var in range(1, f.num_original_vars + 1)}
                 queue = [var if value else -var for var, value in assign.items()]
-                outcome = _bcp(search, 0, 0, queue, CountStats())
+                outcome = _bcp(search, 0, 0, queue)
                 if outcome is _CONFLICT:
                     continue  # candidate violates the forced implications
                 if outcome[1] != search.all:
@@ -300,18 +298,18 @@ class TestRepeatedVariables:
 
     def test_tautology_is_never_a_unit(self):
         db, queue = _database(((-1, 2, -2),), copy_lo=3), [1]
-        assert _bcp(db, 0, 0, queue, CountStats()) == (0b10, 0)
+        assert _bcp(db, 0, 0, queue) == (0b10, 0)
         assert queue == [1]
 
     def test_repeated_literal_propagates(self):
         db, queue = _database(((-1, 2, 2),), copy_lo=3), [1]
-        assert _bcp(db, 0, 0, queue, CountStats()) == (0b110, 1)
+        assert _bcp(db, 0, 0, queue) == (0b110, 1)
         assert queue == [1, 2]
         assert _database(((2, 2),), copy_lo=3).units == [2]
 
     def test_repeated_literal_falsified_is_a_conflict(self):
         db = _database(((-1, 2, 2),), copy_lo=3)
-        assert _bcp(db, 0, 0, [1, -2], CountStats()) is _CONFLICT
+        assert _bcp(db, 0, 0, [1, -2]) is _CONFLICT
 
     def test_pinned_formula_has_a_tautology(self):
         formula = list(_search_shape_formulas())[4]
@@ -701,6 +699,23 @@ class TestSplitInput:
             result = count_minimal(with_empty, force_mode=mode)
             assert result.count == 0
             assert result.stats.parts >= 3
+
+    @pytest.mark.parametrize("decompose", [True, False])
+    def test_connected_input_drops_unused_header_ids(self, monkeypatch, decompose):
+        # A connected input is renumbered like a part, so its pair, and with
+        # it every mask of the run, is as wide as its occurring variables.
+        built = []
+        original = counting.build_pair
+
+        def spy(formula, *args):
+            built.append(formula)
+            return original(formula, *args)
+
+        monkeypatch.setattr(counting, "build_pair", spy)
+        f = parse_dimacs("p cnf 5000 1\n4000 0\n")
+        result = count_minimal(f, use_decomposition=decompose)
+        assert (result.count, result.stats.parts, result.stats.components) == (1, 1, 0)
+        assert [(part.num_original_vars, part.clauses) for part in built] == [(1, ((1,),))]
 
     def test_small_unions_match_oracle(self):
         rng = random.Random(606)

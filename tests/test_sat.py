@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from mincount import (
+    CnfFormula,
     build_pair,
     check_minimal,
     enumerate_models,
@@ -49,6 +50,43 @@ class TestSolve:
         assert result.satisfiable == (len(enumerate_models(f)) > 0)
         if result.satisfiable:
             assert evaluate(f, result.witness)
+
+    def test_shapes_cnf_formulas_never_draws(self):
+        # Repeated literals, tautologies, an empty clause, duplicate and
+        # conflicting units, and sparse ids, which ``solve`` renumbers.
+        rng = random.Random(909)
+        outcomes = []
+        for _ in range(300):
+            num_vars = rng.randint(1, 8)
+            clauses = []
+            for _ in range(rng.randint(0, 10)):
+                clause = [rng.choice((1, -1)) * rng.randint(1, num_vars)
+                          for _ in range(rng.randint(1, 3))]
+                shape = rng.random()
+                if shape < 0.2:
+                    clause.insert(rng.randint(0, len(clause)), clause[0])
+                elif shape < 0.35:
+                    clause.insert(rng.randint(0, len(clause)), -clause[0])
+                clauses.append(tuple(clause))
+            unit, extra = rng.choice((1, -1)) * rng.randint(1, num_vars), rng.random()
+            if extra < 0.05:
+                clauses.append(())
+            elif extra < 0.3:
+                clauses += [(unit,), (unit,)]
+            elif extra < 0.5:
+                clauses += [(unit,), (-unit,)]
+            rng.shuffle(clauses)
+            offset = rng.choice((0, 10**6))
+            result = solve([tuple(lit + offset if lit > 0 else lit - offset for lit in clause)
+                            for clause in clauses])
+            formula = CnfFormula(tuple(clauses), num_vars)
+            assert result.satisfiable == bool(enumerate_models(formula))
+            if result.satisfiable:
+                witness = {var - offset for var in result.witness}
+                assert witness <= formula.variables()
+                assert evaluate(formula, witness)
+            outcomes.append(result.satisfiable)
+        assert 50 < sum(outcomes) < 250
 
 
 class TestCheckMinimal:

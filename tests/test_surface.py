@@ -2,10 +2,13 @@
 
 import ast
 import importlib
+import io
+import tokenize
 from pathlib import Path
 
 import mincount
 import mincount.counting as counting
+import mincount.sat as sat
 from mincount import BranchPolicy, build_pair, count_minimal, count_pair, parse_dimacs, solve
 
 SOURCE = Path(mincount.__file__).parent
@@ -83,6 +86,30 @@ def test_traced_layers_are_called_through_their_sites(monkeypatch, ex2):
     assert all(type(result) is list for result in results["_split_components"])
     assert any(len(result) > 1 for result in results["_split_components"])
     assert results["_bcp"][-1] is counting._CONFLICT
+
+
+def test_one_propagator(monkeypatch, ex2):
+    # ``solve`` propagates with the engine's ``_bcp`` through its own module,
+    # so the tracer's counting site sees the search's calls and no others.
+    calls = []
+    for module in (counting, sat):
+        original = module._bcp
+
+        def wrapper(*args, _name=module.__name__, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(module, "_bcp", wrapper)
+    assert solve(((1, 2), (-1, 2), (-2, 3))).satisfiable
+    assert set(calls) == {"mincount.sat"}
+    calls.clear()
+    result = count_minimal(ex2)
+    assert (result.count, result.stats.sat_calls) == (1, 1)
+    assert set(calls) == {"mincount.counting", "mincount.sat"}
+    source = (SOURCE / "sat.py").read_text()
+    names = [token.string for token in tokenize.generate_tokens(io.StringIO(source).readline)
+             if token.type == tokenize.NAME]
+    assert [name for name in names if "watch" in name or "deque" in name] == []
 
 
 def test_traced_result_shapes():
