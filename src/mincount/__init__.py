@@ -2,7 +2,6 @@
 
 from .bruteforce import (
     DEFAULT_VAR_LIMIT,
-    ModelSet,
     OracleDisagreementError,
     VariableLimitError,
     count_minimal_brute,
@@ -64,7 +63,6 @@ __all__ = [
     "MIN_ID",
     "MODE_ACYCLIC",
     "MODE_GENERAL",
-    "ModelSet",
     "ORIG",
     "OracleDisagreementError",
     "PairState",

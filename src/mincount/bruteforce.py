@@ -7,8 +7,6 @@ the models, drop every model with a strictly smaller model below it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .counting import CountResult, CountStats
 from .formula import CnfFormula
 from .sat import check_minimal
@@ -24,24 +22,10 @@ class OracleDisagreementError(RuntimeError):
     """The two independent minimality tests disagreed on a model."""
 
 
-@dataclass(frozen=True)
-class ModelSet:
-    """Models represented by their sets of true variables."""
-
-    models: tuple[frozenset, ...]
-
-    def __len__(self) -> int:
-        return len(self.models)
-
-    def __iter__(self):
-        return iter(self.models)
-
-    def __contains__(self, model) -> bool:
-        return model in self.models
-
-
-def enumerate_models(formula: CnfFormula, limit: int = DEFAULT_VAR_LIMIT) -> ModelSet:
-    """All satisfying total assignments over the occurring variables.
+def enumerate_models(formula: CnfFormula,
+                     limit: int = DEFAULT_VAR_LIMIT) -> tuple[frozenset, ...]:
+    """All satisfying total assignments over the occurring variables, each
+    the set of its true variables.
 
     Enumeration order is binary counting over the sorted variable ids,
     all-false first.  Refuses formulas with more than ``limit`` occurring
@@ -73,22 +57,22 @@ def enumerate_models(formula: CnfFormula, limit: int = DEFAULT_VAR_LIMIT) -> Mod
             models.append(
                 frozenset(var for var in variables if mask >> position[var] & 1)
             )
-    return ModelSet(tuple(models))
+    return tuple(models)
 
 
-def minimal_models_pairwise(model_set: ModelSet) -> ModelSet:
-    """Keep the models with no strictly smaller model in the set.
+def minimal_models_pairwise(models) -> tuple[frozenset, ...]:
+    """Keep the models with no strictly smaller model among ``models``.
 
     Smaller means strict subset on the sets of true variables.  Checking
     candidates in size order against the already-kept minimal models is
     enough: any strictly smaller model sits above some minimal one.
     """
-    ordered = sorted(model_set.models, key=lambda model: (len(model), sorted(model)))
+    ordered = sorted(models, key=lambda model: (len(model), sorted(model)))
     kept: list[frozenset] = []
     for candidate in ordered:
         if not any(smaller < candidate for smaller in kept):
             kept.append(candidate)
-    return ModelSet(tuple(kept))
+    return tuple(kept)
 
 
 def count_minimal_brute(formula: CnfFormula, limit: int = DEFAULT_VAR_LIMIT) -> CountResult:

@@ -136,7 +136,7 @@ def run(config: RunConfig, out=None, err=None) -> int:
         if "acyclic" not in stats:  # the oracle does not read the graph
             stats["acyclic"] = is_acyclic(graph)
             stats["head_cycle_free"] = is_head_cycle_free(formula, graph)
-        stats["vars"] = len(formula.variables())
+        stats["vars"] = len(graph.nodes)
         stats["clauses"] = len(formula.clauses)
         stats["tautologies_dropped"] = formula.parse_stats.tautologies_dropped
         for key, value in stats.items():
@@ -165,6 +165,8 @@ def main(argv=None) -> int:
     parser = build_arg_parser()
     try:
         args = parser.parse_args(argv)
+        if args.oracle_limit < 0:
+            parser.error(f"argument --oracle-limit: must be at least 0, got {args.oracle_limit}")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -136,8 +136,8 @@ class BranchPolicy:
 def _split_components(db: _Database, live: int, free: int, enabled: bool):
     """Group the ``live`` clauses by their ``free`` variables' connectivity.
 
-    Returns ``(clauses, variables)`` mask pairs ordered by smallest
-    variable, each found by a walk from its lowest clause.  With
+    Returns ``(clauses, variables)`` mask pairs in the order of their
+    lowest clauses, each found by a walk from that clause.  With
     decomposition disabled everything lands in a single group.
     """
     if not enabled:
@@ -164,7 +164,6 @@ def _split_components(db: _Database, live: int, free: int, enabled: bool):
                     free ^= new_vars
                     todo |= new_vars
         components.append((start_live ^ live, start_free ^ free))
-    components.sort(key=lambda component: component[1] & -component[1])
     return components
 
 
@@ -292,6 +291,15 @@ def _run(db: _Database, *, policy, use_decomposition, stats):
     return values[0]
 
 
+def _database(pair: PairState) -> _Database:
+    """The clause database of a pair; its variable ranges bound the ids."""
+    sides = (pair.search, pair.justification)
+    return _Database(pair.search.clauses, pair.justification.clauses,
+                     orig_limit=pair.search.num_original_vars,
+                     copy_lo=pair.copy_map.first_copy_id,
+                     top=max(vr.hi for side in sides for vr in side.var_ranges))
+
+
 def count_pair(pair: PairState, *, policy: BranchPolicy | None = None,
                use_decomposition: bool = True,
                stats: CountStats | None = None) -> CountResult:
@@ -301,7 +309,7 @@ def count_pair(pair: PairState, *, policy: BranchPolicy | None = None,
     given, accumulates the run's counters.
     """
     stats = stats if stats is not None else CountStats()
-    count = _run(_Database.of(pair), policy=policy or BranchPolicy(),
+    count = _run(_database(pair), policy=policy or BranchPolicy(),
                  use_decomposition=use_decomposition, stats=stats)
     return CountResult(count, stats)
 
@@ -358,16 +366,7 @@ def copied_variables(formula: CnfFormula, graph: DepGraph, force_mode: str | Non
         return formula.variables()
     if force_mode == MODE_ACYCLIC:
         return set()
-    cyclic = {var for scc in graph.sccs.components if len(scc) > 1 for var in scc}
-    cyclic.update(a for a, b in graph.arcs if a == b)
-    return cyclic
-
-
-def _count_part(formula, copied, stats, **options) -> int:
-    stats.parts += 1
-    stats.copy_vars += len(copied)
-    stats.general_parts += bool(copied)
-    return count_pair(build_pair(formula, copied), stats=stats, **options).count
+    return graph.cyclic
 
 
 def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
@@ -401,13 +400,19 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
         mode=mode, acyclic=acyclic, head_cycle_free=is_head_cycle_free(formula, graph)
     )
     copied = copied_variables(formula, graph, force_mode)
-    options = {"policy": policy, "use_decomposition": use_decomposition}
     # Each part is renumbered, so each gets its own run and cache.
     parts = _input_parts(formula.clauses, use_decomposition)
+    stats.parts = len(parts)
     if len(parts) > 1:
         stats.components += len(parts)
     count = 1
     for variables, part in parts:
         part_copied = [new for new, var in enumerate(variables, 1) if var in copied]
-        count *= _count_part(CnfFormula(part, len(variables)), part_copied, stats, **options)
+        stats.copy_vars += len(part_copied)
+        stats.general_parts += bool(part_copied)
+        # The pair stays a temporary: a name bound to it would keep the
+        # previous part's pair alive while the next one is built.
+        count *= count_pair(build_pair(CnfFormula(part, len(variables)), part_copied),
+                            policy=policy, use_decomposition=use_decomposition,
+                            stats=stats).count
     return CountResult(count, stats)

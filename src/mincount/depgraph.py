@@ -24,6 +24,14 @@ class DepGraph:
         """The strongly connected components, computed on first use."""
         return strongly_connected_components(self)
 
+    @cached_property
+    def cyclic(self) -> frozenset[int]:
+        """The variables on a cycle: in a non-trivial SCC or on a self-arc."""
+        return frozenset(
+            [var for component in self.sccs.components if len(component) > 1 for var in component]
+            + [a for a, b in self.arcs if a == b]
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class SccDecomposition:
@@ -31,9 +39,6 @@ class SccDecomposition:
 
     components: tuple[tuple[int, ...], ...]
     component_of: dict
-
-    def __len__(self) -> int:
-        return len(self.components)
 
 
 def build_dependency_graph(formula: CnfFormula) -> DepGraph:
@@ -66,44 +71,42 @@ def strongly_connected_components(graph: DepGraph) -> SccDecomposition:
     on_stack: set[int] = set()
     stack: list[int] = []
     components: list[tuple[int, ...]] = []
-    counter = 0
 
     for root in sorted(graph.nodes):
         if root in index:
             continue
-        work = [(root, 0)]
+        # A work entry is a node on the DFS path and the iterator over its
+        # successors, resumed when the DFS returns to it.  A node's index
+        # is ``len(index)``, read before the node is stored.
+        index[root] = lowlink[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(adjacency[root]))]
         while work:
-            node, child_pos = work.pop()
-            if child_pos == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            descended = False
-            children = adjacency[node]
-            for pos in range(child_pos, len(children)):
-                child = children[pos]
+            node, children = work[-1]
+            for child in children:
                 if child not in index:
-                    work.append((node, pos + 1))
-                    work.append((child, 0))
-                    descended = True
+                    index[child] = lowlink[child] = len(index)
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(adjacency[child])))
                     break
                 if child in on_stack:
                     lowlink[node] = min(lowlink[node], index[child])
-            if descended:
-                continue
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(tuple(sorted(component)))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
+            else:
+                work.pop()
+                if lowlink[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(tuple(sorted(component)))
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
 
     # Tarjan emits components in reverse topological order.
     components.reverse()
@@ -119,9 +122,7 @@ def strongly_connected_components(graph: DepGraph) -> SccDecomposition:
 
 def is_acyclic(graph: DepGraph) -> bool:
     """True iff the graph has no directed cycle."""
-    if any(a == b for a, b in graph.arcs):
-        return False
-    return all(len(component) == 1 for component in graph.sccs.components)
+    return not graph.cyclic
 
 
 def is_head_cycle_free(formula: CnfFormula, graph: DepGraph) -> bool:
@@ -130,18 +131,13 @@ def is_head_cycle_free(formula: CnfFormula, graph: DepGraph) -> bool:
     Two distinct variables lie on a common cycle exactly when they share
     a strongly connected component.
     """
-    component_of = graph.sccs.component_of
-    cyclic = {
-        pos for pos, component in enumerate(graph.sccs.components) if len(component) > 1
-    }
+    component_of, cyclic = graph.sccs.component_of, graph.cyclic
     for clause in formula.clauses:
         seen: dict[int, int] = {}
         for lit in clause:
-            if lit <= 0:
+            if lit not in cyclic:  # it holds no negative literal
                 continue
             component = component_of[lit]
-            if component not in cyclic:
-                continue
             if component in seen and seen[component] != lit:
                 return False
             seen[component] = lit

@@ -85,11 +85,10 @@ class CnfFormula:
         raise ValueError(f"variable {var} not in any declared range")
 
 
-def parse_dimacs(source) -> CnfFormula:
+def parse_dimacs(source: str) -> CnfFormula:
     """Parse DIMACS CNF text into a :class:`CnfFormula`.
 
-    ``source`` may be a string or an iterable of lines.  Comment lines
-    starting with ``c`` are ignored, except ``c vr <kind> <lo> <hi>``
+    Comment lines starting with ``c`` are ignored, except ``c vr <kind> <lo> <hi>``
     (kind one of orig/aux/copy) which restores variable-range metadata
     written by :func:`write_dimacs`; an inverted range, one that overlaps
     an earlier range, a second ``orig`` range, or ranges that leave a
@@ -98,11 +97,6 @@ def parse_dimacs(source) -> CnfFormula:
     clauses are removed; both events are counted in the formula's parse
     stats.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in source]
-
     header: tuple[int, int] | None = None
     ranges: list[VarRange] = []
     range_lines: list[int] = []
@@ -128,7 +122,7 @@ def parse_dimacs(source) -> CnfFormula:
             return
         clauses.append(tuple(deduped))
 
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(source.splitlines(), start=1):
         last_line = line_no
         line = raw.strip()
         if not line:

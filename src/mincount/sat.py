@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formula import CnfFormula, evaluate
-from .transform import PairState
 
 _CONFLICT = object()
 
@@ -82,15 +81,6 @@ class _Database:
         self.units = [clause[0] for index, clause in enumerate(clauses) if len(clause) == 1
                       and (index < num_search or abs(clause[0]) >= copy_lo)]
         self.empty = () in search
-
-    @classmethod
-    def of(cls, pair: PairState) -> _Database:
-        """The database of a pair; its variable ranges bound the ids."""
-        sides = (pair.search, pair.justification)
-        return cls(pair.search.clauses, pair.justification.clauses,
-                   orig_limit=pair.search.num_original_vars,
-                   copy_lo=pair.copy_map.first_copy_id,
-                   top=max(vr.hi for side in sides for vr in side.var_ranges))
 
     def occurring(self, clauses: int) -> int:
         """The mask of the variables the given clauses hold."""

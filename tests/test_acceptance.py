@@ -28,7 +28,7 @@ from mincount import (
     copy_formula,
     with_forced_clauses,
 )
-from mincount.counting import _Database, _bcp, _justification_base
+from mincount.counting import _bcp, _database, _justification_base
 
 from conftest import EX1_TEXT, EX2_TEXT, random_acyclic_formula, random_formula
 
@@ -91,7 +91,7 @@ def test_criterion_2_implication_cycle_reproduction():
     strengthened_count = len(enumerate_models(with_forced_clauses(f)))
     minimal_count = count_minimal(f).count
 
-    db = _Database.of(pair)
+    db = _database(pair)
 
     def base_case(assign):
         # Condition the justification side, the search side counting as
@@ -155,7 +155,7 @@ def test_criterion_5_minimality_test_agreement(suite3):
     disagreements = 0
     for f in suite3:
         models = enumerate_models(f)
-        minimal = set(minimal_models_pairwise(models).models)
+        minimal = set(minimal_models_pairwise(models))
         for m in models:
             sat_based = check_minimal(f, m)
             if sat_based != (m in minimal):

@@ -139,6 +139,16 @@ def test_brute_mode_respects_oracle_limit(ex1_path, capsys):
     assert code == EXIT_MODE
 
 
+@pytest.mark.parametrize("limit, expected", [
+    ("-5", (EXIT_USAGE, "", "error: argument --oracle-limit: must be at least 0, got -5\n")),
+    ("0", (EXIT_OK, "s mc 1\n", "")),
+])
+def test_oracle_limit_below_zero_is_a_usage_error(limit, expected, tmp_path, capsys):
+    path = tmp_path / "empty.cnf"
+    path.write_text("p cnf 0 0\n")
+    assert run_main(capsys, ["--mode", "brute", "--oracle-limit", limit, str(path)]) == expected
+
+
 def test_emit_pair_round_trips(ex2_path, tmp_path, capsys):
     outdir = tmp_path / "pair"
     code, out, _ = run_main(capsys, ["--emit-pair", str(outdir), ex2_path])

@@ -132,7 +132,7 @@ def _literals(queue):
 
 
 def _components(pair):
-    db = _Database.of(pair)
+    db = counting._database(pair)
     return db, _split_components(db, db.all, db.variables, True)
 
 
@@ -167,7 +167,7 @@ class TestPropagation:
         compared = 0
         for _ in range(80):
             f = random_formula(rng, max_clauses=25, min_len=2)
-            db = _Database.of(build_pair(f))
+            db = counting._database(build_pair(f))
             root = _bcp(db, 0, 0, list(db.units))
             if root is _CONFLICT:
                 continue
@@ -212,7 +212,7 @@ class TestPropagation:
     def test_fixpoint_of_the_pair(self, f):
         pair = build_pair(f)
         copy_lo = pair.copy_map.first_copy_id
-        db = _Database.of(pair)
+        db = counting._database(pair)
         queue = list(db.units)
         result = _bcp(db, 0, 0, queue)
         assign = _literals(queue)
@@ -241,7 +241,7 @@ def _base_case(pair, assign, stats=None):
     # The base case runs on the justification side at a unit fixpoint:
     # the search side counts as satisfied.
     stats = stats or CountStats()
-    db = _Database.of(pair)
+    db = counting._database(pair)
     queue = [var if value else -var for var, value in assign.items()]
     assigned, satisfied = _bcp(db, 0, db.search, queue)
     live = db.all & ~satisfied
@@ -275,9 +275,9 @@ class TestBaseCase:
             f = random_formula(rng, max_vars=7, max_clauses=14)
             pair = build_pair(f)
             no_justification = replace(pair.justification, clauses=())
-            search = _Database.of(replace(pair, justification=no_justification))
+            search = counting._database(replace(pair, justification=no_justification))
             models = enumerate_models(f)
-            minimal = set(minimal_models_pairwise(models).models)
+            minimal = set(minimal_models_pairwise(models))
             for m in models:
                 assign = {var: var in m for var in range(1, f.num_original_vars + 1)}
                 queue = [var if value else -var for var, value in assign.items()]

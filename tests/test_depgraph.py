@@ -11,6 +11,7 @@ from mincount import (
     to_dot,
     with_forced_clauses,
 )
+from mincount.counting import copied_variables
 
 from conftest import cnf_formulas
 
@@ -73,6 +74,32 @@ def test_scc_chain_order():
     f = parse_dimacs("p cnf 3 2\n-1 2 0\n-2 3 0\n")
     scc = strongly_connected_components(build_dependency_graph(f))
     assert scc.components == ((1,), (2,), (3,))
+
+
+def test_cycle_set_holds_self_arcs_and_cyclic_sccs():
+    # 1 is on a cycle through its self-arc alone, 2 and 3 through their
+    # SCC, and 4 on none.
+    f = CnfFormula(((1, -1), (-2, 3), (-3, 2), (-3, 4)), 4)
+    g = build_dependency_graph(f)
+    assert g.cyclic == {1, 2, 3}
+    assert not is_acyclic(g)
+    assert is_head_cycle_free(f, g)
+    assert copied_variables(f, g) == {1, 2, 3}
+
+
+DEEP = 20000
+
+
+def test_scc_of_a_deep_ring():
+    f = CnfFormula(tuple((-i, i % DEEP + 1) for i in range(1, DEEP + 1)), DEEP)
+    scc = strongly_connected_components(build_dependency_graph(f))
+    assert scc.components == (tuple(range(1, DEEP + 1)),)
+
+
+def test_scc_of_a_deep_chain():
+    f = CnfFormula(tuple((-i, i + 1) for i in range(1, DEEP)), DEEP)
+    scc = strongly_connected_components(build_dependency_graph(f))
+    assert scc.components == tuple((i,) for i in range(1, DEEP + 1))
 
 
 @given(cnf_formulas())

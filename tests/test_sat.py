@@ -108,6 +108,6 @@ class TestCheckMinimal:
         for _ in range(40):
             f = random_formula(rng, max_vars=8, max_clauses=20)
             models = enumerate_models(f)
-            minimal = set(minimal_models_pairwise(models).models)
+            minimal = set(minimal_models_pairwise(models))
             for m in models:
                 assert check_minimal(f, m) == (m in minimal)

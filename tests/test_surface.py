@@ -23,7 +23,26 @@ def test_every_exported_name_resolves_once():
 
 def test_at_most_forty_exported_names():
     # Tightened as the surface shrinks; the name keeps its first bound.
-    assert len(mincount.__all__) <= 38
+    assert len(mincount.__all__) <= 37
+
+
+def _sibling_imports(path):
+    """The package modules a module imports relatively."""
+    return {
+        node.module
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+
+
+def test_module_layering():
+    # The formula layer stands alone, the graph, the transform and the SAT
+    # kernel stand on it only, and the command line sits on top.
+    imports = {path.stem: _sibling_imports(path) for path in SOURCE.glob("*.py")}
+    assert imports["formula"] == set()
+    for name in ("depgraph", "transform", "sat"):
+        assert imports[name] <= {"formula"}, name
+    assert sorted(name for name, used in imports.items() if "cli" in used) == []
 
 
 # The module attributes the benchmark's span tracer replaces, kept here by
