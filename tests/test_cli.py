@@ -182,6 +182,59 @@ def test_emit_pair_copies_what_the_mode_counts(mode, copied, tmp_path, capsys):
     assert copies == {x + 6 for x in copied}
 
 
+# Variable 5 occurs only negatively and 6 not at all; the three-literal
+# clause gives auxiliary variables.
+AUX_TEXT = "p cnf 6 4\n1 2 3 0\n-1 2 0\n-2 1 4 0\n-5 -1 0\n"
+ACYCLIC_AUX_TEXT = "p cnf 4 2\n1 2 3 0\n-3 4 0\n"
+
+# (mode, input, forced.cnf, copy.cnf) as ``--emit-pair`` writes them.
+EMITTED_PAIRS = [
+    ("auto", EX2_TEXT, (
+        "c vr orig 1 3\np cnf 3 6\n-1 2 0\n-2 3 0\n-3 1 0\n-1 3 0\n-2 1 0\n"
+        "-3 2 0\n"
+    ), (
+        "c vr orig 1 3\nc vr copy 4 6\nc copy 1 4\nc copy 2 5\nc copy 3 6\n"
+        "p cnf 6 6\n-4 1 0\n-5 2 0\n-6 3 0\n-4 5 0\n-5 6 0\n-6 4 0\n"
+    )),
+    ("auto", AUX_TEXT, (
+        "c vr orig 1 6\nc vr aux 7 11\np cnf 11 25\n1 2 3 0\n-1 2 0\n-2 1 4 0\n"
+        "-5 -1 0\n-7 -2 0\n-7 -3 0\n7 2 3 0\n-8 2 0\n-8 -4 0\n8 -2 4 0\n"
+        "-1 7 8 0\n-9 -1 0\n-9 -3 0\n9 1 3 0\n-2 9 1 0\n-10 -1 0\n-10 -2 0\n"
+        "10 1 2 0\n-3 10 0\n-11 2 0\n-11 -1 0\n11 -2 1 0\n-4 11 0\n-5 0\n-6 0\n"
+    ), (
+        "c vr orig 1 6\nc vr copy 12 17\nc copy 1 12\nc copy 2 13\np cnf 17 5\n"
+        "-12 1 0\n-13 2 0\n12 13 3 0\n-12 13 0\n-13 12 4 0\n"
+    )),
+    ("general", AUX_TEXT, (
+        "c vr orig 1 6\nc vr aux 7 11\np cnf 11 25\n1 2 3 0\n-1 2 0\n-2 1 4 0\n"
+        "-5 -1 0\n-7 -2 0\n-7 -3 0\n7 2 3 0\n-8 2 0\n-8 -4 0\n8 -2 4 0\n"
+        "-1 7 8 0\n-9 -1 0\n-9 -3 0\n9 1 3 0\n-2 9 1 0\n-10 -1 0\n-10 -2 0\n"
+        "10 1 2 0\n-3 10 0\n-11 2 0\n-11 -1 0\n11 -2 1 0\n-4 11 0\n-5 0\n-6 0\n"
+    ), (
+        "c vr orig 1 6\nc vr copy 12 17\nc copy 1 12\nc copy 2 13\n"
+        "c copy 3 14\nc copy 4 15\nc copy 5 16\np cnf 17 9\n-12 1 0\n-13 2 0\n"
+        "-14 3 0\n-15 4 0\n-16 5 0\n12 13 14 0\n-12 13 0\n-13 12 15 0\n-5 0\n"
+    )),
+    ("acyclic", ACYCLIC_AUX_TEXT, (
+        "c vr orig 1 4\nc vr aux 5 7\np cnf 7 15\n1 2 3 0\n-3 4 0\n-5 -2 0\n"
+        "-5 -3 0\n5 2 3 0\n-1 5 0\n-6 -1 0\n-6 -3 0\n6 1 3 0\n-2 6 0\n-7 -1 0\n"
+        "-7 -2 0\n7 1 2 0\n-3 7 0\n-4 3 0\n"
+    ), (
+        "c vr orig 1 4\nc vr copy 8 11\np cnf 11 0\n"
+    )),
+]
+
+
+@pytest.mark.parametrize("mode, text, forced, copy", EMITTED_PAIRS)
+def test_emit_pair_bytes_are_pinned(mode, text, forced, copy, tmp_path, capsys):
+    path = tmp_path / "in.cnf"
+    path.write_text(text)
+    outdir = tmp_path / "pair"
+    assert run_main(capsys, ["--mode", mode, "--emit-pair", str(outdir), str(path)])[0] == EXIT_OK
+    assert (outdir / "forced.cnf").read_bytes() == forced.encode()
+    assert (outdir / "copy.cnf").read_bytes() == copy.encode()
+
+
 def test_emit_pair_acyclic_mode_has_no_copies(ex1_path, tmp_path, capsys):
     outdir = tmp_path / "pair"
     code, out, _ = run_main(capsys, ["--mode", "acyclic", "--emit-pair", str(outdir), ex1_path])
