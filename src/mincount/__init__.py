@@ -39,13 +39,7 @@ from .formula import (
     write_dimacs,
 )
 from .sat import check_minimal, solve
-from .transform import (
-    CopyVarMap,
-    PairState,
-    build_pair,
-    copy_formula,
-    with_forced_clauses,
-)
+from .transform import build_pair
 
 __version__ = "0.1.0"
 
@@ -54,7 +48,6 @@ __all__ = [
     "BranchPolicy",
     "CnfFormula",
     "COPY",
-    "CopyVarMap",
     "CountResult",
     "CountStats",
     "DEFAULT_VAR_LIMIT",
@@ -65,14 +58,12 @@ __all__ = [
     "MODE_GENERAL",
     "ORIG",
     "OracleDisagreementError",
-    "PairState",
     "ParseError",
     "VarRange",
     "VariableLimitError",
     "build_dependency_graph",
     "build_pair",
     "check_minimal",
-    "copy_formula",
     "count_minimal",
     "count_minimal_brute",
     "count_pair",
@@ -85,6 +76,5 @@ __all__ = [
     "solve",
     "strongly_connected_components",
     "to_dot",
-    "with_forced_clauses",
     "write_dimacs",
 ]

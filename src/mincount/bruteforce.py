@@ -29,8 +29,10 @@ def enumerate_models(formula: CnfFormula,
 
     Enumeration order is binary counting over the sorted variable ids,
     all-false first.  Refuses formulas with more than ``limit`` occurring
-    variables.
+    variables; a negative ``limit`` is a ``ValueError``.
     """
+    if limit < 0:
+        raise ValueError(f"the enumeration limit must be at least 0, got {limit}")
     variables = sorted(formula.variables())
     if len(variables) > limit:
         raise VariableLimitError(

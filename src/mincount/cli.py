@@ -85,6 +85,10 @@ def run(config: RunConfig, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
 
+    if config.oracle_limit < 0:
+        print(f"error: argument --oracle-limit: must be at least 0, got {config.oracle_limit}",
+              file=err)
+        return EXIT_USAGE
     try:
         if config.input_path == "-":
             text = sys.stdin.read()
@@ -113,7 +117,8 @@ def run(config: RunConfig, out=None, err=None) -> int:
                 handle.write(to_dot(graph))
         if config.emit_pair:
             copied = copied_variables(formula, graph, force)
-            write_pair_files(build_pair(formula, copied), config.emit_pair)
+            write_pair_files(build_pair(formula.clauses, formula.num_original_vars, copied),
+                             config.emit_pair)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=err)
         return EXIT_USAGE
@@ -165,8 +170,6 @@ def main(argv=None) -> int:
     parser = build_arg_parser()
     try:
         args = parser.parse_args(argv)
-        if args.oracle_limit < 0:
-            parser.error(f"argument --oracle-limit: must be at least 0, got {args.oracle_limit}")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,13 +5,15 @@ decomposition, branching on a decision variable, and a base case.  Only
 the variables on a cycle of the dependency graph get a copy variable on
 the justification side; an acyclic input gets none, and its pair is the
 input strengthened with its forced implications.  Once the search side
-is empty, a justification residual that is empty too counts one; any
-other runs a SAT-backed justification check over the live copy
-variables.  Originals left unassigned there default to false, the
-minimal choice, and auxiliary variables, being functionally determined,
-contribute nothing.
+is empty, a justification residual that is empty too counts one, one
+whose clauses all hold a negative literal counts zero, and any other
+runs a SAT-backed justification check over the live copy variables.
+Originals left unassigned there default to false, the minimal choice,
+and auxiliary variables, being functionally determined, contribute
+nothing.
 
-A run indexes its pair once, in the clause database of ``sat``, whose
+A run indexes its pair, ``build_pair``'s two clause lists and three id
+bounds, once and as it is, in the clause database of ``sat``, whose
 sets of clauses and of variables are Python ints used as bit masks, and
 propagates with its ``_bcp``, the one unit propagator, which ``solve``
 shares.  A search node is four such ints: the assigned variables, the
@@ -29,7 +31,8 @@ because the database of a run is fixed.
 
 ``count_minimal`` splits its input into variable-disjoint parts before
 any transform and counts them one after another, each renumbered to its
-occurring variables and with its own run and its own copy variables.
+occurring variables by the grouping pass (a part already over ``1..k``
+as it is) and with its own run and its own copy variables.
 
 The recursion is realized with an explicit stack so that chain formulas
 cannot exhaust the interpreter's recursion limit.  Each counting run owns
@@ -44,7 +47,7 @@ from dataclasses import dataclass, fields
 from .depgraph import DepGraph, build_dependency_graph, is_acyclic, is_head_cycle_free
 from .formula import CnfFormula
 from .sat import _CONFLICT, _Database, _bcp, _ids, _renumber, solve
-from .transform import PairState, build_pair
+from .transform import build_pair
 
 MIN_ID = "min-id"
 MAX_OCCURRENCE = "max-occurrence"
@@ -67,7 +70,9 @@ class CountStats:
     counts the components and base cases the cache answered;
     ``cache_entries`` is its final size, summed over the input's parts.
     ``general_parts`` of the ``parts`` had at least one copy variable, and
-    ``copy_vars`` is the number of copy variables built.
+    ``copy_vars`` is the number of copy variables built.  ``sat_calls``
+    counts only the base cases that reach ``solve``: one whose residual
+    clauses all have a negative literal is answered without it.
     """
 
     decisions: int = 0
@@ -174,10 +179,12 @@ def _justification_base(db: _Database, assigned: int, satisfied: int,
     The search side has no clause left there.  The originals among the
     free variables default to false (the minimal choice) and their effect
     propagates through the copy implications.  No clause left then means
-    every true atom is already justified.  Otherwise one SAT call asks
+    every true atom is already justified.  Otherwise the question is
     whether the residual admits a model falsifying some live copy
     variable: if it does, some true atom lacks justification and the
-    branch contributes nothing.
+    branch contributes nothing.  When every residual clause has a negative
+    literal, setting every copy false is such a model; only the other
+    residuals take a SAT call.
     """
     queue = [-var for var in _ids(variables & db.below_copies)]
     seeded = len(queue)
@@ -200,6 +207,8 @@ def _justification_base(db: _Database, assigned: int, satisfied: int,
     live = sorted({abs(lit) for clause in residual for lit in clause})
     if live[0] < db.copy_lo:
         raise RuntimeError("non-copy variable alive at a justification base case")
+    if all(min(clause, default=0) < 0 for clause in residual):
+        return 0
     stats.sat_calls += 1
     residual.append(tuple(-var for var in live))
     return 0 if solve(residual).satisfiable else 1
@@ -291,25 +300,17 @@ def _run(db: _Database, *, policy, use_decomposition, stats):
     return values[0]
 
 
-def _database(pair: PairState) -> _Database:
-    """The clause database of a pair; its variable ranges bound the ids."""
-    sides = (pair.search, pair.justification)
-    return _Database(pair.search.clauses, pair.justification.clauses,
-                     orig_limit=pair.search.num_original_vars,
-                     copy_lo=pair.copy_map.first_copy_id,
-                     top=max(vr.hi for side in sides for vr in side.var_ranges))
-
-
-def count_pair(pair: PairState, *, policy: BranchPolicy | None = None,
+def count_pair(pair, *, policy: BranchPolicy | None = None,
                use_decomposition: bool = True,
                stats: CountStats | None = None) -> CountResult:
     """Count minimal models by recursing over the search/justification pair.
 
-    The recursion starts from the empty assignment; ``stats``, when
-    given, accumulates the run's counters.
+    ``pair`` is what ``build_pair`` returns.  The recursion starts from
+    the empty assignment; ``stats``, when given, accumulates the run's
+    counters.
     """
     stats = stats if stats is not None else CountStats()
-    count = _run(_database(pair), policy=policy or BranchPolicy(),
+    count = _run(_Database(*pair), policy=policy or BranchPolicy(),
                  use_decomposition=use_decomposition, stats=stats)
     return CountResult(count, stats)
 
@@ -319,7 +320,8 @@ def _input_parts(clauses, split):
 
     ``variables`` holds the part's input ids in increasing order, and
     ``clauses`` its clauses in input order with ``variables[i - 1]``
-    renumbered to ``i``.  Unless ``split``, all clauses form one part;
+    renumbered to ``i``; a part whose ids are already ``1..k`` keeps its
+    clauses as they are.  Unless ``split``, all clauses form one part;
     otherwise an empty clause is a part of its own.  No clause, no part.
     """
     if not split:
@@ -347,9 +349,14 @@ def _input_parts(clauses, split):
                 group.extend(other)
     grouped = {}
     for clause in clauses:
-        key = id(group_of[abs(clause[0])]) if clause else None
-        grouped.setdefault(key, []).append(clause)
-    return [_renumber(part) for part in grouped.values()]
+        group = group_of[abs(clause[0])] if clause else None
+        part = grouped.get(id(group))
+        if part is None:
+            part = grouped[id(group)] = (sorted(group or ()), [])
+        part[1].append(clause)
+    # A connected input is its one part, as it is.
+    return [_renumber(part if len(grouped) > 1 else clauses, variables)
+            for variables, part in grouped.values()]
 
 
 def copied_variables(formula: CnfFormula, graph: DepGraph, force_mode: str | None = None):
@@ -412,7 +419,7 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
         stats.general_parts += bool(part_copied)
         # The pair stays a temporary: a name bound to it would keep the
         # previous part's pair alive while the next one is built.
-        count *= count_pair(build_pair(CnfFormula(part, len(variables)), part_copied),
+        count *= count_pair(build_pair(part, len(variables), part_copied),
                             policy=policy, use_decomposition=use_decomposition,
                             stats=stats).count
     return CountResult(count, stats)

@@ -54,7 +54,7 @@ class _Database:
     variables.
     """
 
-    def __init__(self, search, justification, *, orig_limit, copy_lo, top):
+    def __init__(self, search, justification, orig_limit, copy_lo, top):
         self.num_search = num_search = len(search)
         self.search = (1 << num_search) - 1
         self.all = (1 << (num_search + len(justification))) - 1
@@ -65,7 +65,7 @@ class _Database:
         var_bits = [1 << var for var in range(top + 1)]
         var_bits += var_bits[:0:-1]  # indexed by literal too
         self.clause_vars = clause_vars = []
-        clauses, repeats = list(search) + list(justification), 0
+        clauses, repeats = [*search, *justification], 0
         for index, clause in enumerate(clauses):
             bit, variables = 1 << index, 0
             for lit in clause:
@@ -148,10 +148,15 @@ def _bcp(db: _Database, assigned: int, satisfied: int, queue: list):
     return db.variables ^ free, satisfied
 
 
-def _renumber(clauses):
+def _renumber(clauses, variables=None):
     """The occurring variables in increasing order, and ``clauses`` with
-    ``variables[i - 1]`` renumbered to ``i``."""
-    variables = sorted({abs(lit) for clause in clauses for lit in clause})
+    ``variables[i - 1]`` renumbered to ``i``: ``clauses`` itself when they
+    are already ``1..k``.  ``variables``, when given, are the occurring
+    ones in increasing order."""
+    if variables is None:
+        variables = sorted({abs(lit) for clause in clauses for lit in clause})
+    if not variables or variables[-1] == len(variables):
+        return variables, clauses
     number = {var: new for new, var in enumerate(variables, 1)}
     number.update({-var: -new for var, new in number.items()})
     renumbered = tuple(tuple(map(number.__getitem__, clause)) for clause in clauses)
@@ -167,7 +172,7 @@ def solve(clauses) -> SatResult:
     # Renumbered, so that sparse ids do not widen the masks.
     variables, renumbered = _renumber(clauses)
     top = len(variables)
-    db = _Database(renumbered, (), orig_limit=top, copy_lo=top + 1, top=top)
+    db = _Database(renumbered, (), top, top + 1, top)
     if db.empty:
         return SatResult(False)
     # Depth first: a task is a node's masks, its true literals so far and

@@ -6,84 +6,75 @@ variables and implications that let a SAT check detect true atoms whose
 truth is not justified.  As every true atom is forced, only the variables
 on a cycle of the dependency graph need a copy; the full pair copies
 every variable.
+
+A pair is plain data: ``(search, justification, orig_limit, copy_lo,
+top)``, two clause lists and three bounds.  The originals are ``1..
+orig_limit``, the auxiliary variables of the search side follow up to
+``copy_lo - 1``, and the copy of original ``x`` is ``x + copy_lo - 1``,
+at most ``top``.  The id of a variable that gets no copy stays unused.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .formula import AUX, COPY, ORIG, CnfFormula, VarRange, write_dimacs
 
 
-@dataclass(frozen=True)
-class CopyVarMap:
-    """Bijection between original variables and their copy variables.
+def build_pair(clauses, num_vars: int, copied):
+    """The search/justification pair of the clauses over ``1..num_vars``.
 
-    Copy ids occupy the contiguous block right above ``offset``, which is
-    chosen past the auxiliary range so the three ranges stay disjoint.
-    The id of a variable that gets no copy stays unused.
-    """
+    One walk over the clauses collects, per variable x, the co-literal
+    sets of the clauses holding x positively (a clause's other literals),
+    and the clauses that need a justification image.
 
-    offset: int
-    num_original_vars: int
-
-    def copy_of(self, var: int) -> int:
-        return var + self.offset
-
-    def original_of(self, copy_var: int) -> int:
-        return copy_var - self.offset
-
-    def is_copy(self, var: int) -> bool:
-        return self.offset < var <= self.offset + self.num_original_vars
-
-    @property
-    def first_copy_id(self) -> int:
-        return self.offset + 1
-
-
-@dataclass
-class PairState:
-    """The two formulas the counting recursion walks.
-
-    ``search`` holds the input clauses strengthened with the forced
-    implications (original + auxiliary variables); ``justification``
-    holds the copy implications (original + copy variables).  The
-    recursion starts from the empty assignment.
-    """
-
-    search: CnfFormula
-    justification: CnfFormula
-    copy_map: CopyVarMap
-
-
-def with_forced_clauses(formula: CnfFormula) -> CnfFormula:
-    """The input formula conjoined with the CNF of its forced implications.
-
-    Each implication says: if x is true, some clause containing x
-    positively has all its other literals false.  Those other literals
-    form the clause's co-literal set for x.  Co-literal sets of size one
-    are inlined as single negated literals; larger sets get a fresh
-    auxiliary variable, numbered upward from n + 1, defined by a full
+    The search side is the input followed by the CNF of the forced
+    implications: if x is true, some clause holding x positively has all
+    its other literals false.  Co-literal sets of size one are inlined as
+    single negated literals; larger sets get a fresh auxiliary variable,
+    numbered upward from ``num_vars + 1``, defined by a full
     biconditional, so auxiliary values are functionally determined and
     the model count over original variables is unchanged.  A variable
-    that can never be forced gets the unit clause requiring it false; a
-    variable forced by a unit clause of the input yields no implication
+    that never occurs positively gets the unit clause requiring it false;
+    a variable forced by a unit clause of the input yields no implication
     at all.
+
+    Only the variables in ``copied`` get a copy on the justification
+    side; any other variable stands for itself.  Three clause groups: one
+    implication copy(x) -> x per copied variable; per input clause with a
+    positive literal and a copied variable, the clause's image, each
+    copied variable replaced by its copy; and a unit requiring x false
+    for every copied variable that never occurs positively.  The other
+    clauses produce no image: one without a positive literal holds in
+    every subset of a model, and one without a copied variable is already
+    on the search side.  With no copied variable the justification side
+    is empty.
     """
-    n = formula.num_original_vars
-    forcing = {x: [] for x in range(1, n + 1)}
-    for clause in formula.clauses:
-        for lit in clause:
+    n = num_vars
+    is_copied = [False] * (n + 1)
+    for var in copied:
+        is_copied[var] = True
+    forcing = [[] for _ in range(n + 1)]
+    imaged = []
+    for clause in clauses:
+        positive = False
+        for i, lit in enumerate(clause):
             if lit > 0:
-                forcing[lit].append(tuple(other for other in clause if other != lit))
-    clauses = list(formula.clauses)
+                positive = True
+                co = clause[:i] + clause[i + 1:]
+                if lit in co:  # a repeated literal
+                    co = tuple([other for other in co if other != lit])
+                forcing[lit].append(co)
+        if positive and copied and any([is_copied[abs(lit)] for lit in clause]):
+            imaged.append(clause)
+    search = list(clauses)
     next_id = n + 1
-    for x, co_sets in forcing.items():
+    for x in range(1, n + 1):
+        co_sets = forcing[x]
         if not co_sets:
-            clauses.append((-x,))
+            search.append((-x,))
             continue
-        if any(len(co) == 0 for co in co_sets):
+        if () in co_sets:
             # x occurs as a unit clause; flipping it always falsifies that
             # clause, so the implication is vacuously true.
             continue
@@ -95,79 +86,45 @@ def with_forced_clauses(formula: CnfFormula) -> CnfFormula:
             else:
                 aux = next_id
                 next_id += 1
-                for lit in co:
-                    clauses.append((-aux, -lit))
-                clauses.append((aux,) + co)
+                search.extend([(-aux, -lit) for lit in co])
+                search.append((aux,) + co)
                 implication.append(aux)
-        clauses.append(tuple(implication))
-    ranges = [VarRange(ORIG, 1, n)]
-    if next_id > n + 1:
-        ranges.append(VarRange(AUX, n + 1, next_id - 1))
-    return CnfFormula(tuple(clauses), n, tuple(ranges))
+        search.append(tuple(implication))
+    # The copies sit above the auxiliary variables, so the images of the
+    # clauses the walk kept wait until those are numbered.
+    offset = next_id - 1
+    copies = sorted(copied)
+    justification = [(-(x + offset), x) for x in copies]
+    for clause in imaged:
+        justification.append(tuple(
+            [lit - offset if is_copied[-lit] else lit for lit in clause if lit < 0]
+            + [lit + offset if is_copied[lit] else lit for lit in clause if lit > 0]
+        ))
+    justification.extend([(-x,) for x in copies if not forcing[x]])
+    return search, justification, n, next_id, offset + n
 
 
-def copy_formula(formula: CnfFormula, copy_map: CopyVarMap, copied=None) -> CnfFormula:
-    """Copy-variable implications used for justification checking.
-
-    Only the variables in ``copied`` (default: every occurring variable)
-    get a copy; any other variable stands for itself.  Three clause
-    groups: one implication copy(x) -> x per copied variable; per input
-    clause with a positive literal and a copied variable, the clause's
-    image, each copied variable replaced by its copy; and a unit
-    requiring x false for every copied variable that never occurs
-    positively.  The other clauses produce no image: one without a
-    positive literal holds in every subset of a model, and one without a
-    copied variable is already on the search side.
-    """
-    copy_of = {
-        x: copy_map.copy_of(x)
-        for x in sorted(formula.variables() if copied is None else copied)
-    }
-    positive = {lit for clause in formula.clauses for lit in clause if lit > 0}
-    clauses: list[tuple[int, ...]] = [(-copy, x) for x, copy in copy_of.items()]
-    for clause in formula.clauses:
-        positives = [copy_of.get(lit, lit) for lit in clause if lit > 0]
-        if positives and any(abs(lit) in copy_of for lit in clause):
-            clauses.append(
-                tuple([-copy_of.get(-lit, -lit) for lit in clause if lit < 0] + positives)
-            )
-    clauses.extend((-x,) for x in copy_of if x not in positive)
-    ranges = (
-        VarRange(ORIG, 1, formula.num_original_vars),
-        VarRange(COPY, copy_map.first_copy_id, copy_map.offset + copy_map.num_original_vars),
-    )
-    return CnfFormula(tuple(clauses), formula.num_original_vars, ranges)
-
-
-def build_pair(formula: CnfFormula, copied=None) -> PairState:
-    """Assemble the search/justification pair for an input formula.
-
-    ``copied`` names the variables that get a copy (default: every one that
-    occurs); with none the justification side is empty.
-    """
-    search = with_forced_clauses(formula)
-    offset = max(vr.hi for vr in search.var_ranges)
-    copy_map = CopyVarMap(offset=offset, num_original_vars=formula.num_original_vars)
-    return PairState(search, copy_formula(formula, copy_map, copied), copy_map)
-
-
-def write_pair_files(pair: PairState, directory: str) -> tuple[str, str]:
+def write_pair_files(pair, directory: str) -> tuple[str, str]:
     """Write the pair as DIMACS files ``forced.cnf`` and ``copy.cnf``.
 
     Both files carry ``c vr`` range comments; the copy file additionally
     records one ``c copy <orig> <copy>`` comment per copied variable.
     """
+    search, justification, n, copy_lo, top = pair
+    offset = copy_lo - 1
+    search_ranges = [VarRange(ORIG, 1, n)]
+    if copy_lo > n + 1:
+        search_ranges.append(VarRange(AUX, n + 1, offset))
+    copy_ranges = (VarRange(ORIG, 1, n), VarRange(COPY, copy_lo, top))
+    # Each copy occurs negated in its implication copy(x) -> x.
+    copies = sorted({-lit for clause in justification for lit in clause if -lit >= copy_lo})
     os.makedirs(directory, exist_ok=True)
     search_path = os.path.join(directory, "forced.cnf")
     copy_path = os.path.join(directory, "copy.cnf")
     with open(search_path, "w") as handle:
-        handle.write(write_dimacs(pair.search))
-    copy_map = pair.copy_map
-    copy_comments = [
-        f"c copy {copy_map.original_of(var)} {var}"
-        for var in sorted(pair.justification.variables())
-        if copy_map.is_copy(var)
-    ]
+        handle.write(write_dimacs(CnfFormula(tuple(search), n, tuple(search_ranges))))
     with open(copy_path, "w") as handle:
-        handle.write(write_dimacs(pair.justification, extra_comments=copy_comments))
+        handle.write(write_dimacs(CnfFormula(tuple(justification), n, copy_ranges),
+                                  extra_comments=[f"c copy {var - offset} {var}"
+                                                  for var in copies]))
     return search_path, copy_path

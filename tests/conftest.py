@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from mincount import CnfFormula, build_dependency_graph, is_acyclic, parse_dimacs
+from mincount import CnfFormula, build_dependency_graph, build_pair, is_acyclic, parse_dimacs
 
 # Three-variable fixtures used throughout: a positive 3-cycle of clauses
 # and an implication 3-cycle, with a, b, c mapped to 1, 2, 3.
@@ -19,6 +19,20 @@ def ex1():
 @pytest.fixture
 def ex2():
     return parse_dimacs(EX2_TEXT)
+
+
+def pair_of(formula, copied=None):
+    """``build_pair`` of a formula, copying ``copied`` (default: every
+    occurring variable)."""
+    return build_pair(formula.clauses, formula.num_original_vars,
+                      formula.variables() if copied is None else copied)
+
+
+def strengthened(formula):
+    """The search side of a formula: the input strengthened with its forced
+    implications, over the original and auxiliary variables."""
+    search, _, _, copy_lo, _ = pair_of(formula, ())
+    return CnfFormula(tuple(search), copy_lo - 1)
 
 
 def random_formula(rng: random.Random, min_vars=4, max_vars=12, min_clauses=4,

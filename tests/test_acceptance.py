@@ -16,7 +16,6 @@ from mincount import (
     CountStats,
     MIN_ID,
     build_dependency_graph,
-    build_pair,
     check_minimal,
     count_minimal,
     count_minimal_brute,
@@ -25,12 +24,17 @@ from mincount import (
     is_acyclic,
     minimal_models_pairwise,
     parse_dimacs,
-    copy_formula,
-    with_forced_clauses,
 )
-from mincount.counting import _bcp, _database, _justification_base
+from mincount.counting import _Database, _bcp, _justification_base
 
-from conftest import EX1_TEXT, EX2_TEXT, random_acyclic_formula, random_formula
+from conftest import (
+    EX1_TEXT,
+    EX2_TEXT,
+    pair_of,
+    random_acyclic_formula,
+    random_formula,
+    strengthened,
+)
 
 SUITE3_SIZE = 1000
 SUITE4_SIZE = 300
@@ -52,7 +56,7 @@ def test_criterion_1_positive_cycle_reproduction():
     started = time.perf_counter()
     f = parse_dimacs(EX1_TEXT)
     model_count = len(enumerate_models(f))
-    strengthened_count = len(enumerate_models(with_forced_clauses(f)))
+    strengthened_count = len(enumerate_models(strengthened(f)))
     minimal_count = count_minimal(f).count
     acyclic = is_acyclic(build_dependency_graph(f))
     elapsed = time.perf_counter() - started
@@ -76,22 +80,22 @@ def test_criterion_2_implication_cycle_reproduction():
     graph = build_dependency_graph(f)
     arcs_ok = graph.arcs == frozenset({(1, 2), (2, 3), (3, 1)}) and not is_acyclic(graph)
 
-    forced = with_forced_clauses(f).clauses[len(f.clauses):]
+    pair = pair_of(f)
+    search, copies = pair[:2]
+    forced = search[len(f.clauses):]
     forced_ok = {frozenset(c) for c in forced} == {
         frozenset({-1, 3}), frozenset({-2, 1}), frozenset({-3, 2})
     }
 
-    pair = build_pair(f)
-    copies = copy_formula(f, pair.copy_map)
-    copy_ok = {frozenset(c) for c in copies.clauses} == {
+    copy_ok = {frozenset(c) for c in copies} == {
         frozenset({-4, 1}), frozenset({-5, 2}), frozenset({-6, 3}),
         frozenset({-4, 5}), frozenset({-5, 6}), frozenset({-6, 4}),
     }
 
-    strengthened_count = len(enumerate_models(with_forced_clauses(f)))
+    strengthened_count = len(enumerate_models(strengthened(f)))
     minimal_count = count_minimal(f).count
 
-    db = _database(pair)
+    db = _Database(*pair)
 
     def base_case(assign):
         # Condition the justification side, the search side counting as
@@ -143,7 +147,7 @@ def test_criterion_4_acyclic_strengthening_counts_minimal_models():
     for _ in range(SUITE4_SIZE):
         f = random_acyclic_formula(rng)
         assert is_acyclic(build_dependency_graph(f))
-        got = count_pair(build_pair(f, ())).count  # the strengthened model count
+        got = count_pair(pair_of(f, ())).count  # the strengthened model count
         want = count_minimal_brute(f).count
         if got != want:
             mismatches += 1

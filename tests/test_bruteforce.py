@@ -34,6 +34,12 @@ class TestEnumerateModels:
     def test_enumeration_order_is_binary_counting(self, ex2):
         assert enumerate_models(ex2) == (frozenset(), frozenset({1, 2, 3}))
 
+    @pytest.mark.parametrize("entry", [enumerate_models, count_minimal_brute])
+    def test_negative_limit_is_a_plain_value_error(self, entry):
+        with pytest.raises(ValueError, match="at least 0, got -5") as raised:
+            entry(parse_dimacs("p cnf 0 0\n"), limit=-5)
+        assert type(raised.value) is ValueError
+
     def test_limit_refusal_names_the_limit(self, ex1):
         with pytest.raises(VariableLimitError, match="limit of 2"):
             enumerate_models(ex1, limit=2)

@@ -3,7 +3,7 @@ import io
 import pytest
 
 from mincount import parse_dimacs
-from mincount.cli import EXIT_CHECK_FAILED, EXIT_MODE, EXIT_OK, EXIT_USAGE, main
+from mincount.cli import EXIT_CHECK_FAILED, EXIT_MODE, EXIT_OK, EXIT_USAGE, RunConfig, main, run
 
 from conftest import EX1_TEXT, EX2_TEXT
 
@@ -147,6 +147,16 @@ def test_oracle_limit_below_zero_is_a_usage_error(limit, expected, tmp_path, cap
     path = tmp_path / "empty.cnf"
     path.write_text("p cnf 0 0\n")
     assert run_main(capsys, ["--mode", "brute", "--oracle-limit", limit, str(path)]) == expected
+
+
+@pytest.mark.parametrize("mode", ["auto", "brute"])
+def test_run_rejects_a_negative_oracle_limit(mode, tmp_path):
+    path = tmp_path / "empty.cnf"
+    path.write_text("p cnf 0 0\n")
+    out, err = io.StringIO(), io.StringIO()
+    assert run(RunConfig(str(path), mode=mode, oracle_limit=-5), out=out, err=err) == EXIT_USAGE
+    assert (out.getvalue(), err.getvalue()) == (
+        "", "error: argument --oracle-limit: must be at least 0, got -5\n")
 
 
 def test_emit_pair_round_trips(ex2_path, tmp_path, capsys):

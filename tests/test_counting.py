@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,20 +6,16 @@ from hypothesis import given, settings
 from mincount import (
     BranchPolicy,
     CnfFormula,
-    CopyVarMap,
     CountStats,
     MAX_OCCURRENCE,
     MIN_ID,
-    PairState,
     build_dependency_graph,
-    build_pair,
     count_minimal,
     count_minimal_brute,
     count_pair,
     enumerate_models,
     minimal_models_pairwise,
     parse_dimacs,
-    with_forced_clauses,
 )
 import mincount.counting as counting
 from mincount.counting import (
@@ -28,13 +23,15 @@ from mincount.counting import (
     _Database,
     _bcp,
     _ids,
+    _input_parts,
     _justification_base,
     _split_components,
+    solve,
 )
-from mincount.formula import AUX, COPY, ORIG, VarRange
 
 from conftest import (
     cnf_formulas,
+    pair_of,
     planted_cycle_formula,
     random_acyclic_formula,
     random_formula,
@@ -78,18 +75,17 @@ class TestCountModels:
     its forced implications."""
 
     def test_strengthened_positive_cycle(self, ex1):
-        assert count_pair(build_pair(ex1, ())).count == 3
+        assert count_pair(pair_of(ex1, ())).count == 3
 
     def test_single_unit_clause(self):
         f = parse_dimacs("p cnf 1 1\n1 0\n")
         stats = CountStats()
-        assert count_pair(build_pair(f, ()), stats=stats).count == 1
+        assert count_pair(pair_of(f, ()), stats=stats).count == 1
         assert stats.base_cases == stats.sat_calls == stats.cache_entries == 0
 
     def test_auxiliary_only_component_is_an_error(self):
-        search = CnfFormula(((2, 3),), 1, (VarRange(ORIG, 1, 1), VarRange(AUX, 2, 3)))
-        justification = CnfFormula((), 1, (VarRange(ORIG, 1, 1), VarRange(COPY, 4, 4)))
-        pair = PairState(search, justification, CopyVarMap(offset=3, num_original_vars=1))
+        # Original 1, auxiliary variables 2 and 3, copy 4.
+        pair = ([(2, 3)], [], 1, 4, 4)
         with pytest.raises(ValueError, match="not determined by the originals"):
             count_pair(pair)
 
@@ -97,23 +93,24 @@ class TestCountModels:
 class TestCountPair:
     def test_implication_cycle_trace(self, ex2):
         stats = CountStats()
-        result = count_pair(build_pair(ex2), stats=stats)
+        result = count_pair(pair_of(ex2), stats=stats)
         assert result.count == 1
         # one branch empties the copy side and counts one without a base
-        # case; the other needs the solver
+        # case; in the other every residual clause has a negative literal,
+        # so it counts zero without the solver
         assert stats.base_cases == 1
-        assert stats.sat_calls == 1
+        assert stats.sat_calls == 0
 
     def test_disjoint_pairs_multiply(self):
         f = parse_dimacs("p cnf 4 2\n1 2 0\n3 4 0\n")
         stats = CountStats()
-        result = count_pair(build_pair(f), stats=stats)
+        result = count_pair(pair_of(f), stats=stats)
         assert result.count == 4
         assert stats.components == 2
 
     def test_conflicting_units_count_zero(self):
         f = parse_dimacs("p cnf 1 2\n1 0\n-1 0\n")
-        assert count_pair(build_pair(f)).count == 0
+        assert count_pair(pair_of(f)).count == 0
 
 
 def _database(search, justification=(), *, copy_lo, orig_limit=None):
@@ -132,13 +129,13 @@ def _literals(queue):
 
 
 def _components(pair):
-    db = counting._database(pair)
+    db = _Database(*pair)
     return db, _split_components(db, db.all, db.variables, True)
 
 
 class TestDecompose:
     def test_syntactically_disjoint(self):
-        db, parts = _components(build_pair(parse_dimacs("p cnf 4 2\n1 2 0\n3 4 0\n")))
+        db, parts = _components(pair_of(parse_dimacs("p cnf 4 2\n1 2 0\n3 4 0\n")))
         assert len(parts) == 2
         universes = [
             {abs(lit) for index in _ids(clauses) for lit in db.clauses[index]}
@@ -151,11 +148,11 @@ class TestDecompose:
         assert parts[0][0] & parts[1][0] == 0
 
     def test_cycle_is_one_component(self, ex2):
-        db, parts = _components(build_pair(ex2))
+        db, parts = _components(pair_of(ex2))
         assert parts == [(db.all, db.occurring(db.all))]
 
     def test_empty_pair_has_no_components(self):
-        assert _components(build_pair(parse_dimacs("p cnf 0 0\n")))[1] == []
+        assert _components(pair_of(parse_dimacs("p cnf 0 0\n")))[1] == []
 
 
 class TestPropagation:
@@ -167,7 +164,7 @@ class TestPropagation:
         compared = 0
         for _ in range(80):
             f = random_formula(rng, max_clauses=25, min_len=2)
-            db = counting._database(build_pair(f))
+            db = _Database(*pair_of(f))
             root = _bcp(db, 0, 0, list(db.units))
             if root is _CONFLICT:
                 continue
@@ -210,16 +207,15 @@ class TestPropagation:
     @given(cnf_formulas())
     @settings(max_examples=60)
     def test_fixpoint_of_the_pair(self, f):
-        pair = build_pair(f)
-        copy_lo = pair.copy_map.first_copy_id
-        db = counting._database(pair)
+        search, _, _, copy_lo, _ = pair = pair_of(f)
+        db = _Database(*pair)
         queue = list(db.units)
         result = _bcp(db, 0, 0, queue)
         assign = _literals(queue)
         if result is _CONFLICT:
             assert any(
                 all(assign.get(abs(lit)) == (lit < 0) for lit in clause)
-                for clause in pair.search.clauses
+                for clause in search
             )
             return
         assigned, satisfied = result
@@ -233,7 +229,7 @@ class TestPropagation:
         for index in _ids(db.all & ~satisfied):
             residual = [lit for lit in db.clauses[index] if abs(lit) not in assign]
             assert len(residual) > 1 or (
-                index >= len(pair.search.clauses) and abs(residual[0]) < copy_lo
+                index >= len(search) and abs(residual[0]) < copy_lo
             )
 
 
@@ -241,7 +237,7 @@ def _base_case(pair, assign, stats=None):
     # The base case runs on the justification side at a unit fixpoint:
     # the search side counts as satisfied.
     stats = stats or CountStats()
-    db = counting._database(pair)
+    db = _Database(*pair)
     queue = [var if value else -var for var, value in assign.items()]
     assigned, satisfied = _bcp(db, 0, db.search, queue)
     live = db.all & ~satisfied
@@ -252,13 +248,51 @@ def _base_case(pair, assign, stats=None):
 class TestBaseCase:
     def test_all_false_assignment_accepted(self, ex2):
         stats = CountStats()
-        assert _base_case(build_pair(ex2), {1: False, 2: False, 3: False}, stats) == 1
+        assert _base_case(pair_of(ex2), {1: False, 2: False, 3: False}, stats) == 1
         assert stats.sat_calls == 0
 
     def test_all_true_assignment_rejected(self, ex2):
+        # The residual (-4, 5), (-5, 6), (-6, 4) holds with every copy false.
         stats = CountStats()
-        assert _base_case(build_pair(ex2), {1: True, 2: True, 3: True}, stats) == 0
-        assert stats.sat_calls == 1
+        assert _base_case(pair_of(ex2), {1: True, 2: True, 3: True}, stats) == 0
+        assert (stats.base_cases, stats.sat_calls) == (1, 0)
+
+    def test_positive_residual_clause_takes_a_sat_call(self):
+        # With 1 and 2 true, the image (3, 4) of (1, 2) has no negative
+        # literal; the solver finds no model with a copy false.
+        f = parse_dimacs("p cnf 2 3\n1 2 0\n-1 2 0\n-2 1 0\n")
+        stats = CountStats()
+        assert _base_case(pair_of(f), {1: True, 2: True}, stats) == 1
+        assert (stats.base_cases, stats.sat_calls) == (1, 1)
+
+    def test_sat_free_base_cases_are_satisfiable(self, monkeypatch):
+        # Every base case answered without the solver must be one the solver
+        # would have found satisfiable: rebuild its query and ask.
+        original = counting._justification_base
+        skipped = []
+
+        def spy(db, assigned, satisfied, clauses, variables, stats):
+            calls = stats.sat_calls
+            value = original(db, assigned, satisfied, clauses, variables, stats)
+            if value == 0 and stats.sat_calls == calls:
+                queue = [-var for var in _ids(variables & db.below_copies)]
+                assigned, satisfied = _bcp(db, assigned, satisfied, queue)
+                residual = [
+                    tuple(lit for lit in db.clauses[index] if not assigned >> abs(lit) & 1)
+                    for index in _ids(clauses & ~satisfied)
+                ]
+                live = sorted({abs(lit) for clause in residual for lit in clause})
+                skipped.append(solve(residual + [tuple(-var for var in live)]).satisfiable)
+            return value
+
+        monkeypatch.setattr(counting, "_justification_base", spy)
+        rng = random.Random(1111)
+        for _ in range(150):
+            for f, mode in ((random_formula(rng, max_vars=10, max_clauses=20), "general"),
+                            (planted_cycle_formula(rng), None)):
+                assert count_minimal(f, force_mode=mode).count == count_minimal_brute(f).count
+        assert len(skipped) > 50
+        assert all(skipped)
 
     def test_copy_units_propagate_to_empty(self):
         # Original 1 defaults to false, which empties copy 4 and then copy 5.
@@ -273,9 +307,8 @@ class TestBaseCase:
         checked = 0
         for _ in range(80):
             f = random_formula(rng, max_vars=7, max_clauses=14)
-            pair = build_pair(f)
-            no_justification = replace(pair.justification, clauses=())
-            search = counting._database(replace(pair, justification=no_justification))
+            pair = pair_of(f)
+            search = _Database(pair[0], [], *pair[2:])
             models = enumerate_models(f)
             minimal = set(minimal_models_pairwise(models))
             for m in models:
@@ -292,8 +325,8 @@ class TestBaseCase:
 
 
 class TestRepeatedVariables:
-    """A tautology (such as the implication ``with_forced_clauses`` builds
-    for pin row 4) never acts as a unit, a repeated literal counts once,
+    """A tautology (such as the implication the search side gets for pin
+    row 4) never acts as a unit, a repeated literal counts once,
     and counts stay exact."""
 
     def test_tautology_is_never_a_unit(self):
@@ -313,7 +346,7 @@ class TestRepeatedVariables:
 
     def test_pinned_formula_has_a_tautology(self):
         formula = list(_search_shape_formulas())[4]
-        assert (-22, 24, -24) in with_forced_clauses(formula).clauses
+        assert (-22, 24, -24) in pair_of(formula, ())[0]
 
     def test_hand_built_pairs_match_oracle(self):
         # The search side gains a tautology and a copy of one of its clauses
@@ -321,11 +354,10 @@ class TestRepeatedVariables:
         rng = random.Random(707)
         for _ in range(60):
             f = random_formula(rng, max_vars=10, max_clauses=16, min_len=2)
-            pair = build_pair(f)
+            search, *rest = pair_of(f)
             first = f.clauses[0]
-            extra = ((-abs(first[0]), abs(first[1]), -abs(first[1])), first + first[-1:])
-            search = replace(pair.search, clauses=pair.search.clauses + extra)
-            hand_built = PairState(search, pair.justification, pair.copy_map)
+            extra = [(-abs(first[0]), abs(first[1]), -abs(first[1])), first + first[-1:]]
+            hand_built = (search + extra, *rest)
             assert count_pair(hand_built).count == count_minimal_brute(f).count
 
     @pytest.mark.parametrize("repeat", ["clause", "literal"])
@@ -379,8 +411,8 @@ class TestInvariants:
         rng = random.Random(303)
         for _ in range(60):
             f = random_acyclic_formula(rng)
-            zero_copy = count_pair(build_pair(f, ())).count
-            full_copy = count_pair(build_pair(f)).count
+            zero_copy = count_pair(pair_of(f, ())).count
+            full_copy = count_pair(pair_of(f)).count
             assert zero_copy == full_copy == count_minimal(f).count
 
     def test_decision_split_partitions_the_count(self):
@@ -389,14 +421,12 @@ class TestInvariants:
         rng = random.Random(404)
         for _ in range(40):
             f = random_formula(rng, max_clauses=20)
-            pair = build_pair(f)
+            search, *rest = pair = pair_of(f)
             total = count_pair(pair).count
             var = rng.randint(1, f.num_original_vars)
             halves = []
             for lit in (-var, var):
-                search = replace(pair.search, clauses=pair.search.clauses + ((lit,),))
-                probe = PairState(search, pair.justification, pair.copy_map)
-                halves.append(count_pair(probe).count)
+                halves.append(count_pair((search + [(lit,)], *rest)).count)
             assert total == sum(halves)
 
     def test_branch_policy_validation(self):
@@ -408,13 +438,14 @@ class TestInvariants:
 # default engine without its cache on the formulas of
 # ``_search_shape_formulas``.  They pin the search itself: a faster core
 # must visit the same nodes.  ``propagations`` is left out because it
-# depends on propagation order.
+# depends on propagation order.  Every base case here has a residual whose
+# clauses all hold a negative literal, so none takes a SAT call.
 SEARCH_SHAPES = [
     (369, "general", 130, 64, 0, 0),
     (216, "acyclic", 13, 10, 0, 0),
     (24, "general", 13, 7, 0, 0),
     (78, "acyclic", 24, 15, 0, 0),
-    (10, "general", 13, 3, 2, 2),
+    (10, "general", 13, 3, 2, 0),
     (40, "acyclic", 20, 6, 0, 0),
     (58, "acyclic", 35, 17, 0, 0),
     (51, "acyclic", 16, 9, 0, 0),
@@ -424,11 +455,11 @@ SEARCH_SHAPES = [
     (22, "acyclic", 16, 8, 0, 0),
     (24, "acyclic", 6, 3, 0, 0),
     (137, "acyclic", 49, 14, 0, 0),
-    (512, "general", 49, 17, 6, 6),
+    (512, "general", 49, 17, 6, 0),
     (144, "acyclic", 18, 9, 0, 0),
-    (10, "general", 14, 4, 8, 8),
+    (10, "general", 14, 4, 8, 0),
     (165, "acyclic", 48, 24, 0, 0),
-    (531, "general", 343, 115, 11, 11),
+    (531, "general", 343, 115, 11, 0),
     (14, "acyclic", 15, 4, 0, 0),
 ]
 
@@ -440,7 +471,7 @@ CACHED_SEARCH_SHAPES = [
     (216, 13, 0, 0, 0),
     (24, 11, 0, 0, 2),
     (78, 18, 0, 0, 6),
-    (10, 12, 2, 2, 1),
+    (10, 12, 2, 0, 1),
     (40, 18, 0, 0, 2),
     (58, 26, 0, 0, 9),
     (51, 11, 0, 0, 4),
@@ -450,11 +481,11 @@ CACHED_SEARCH_SHAPES = [
     (22, 10, 0, 0, 4),
     (24, 6, 0, 0, 0),
     (137, 28, 0, 0, 14),
-    (512, 29, 2, 2, 10),
+    (512, 29, 2, 0, 10),
     (144, 12, 0, 0, 4),
-    (10, 13, 1, 1, 6),
+    (10, 13, 1, 0, 6),
     (165, 27, 0, 0, 12),
-    (531, 173, 1, 1, 122),
+    (531, 173, 1, 0, 122),
     (14, 14, 0, 0, 1),
 ]
 
@@ -707,15 +738,26 @@ class TestSplitInput:
         built = []
         original = counting.build_pair
 
-        def spy(formula, *args):
-            built.append(formula)
-            return original(formula, *args)
+        def spy(clauses, num_vars, copied):
+            built.append((num_vars, tuple(clauses)))
+            return original(clauses, num_vars, copied)
 
         monkeypatch.setattr(counting, "build_pair", spy)
         f = parse_dimacs("p cnf 5000 1\n4000 0\n")
         result = count_minimal(f, use_decomposition=decompose)
         assert (result.count, result.stats.parts, result.stats.components) == (1, 1, 0)
-        assert [(part.num_original_vars, part.clauses) for part in built] == [(1, ((1,),))]
+        assert built == [(1, ((1,),))]
+
+    @pytest.mark.parametrize("decompose", [True, False])
+    def test_contiguous_connected_input_is_not_copied(self, decompose):
+        clauses = ((-1, 2), (-2, 3), (3, 1))
+        assert _input_parts(clauses, decompose) == [([1, 2, 3], clauses)]
+        assert _input_parts(clauses, decompose)[0][1] is clauses
+
+    def test_parts_are_renumbered_by_the_grouping_pass(self):
+        clauses = ((5, -9), (2,), (), (9, 7), (-2, 4), ())
+        assert [(variables, list(part)) for variables, part in _input_parts(clauses, True)] == [
+            ([5, 7, 9], [(1, -3), (3, 2)]), ([2, 4], [(1,), (-1, 2)]), ([], [(), ()])]
 
     def test_small_unions_match_oracle(self):
         rng = random.Random(606)

@@ -9,9 +9,9 @@ from mincount import (
     parse_dimacs,
     strongly_connected_components,
     to_dot,
-    with_forced_clauses,
 )
 from mincount.counting import copied_variables
+from mincount.formula import AUX, ORIG, VarRange
 
 from conftest import cnf_formulas
 
@@ -33,8 +33,10 @@ def test_negative_clause_produces_no_arcs():
 
 
 def test_requires_original_variables_only(ex1):
+    # The first auxiliary clause of the search side of (1, 2, 3).
+    forced = CnfFormula(((1, 2, 3), (-4, -2)), 3, (VarRange(ORIG, 1, 3), VarRange(AUX, 4, 6)))
     with pytest.raises(ValueError, match="original"):
-        build_dependency_graph(with_forced_clauses(parse_dimacs("p cnf 3 1\n1 2 3 0\n")))
+        build_dependency_graph(forced)
 
 
 def test_cycle_detected(ex2):

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 
 from mincount import (
     CnfFormula,
-    build_pair,
     check_minimal,
     enumerate_models,
     evaluate,
@@ -14,7 +13,7 @@ from mincount import (
     solve,
 )
 
-from conftest import cnf_formulas, random_formula
+from conftest import cnf_formulas, pair_of, random_formula
 
 
 class TestSolve:
@@ -25,8 +24,8 @@ class TestSolve:
     def test_justification_query_of_unjustified_cycle(self, ex2):
         # the copy clauses of the implication cycle under the all-true
         # assignment, plus the demand that some copy be false
-        justification = build_pair(ex2).justification
-        residual = tuple(c for c in justification.clauses if not {1, 2, 3} & set(c))
+        justification = pair_of(ex2)[1]
+        residual = tuple(c for c in justification if not {1, 2, 3} & set(c))
         assert residual == ((-4, 5), (-5, 6), (-6, 4))
         assert solve(residual + ((-4, -5, -6),)).satisfiable
 

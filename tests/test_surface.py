@@ -11,6 +11,8 @@ import mincount.counting as counting
 import mincount.sat as sat
 from mincount import BranchPolicy, build_pair, count_minimal, count_pair, parse_dimacs, solve
 
+from conftest import pair_of
+
 SOURCE = Path(mincount.__file__).parent
 
 
@@ -23,7 +25,7 @@ def test_every_exported_name_resolves_once():
 
 def test_at_most_forty_exported_names():
     # Tightened as the surface shrinks; the name keeps its first bound.
-    assert len(mincount.__all__) <= 37
+    assert len(mincount.__all__) <= 33
 
 
 def _sibling_imports(path):
@@ -98,7 +100,7 @@ def test_traced_layers_are_called_through_their_sites(monkeypatch, ex2):
         spy(counting, name)
     spy(BranchPolicy, "pick")
     assert count_minimal(ex2).count == 1
-    split = build_pair(parse_dimacs("p cnf 4 2\n1 2 0\n3 4 0\n"))
+    split = pair_of(parse_dimacs("p cnf 4 2\n1 2 0\n3 4 0\n"))
     assert count_pair(split).count == 4
     assert count_minimal(parse_dimacs("p cnf 1 2\n1 0\n-1 0\n")).count == 0
     assert sorted(results) == ["_bcp", "_justification_base", "_split_components", "pick"]
@@ -107,7 +109,7 @@ def test_traced_layers_are_called_through_their_sites(monkeypatch, ex2):
     assert results["_bcp"][-1] is counting._CONFLICT
 
 
-def test_one_propagator(monkeypatch, ex2):
+def test_one_propagator(monkeypatch):
     # ``solve`` propagates with the engine's ``_bcp`` through its own module,
     # so the tracer's counting site sees the search's calls and no others.
     calls = []
@@ -122,7 +124,9 @@ def test_one_propagator(monkeypatch, ex2):
     assert solve(((1, 2), (-1, 2), (-2, 3))).satisfiable
     assert set(calls) == {"mincount.sat"}
     calls.clear()
-    result = count_minimal(ex2)
+    # With 1 and 2 true the residual image (3, 4) has no negative literal,
+    # so the base case asks the solver.
+    result = count_minimal(parse_dimacs("p cnf 2 3\n1 2 0\n-1 2 0\n-2 1 0\n"))
     assert (result.count, result.stats.sat_calls) == (1, 1)
     assert set(calls) == {"mincount.counting", "mincount.sat"}
     source = (SOURCE / "sat.py").read_text()
@@ -132,14 +136,16 @@ def test_one_propagator(monkeypatch, ex2):
 
 
 def test_traced_result_shapes():
-    # The tracer counts SAT calls by ``.satisfiable`` and copy variables
-    # from the pair's copy map and justification clauses.
+    # The tracer counts SAT calls by ``.satisfiable``.  ``build_pair``, which
+    # it times as ``transform.pair``, returns the plain pair: two lists of
+    # clause tuples and the bounds ``orig_limit``, ``copy_lo`` and ``top``.
     assert solve(((1,),)).satisfiable is True
     assert solve(((1,), (-1,))).satisfiable is False
-    pair = build_pair(parse_dimacs("p cnf 2 2\n-1 2 0\n-2 1 0\n"))
-    assert pair.copy_map.first_copy_id == 3
-    assert all(isinstance(clause, tuple) for clause in pair.justification.clauses)
-    assert any(abs(lit) >= 3 for clause in pair.justification.clauses for lit in clause)
+    pair = build_pair(((-1, 2), (-2, 1)), 2, {1, 2})
+    assert type(pair) is tuple
+    assert pair == ([(-1, 2), (-2, 1), (-1, 2), (-2, 1)],
+                    [(-3, 1), (-4, 2), (-3, 4), (-4, 3)], 2, 3, 4)
+    assert [type(side) for side in pair[:2]] == [list, list]
 
 
 def test_no_assert_statement_in_the_package():

@@ -1,21 +1,18 @@
 import itertools
 import random
 
+import pytest
+
 from mincount import (
-    AUX,
     CnfFormula,
-    CopyVarMap,
-    ORIG,
     build_pair,
-    copy_formula,
     enumerate_models,
     evaluate,
     count_minimal_brute,
     parse_dimacs,
-    with_forced_clauses,
 )
 
-from conftest import random_acyclic_formula, random_formula
+from conftest import pair_of, random_acyclic_formula, random_formula, strengthened
 
 
 def clause_set(clauses):
@@ -23,8 +20,13 @@ def clause_set(clauses):
 
 
 def forced_clauses(formula):
-    """The clauses ``with_forced_clauses`` adds after the input's."""
-    return with_forced_clauses(formula).clauses[len(formula.clauses):]
+    """The clauses the search side adds after the input's."""
+    return tuple(pair_of(formula, ())[0][len(formula.clauses):])
+
+
+def first_copy(formula):
+    """The lowest copy id of a formula's pair; auxiliary ids lie below it."""
+    return pair_of(formula)[3]
 
 
 class TestForcedFormula:
@@ -42,15 +44,13 @@ class TestForcedFormula:
 class TestTseitinCnf:
     def test_single_literal_co_sets_inline(self, ex1):
         assert forced_clauses(ex1) == ((-1, -2, -3), (-2, -1, -3), (-3, -2, -1))
-        assert all(vr.kind == ORIG for vr in with_forced_clauses(ex1).var_ranges)
+        assert first_copy(ex1) == 4  # no auxiliary variable
 
     def test_two_literal_co_set_gets_auxiliary(self):
         f = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
-        strengthened = with_forced_clauses(f)
         # the part for variable 1: aux 4 defined as "2 and 3 both false"
         assert forced_clauses(f)[:4] == ((-4, -2), (-4, -3), (4, 2, 3), (-1, 4))
-        aux = [vr for vr in strengthened.var_ranges if vr.kind == AUX]
-        assert aux == [type(aux[0])(AUX, 4, 6)]
+        assert first_copy(f) == 7  # auxiliary variables 4..6
 
     def test_unforceable_variable_pinned_false(self):
         assert forced_clauses(CnfFormula((), 1)) == ((-1,),)
@@ -66,83 +66,107 @@ class TestTseitinCnf:
         assert count_minimal_brute(f).count == 2
         # ... and a second auxiliary variable with an identical definition.
         repeated = parse_dimacs("p cnf 3 3\n1 2 -3 0\n1 2 -3 0\n3 0\n")
-        aux = [vr for vr in with_forced_clauses(repeated).var_ranges if vr.kind == AUX]
-        assert aux == [type(aux[0])(AUX, 4, 5)]
+        assert first_copy(repeated) == 6  # auxiliary variables 4 and 5
 
 
 class TestCopyFormula:
     def test_implication_cycle_image(self, ex2):
-        cm = CopyVarMap(offset=3, num_original_vars=3)
-        cnf = copy_formula(ex2, cm)
-        assert clause_set(cnf.clauses) == clause_set(
+        assert clause_set(pair_of(ex2)[1]) == clause_set(
             [(-4, 1), (-5, 2), (-6, 3), (-4, 5), (-5, 6), (-6, 4)]
         )
 
     def test_positive_clause(self):
         f = parse_dimacs("p cnf 2 1\n1 2 0\n")
-        cnf = copy_formula(f, CopyVarMap(offset=2, num_original_vars=2))
-        assert clause_set(cnf.clauses) == clause_set([(-3, 1), (-4, 2), (3, 4)])
+        assert clause_set(pair_of(f)[1]) == clause_set([(-3, 1), (-4, 2), (3, 4)])
 
     def test_negative_clause(self):
         f = parse_dimacs("p cnf 2 1\n-1 -2 0\n")
-        cnf = copy_formula(f, CopyVarMap(offset=2, num_original_vars=2))
-        assert clause_set(cnf.clauses) == clause_set([(-3, 1), (-4, 2), (-1,), (-2,)])
-
+        assert clause_set(pair_of(f)[1]) == clause_set([(-3, 1), (-4, 2), (-1,), (-2,)])
 
     def test_uncopied_variables_stand_for_themselves(self):
-        # 1, 2 and 5 are copied (to 7, 8 and 11); 3, 4 and 6 are not.
+        # The clause (-2, 1, 3) gives auxiliary variables 7 and 8, so the
+        # copies of 1, 2 and 5 are 9, 10 and 13; 3, 4 and 6 are not copied.
         f = parse_dimacs("p cnf 6 5\n-1 2 0\n-2 1 3 0\n-3 4 0\n-4 -5 0\n-6 -1 0\n")
-        cnf = copy_formula(f, CopyVarMap(offset=6, num_original_vars=6), {1, 2, 5})
         # Copy implications and never-positive units for copied variables
         # only (6 gets no unit); no image for (-3, 4), which has no copied
         # variable, nor for the clauses without a positive literal.
-        assert cnf.clauses == ((-7, 1), (-8, 2), (-11, 5), (-7, 8), (-8, 7, 3), (-5,))
+        assert pair_of(f, {1, 2, 5})[1] == [
+            (-9, 1), (-10, 2), (-13, 5), (-9, 10), (-10, 9, 3), (-5,)]
 
     def test_no_copies_no_clauses(self, ex2):
-        cnf = copy_formula(ex2, CopyVarMap(offset=3, num_original_vars=3), ())
-        assert cnf.clauses == ()
+        assert pair_of(ex2, ())[1] == []
 
 
 class TestBuildPair:
+    # (input, copied, search, justification, orig_limit, copy_lo, top),
+    # written out by hand.
+    PINNED = [
+        # A unit clause: variable 1 needs no implication.
+        ("p cnf 2 2\n1 0\n-1 2 0\n", {1, 2},
+         [(1,), (-1, 2), (-2, 1)],
+         [(-3, 1), (-4, 2), (3,), (-3, 4)], 2, 3, 4),
+        # Variables 1 and 3 never occur positively.
+        ("p cnf 3 2\n-1 2 0\n-3 -2 0\n", {1, 2, 3},
+         [(-1, 2), (-3, -2), (-1,), (-2, 1), (-3,)],
+         [(-4, 1), (-5, 2), (-6, 3), (-4, 5), (-1,), (-3,)], 3, 4, 6),
+        # A repeated clause: one implication literal, two images.
+        ("p cnf 3 3\n1 -2 0\n1 -2 0\n2 3 0\n", {1, 3},
+         [(1, -2), (1, -2), (2, 3), (-1, 2), (-2, -3), (-3, -2)],
+         [(-4, 1), (-6, 3), (-2, 4), (-2, 4), (2, 6)], 3, 4, 6),
+        # An empty clause stays on the search side and has no image.
+        ("p cnf 2 2\n0\n1 -2 0\n", {1, 2},
+         [(), (1, -2), (-1, 2), (-2,)],
+         [(-3, 1), (-4, 2), (-4, 3), (-2,)], 2, 3, 4),
+        # Each two-literal co-literal set defines an auxiliary variable.
+        ("p cnf 3 1\n1 2 3 0\n", {1},
+         [(1, 2, 3),
+          (-4, -2), (-4, -3), (4, 2, 3), (-1, 4),
+          (-5, -1), (-5, -3), (5, 1, 3), (-2, 5),
+          (-6, -1), (-6, -2), (6, 1, 2), (-3, 6)],
+         [(-7, 1), (7, 2, 3)], 3, 7, 9),
+    ]
+
+    @pytest.mark.parametrize("text, copied, search, justification, orig_limit, copy_lo, top",
+                             PINNED)
+    def test_plain_sides_are_pinned(self, text, copied, search, justification, orig_limit,
+                                    copy_lo, top):
+        f = parse_dimacs(text)
+        assert build_pair(f.clauses, f.num_original_vars, copied) == (
+            search, justification, orig_limit, copy_lo, top)
+
     def test_zero_copy_pair_is_the_strengthened_formula(self, ex2):
-        pair = build_pair(ex2, ())
-        assert pair.search == with_forced_clauses(ex2)
-        assert pair.justification.clauses == ()
-        assert pair.copy_map.first_copy_id == 4
+        assert pair_of(ex2, ()) == (list(strengthened(ex2).clauses), [], 3, 4, 6)
 
     def test_copies_only_for_the_given_variables(self):
         f = parse_dimacs("p cnf 3 3\n-1 2 0\n-2 1 0\n-2 3 0\n")
-        pair = build_pair(f, {1, 2})
-        assert pair.search == build_pair(f).search
-        assert {var for var in pair.justification.variables() if var > 3} == {4, 5}
+        search, justification, *_ = pair_of(f, {1, 2})
+        assert search == pair_of(f)[0]
+        assert {abs(lit) for clause in justification for lit in clause} - {1, 2, 3} == {4, 5}
 
     def test_positive_cycle_shape(self, ex1):
-        pair = build_pair(ex1)
-        assert len(pair.search.clauses) == 6
-        assert len(pair.justification.clauses) == 6
+        search, justification, *_ = pair_of(ex1)
+        assert len(search) == 6
+        assert len(justification) == 6
 
     def test_implication_cycle_search_side(self, ex2):
-        pair = build_pair(ex2)
-        assert pair.search.clauses == ex2.clauses + ((-1, 3), (-2, 1), (-3, 2))
+        assert pair_of(ex2)[0] == list(ex2.clauses) + [(-1, 3), (-2, 1), (-3, 2)]
 
     def test_empty_formula(self):
-        pair = build_pair(parse_dimacs("p cnf 0 0\n"))
-        assert pair.search.clauses == ()
-        assert pair.justification.clauses == ()
+        assert pair_of(parse_dimacs("p cnf 0 0\n")) == ([], [], 0, 1, 0)
 
     def test_variable_universes_disjoint(self):
         rng = random.Random(5)
         for _ in range(25):
             f = random_formula(rng, max_vars=8, max_clauses=15)
-            pair = build_pair(f)
-            n = f.num_original_vars
-            copy_lo = pair.copy_map.first_copy_id
-            for var in pair.search.variables():
+            search, justification, n, copy_lo, top = pair_of(f)
+            assert n == f.num_original_vars
+            search_vars = {abs(lit) for clause in search for lit in clause}
+            copy_vars = {abs(lit) for clause in justification for lit in clause}
+            for var in search_vars:
                 assert var < copy_lo, "copy variable leaked into the search side"
-            for var in pair.justification.variables():
-                assert var <= n or var >= copy_lo, "auxiliary leaked into the copy side"
-            shared = pair.search.variables() & pair.justification.variables()
-            assert all(var <= n for var in shared)
+            for var in copy_vars:
+                assert var <= n or copy_lo <= var <= top, "auxiliary leaked into the copy side"
+            assert all(var <= n for var in search_vars & copy_vars)
 
 
 def _forced_semantically(formula, true_set):
@@ -179,7 +203,6 @@ class TestStrengthenedFormulaSemantics:
         rng = random.Random(99)
         for _ in range(30):
             f = random_formula(rng, min_vars=2, max_vars=5, min_clauses=1, max_clauses=8)
-            strengthened = with_forced_clauses(f)
             n = f.num_original_vars
             semantic = {
                 frozenset(true_set)
@@ -189,7 +212,7 @@ class TestStrengthenedFormulaSemantics:
             }
             projections = [
                 frozenset(v for v in model if v <= n)
-                for model in enumerate_models(strengthened)
+                for model in enumerate_models(strengthened(f))
             ]
             assert len(projections) == len(set(projections)), "auxiliary not determined"
             assert set(projections) == semantic
@@ -199,10 +222,10 @@ class TestStrengthenedFormulaSemantics:
         accepted = 0
         while accepted < 40:
             f = random_acyclic_formula(rng, max_vars=7, max_clauses=12, max_len=3)
-            strengthened = with_forced_clauses(f)
-            if len(strengthened.variables()) > 18:
+            search_side = strengthened(f)
+            if len(search_side.variables()) > 18:
                 continue  # keep full enumeration of the auxiliaries feasible
-            assert len(enumerate_models(strengthened, limit=18)) == count_minimal_brute(f).count
+            assert len(enumerate_models(search_side, limit=18)) == count_minimal_brute(f).count
             accepted += 1
 
     def test_minimal_models_extended_with_copies_satisfy_justification(self):
@@ -215,16 +238,16 @@ class TestStrengthenedFormulaSemantics:
                 if not any(other < m for other in models)
             }
             copied = rng.sample(sorted(f.variables()), rng.randint(0, len(f.variables())))
-            for m, pair in itertools.product(minimal, (build_pair(f), build_pair(f, copied))):
+            for m, pair in itertools.product(minimal, (pair_of(f), pair_of(f, copied))):
+                justification, n, offset = pair[1], pair[2], pair[3] - 1
                 true_vars = set(m) | {
-                    v for v in pair.justification.variables()
-                    if v > f.num_original_vars and pair.copy_map.original_of(v) in m
+                    v for clause in justification for v in map(abs, clause)
+                    if v > n and v - offset in m
                 }
-                assert evaluate(pair.justification, true_vars)
+                assert evaluate(CnfFormula(tuple(justification), pair[4]), true_vars)
 
 
 class TestPairConditioning:
     def test_all_true_exhausts_search_side(self, ex2):
-        pair = build_pair(ex2)
         # every search clause is satisfied, so none survives conditioning
-        assert evaluate(pair.search, {1, 2, 3})
+        assert evaluate(CnfFormula(tuple(pair_of(ex2)[0]), 3), {1, 2, 3})
