@@ -7,7 +7,7 @@ the justification side; an acyclic input gets none, and its pair is the
 input strengthened with its forced implications.  Once the search side
 is empty, a justification residual that is empty too counts one, one
 whose clauses all hold a negative literal counts zero, and any other
-runs a SAT-backed justification check over the live copy variables.
+asks whether some model of it leaves a live copy variable false.
 Originals left unassigned there default to false, the minimal choice,
 and auxiliary variables, being functionally determined, contribute
 nothing.
@@ -15,15 +15,16 @@ nothing.
 A run indexes its pair, ``build_pair``'s two clause lists and three id
 bounds, once and as it is, in the clause database of ``sat``, whose
 sets of clauses and of variables are Python ints used as bit masks, and
-propagates with its ``_bcp``, the one unit propagator, which ``solve``
-shares.  A search node is four such ints: the assigned variables, the
-satisfied clauses, and its component's clauses and variables.  An
-unsatisfied clause's assigned literals are all false, so no values are
-stored: a clause is a unit when exactly one of its variables is
-unassigned.  Both children of a decision start from their parent's
-ints, so nothing is copied or undone, and propagation, the component
-walk and the branch heuristic do their per-clause and per-variable work
-in integer operations.
+propagates with its ``_bcp``, the one unit propagator.  It answers a
+justification query in that database too, with ``sat._search``, the
+depth-first loop that ``solve`` runs for the oracle.  A search node is
+four such ints: the assigned variables, the satisfied clauses, and its
+component's clauses and variables.  An unsatisfied clause's assigned
+literals are all false, so no values are stored: a clause is a unit
+when exactly one of its variables is unassigned.  Both children of a
+decision start from their parent's ints, so nothing is copied or
+undone, and propagation, the component walk and the branch heuristic
+do their per-clause and per-variable work in integer operations.
 
 A run caches the count of each component and base case it solves,
 keyed by its clause and variable masks.  They fix the residual clauses,
@@ -46,7 +47,7 @@ from dataclasses import dataclass, fields
 
 from .depgraph import DepGraph, build_dependency_graph, is_acyclic, is_head_cycle_free
 from .formula import CnfFormula
-from .sat import _CONFLICT, _Database, _bcp, _ids, _renumber, solve
+from .sat import _CONFLICT, _Database, _bcp, _ids, _renumber, _search
 from .transform import build_pair
 
 MIN_ID = "min-id"
@@ -71,8 +72,8 @@ class CountStats:
     ``cache_entries`` is its final size, summed over the input's parts.
     ``general_parts`` of the ``parts`` had at least one copy variable, and
     ``copy_vars`` is the number of copy variables built.  ``sat_calls``
-    counts only the base cases that reach ``solve``: one whose residual
-    clauses all have a negative literal is answered without it.
+    counts the base cases that run a justification search: one whose
+    residual clauses all have a negative literal is answered without it.
     """
 
     decisions: int = 0
@@ -184,11 +185,12 @@ def _justification_base(db: _Database, assigned: int, satisfied: int,
     variable: if it does, some true atom lacks justification and the
     branch contributes nothing.  When every residual clause has a negative
     literal, setting every copy false is such a model; only the other
-    residuals take a SAT call.
+    residuals take a search.  It tries false first, so a first model
+    setting every live copy true is the only model.
     """
     queue = [-var for var in _ids(variables & db.below_copies)]
     seeded = len(queue)
-    result = _bcp(db, assigned, satisfied, queue)
+    result = _bcp(db, assigned, satisfied, queue, db.search)
     stats.propagations += len(queue) - seeded
     if result is _CONFLICT:
         raise RuntimeError("search-free propagation reported a search conflict")
@@ -197,21 +199,17 @@ def _justification_base(db: _Database, assigned: int, satisfied: int,
     left = clauses & ~satisfied
     if not left:
         return 1
-    # Only a clause holding an assigned variable needs a new tuple.
-    texts, clause_vars = db.clauses, db.clause_vars
-    residual = [
-        tuple([lit for lit in texts[index] if not assigned >> abs(lit) & 1])
-        if clause_vars[index] & assigned else texts[index]
-        for index in _ids(left)
-    ]
-    live = sorted({abs(lit) for clause in residual for lit in clause})
-    if live[0] < db.copy_lo:
+    live = db.occurring(left) & ~assigned
+    if live & db.below_copies:
         raise RuntimeError("non-copy variable alive at a justification base case")
-    if all(min(clause, default=0) < 0 for clause in residual):
+    negative = 0
+    for var in _ids(live):
+        negative |= db.lits[-var]
+    if not left & ~negative:
         return 0
     stats.sat_calls += 1
-    residual.append(tuple(-var for var in live))
-    return 0 if solve(residual).satisfiable else 1
+    model = _search(db, assigned, satisfied, left, live, [])
+    return 1 if model is None or len(model) == live.bit_count() else 0
 
 
 def _words(mask: int) -> int:
@@ -257,7 +255,7 @@ def _run(db: _Database, *, policy, use_decomposition, stats):
         if op == "count":
             _, assigned, satisfied, clauses, variables, queue = task
             seeded = len(queue)
-            result = _bcp(db, assigned, satisfied, queue)
+            result = _bcp(db, assigned, satisfied, queue, db.search)
             stats.propagations += len(queue) - seeded
             if result is _CONFLICT:
                 values.append(0)

@@ -68,10 +68,14 @@ class CnfFormula:
             object.__setattr__(
                 self, "var_ranges", (VarRange(ORIG, 1, self.num_original_vars),)
             )
-        top = max((r.hi for r in self.var_ranges), default=0)
+        top, gaps = 0, []  # the ids below ``top`` that no range covers
+        for lo, hi in sorted((r.lo, r.hi) for r in self.var_ranges if len(r)):
+            if lo > top + 1:
+                gaps.append(range(top + 1, lo))
+            top = max(top, hi)
         for clause in self.clauses:
             for lit in clause:
-                if lit == 0 or abs(lit) > top:
+                if lit == 0 or abs(lit) > top or gaps and any(abs(lit) in gap for gap in gaps):
                     raise ValueError(f"literal {lit} outside declared variable ranges")
 
     def variables(self) -> set[int]:

@@ -4,12 +4,13 @@ A clause database indexes fixed clauses by bit masks: Python ints whose
 bits are clause or variable ids.  ``_bcp`` propagates units over it from
 two immutable masks, the assigned variables and the satisfied clauses,
 so a search node needs no trail and nothing is undone.  It is the only
-unit propagator: the counting recursion runs it over a pair's database,
-and ``solve`` over a database of its own clauses.
+unit propagator, and ``_search`` the only depth-first loop: the counting
+recursion asks it justification queries in the run's own database, and
+``solve``, the oracle's kernel, runs it over a database of its clauses.
 
-``solve`` branches on the lowest unassigned variable and tries false
+``_search`` branches on the lowest unassigned variable and tries false
 first, so two runs on identical inputs return identical results.  Each
-call is an independent solve; there is no incremental state.
+call is an independent search; there is no incremental state.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class _Database:
         return variables
 
 
-def _bcp(db: _Database, assigned: int, satisfied: int, queue: list):
+def _bcp(db: _Database, assigned: int, satisfied: int, queue: list, conflicts: int):
     """Assert the literals of ``queue`` and propagate units to fixpoint.
 
     ``assigned`` and ``satisfied`` are the masks of the assigned variables
@@ -106,7 +107,7 @@ def _bcp(db: _Database, assigned: int, satisfied: int, queue: list):
     same assignment itself.
 
     Returns the new ``(assigned, satisfied)`` masks, or the conflict
-    sentinel when a search clause is emptied.
+    sentinel when a clause of the ``conflicts`` mask is emptied.
     """
     lits, clause_vars = db.lits, db.clause_vars
     repeats, num_search, below_copies = db.repeats, db.num_search, db.below_copies
@@ -116,8 +117,8 @@ def _bcp(db: _Database, assigned: int, satisfied: int, queue: list):
         if free & bit:
             free ^= bit
             satisfied |= lits[lit]
-    # A falsified justification clause mid-propagation is only an invariant
-    # violation if the search side fails to conflict by the fixpoint.
+    # Any other falsified clause mid-propagation is only an invariant
+    # violation if no clause of ``conflicts`` is emptied by the fixpoint.
     violated = False
     for lit in queue:  # grows as units are found
         falsified = lits[-lit] & ~satisfied
@@ -131,7 +132,7 @@ def _bcp(db: _Database, assigned: int, satisfied: int, queue: list):
             if open_vars & (open_vars - 1):
                 continue
             if not open_vars:
-                if index < num_search:
+                if low & conflicts:
                     return _CONFLICT
                 violated = True
             elif not low & repeats and (index < num_search or open_vars > below_copies):
@@ -163,6 +164,33 @@ def _renumber(clauses, variables=None):
     return variables, renumbered
 
 
+def _search(db: _Database, assigned: int, satisfied: int, clauses: int,
+            variables: int, queue: list):
+    """The true literals of the least model of the ``clauses`` mask in id
+    order, or ``None``.  Depth first from the node of the masks asserting
+    ``queue``, false first on the lowest unassigned of ``variables``; an
+    emptied clause of ``clauses`` is a conflict.  A variable left
+    unassigned can take either value.
+    """
+    # Depth first: a task is a node's masks, its true literals so far and
+    # the literals it asserts.
+    tasks = [(assigned, satisfied, (), queue)]
+    while tasks:
+        assigned, satisfied, path, queue = tasks.pop()
+        result = _bcp(db, assigned, satisfied, queue, clauses)
+        if result is _CONFLICT:
+            continue
+        assigned, satisfied = result
+        path += tuple(lit for lit in queue if lit > 0)
+        if not clauses & ~satisfied:
+            return path
+        free = variables & ~assigned
+        var = (free & -free).bit_length() - 1
+        tasks.append((assigned, satisfied, path, [var]))
+        tasks.append((assigned, satisfied, path, [-var]))
+    return None
+
+
 def solve(clauses) -> SatResult:
     """Decide satisfiability of a sequence of clause tuples.
 
@@ -173,25 +201,10 @@ def solve(clauses) -> SatResult:
     variables, renumbered = _renumber(clauses)
     top = len(variables)
     db = _Database(renumbered, (), top, top + 1, top)
-    if db.empty:
+    path = None if db.empty else _search(db, 0, 0, db.all, db.variables, list(db.units))
+    if path is None:
         return SatResult(False)
-    # Depth first: a task is a node's masks, its true literals so far and
-    # the literals it asserts.
-    tasks = [(0, 0, (), list(db.units))]
-    while tasks:
-        assigned, satisfied, path, queue = tasks.pop()
-        result = _bcp(db, assigned, satisfied, queue)
-        if result is _CONFLICT:
-            continue
-        assigned, satisfied = result
-        path += tuple(lit for lit in queue if lit > 0)
-        if satisfied == db.all:
-            return SatResult(True, frozenset(variables[lit - 1] for lit in path))
-        free = db.variables & ~assigned
-        var = (free & -free).bit_length() - 1
-        tasks.append((assigned, satisfied, path, [var]))
-        tasks.append((assigned, satisfied, path, [-var]))
-    return SatResult(False)
+    return SatResult(True, frozenset(variables[lit - 1] for lit in path))
 
 
 def check_minimal(formula: CnfFormula, true_vars) -> bool:

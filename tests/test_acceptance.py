@@ -101,7 +101,7 @@ def test_criterion_2_implication_cycle_reproduction():
         # Condition the justification side, the search side counting as
         # satisfied, then run the base case on what is left.
         queue = [var if value else -var for var, value in assign.items()]
-        assigned, satisfied = _bcp(db, 0, db.search, queue)
+        assigned, satisfied = _bcp(db, 0, db.search, queue, db.search)
         live = db.all & ~satisfied
         return _justification_base(db, assigned, satisfied, live,
                                    db.occurring(live) & ~assigned, CountStats())

@@ -26,8 +26,8 @@ from mincount.counting import (
     _input_parts,
     _justification_base,
     _split_components,
-    solve,
 )
+from mincount.sat import _search, solve
 
 from conftest import (
     cnf_formulas,
@@ -165,7 +165,7 @@ class TestPropagation:
         for _ in range(80):
             f = random_formula(rng, max_clauses=25, min_len=2)
             db = _Database(*pair_of(f))
-            root = _bcp(db, 0, 0, list(db.units))
+            root = _bcp(db, 0, 0, list(db.units), db.search)
             if root is _CONFLICT:
                 continue
             assigned, satisfied = root
@@ -175,8 +175,8 @@ class TestPropagation:
                     continue
                 var = BranchPolicy().pick(db, clauses, variables)
                 for lit in (-var, var):
-                    child = _bcp(db, assigned, satisfied, [lit])
-                    fresh = _bcp(db, 0, 0, list(db.units) + [lit])
+                    child = _bcp(db, assigned, satisfied, [lit], db.search)
+                    fresh = _bcp(db, 0, 0, list(db.units) + [lit], db.search)
                     assert (child is _CONFLICT) == (fresh is _CONFLICT)
                     if child is not _CONFLICT:
                         assert child == fresh
@@ -187,22 +187,23 @@ class TestPropagation:
 
     def test_implication_chain_forward(self):
         db, queue = _database(self.CHAIN, copy_lo=4), [1]
-        assert _bcp(db, 0, 0, queue) == (0b1110, db.all)
+        assert _bcp(db, 0, 0, queue, db.search) == (0b1110, db.all)
         assert queue == [1, 2, 3]
 
     def test_implication_chain_backward(self):
         db, queue = _database(self.CHAIN, copy_lo=4), [-1]
-        assert _bcp(db, 0, 0, queue) == (0b1110, db.all)
+        assert _bcp(db, 0, 0, queue, db.search) == (0b1110, db.all)
         assert queue == [-1, -3, -2]
 
     def test_no_unit_no_change(self):
         queue = []
-        assert _bcp(_database(((1, 2),), copy_lo=3), 0, 0, queue) == (0, 0)
+        db = _database(((1, 2),), copy_lo=3)
+        assert _bcp(db, 0, 0, queue, db.search) == (0, 0)
         assert queue == []
 
     def test_conflicting_units(self):
         db = _database(((1,), (-1,)), copy_lo=2)
-        assert _bcp(db, 0, 0, list(db.units)) is _CONFLICT
+        assert _bcp(db, 0, 0, list(db.units), db.search) is _CONFLICT
 
     @given(cnf_formulas())
     @settings(max_examples=60)
@@ -210,7 +211,7 @@ class TestPropagation:
         search, _, _, copy_lo, _ = pair = pair_of(f)
         db = _Database(*pair)
         queue = list(db.units)
-        result = _bcp(db, 0, 0, queue)
+        result = _bcp(db, 0, 0, queue, db.search)
         assign = _literals(queue)
         if result is _CONFLICT:
             assert any(
@@ -239,10 +240,16 @@ def _base_case(pair, assign, stats=None):
     stats = stats or CountStats()
     db = _Database(*pair)
     queue = [var if value else -var for var, value in assign.items()]
-    assigned, satisfied = _bcp(db, 0, db.search, queue)
+    assigned, satisfied = _bcp(db, 0, db.search, queue, db.search)
     live = db.all & ~satisfied
     return _justification_base(db, assigned, satisfied, live,
                                db.occurring(live) & ~assigned, stats)
+
+
+def _copy_query(justification, stats):
+    # A base case over hand-written copy clauses, every variable free.
+    db = _database((), justification, copy_lo=4)
+    return db, _justification_base(db, 0, 0, db.all, db.occurring(db.all), stats)
 
 
 class TestBaseCase:
@@ -265,24 +272,26 @@ class TestBaseCase:
         assert _base_case(pair_of(f), {1: True, 2: True}, stats) == 1
         assert (stats.base_cases, stats.sat_calls) == (1, 1)
 
-    def test_sat_free_base_cases_are_satisfiable(self, monkeypatch):
-        # Every base case answered without the solver must be one the solver
-        # would have found satisfiable: rebuild its query and ask.
+    def test_every_base_case_agrees_with_solve(self, monkeypatch):
+        # Rebuild each base case's query as clause tuples: the residual with
+        # its assigned literals dropped, plus the demand that some live copy
+        # be false.  The base case counts zero exactly when ``solve`` finds
+        # that satisfiable; an empty residual demands the empty clause.
         original = counting._justification_base
-        skipped = []
+        answers = []
 
         def spy(db, assigned, satisfied, clauses, variables, stats):
             calls = stats.sat_calls
             value = original(db, assigned, satisfied, clauses, variables, stats)
-            if value == 0 and stats.sat_calls == calls:
-                queue = [-var for var in _ids(variables & db.below_copies)]
-                assigned, satisfied = _bcp(db, assigned, satisfied, queue)
-                residual = [
-                    tuple(lit for lit in db.clauses[index] if not assigned >> abs(lit) & 1)
-                    for index in _ids(clauses & ~satisfied)
-                ]
-                live = sorted({abs(lit) for clause in residual for lit in clause})
-                skipped.append(solve(residual + [tuple(-var for var in live)]).satisfiable)
+            queue = [-var for var in _ids(variables & db.below_copies)]
+            assigned, satisfied = _bcp(db, assigned, satisfied, queue, db.search)
+            residual = [
+                tuple(lit for lit in db.clauses[index] if not assigned >> abs(lit) & 1)
+                for index in _ids(clauses & ~satisfied)
+            ]
+            live = sorted({abs(lit) for clause in residual for lit in clause})
+            unjustified = solve(residual + [tuple(-var for var in live)]).satisfiable
+            answers.append((stats.sat_calls > calls, value == 0, unjustified))
             return value
 
         monkeypatch.setattr(counting, "_justification_base", spy)
@@ -291,8 +300,35 @@ class TestBaseCase:
             for f, mode in ((random_formula(rng, max_vars=10, max_clauses=20), "general"),
                             (planted_cycle_formula(rng), None)):
                 assert count_minimal(f, force_mode=mode).count == count_minimal_brute(f).count
-        assert len(skipped) > 50
-        assert all(skipped)
+        assert [(rejected, unjustified) for _, rejected, unjustified in answers
+                if rejected != unjustified] == []
+        searched = [rejected for searched, rejected, _ in answers if searched]
+        assert len(answers) - len(searched) > 50
+        assert searched.count(True) > 10 and searched.count(False) > 10
+
+    def test_ring_closed_by_a_positive_chord_is_justified(self):
+        # The ring makes 4, 5 and 6 equal and the chord (4, 5) makes them
+        # true: the least model is all true, so no copy can be false.
+        stats = CountStats()
+        db, value = _copy_query(((-4, 5), (-5, 6), (-6, 4), (4, 5)), stats)
+        assert (value, stats.sat_calls) == (1, 1)
+        assert _search(db, 0, 0, db.all, db.variables, []) == (4, 5, 6)
+
+    def test_model_with_a_free_copy_is_unjustified(self):
+        # 4 = false conflicts; 4 = true satisfies every clause and leaves
+        # 5 and 6 free, so they can be false although no literal says so.
+        stats = CountStats()
+        db, value = _copy_query(((4, 5), (4, -5), (4, 6)), stats)
+        assert (value, stats.sat_calls) == (0, 1)
+        assert _search(db, 0, 0, db.all, db.variables, []) == (4,)
+
+    def test_later_branch_finds_a_false_copy(self):
+        # 4 = false conflicts, and under 4 = true so does 5 = false; the
+        # third branch, 5 = true, forces 6 false: a model with a false copy.
+        stats = CountStats()
+        db, value = _copy_query(((4, 5), (4, -5), (5, 6), (5, -6), (-5, -6)), stats)
+        assert (value, stats.sat_calls) == (0, 1)
+        assert _search(db, 0, 0, db.all, db.variables, []) == (4, 5)
 
     def test_copy_units_propagate_to_empty(self):
         # Original 1 defaults to false, which empties copy 4 and then copy 5.
@@ -314,7 +350,7 @@ class TestBaseCase:
             for m in models:
                 assign = {var: var in m for var in range(1, f.num_original_vars + 1)}
                 queue = [var if value else -var for var, value in assign.items()]
-                outcome = _bcp(search, 0, 0, queue)
+                outcome = _bcp(search, 0, 0, queue, search.search)
                 if outcome is _CONFLICT:
                     continue  # candidate violates the forced implications
                 if outcome[1] != search.all:
@@ -331,18 +367,28 @@ class TestRepeatedVariables:
 
     def test_tautology_is_never_a_unit(self):
         db, queue = _database(((-1, 2, -2),), copy_lo=3), [1]
-        assert _bcp(db, 0, 0, queue) == (0b10, 0)
+        assert _bcp(db, 0, 0, queue, db.search) == (0b10, 0)
         assert queue == [1]
 
     def test_repeated_literal_propagates(self):
         db, queue = _database(((-1, 2, 2),), copy_lo=3), [1]
-        assert _bcp(db, 0, 0, queue) == (0b110, 1)
+        assert _bcp(db, 0, 0, queue, db.search) == (0b110, 1)
         assert queue == [1, 2]
         assert _database(((2, 2),), copy_lo=3).units == [2]
 
+    def test_emptied_clause_of_the_conflict_mask_is_a_conflict(self):
+        # Asserting -4 empties the justification clause (4, -5): outside the
+        # mask that is an invariant violation, inside it a conflict.
+        db = _database((), ((4, 5), (4, -5)), copy_lo=4)
+        with pytest.raises(RuntimeError, match="falsified"):
+            _bcp(db, 0, 0, [-4], db.search)
+        assert _bcp(db, 0, 0, [-4], db.all) is _CONFLICT
+        assert _search(db, 0, 0, db.all, db.variables, [-4]) is None
+        assert _search(db, 0, 0, db.all, db.variables, []) == (4,)
+
     def test_repeated_literal_falsified_is_a_conflict(self):
         db = _database(((-1, 2, 2),), copy_lo=3)
-        assert _bcp(db, 0, 0, [1, -2]) is _CONFLICT
+        assert _bcp(db, 0, 0, [1, -2], db.search) is _CONFLICT
 
     def test_pinned_formula_has_a_tautology(self):
         formula = list(_search_shape_formulas())[4]

@@ -111,6 +111,9 @@ class TestParse:
     def test_literal_outside_var_ranges(self):
         with pytest.raises(ParseError, match="outside declared variable ranges"):
             parse_dimacs("c vr orig 1 1\np cnf 2 1\n1 2 0\n")
+        # Between the ranges, not above them.
+        with pytest.raises(ParseError, match="outside declared variable ranges"):
+            parse_dimacs("c vr orig 1 2\nc vr aux 5 6\np cnf 6 1\n3 0\n")
 
     def test_adjacent_var_ranges_accepted(self):
         f = parse_dimacs("c vr orig 1 2\nc vr aux 3 4\nc vr copy 5 6\np cnf 6 1\n1 2 0\n")

@@ -9,7 +9,9 @@ from pathlib import Path
 import mincount
 import mincount.counting as counting
 import mincount.sat as sat
-from mincount import BranchPolicy, build_pair, count_minimal, count_pair, parse_dimacs, solve
+from mincount import (
+    BranchPolicy, build_pair, check_minimal, count_minimal, count_pair, parse_dimacs, solve,
+)
 
 from conftest import pair_of
 
@@ -65,7 +67,6 @@ TRACED_SITES = (
     ("mincount.counting", "_split_components"),
     ("mincount.counting", "BranchPolicy.pick"),
     ("mincount.counting", "_justification_base"),
-    ("mincount.counting", "solve"),
     ("mincount.sat", "solve"),
 )
 
@@ -110,8 +111,9 @@ def test_traced_layers_are_called_through_their_sites(monkeypatch, ex2):
 
 
 def test_one_propagator(monkeypatch):
-    # ``solve`` propagates with the engine's ``_bcp`` through its own module,
-    # so the tracer's counting site sees the search's calls and no others.
+    # ``solve`` and the justification queries propagate with the engine's
+    # ``_bcp`` through its own module, so the tracer's counting site sees
+    # the search's calls and no others.
     calls = []
     for module in (counting, sat):
         original = module._bcp
@@ -122,13 +124,17 @@ def test_one_propagator(monkeypatch):
 
         monkeypatch.setattr(module, "_bcp", wrapper)
     assert solve(((1, 2), (-1, 2), (-2, 3))).satisfiable
+    assert check_minimal(parse_dimacs("p cnf 2 1\n1 2 0\n"), {1})
     assert set(calls) == {"mincount.sat"}
     calls.clear()
     # With 1 and 2 true the residual image (3, 4) has no negative literal,
-    # so the base case asks the solver.
+    # so the base case searches the run's own database, without ``solve``.
+    solved = []
+    monkeypatch.setattr(sat, "solve", lambda clauses: solved.append(clauses))
     result = count_minimal(parse_dimacs("p cnf 2 3\n1 2 0\n-1 2 0\n-2 1 0\n"))
     assert (result.count, result.stats.sat_calls) == (1, 1)
     assert set(calls) == {"mincount.counting", "mincount.sat"}
+    assert solved == [] and not hasattr(counting, "solve")
     source = (SOURCE / "sat.py").read_text()
     names = [token.string for token in tokenize.generate_tokens(io.StringIO(source).readline)
              if token.type == tokenize.NAME]
