@@ -24,7 +24,11 @@ literals are all false, so no values are stored: a clause is a unit
 when exactly one of its variables is unassigned.  Both children of a
 decision start from their parent's ints, so nothing is copied or
 undone, and propagation, the component walk and the branch heuristic
-do their per-clause and per-variable work in integer operations.
+do their per-clause and per-variable work in integer operations.  The
+walk grows a component one breadth-first level at a time and finds each
+level's variables from the smaller side: from the reached clauses, or,
+once those are many, by testing the unreached free variables against
+them.
 
 A run caches the count of each component and base case it solves,
 keyed by its clause and variable masks.  They fix the residual clauses,
@@ -145,30 +149,56 @@ def _split_components(db: _Database, live: int, free: int, enabled: bool):
     Returns ``(clauses, variables)`` mask pairs in the order of their
     lowest clauses, each found by a walk from that clause.  With
     decomposition disabled everything lands in a single group.
+
+    The walk goes one level at a time: the live clauses the last level's
+    variables occur in, then those clauses' free variables, found from
+    whichever side is smaller (Beamer, Asanović & Patterson, SC 2012).
+    Top-down joins the variables of each reached clause.  Bottom-up,
+    taken once the reached clauses are at least half as many as the
+    unreached free variables (a variable test costs about half a clause
+    step), tests each of those variables against the reached clauses.
     """
     if not enabled:
         return [(live, db.occurring(live) & free)]
     clause_vars, occurs = db.clause_vars, db.occurs
-    components = []
+    # ``rest`` lists the free variables a bottom-up level may still reach.
+    # Those a top-down level reaches stay in it but match no later level:
+    # the next level reaches all their live clauses.
+    components, rest = [], None
     while live:
         # The walk moves what it reaches out of ``live`` and ``free``.
         start_live, start_free = live, free
         first = live & -live
         live ^= first
-        todo = clause_vars[first.bit_length() - 1] & free
-        free ^= todo
-        while todo:
-            bit = todo & -todo
-            todo ^= bit
-            reached = occurs[bit.bit_length() - 1] & live
+        new = clause_vars[first.bit_length() - 1] & free
+        free ^= new
+        while new and live:
+            reached = 0
+            while new:
+                bit = new & -new
+                new ^= bit
+                reached |= occurs[bit.bit_length() - 1]
+            reached &= live
+            if not reached:
+                break
             live ^= reached
-            while reached:
-                low = reached & -reached
-                reached ^= low
-                new_vars = clause_vars[low.bit_length() - 1] & free
-                if new_vars:
-                    free ^= new_vars
-                    todo |= new_vars
+            if reached.bit_count() * 2 >= free.bit_count():
+                if rest is None:
+                    rest = _ids(free)
+                kept = []
+                for var in rest:
+                    if occurs[var] & reached:
+                        new |= 1 << var
+                    else:
+                        kept.append(var)
+                rest = kept
+            else:
+                while reached:
+                    low = reached & -reached
+                    reached ^= low
+                    new |= clause_vars[low.bit_length() - 1]
+            new &= free
+            free ^= new
         components.append((start_live ^ live, start_free ^ free))
     return components
 
@@ -270,7 +300,7 @@ def _run(db: _Database, *, policy, use_decomposition, stats):
             components = _split_components(db, live, free, use_decomposition)
             if len(components) > 1:
                 stats.components += len(components)
-            tasks.append(("combine", len(components)))
+                tasks.append(("combine", len(components)))
             for key in components:
                 part_clauses, part_vars = key
                 if not part_clauses & db.search:

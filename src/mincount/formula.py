@@ -73,10 +73,12 @@ class CnfFormula:
             if lo > top + 1:
                 gaps.append(range(top + 1, lo))
             top = max(top, hi)
-        for clause in self.clauses:
+        for index, clause in enumerate(self.clauses):
             for lit in clause:
                 if lit == 0 or abs(lit) > top or gaps and any(abs(lit) in gap for gap in gaps):
-                    raise ValueError(f"literal {lit} outside declared variable ranges")
+                    error = ValueError(f"literal {lit} outside declared variable ranges")
+                    error.clause = index  # ``parse_dimacs`` names the clause's line
+                    raise error
 
     def variables(self) -> set[int]:
         """Ids occurring in at least one clause."""
@@ -105,6 +107,7 @@ def parse_dimacs(source: str) -> CnfFormula:
     ranges: list[VarRange] = []
     range_lines: list[int] = []
     clauses: list[tuple[int, ...]] = []
+    clause_lines: list[int] = []
     tautologies = 0
     duplicates = 0
     current: list[int] = []
@@ -125,6 +128,7 @@ def parse_dimacs(source: str) -> CnfFormula:
             tautologies += 1
             return
         clauses.append(tuple(deduped))
+        clause_lines.append(line_no)
 
     for line_no, raw in enumerate(source.splitlines(), start=1):
         last_line = line_no
@@ -171,7 +175,7 @@ def parse_dimacs(source: str) -> CnfFormula:
             except ValueError:
                 raise ParseError(f"unexpected token {token!r}", line_no) from None
             if lit == 0:
-                finish_clause(line_no)
+                finish_clause(current_line or line_no)
                 current = []
                 current_line = None
             else:
@@ -211,7 +215,7 @@ def parse_dimacs(source: str) -> CnfFormula:
         )
     except ValueError as exc:
         # Declared ranges that leave a literal uncovered.
-        raise ParseError(str(exc)) from None
+        raise ParseError(str(exc), clause_lines[exc.clause]) from None
 
 
 def write_dimacs(formula: CnfFormula, extra_comments=()) -> str:

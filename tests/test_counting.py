@@ -154,6 +154,96 @@ class TestDecompose:
     def test_empty_pair_has_no_components(self):
         assert _components(pair_of(parse_dimacs("p cnf 0 0\n")))[1] == []
 
+    @staticmethod
+    def _reference(db, live, free, enabled):
+        """The components by a breadth-first search over sets of ids."""
+        def mask(ids):
+            return sum(1 << i for i in ids)
+
+        left, free_ids = set(_ids(live)), set(_ids(free))
+        clause_free = {index: {abs(lit) for lit in db.clauses[index]} & free_ids
+                       for index in left}
+        if not enabled:
+            return [(live, mask(set().union(*clause_free.values())))]
+        components = []
+        while left:
+            level = [min(left)]
+            clauses, variables = set(level), set()
+            while level:
+                found = {var for index in level for var in clause_free[index]} - variables
+                variables |= found
+                level = [index for index in left - clauses if clause_free[index] & found]
+                clauses.update(level)
+            left -= clauses
+            components.append((mask(clauses), mask(variables)))
+        return components
+
+    def _check(self, db, live, free, enabled=True):
+        expected = self._reference(db, live, free, enabled)
+        assert _split_components(db, live, free, enabled) == expected
+        return expected
+
+    def _bottom_up_candidates(self, monkeypatch, db, live, free):
+        """How many free variables were left when the walk first went
+        bottom-up (only a bottom-up level lists them), or None."""
+        listed = []
+        monkeypatch.setattr(counting, "_ids", lambda mask: listed.append(mask) or _ids(mask))
+        self._check(db, live, free)
+        monkeypatch.undo()
+        return listed[0].bit_count() if listed else None
+
+    def test_walk_matches_reference_on_random_nodes(self):
+        rng = random.Random(1303)
+        for _ in range(150):
+            f = random_formula(rng, max_vars=30, max_clauses=60, max_len=3)
+            copied = f.variables() if rng.random() < 0.5 else ()
+            db = _Database(*pair_of(f, copied))
+            enabled = rng.random() < 0.8
+            # A random node: some free variables may occur in no live clause.
+            self._check(db, db.all & rng.getrandbits(db.all.bit_length()),
+                        db.variables & rng.getrandbits(db.variables.bit_length()), enabled)
+            # Nodes that propagation reaches from random decisions.
+            decisions = rng.sample(sorted(f.variables()), min(4, len(f.variables())))
+            queue = list(db.units) + [var if rng.random() < 0.5 else -var for var in decisions]
+            result = _bcp(db, 0, 0, queue, db.search)
+            if result is not _CONFLICT:
+                assigned, satisfied = result
+                self._check(db, db.all & ~satisfied, db.variables & ~assigned, enabled)
+
+    def test_walk_matches_reference_on_disjoint_unions(self):
+        rng = random.Random(1304)
+        for _ in range(40):
+            blocks = [random_formula(rng, max_vars=8, max_clauses=20, max_len=3)
+                      for _ in range(rng.randint(2, 5))]
+            clauses, shift = [], 0
+            for block in blocks:
+                clauses += [tuple(lit + shift if lit > 0 else lit - shift for lit in clause)
+                            for clause in block.clauses]
+                shift += block.num_original_vars
+            db = _Database(*pair_of(CnfFormula(tuple(clauses), shift)))
+            assert len(self._check(db, db.all, db.variables)) >= len(
+                _input_parts(clauses, True))
+            self._check(db, db.all, db.variables, False)
+
+    def test_thin_chain_walks_top_down(self, monkeypatch):
+        n = 60
+        chain = [(-i, i + 1, i + 2) for i in range(1, n - 1)] + [(1,)]
+        db = _Database(*pair_of(CnfFormula(tuple(chain), n)))
+        assigned, satisfied = _bcp(db, 0, 0, list(db.units), db.search)
+        free = db.variables & ~assigned
+        left = self._bottom_up_candidates(monkeypatch, db, db.all & ~satisfied, free)
+        # About 20 clauses a level: only the walk's last few levels, with
+        # few variables left, go bottom-up.
+        assert left is None or left * 4 < free.bit_count()
+
+    def test_dense_root_walks_bottom_up(self, monkeypatch):
+        rng = random.Random(1305)
+        clauses = tuple(tuple(var if rng.random() < 0.5 else -var
+                              for var in rng.sample(range(1, 31), 3)) for _ in range(120))
+        db = _Database(*pair_of(CnfFormula(clauses, 30)))
+        left = self._bottom_up_candidates(monkeypatch, db, db.all, db.variables)
+        assert left is not None and left * 2 > db.variables.bit_count()
+
 
 class TestPropagation:
     def test_child_fixpoint_matches_fixpoint_from_scratch(self):

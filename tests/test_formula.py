@@ -109,10 +109,11 @@ class TestParse:
             parse_dimacs(f"{ranges}p cnf 6 2\n1 3 0\n-3 4 0\n")
 
     def test_literal_outside_var_ranges(self):
-        with pytest.raises(ParseError, match="outside declared variable ranges"):
-            parse_dimacs("c vr orig 1 1\np cnf 2 1\n1 2 0\n")
+        # The error names the line of the clause holding the literal.
+        with pytest.raises(ParseError, match="line 4: literal 2 outside declared variable ranges"):
+            parse_dimacs("c vr orig 1 1\np cnf 2 2\n1 0\n1\n2 0\n")
         # Between the ranges, not above them.
-        with pytest.raises(ParseError, match="outside declared variable ranges"):
+        with pytest.raises(ParseError, match="line 4: literal 3 outside declared variable ranges"):
             parse_dimacs("c vr orig 1 2\nc vr aux 5 6\np cnf 6 1\n3 0\n")
 
     def test_adjacent_var_ranges_accepted(self):
