@@ -337,6 +337,25 @@ def test_emit_depgraph(ex2_path, tmp_path, capsys):
     assert "1 -> 2;" in dot
 
 
+# (input, the DOT file ``--emit-depgraph`` writes).  In the second, the arc
+# 1 -> 2 comes from two clauses, 5 has no arc and 4, 7 and 8 occur nowhere.
+EMITTED_DEPGRAPHS = [
+    (EX2_TEXT, "digraph dependencies {\n  1;\n  2;\n  3;\n  1 -> 2;\n  2 -> 3;\n  3 -> 1;\n}\n"),
+    ("p cnf 8 5\n3 2 -1 0\n-1 2 0\n5 0\n-6 -1 0\n-3 1 0\n",
+     "digraph dependencies {\n  1;\n  2;\n  3;\n  5;\n  6;\n  1 -> 2;\n  1 -> 3;\n"
+     "  3 -> 1;\n}\n"),
+]
+
+
+@pytest.mark.parametrize("text, dot", EMITTED_DEPGRAPHS)
+def test_emit_depgraph_bytes_are_pinned(text, dot, tmp_path, capsys):
+    path = tmp_path / "in.cnf"
+    path.write_text(text)
+    dot_path = tmp_path / "graph.dot"
+    assert run_main(capsys, ["--emit-depgraph", str(dot_path), str(path)])[0] == EXIT_OK
+    assert dot_path.read_bytes() == dot.encode()
+
+
 def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(EX1_TEXT))
     code, out, _ = run_main(capsys, ["-"])

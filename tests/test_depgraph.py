@@ -1,9 +1,13 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 
 from mincount import (
     CnfFormula,
     build_dependency_graph,
+    count_minimal,
     is_acyclic,
     is_head_cycle_free,
     parse_dimacs,
@@ -127,3 +131,85 @@ def test_dot_output(ex2):
     assert dot.startswith("digraph")
     assert "1 -> 2;" in dot
     assert "3 -> 1;" in dot
+
+
+def test_dot_output_of_a_self_arc():
+    # Parsing drops the tautology (1, -1); an API formula keeps its arc.
+    dot = to_dot(build_dependency_graph(CnfFormula(((1, -1),), 1)))
+    assert dot == "digraph dependencies {\n  1;\n  1 -> 1;\n}\n"
+
+
+def _reference(formula):
+    """Arcs, cycle-mates and cyclic variables from sets and a transitive
+    closure, independent of the graph's successor lists and of Tarjan."""
+    arcs = {(-a, b) for clause in formula.clauses for a in clause if a < 0
+            for b in clause if b > 0}
+    nodes = formula.variables()
+    reach = {var: {b for a, b in arcs if a == var} for var in nodes}
+    for middle in nodes:  # Warshall: paths through ``middle`` too
+        for var in nodes:
+            if middle in reach[var]:
+                reach[var] |= reach[middle]
+    scc = {var: frozenset({var} | {other for other in reach[var] if var in reach[other]})
+           for var in nodes}
+    cyclic = {var for var in nodes if var in reach[var]}
+    head_cycle_free = not any(
+        a != b and b in scc[a]
+        for clause in formula.clauses for a in clause if a > 0 for b in clause if b > 0
+    )
+    return arcs, scc, cyclic, head_cycle_free
+
+
+def _messy_formula(rng):
+    """At most 12 variables out of up to 16 ids, literals drawn with
+    replacement, so clauses repeat literals and some are tautologies (API
+    formulas keep those), and some ids occur nowhere."""
+    ids = rng.sample(range(1, 17), rng.randint(1, 12))
+    clauses = tuple(
+        tuple(rng.choice(ids) * rng.choice((1, -1)) for _ in range(rng.randint(1, 4)))
+        for _ in range(rng.randint(0, 16))
+    )
+    return CnfFormula(clauses, 16)
+
+
+def test_graph_matches_set_reference_on_random_formulas():
+    rng = random.Random(1401)
+    self_arcs = nontrivial = 0
+    for _ in range(400):
+        f = _messy_formula(rng)
+        arcs, scc, cyclic, head_cycle_free = _reference(f)
+        g = build_dependency_graph(f)
+        assert g.nodes == f.variables()
+        assert g.arcs == arcs
+        sccs = g.sccs
+        assert {frozenset(component) for component in sccs.components} == set(scc.values())
+        assert all(list(component) == sorted(component) for component in sccs.components)
+        assert sccs.component_of == {var: position
+                                     for position, component in enumerate(sccs.components)
+                                     for var in component}
+        # Topological: every arc stays in its component or goes forward.
+        assert all(sccs.component_of[a] <= sccs.component_of[b] for a, b in arcs)
+        assert g.cyclic == cyclic
+        assert is_acyclic(g) == (not cyclic)
+        assert is_head_cycle_free(f, g) == head_cycle_free
+        self_arcs += any(a == b for a, b in arcs)
+        nontrivial += any(len(component) > 1 for component in sccs.components)
+    # The formulas must exercise both kinds of cycle.
+    assert self_arcs >= 40 and nontrivial >= 40
+
+
+SPARSE = "p cnf 3000000 2\n-3000000 1 0\n-1 3000000 0\n"
+
+
+def test_sparse_ids_cost_what_the_occurring_variables_cost():
+    f = parse_dimacs(SPARSE)
+    tracemalloc.start()
+    try:
+        g = build_dependency_graph(f)
+        result = count_minimal(f, graph=g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.sccs.components == ((1, 3000000),)
+    assert result.count == 1
+    assert peak < 2**20
