@@ -37,7 +37,9 @@ because the database of a run is fixed.
 ``count_minimal`` splits its input into variable-disjoint parts before
 any transform and counts them one after another, each renumbered to its
 occurring variables by the grouping pass (a part already over ``1..k``
-as it is) and with its own run and its own copy variables.
+as it is) and with its own run and its own copy variables.  A part is
+connected, so a part's root that propagation leaves untouched is one
+component, the whole pair, and is not walked.
 
 The recursion is realized with an explicit stack so that chain formulas
 cannot exhaust the interpreter's recursion limit.  Each counting run owns
@@ -246,11 +248,14 @@ def _words(mask: int) -> int:
     return (mask.bit_length() + 29) // 30
 
 
-def _run(db: _Database, *, policy, use_decomposition, stats):
+def _run(db: _Database, *, policy, use_decomposition, stats, connected):
     """Explicit-stack evaluation of the counting recursion.
 
     A ``"count"`` task holds a node's four masks and the literals it
     asserts: those of the unit clauses at the root, a decision below it.
+    With ``connected``, the caller's promise that the database's clauses
+    form one component, a root whose propagation assigns nothing is that
+    component, ``(db.all, db.occurring_vars)``, without a walk.
     """
     cache, held = {}, 0
 
@@ -297,7 +302,10 @@ def _run(db: _Database, *, policy, use_decomposition, stats):
                     base(assigned, satisfied, live, db.occurring(live) & free) if live else 1
                 )
                 continue
-            components = _split_components(db, live, free, use_decomposition)
+            if connected and not assigned:  # only the root assigns nothing
+                components = [(live, db.occurring_vars)]
+            else:
+                components = _split_components(db, live, free, use_decomposition)
             if len(components) > 1:
                 stats.components += len(components)
                 tasks.append(("combine", len(components)))
@@ -330,16 +338,20 @@ def _run(db: _Database, *, policy, use_decomposition, stats):
 
 def count_pair(pair, *, policy: BranchPolicy | None = None,
                use_decomposition: bool = True,
-               stats: CountStats | None = None) -> CountResult:
+               stats: CountStats | None = None,
+               connected: bool = False) -> CountResult:
     """Count minimal models by recursing over the search/justification pair.
 
     ``pair`` is what ``build_pair`` returns.  The recursion starts from
     the empty assignment; ``stats``, when given, accumulates the run's
-    counters.
+    counters.  ``connected`` is the caller's promise that the pair's
+    clauses form one component, as those of a connected input part do:
+    then a root whose propagation assigns nothing is counted as that one
+    component without walking it.  By default the root is walked.
     """
     stats = stats if stats is not None else CountStats()
     count = _run(_Database(*pair), policy=policy or BranchPolicy(),
-                 use_decomposition=use_decomposition, stats=stats)
+                 use_decomposition=use_decomposition, stats=stats, connected=connected)
     return CountResult(count, stats)
 
 
@@ -421,6 +433,11 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
     ``general`` copies every variable; ``acyclic`` copies none and raises
     ``ValueError`` on a cyclic formula.  ``graph`` is the formula's
     dependency graph, if the caller has built it.
+
+    With decomposition on, every part is connected, and so is its pair:
+    each clause ``build_pair`` adds holds a variable of the part or a copy
+    that its implication ``(-x', x)`` ties to one.  So ``count_pair`` is
+    told so, and a part's root that propagates nothing is not walked.
     """
     graph = graph if graph is not None else build_dependency_graph(formula)
     acyclic = is_acyclic(graph)
@@ -449,5 +466,5 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
         # previous part's pair alive while the next one is built.
         count *= count_pair(build_pair(part, len(variables), part_copied),
                             policy=policy, use_decomposition=use_decomposition,
-                            stats=stats).count
+                            stats=stats, connected=use_decomposition).count
     return CountResult(count, stats)

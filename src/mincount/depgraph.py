@@ -4,6 +4,12 @@ The graph has an arc a -> b whenever some clause contains ``-a`` and
 ``b`` (as a positive literal).  Only the variables on a cycle of this
 graph get copy variables in the counting pair; head-cycle-freeness is
 computed as a diagnostic only.
+
+One pass over the clauses maps each tail to the list of its heads, and
+Tarjan's SCC pass walks those lists; the arcs as a set of pairs are
+derived only when asked for.  Every table is keyed by the occurring
+variables, so a sparse input with a huge largest id costs no more than
+a dense one.
 """
 
 from __future__ import annotations
@@ -14,10 +20,22 @@ from functools import cached_property
 from .formula import ORIG, CnfFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DepGraph:
+    """The occurring variables and, for each tail of an arc, its heads.
+
+    ``successors`` maps a variable to the list of the heads of its arcs
+    in clause order, where an arc given twice is listed twice; a variable
+    without an outgoing arc has no entry.
+    """
+
     nodes: frozenset[int]
-    arcs: frozenset[tuple[int, int]]
+    successors: dict[int, list[int]]
+
+    @cached_property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """The arcs as ``(tail, head)`` pairs, derived on first use."""
+        return frozenset((a, b) for a, heads in self.successors.items() for b in heads)
 
     @cached_property
     def sccs(self) -> SccDecomposition:
@@ -29,7 +47,7 @@ class DepGraph:
         """The variables on a cycle: in a non-trivial SCC or on a self-arc."""
         return frozenset(
             [var for component in self.sccs.components if len(component) > 1 for var in component]
-            + [a for a, b in self.arcs if a == b]
+            + [a for a, heads in self.successors.items() if a in heads]
         )
 
 
@@ -45,30 +63,37 @@ def build_dependency_graph(formula: CnfFormula) -> DepGraph:
     """Build the variable dependency graph of a formula.
 
     Only defined over original variables; raises ``ValueError`` when the
-    formula's clauses mention auxiliary or copy ids.
+    formula's clauses mention auxiliary or copy ids.  Time and memory are
+    bounded by the clauses and their variables, not by the largest id.
     """
-    for var in formula.variables():
-        if formula.kind_of(var) != ORIG:
-            raise ValueError(f"dependency graph requires original variables only, got {var}")
-    arcs = set()
+    nodes = formula.variables()
+    if any(vr.kind != ORIG for vr in formula.var_ranges):
+        for var in nodes:
+            if formula.kind_of(var) != ORIG:
+                raise ValueError(f"dependency graph requires original variables only, got {var}")
+    successors: dict[int, list[int]] = {}
     for clause in formula.clauses:
-        negatives = [-lit for lit in clause if lit < 0]
-        positives = [lit for lit in clause if lit > 0]
-        for a in negatives:
-            for b in positives:
-                arcs.add((a, b))
-    return DepGraph(frozenset(formula.variables()), frozenset(arcs))
+        heads = [lit for lit in clause if lit > 0]
+        if heads and len(heads) < len(clause):
+            for lit in clause:
+                if lit < 0:
+                    tail = successors.get(-lit)
+                    if tail is None:
+                        successors[-lit] = heads[:]
+                    else:
+                        tail += heads
+    return DepGraph(frozenset(nodes), successors)
 
 
 def strongly_connected_components(graph: DepGraph) -> SccDecomposition:
     """Tarjan's algorithm, iterative to tolerate deep chain graphs."""
-    adjacency: dict[int, list[int]] = {node: [] for node in graph.nodes}
-    for a, b in sorted(graph.arcs):
-        adjacency[a].append(b)
-
+    successors = graph.successors
+    # ``index`` and ``lowlink`` hold every visited node; ``finished`` maps
+    # the nodes already in a component to the position Tarjan emits that
+    # component at, so a visited node is on the stack while not in it.
     index: dict[int, int] = {}
     lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
+    finished: dict[int, int] = {}
     stack: list[int] = []
     components: list[tuple[int, ...]] = []
 
@@ -80,43 +105,43 @@ def strongly_connected_components(graph: DepGraph) -> SccDecomposition:
         # is ``len(index)``, read before the node is stored.
         index[root] = lowlink[root] = len(index)
         stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(adjacency[root]))]
+        work = [(root, iter(successors.get(root, ())))]
         while work:
             node, children = work[-1]
             for child in children:
                 if child not in index:
                     index[child] = lowlink[child] = len(index)
                     stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(adjacency[child])))
+                    work.append((child, iter(successors.get(child, ()))))
                     break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index[child])
+                if child not in finished and index[child] < lowlink[node]:
+                    lowlink[node] = index[child]
             else:
                 work.pop()
-                if lowlink[node] == index[node]:
-                    component = []
+                low = lowlink[node]
+                if low == index[node]:
+                    position, component = len(components), []
                     while True:
                         member = stack.pop()
-                        on_stack.discard(member)
+                        finished[member] = position
                         component.append(member)
                         if member == node:
                             break
                     components.append(tuple(sorted(component)))
                 if work:
                     parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                    if low < lowlink[parent]:
+                        lowlink[parent] = low
 
     # Tarjan emits components in reverse topological order.
     components.reverse()
-    component_of = {}
-    for pos, component in enumerate(components):
-        for node in component:
-            component_of[node] = pos
-    for a, b in graph.arcs:
-        if component_of[a] > component_of[b]:
-            raise RuntimeError("condensation order violated; SCC computation is broken")
+    last = len(components) - 1
+    component_of = {node: last - position for node, position in finished.items()}
+    for a, heads in successors.items():
+        position = component_of[a]
+        for b in heads:
+            if position > component_of[b]:
+                raise RuntimeError("condensation order violated; SCC computation is broken")
     return SccDecomposition(tuple(components), component_of)
 
 

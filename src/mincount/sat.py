@@ -47,7 +47,8 @@ class _Database:
     clauses, and variable ids are at most ``top``.  ``lits[lit]`` is the
     mask of the clauses holding the literal ``lit`` (a negative literal
     indexes from the end), ``occurs[var]`` the mask of those holding
-    ``var`` either way, and ``clause_vars[id]`` a clause's variable mask.
+    ``var`` either way, ``clause_vars[id]`` a clause's variable mask and
+    ``occurring_vars`` the mask of the variables some clause holds.
     ``clauses`` holds each clause with its repeated literals dropped; one
     that still repeats a variable is a tautology, is in ``repeats`` and
     never acts as a unit.  ``units`` are the literals of the unit clauses
@@ -78,7 +79,10 @@ class _Database:
                     repeats |= bit
             clause_vars.append(variables)
         self.clauses, self.repeats = tuple(clauses), repeats
-        self.occurs = [lits[var] | lits[-var] for var in range(top + 1)]
+        self.occurs = occurs = [lits[var] | lits[-var] for var in range(top + 1)]
+        # One bit per variable that occurs: cheaper than ORing every clause's mask.
+        bits = ["1" if mask else "0" for mask in reversed(occurs)]
+        self.occurring_vars = int("".join(bits), 2)
         self.units = [clause[0] for index, clause in enumerate(clauses) if len(clause) == 1
                       and (index < num_search or abs(clause[0]) >= copy_lo)]
         self.empty = () in search

@@ -245,6 +245,102 @@ class TestDecompose:
         assert left is not None and left * 2 > db.variables.bit_count()
 
 
+def _ring(n):
+    """The implication ring 1 -> 2 -> ... -> n -> 1 with the positive chord
+    (1, n//2): one connected part whose root propagates nothing."""
+    return CnfFormula(tuple((-i, i % n + 1) for i in range(1, n + 1)) + ((1, n // 2),), n)
+
+
+def _messy_formula(rng):
+    """Up to 10 variables, some never positive; clauses of one to five
+    literals drawn with replacement, so units, repeated literals,
+    tautologies and clauses that need auxiliary variables all occur."""
+    n = rng.randint(2, 10)
+    never_positive = set(rng.sample(range(1, n + 1), rng.randint(0, n // 3)))
+    clauses = []
+    for _ in range(rng.randint(1, 2 * n)):
+        variables = [rng.randint(1, n) for _ in range(rng.choice((1, 2, 2, 3, 3, 4, 5)))]
+        clauses.append(tuple(-var if var in never_positive or rng.random() < 0.5 else var
+                             for var in variables))
+    return CnfFormula(tuple(clauses), n)
+
+
+class TestRootWithoutWalk:
+    """``count_minimal`` vouches that each part it counts is connected, so a
+    part's root that propagates nothing is one component without a walk."""
+
+    def test_every_part_root_walks_to_its_recorded_mask(self, monkeypatch):
+        pairs = []
+        original = counting.count_pair
+
+        def spy(pair, **kwargs):
+            pairs.append((pair, kwargs["connected"]))
+            return original(pair, **kwargs)
+
+        monkeypatch.setattr(counting, "count_pair", spy)
+        rng = random.Random(1402)
+        runs = dict.fromkeys((None, "general", "acyclic"), 0)
+        for _ in range(150):
+            f = _messy_formula(rng)
+            expected = count_minimal_brute(f).count
+            for mode in runs:
+                try:
+                    assert count_minimal(f, force_mode=mode).count == expected
+                except ValueError:  # forced acyclic on a cyclic formula
+                    continue
+                runs[mode] += 1
+        assert min(runs.values()) >= 30
+        untouched = 0
+        for pair, connected in pairs:
+            assert connected
+            db = _Database(*pair)
+            if db.empty:
+                continue
+            assert db.occurring_vars == db.occurring(db.all)
+            assert _split_components(db, db.all, db.variables, True) == [
+                (db.all, db.occurring_vars)]
+            result = _bcp(db, 0, 0, list(db.units), db.search)
+            untouched += result is not _CONFLICT and not result[0]
+        assert untouched >= 20
+
+    @staticmethod
+    def _walks(monkeypatch, count, *args, **kwargs):
+        """For each ``_split_components`` call that ``count`` makes, whether
+        it was over the whole database; and the count."""
+        walks = []
+        original = counting._split_components
+
+        def spy(db, live, free, enabled):
+            walks.append(live == db.all and free == db.variables)
+            return original(db, live, free, enabled)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(counting, "_split_components", spy)
+            return walks, count(*args, **kwargs).count
+
+    def test_no_walk_at_an_untouched_ring_root(self, monkeypatch):
+        # Both children of the root's decision propagate to the end, so the
+        # root is the only node that could walk.
+        ring = _ring(30)
+        assert self._walks(monkeypatch, count_minimal, ring) == ([], 1)
+        assert self._walks(monkeypatch, count_pair, pair_of(ring, ring.variables())) == (
+            [True], 1)
+
+    def test_root_walks_with_decomposition_off(self, monkeypatch):
+        assert self._walks(monkeypatch, count_minimal, _ring(30),
+                           use_decomposition=False) == ([True], 1)
+
+    def test_count_pair_walks_its_root_by_default(self, monkeypatch):
+        # Two disjoint 2-cycles: the root propagates nothing, yet the pair
+        # is two components.
+        pair = pair_of(CnfFormula(((-1, 2), (-2, 1), (-3, 4), (-4, 3)), 4))
+        db = _Database(*pair)
+        assert _bcp(db, 0, 0, list(db.units), db.search)[0] == 0
+        stats = CountStats()
+        walks, count = self._walks(monkeypatch, count_pair, pair, stats=stats)
+        assert (walks[0], count, stats.components) == (True, 1, 2)
+
+
 class TestPropagation:
     def test_child_fixpoint_matches_fixpoint_from_scratch(self):
         # Both children of a decision propagate from their parent's masks;
