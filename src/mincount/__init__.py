@@ -17,7 +17,6 @@ from .counting import (
     CountResult,
     CountStats,
     count_minimal,
-    count_pair,
 )
 from .depgraph import (
     DepGraph,
@@ -66,7 +65,6 @@ __all__ = [
     "check_minimal",
     "count_minimal",
     "count_minimal_brute",
-    "count_pair",
     "enumerate_models",
     "evaluate",
     "is_acyclic",

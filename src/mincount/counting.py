@@ -37,9 +37,10 @@ because the database of a run is fixed.
 ``count_minimal`` splits its input into variable-disjoint parts before
 any transform and counts them one after another, each renumbered to its
 occurring variables by the grouping pass (a part already over ``1..k``
-as it is) and with its own run and its own copy variables.  A part is
-connected, so a part's root that propagation leaves untouched is one
-component, the whole pair, and is not walked.
+as it is) and with its own run and its own copy variables.  A run
+counts its pair as one component: a root that propagation leaves
+untouched is the whole pair and is not walked.  A part is connected, and
+so is its pair.
 
 The recursion is realized with an explicit stack so that chain formulas
 cannot exhaust the interpreter's recursion limit.  Each counting run owns
@@ -49,6 +50,7 @@ execute concurrently.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, fields
 
 from .depgraph import DepGraph, build_dependency_graph, is_acyclic, is_head_cycle_free
@@ -248,16 +250,26 @@ def _words(mask: int) -> int:
     return (mask.bit_length() + 29) // 30
 
 
-def _run(db: _Database, *, policy, use_decomposition, stats, connected):
-    """Explicit-stack evaluation of the counting recursion.
+def count_pair(pair, *, policy: BranchPolicy | None = None,
+               use_decomposition: bool = True,
+               stats: CountStats | None = None) -> CountResult:
+    """Count minimal models by recursing over the search/justification pair.
 
-    A ``"count"`` task holds a node's four masks and the literals it
-    asserts: those of the unit clauses at the root, a decision below it.
-    With ``connected``, the caller's promise that the database's clauses
-    form one component, a root whose propagation assigns nothing is that
-    component, ``(db.all, db.occurring_vars)``, without a walk.
+    ``pair`` is what ``build_pair`` returns, and its clauses count as one
+    component: a root whose propagation assigns nothing is the whole pair,
+    ``(db.all, db.occurring_vars)``, without a walk, so a disconnected
+    pair splits below its first decision.  The recursion starts from the
+    empty assignment on an explicit stack.  A ``"count"`` task holds a
+    node's four masks and the literals it asserts: those of the unit
+    clauses at the root, a decision below it.  ``stats``, when given,
+    accumulates the run's counters.
     """
-    cache, held = {}, 0
+    stats = stats if stats is not None else CountStats()
+    policy = policy or BranchPolicy()
+    db = _Database(*pair)
+    if db.empty:
+        return CountResult(0, stats)
+    cache, held = OrderedDict(), 0
 
     def remember(key, value):
         # No key comes twice: while a component's sum is pending, the nodes
@@ -266,9 +278,8 @@ def _run(db: _Database, *, policy, use_decomposition, stats, connected):
         cache[key] = value
         held += 1 + _words(key[0]) + _words(key[1])
         while held > _CACHE_WORD_BUDGET:
-            old = next(iter(cache))
+            old, _ = cache.popitem(last=False)
             held -= 1 + _words(old[0]) + _words(old[1])
-            del cache[old]
             stats.cache_evictions += 1
         return value
 
@@ -280,8 +291,6 @@ def _run(db: _Database, *, policy, use_decomposition, stats, connected):
         stats.cache_hits += 1
         return value
 
-    if db.empty:
-        return 0
     tasks = [("count", 0, 0, db.all, db.variables, list(db.units))]
     values = []
     while tasks:
@@ -302,7 +311,7 @@ def _run(db: _Database, *, policy, use_decomposition, stats, connected):
                     base(assigned, satisfied, live, db.occurring(live) & free) if live else 1
                 )
                 continue
-            if connected and not assigned:  # only the root assigns nothing
+            if not assigned:  # only the root assigns nothing
                 components = [(live, db.occurring_vars)]
             else:
                 components = _split_components(db, live, free, use_decomposition)
@@ -333,26 +342,7 @@ def _run(db: _Database, *, policy, use_decomposition, stats, connected):
                 product *= values.pop()
             values.append(product)
     stats.cache_entries += len(cache)
-    return values[0]
-
-
-def count_pair(pair, *, policy: BranchPolicy | None = None,
-               use_decomposition: bool = True,
-               stats: CountStats | None = None,
-               connected: bool = False) -> CountResult:
-    """Count minimal models by recursing over the search/justification pair.
-
-    ``pair`` is what ``build_pair`` returns.  The recursion starts from
-    the empty assignment; ``stats``, when given, accumulates the run's
-    counters.  ``connected`` is the caller's promise that the pair's
-    clauses form one component, as those of a connected input part do:
-    then a root whose propagation assigns nothing is counted as that one
-    component without walking it.  By default the root is walked.
-    """
-    stats = stats if stats is not None else CountStats()
-    count = _run(_Database(*pair), policy=policy or BranchPolicy(),
-                 use_decomposition=use_decomposition, stats=stats, connected=connected)
-    return CountResult(count, stats)
+    return CountResult(values[0], stats)
 
 
 def _input_parts(clauses, split):
@@ -436,8 +426,9 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
 
     With decomposition on, every part is connected, and so is its pair:
     each clause ``build_pair`` adds holds a variable of the part or a copy
-    that its implication ``(-x', x)`` ties to one.  So ``count_pair`` is
-    told so, and a part's root that propagates nothing is not walked.
+    that its implication ``(-x', x)`` ties to one.  So the one component
+    ``count_pair`` takes an untouched root for is what a walk would find,
+    as it is with decomposition off, where the walk makes one group.
     """
     graph = graph if graph is not None else build_dependency_graph(formula)
     acyclic = is_acyclic(graph)
@@ -466,5 +457,5 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
         # previous part's pair alive while the next one is built.
         count *= count_pair(build_pair(part, len(variables), part_copied),
                             policy=policy, use_decomposition=use_decomposition,
-                            stats=stats, connected=use_decomposition).count
+                            stats=stats).count
     return CountResult(count, stats)

@@ -62,7 +62,7 @@ class _Database:
         self.all = (1 << (num_search + len(justification))) - 1
         self.variables = (1 << (top + 1)) - 2
         self.originals = (1 << (orig_limit + 1)) - 2
-        self.copy_lo, self.below_copies = copy_lo, (1 << copy_lo) - 1
+        self.below_copies = (1 << copy_lo) - 1
         self.lits = lits = [0] * (2 * top + 1)
         var_bits = [1 << var for var in range(top + 1)]
         var_bits += var_bits[:0:-1]  # indexed by literal too

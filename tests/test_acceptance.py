@@ -19,13 +19,12 @@ from mincount import (
     check_minimal,
     count_minimal,
     count_minimal_brute,
-    count_pair,
     enumerate_models,
     is_acyclic,
     minimal_models_pairwise,
     parse_dimacs,
 )
-from mincount.counting import _Database, _bcp, _justification_base
+from mincount.counting import _Database, _bcp, _justification_base, count_pair
 
 from conftest import (
     EX1_TEXT,

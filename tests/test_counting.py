@@ -12,7 +12,6 @@ from mincount import (
     build_dependency_graph,
     count_minimal,
     count_minimal_brute,
-    count_pair,
     enumerate_models,
     minimal_models_pairwise,
     parse_dimacs,
@@ -26,6 +25,7 @@ from mincount.counting import (
     _input_parts,
     _justification_base,
     _split_components,
+    count_pair,
 )
 from mincount.sat import _search, solve
 
@@ -103,10 +103,10 @@ class TestCountPair:
 
     def test_disjoint_pairs_multiply(self):
         f = parse_dimacs("p cnf 4 2\n1 2 0\n3 4 0\n")
-        stats = CountStats()
-        result = count_pair(pair_of(f), stats=stats)
-        assert result.count == 4
-        assert stats.components == 2
+        assert count_pair(pair_of(f)).count == 4
+        # ``count_minimal`` splits the input into its two parts.
+        result = count_minimal(f)
+        assert (result.count, result.stats.components) == (4, 2)
 
     def test_conflicting_units_count_zero(self):
         f = parse_dimacs("p cnf 1 2\n1 0\n-1 0\n")
@@ -266,15 +266,15 @@ def _messy_formula(rng):
 
 
 class TestRootWithoutWalk:
-    """``count_minimal`` vouches that each part it counts is connected, so a
-    part's root that propagates nothing is one component without a walk."""
+    """``count_pair`` counts a root that propagates nothing as one component
+    without a walk; each part ``count_minimal`` hands it is connected."""
 
     def test_every_part_root_walks_to_its_recorded_mask(self, monkeypatch):
         pairs = []
         original = counting.count_pair
 
         def spy(pair, **kwargs):
-            pairs.append((pair, kwargs["connected"]))
+            pairs.append(pair)
             return original(pair, **kwargs)
 
         monkeypatch.setattr(counting, "count_pair", spy)
@@ -291,8 +291,7 @@ class TestRootWithoutWalk:
                 runs[mode] += 1
         assert min(runs.values()) >= 30
         untouched = 0
-        for pair, connected in pairs:
-            assert connected
+        for pair in pairs:
             db = _Database(*pair)
             if db.empty:
                 continue
@@ -324,21 +323,38 @@ class TestRootWithoutWalk:
         ring = _ring(30)
         assert self._walks(monkeypatch, count_minimal, ring) == ([], 1)
         assert self._walks(monkeypatch, count_pair, pair_of(ring, ring.variables())) == (
-            [True], 1)
+            [], 1)
 
-    def test_root_walks_with_decomposition_off(self, monkeypatch):
+    def test_no_root_walk_with_decomposition_off(self, monkeypatch):
         assert self._walks(monkeypatch, count_minimal, _ring(30),
-                           use_decomposition=False) == ([True], 1)
+                           use_decomposition=False) == ([], 1)
 
-    def test_count_pair_walks_its_root_by_default(self, monkeypatch):
-        # Two disjoint 2-cycles: the root propagates nothing, yet the pair
-        # is two components.
-        pair = pair_of(CnfFormula(((-1, 2), (-2, 1), (-3, 4), (-4, 3)), 4))
-        db = _Database(*pair)
-        assert _bcp(db, 0, 0, list(db.units), db.search)[0] == 0
-        stats = CountStats()
-        walks, count = self._walks(monkeypatch, count_pair, pair, stats=stats)
-        assert (walks[0], count, stats.components) == (True, 1, 2)
+    def test_disjoint_union_splits_below_its_root(self):
+        # Random formulas over disjoint ids, handed to ``count_pair`` as one
+        # pair: an untouched root is counted as one component, and the
+        # parts split apart below it.
+        rng = random.Random(1501)
+        split = 0
+        for _ in range(40):
+            formulas = [random_formula(rng, max_vars=6, min_clauses=8, max_clauses=14,
+                                       min_len=2)
+                        for _ in range(rng.randint(2, 3))]
+            clauses, offset, expected = (), 0, 1
+            for f in formulas:
+                clauses += _shifted(f, offset)
+                offset += f.num_original_vars
+                expected *= count_minimal_brute(f).count
+            union = CnfFormula(clauses, offset)
+            copied = union.variables() if rng.random() < 0.5 else (
+                build_dependency_graph(union).cyclic)
+            pair = pair_of(union, copied)
+            db = _Database(*pair)
+            root = _bcp(db, 0, 0, list(db.units), db.search)
+            stats = CountStats()
+            assert count_pair(pair, stats=stats).count == expected
+            assert count_pair(pair, use_decomposition=False).count == expected
+            split += root is not _CONFLICT and not root[0] and stats.components > 0
+        assert split >= 15
 
 
 class TestPropagation:
@@ -722,6 +738,18 @@ CACHED_SEARCH_SHAPES = [
 ]
 
 
+# (count, cache_hits, cache_entries, cache_evictions) of the default
+# engine on the same formulas with a 64-word cache: the oldest entry goes
+# first, so these pin the eviction order.
+EVICTING_SEARCH_SHAPES = [
+    (369, 26, 5, 92), (216, 0, 10, 3), (24, 2, 7, 4), (78, 4, 8, 12),
+    (10, 1, 5, 9), (40, 2, 7, 11), (58, 5, 7, 23), (51, 4, 8, 3),
+    (96, 0, 8, 2), (118, 4, 8, 17), (36, 2, 7, 5), (22, 4, 8, 2),
+    (24, 0, 6, 0), (137, 10, 9, 23), (512, 7, 6, 32), (144, 4, 9, 3),
+    (10, 6, 6, 8), (165, 9, 8, 25), (531, 59, 5, 285), (14, 1, 9, 5),
+]
+
+
 def _search_shape_formulas():
     """Twenty seeded formulas of 25-40 variables with 2-3 literal clauses."""
     rng = random.Random(7)
@@ -763,6 +791,14 @@ class TestSearchShape:
             ) == expected
             assert stats.cache_evictions == 0
             assert 0 < stats.cache_entries <= stats.decisions + stats.base_cases
+
+    def test_evicting_cache_is_pinned(self, monkeypatch):
+        monkeypatch.setattr(counting, "_CACHE_WORD_BUDGET", 64)
+        for formula, expected in zip(_search_shape_formulas(), EVICTING_SEARCH_SHAPES):
+            result = count_minimal(formula)
+            stats = result.stats
+            assert (result.count, stats.cache_hits, stats.cache_entries,
+                    stats.cache_evictions) == expected
 
     def test_split_rows_are_the_sums_of_their_parts(self, monkeypatch):
         # Rows 1 and 10 are the pinned inputs with two parts.  Their
