@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from mincount import (
@@ -130,3 +133,97 @@ class TestEvaluate:
 
     def test_empty_formula_true(self):
         assert evaluate(parse_dimacs("p cnf 0 0\n"), frozenset())
+
+
+# The parse outcomes below are pinned: a rewrite of ``parse_dimacs`` must
+# reproduce every clause list, range, statistic and error message exactly.
+_STRAY = ("x", "1.5", "%", "-", "c", "p", "0x1", "--1", "1-")
+_BAD_HEADERS = ("p cnf", "p dnf {n} {m}", "p cnf -1 {m}", "p cnf {n} -2", "p cnf a {m}",
+                "p cnf {n} {m} 1", "pcnf {n} {m}", "p  cnf  {n}  {m}")
+_COMMENTS = ("c", "c hello", "c p cnf 1 1", "cx", "  c indented", "c vr", "c vr orig x 2",
+             "c vr tag 1 2", "")
+
+
+def _corpus_text(rng: random.Random) -> str:
+    """One small DIMACS text, valid or not, drawn from ``rng``."""
+    n, head, body = rng.randint(0, 8), [], []
+    head.extend(rng.choice(_COMMENTS) for _ in range(rng.choice((0, 0, 1, 3))))
+    if rng.random() < 0.25:
+        # ``c vr`` ranges: a partition of 1..n, sometimes broken.
+        cut = rng.randint(1, max(n, 1))
+        ranges = [("orig", 1, cut), ("aux", cut + 1, max(n, cut + 1) + rng.randint(0, 2))]
+        broken = rng.choice(("", "", "inverted", "overlap", "no-orig", "second-orig", "gap"))
+        if broken == "inverted":
+            ranges[1] = ("aux", n + 2, cut)
+        elif broken == "overlap":
+            ranges.append(("copy", max(1, cut), n + 3))
+        elif broken == "no-orig":
+            ranges[0] = ("copy", 1, cut)
+        elif broken == "second-orig":
+            ranges.append(("orig", n + 4, n + 5))
+        elif broken == "gap":
+            ranges[1] = ("aux", cut + 2, n + 1)
+        rng.shuffle(ranges)
+        head.extend(f"c vr {kind} {lo} {hi}" for kind, lo, hi in ranges)
+    clauses = []
+    for _ in range(rng.randint(0, 7)):
+        clause = [rng.choice((1, -1)) * var
+                  for var in rng.sample(range(1, n + 1), min(n, rng.randint(0, 4)))]
+        if clause and rng.random() < 0.15:
+            clause.append(rng.choice((clause[0], -clause[0])))  # duplicate or tautology
+        clauses.append(clause)
+    tokens = [str(lit) for clause in clauses for lit in clause + [0]]
+    fault = rng.choice(("",) * 12 + ("stray", "bound", "no-zero", "before", "no-header",
+                                    "dup-header", "bad-header", "mid-comment", "empty"))
+    if fault == "stray" or fault == "bound" and not tokens:
+        tokens.insert(rng.randint(0, len(tokens)), rng.choice(_STRAY))
+    elif fault == "bound":
+        at = rng.randrange(len(tokens))
+        tokens[at] = str(rng.choice((1, -1)) * (n + rng.randint(1, 3)))
+    elif fault == "no-zero" and tokens:
+        tokens[-1:] = [str(n or 1)]
+    # Cut the tokens into lines: clauses span lines and share them.
+    while tokens:
+        take = rng.randint(1, 6)
+        sep = rng.choice((" ", " ", "  ", "\t"))
+        body.append(rng.choice(("", "", " ")) + sep.join(tokens[:take]))
+        tokens = tokens[take:]
+    header = f"p cnf {n} {len(clauses)}"
+    if fault == "bad-header":
+        header = rng.choice(_BAD_HEADERS).format(n=n, m=len(clauses))
+    elif fault == "before":
+        head.append("1 0")
+    elif fault == "dup-header":
+        body.insert(rng.randint(0, len(body)), header)
+    elif fault == "mid-comment":
+        body.insert(rng.randint(0, len(body)), rng.choice(("c mid", "c vr orig 1 1", "")))
+    lines = head + ([] if fault == "no-header" else [header]) + body
+    if fault == "empty":
+        lines = rng.choice(([], [""], ["c only"]))
+    end = rng.choice(("\n", "\n", "\r\n"))
+    return end.join(lines) + rng.choice((end, end, ""))
+
+
+def _parse_outcome(text: str):
+    try:
+        f = parse_dimacs(text)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line)
+    return (f.clauses, f.num_original_vars, f.var_ranges, f.parse_stats)
+
+
+PARSE_CORPUS = [_corpus_text(random.Random(seed)) for seed in range(500)]
+# sha256 of the outcomes' reprs, one a line, recorded before the parser
+# was given its whole-stream path.
+PARSE_CORPUS_DIGEST = "59fe3609d12a5cd43d411f67b75d9ec7be6afb99388d386c22cd0560033d0570"
+
+
+def test_parse_corpus_outcomes_are_pinned():
+    outcomes = [_parse_outcome(text) for text in PARSE_CORPUS]
+    errors = [outcome for outcome in outcomes if outcome[0] == "ParseError"]
+    # Both sides of the corpus are well represented.
+    assert 100 <= len(errors) <= 400
+    assert sum(outcome[3].duplicate_literals_dropped > 0 for outcome in outcomes
+               if outcome[0] != "ParseError") >= 10
+    digest = hashlib.sha256("\n".join(map(repr, outcomes)).encode()).hexdigest()
+    assert digest == PARSE_CORPUS_DIGEST
