@@ -12,6 +12,7 @@ tasks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 
 ORIG = "orig"
 AUX = "aux"
@@ -73,6 +74,9 @@ class CnfFormula:
             if lo > top + 1:
                 gaps.append(range(top + 1, lo))
             top = max(top, hi)
+        lits = list(chain.from_iterable(self.clauses))
+        if not gaps and (not lits or max(lits) <= top and min(lits) >= -top and 0 not in lits):
+            return
         for index, clause in enumerate(self.clauses):
             for lit in clause:
                 if lit == 0 or abs(lit) > top or gaps and any(abs(lit) in gap for gap in gaps):
@@ -102,7 +106,50 @@ def parse_dimacs(source: str) -> CnfFormula:
     within a clause are dropped (first occurrence kept) and tautological
     clauses are removed; both events are counted in the formula's parse
     stats.
+
+    A plain text is read from its whole token stream at once: comment
+    lines without ``vr``, a ``p cnf`` header line, then integers only,
+    none beyond the header's bound, the last a 0, and no clause that
+    repeats a variable.  Every other text goes to the line scanner, which
+    owns every error message and every ``c vr`` rule.
     """
+    formula = _parse_plain(source)
+    return formula if formula is not None else _scan_lines(source)
+
+
+def _parse_plain(source: str) -> CnfFormula | None:
+    """The formula of a plain text, or ``None``."""
+    start = comments = 0
+    while source.startswith("c", start):
+        start = source.find("\n", start) + 1
+        comments += 1
+        if not start:
+            return None
+    head = source[:source.find("\n", start) + 1 or len(source)]
+    # A line break other than "\n" would move the header to another line.
+    lines = head.splitlines()
+    header = lines[-1].split() if len(lines) == comments + 1 and "vr" not in head else []
+    if len(header) != 4 or header[:2] != ["p", "cnf"]:
+        return None
+    try:
+        num_vars, num_clauses = int(header[2]), int(header[3])
+        ints = list(map(int, islice(source.split(), len(head.split()), None)))
+    except ValueError:
+        return None
+    if min(num_vars, num_clauses) < 0 or ints and (
+            ints[-1] or max(ints) > num_vars or min(ints) < -num_vars):
+        return None
+    step = iter(ints).__next__
+    clauses = tuple([tuple(iter(step, 0)) for _ in range(ints.count(0))])
+    for clause in clauses:  # a repeated variable: a duplicate or a tautology
+        if len(clause) == 2 and abs(clause[0]) == abs(clause[1]) or (
+                len(clause) > 2 and len(set(map(abs, clause))) < len(clause)):
+            return None
+    return CnfFormula(clauses, num_vars, (VarRange(ORIG, 1, num_vars),))
+
+
+def _scan_lines(source: str) -> CnfFormula:
+    """``parse_dimacs`` line by line, for any text."""
     header: tuple[int, int] | None = None
     ranges: list[VarRange] = []
     range_lines: list[int] = []

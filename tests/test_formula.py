@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import mincount.formula as formula
 from mincount import (
     AUX,
     CnfFormula,
@@ -227,3 +228,45 @@ def test_parse_corpus_outcomes_are_pinned():
                if outcome[0] != "ParseError") >= 10
     digest = hashlib.sha256("\n".join(map(repr, outcomes)).encode()).hexdigest()
     assert digest == PARSE_CORPUS_DIGEST
+
+
+def test_whole_stream_path_matches_the_line_scanner(monkeypatch):
+    # Every corpus text parses as the line scanner alone parses it.
+    scanned = []
+    for text in PARSE_CORPUS:
+        try:
+            f = formula._scan_lines(text)
+        except ParseError as exc:
+            scanned.append(("ParseError", str(exc), exc.line))
+        else:
+            scanned.append((f.clauses, f.num_original_vars, f.var_ranges, f.parse_stats))
+    assert [_parse_outcome(text) for text in PARSE_CORPUS] == scanned
+    # The plain texts among them never reach the scanner.
+    monkeypatch.setattr(formula, "_scan_lines", None)
+    plain = [text for text in PARSE_CORPUS if formula._parse_plain(text) is not None]
+    assert len(plain) >= 80
+    assert sum(text.startswith("c") for text in plain) >= 10
+    assert sum("\r\n" in text for text in plain) >= 20
+
+
+@pytest.mark.parametrize("text", [
+    "c a\rp cnf 9 9\np cnf 2 1\n1 0\n",  # a line break other than "\n" in a comment
+    "p cnf 2\x0b1\n1 0\n",  # and in the header
+    "p cnf 2 1\n1 2 0\nc late\n",
+    "c vr orig 1 2\np cnf 2 1\n1 2 0\n",
+    "p cnf 2 1\n1 2\n",
+    "p cnf 2 1\n1 -3 0\n",
+    "p cnf 2 1\n2 -2 0\n",
+    "p cnf 3 1\n1 3 1 0\n",
+    "\np cnf 1 1\n1 0\n",
+])
+def test_texts_that_are_not_plain_go_to_the_line_scanner(text):
+    assert formula._parse_plain(text) is None
+
+
+def test_directly_built_formula_rejects_literals_outside_its_ranges():
+    for clauses, n in [(((1, 0),), 1), (((1,), (-3,)), 2), (((2,),), 1)]:
+        with pytest.raises(ValueError, match="outside declared variable ranges") as info:
+            CnfFormula(clauses, n)
+        assert info.value.clause == len(clauses) - 1
+    assert CnfFormula(((1, -2), ()), 2).clauses == ((1, -2), ())
