@@ -52,6 +52,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, fields
+from itertools import chain
 
 from .depgraph import DepGraph, build_dependency_graph, is_acyclic, is_head_cycle_free
 from .formula import CnfFormula
@@ -353,17 +354,27 @@ def _input_parts(clauses, split):
     renumbered to ``i``; a part whose ids are already ``1..k`` keeps its
     clauses as they are.  Unless ``split``, all clauses form one part;
     otherwise an empty clause is a part of its own.  No clause, no part.
+
+    The grouping pass indexes lists by variable id and by literal, so
+    they are as long as the largest id.  An input whose largest id
+    exceeds its number of literals is grouped over its occurring
+    variables, renumbered first, and so no table outgrows the input.
     """
     if not split:
         return [_renumber(clauses)] if clauses else []
+    top = max(map(abs, chain.from_iterable(clauses)), default=0)
+    if top > sum(map(len, clauses)):
+        variables, dense = _renumber(clauses)
+        return [([variables[var - 1] for var in ids], part)
+                for ids, part in _input_parts(dense, True)]
     # Every variable maps to the list of the variables it shares clauses
     # with, transitively; a clause joining two lists moves the smaller.
-    group_of: dict[int, list] = {}
+    group_of = [None] * (top + 1)
     for clause in clauses:
         group = None
         for lit in clause:
             var = abs(lit)
-            other = group_of.get(var)
+            other = group_of[var]
             if other is None:
                 if group is None:
                     group = []
@@ -377,16 +388,28 @@ def _input_parts(clauses, split):
                 for moved in other:
                     group_of[moved] = group
                 group.extend(other)
-    grouped = {}
+    # The parts in the order of their first clauses; the empty clauses
+    # share one, filed under the unused id 0.
+    parts, part_of = [], [None] * (top + 1)
     for clause in clauses:
-        group = group_of[abs(clause[0])] if clause else None
-        part = grouped.get(id(group))
-        if part is None:
-            part = grouped[id(group)] = (sorted(group or ()), [])
-        part[1].append(clause)
-    # A connected input is its one part, as it is.
-    return [_renumber(part if len(grouped) > 1 else clauses, variables)
-            for variables, part in grouped.values()]
+        var = abs(clause[0]) if clause else 0
+        index = part_of[var]
+        if index is None:
+            index = part_of[var] = len(parts)
+            group = group_of[var] or ()
+            parts.append((sorted(group), []))
+            for other in group:
+                part_of[other] = index
+        parts[index][1].append(clause)
+    if len(parts) == 1:  # a connected input is its one part, as it is
+        return [_renumber(clauses, parts[0][0])]
+    number = [0] * (2 * top + 1)  # ``number[lit]`` is the literal in its part
+    for variables, part in parts:
+        if variables and variables[-1] != len(variables):
+            for new, var in enumerate(variables, 1):
+                number[var], number[-var] = new, -new
+            part[:] = [tuple(map(number.__getitem__, clause)) for clause in part]
+    return parts
 
 
 def copied_variables(formula: CnfFormula, graph: DepGraph, force_mode: str | None = None):

@@ -1027,6 +1027,40 @@ class TestSplitInput:
         assert [(variables, list(part)) for variables, part in _input_parts(clauses, True)] == [
             ([5, 7, 9], [(1, -3), (3, 2)]), ([2, 4], [(1,), (-1, 2)]), ([], [(), ()])]
 
+    def test_sparse_and_dense_ids_group_alike(self, monkeypatch):
+        # An input whose largest id exceeds its literal count is renumbered
+        # before grouping; a dense one is grouped as it is.  Both give the
+        # same parts, up to the ids.
+        calls = []
+        renumber = counting._renumber
+        monkeypatch.setattr(counting, "_renumber",
+                            lambda *args: calls.append(len(args)) or renumber(*args))
+        rng = random.Random(607)
+        dense_inputs = 0
+        for _ in range(60):
+            clauses, offset = (), 0
+            for _ in range(rng.randint(1, 4)):
+                block = random_formula(rng, min_vars=1, max_vars=6, max_clauses=8, max_len=3)
+                clauses += _shifted(block, offset)
+                offset += block.num_original_vars
+            clauses += ((),) * rng.randint(0, 1)
+            clauses = tuple(rng.sample(clauses, len(clauses)))
+            sparse = tuple(tuple(lit * 1000 for lit in clause) for clause in clauses)
+            del calls[:]
+            dense_parts = _input_parts(clauses, True)
+            dense_calls, calls[:] = calls[:], []
+            sparse_parts = _input_parts(sparse, True)
+            assert [([var * 1000 for var in variables], list(part))
+                    for variables, part in dense_parts] == [
+                (variables, list(part)) for variables, part in sparse_parts]
+            # The sparse input took the renumbering first; a dense one
+            # renumbers at most its one connected part.
+            assert calls[0] == 1
+            if max(map(abs, sum(clauses, ()))) <= len(sum(clauses, ())):
+                dense_inputs += 1
+                assert dense_calls == ([2] if len(dense_parts) == 1 else [])
+        assert dense_inputs >= 40
+
     def test_small_unions_match_oracle(self):
         rng = random.Random(606)
         for _ in range(120):

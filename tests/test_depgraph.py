@@ -213,3 +213,21 @@ def test_sparse_ids_cost_what_the_occurring_variables_cost():
     assert g.sccs.components == ((1, 3000000),)
     assert result.count == 1
     assert peak < 2**20
+
+
+SPARSE_PARTS = ("p cnf 3000000 4\n-2999999 2999998 0\n-2999998 2999999 0\n"
+                "2999990 2999991 0\n-2999990 -2999991 0\n")
+
+
+def test_sparse_ids_in_several_parts_cost_what_the_occurring_variables_cost():
+    # A 2-ring (its one minimal model sets both false) beside an
+    # exactly-one pair (two minimal models).
+    f = parse_dimacs(SPARSE_PARTS)
+    tracemalloc.start()
+    try:
+        result = count_minimal(f, graph=build_dependency_graph(f))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.count, result.stats.parts) == (2, 2)
+    assert peak < 2**20
