@@ -57,14 +57,22 @@ def build_pair(clauses, num_vars: int, copied):
     forcing = [[] for _ in range(n + 1)]
     imaged = []
     for clause in clauses:
-        positive = False
-        for i, lit in enumerate(clause):
-            if lit > 0:
-                positive = True
-                co = clause[:i] + clause[i + 1:]
-                if lit in co:  # a repeated literal
-                    co = tuple([other for other in co if other != lit])
-                forcing[lit].append(co)
+        if len(clause) == 2:  # the other literal, without a slice
+            a, b = clause
+            if a > 0:
+                forcing[a].append((b,) if b != a else ())
+            if b > 0:
+                forcing[b].append((a,) if a != b else ())
+            positive = a > 0 or b > 0
+        else:
+            positive = False
+            for i, lit in enumerate(clause):
+                if lit > 0:
+                    positive = True
+                    co = clause[:i] + clause[i + 1:]
+                    if lit in co:  # a repeated literal
+                        co = tuple([other for other in co if other != lit])
+                    forcing[lit].append(co)
         if positive and copied and any([is_copied[abs(lit)] for lit in clause]):
             imaged.append(clause)
     search = list(clauses)

@@ -134,6 +134,33 @@ class TestBuildPair:
         assert build_pair(f.clauses, f.num_original_vars, copied) == (
             search, justification, orig_limit, copy_lo, top)
 
+    # (clauses, num_vars, copied) -> pair, recorded before binary clauses
+    # got their own branch; the clauses bypass the parse's dedupe.
+    BINARY = [
+        # (x, x): a repeated literal gives the empty co-literal set, twice.
+        (([(1, 1)], 1, [1]), ([(1, 1)], [(-2, 1), (2, 2)], 1, 2, 2)),
+        (([(-1, -1)], 1, [1]), ([(-1, -1), (-1,)], [(-2, 1), (-1,)], 1, 2, 2)),
+        (([(1, 1), (-1, 2)], 2, [1, 2]),
+         ([(1, 1), (-1, 2), (-2, 1)], [(-3, 1), (-4, 2), (3, 3), (-3, 4)], 2, 3, 4)),
+        (([(1, -1), (2, 2), (-2, -2)], 2, [1, 2]),
+         ([(1, -1), (2, 2), (-2, -2), (-1, 1)], [(-3, 1), (-4, 2), (-3, 3), (4, 4)], 2, 3, 4)),
+        # A repeated binary clause: one implication literal, two images.
+        (([(-1, 2), (-1, 2), (1, 2)], 2, [2]),
+         ([(-1, 2), (-1, 2), (1, 2), (-1, -2), (-2, 1, -1)],
+          [(-4, 2), (-1, 4), (-1, 4), (1, 4)], 2, 3, 4)),
+        (([(1, 2), (1, 2), (-2, 1)], 2, []),
+         ([(1, 2), (1, 2), (-2, 1), (-1, -2, 2), (-2, -1)], [], 2, 3, 4)),
+        # A binary clause next to a unit: the unit's variable has no implication.
+        (([(1, 2), (2,)], 2, [1, 2]),
+         ([(1, 2), (2,), (-1, -2)], [(-3, 1), (-4, 2), (3, 4), (4,)], 2, 3, 4)),
+        (([(2,), (-2, 1), (2, 1)], 2, [1]),
+         ([(2,), (-2, 1), (2, 1), (-1, 2, -2)], [(-3, 1), (-2, 3), (2, 3)], 2, 3, 4)),
+    ]
+
+    @pytest.mark.parametrize("args, pair", BINARY)
+    def test_binary_edge_cases_are_pinned(self, args, pair):
+        assert build_pair(*args) == pair
+
     def test_zero_copy_pair_is_the_strengthened_formula(self, ex2):
         assert pair_of(ex2, ()) == (list(strengthened(ex2).clauses), [], 3, 4, 6)
 
