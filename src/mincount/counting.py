@@ -355,10 +355,10 @@ def _input_parts(clauses, split):
     clauses as they are.  Unless ``split``, all clauses form one part;
     otherwise an empty clause is a part of its own.  No clause, no part.
 
-    The grouping pass indexes lists by variable id and by literal, so
-    they are as long as the largest id.  An input whose largest id
-    exceeds its number of literals is grouped over its occurring
-    variables, renumbered first, and so no table outgrows the input.
+    The grouping and the renumbering index lists by variable id and by
+    literal, as long as the largest id.  An input whose largest id
+    exceeds its number of literals is renumbered to its occurring
+    variables first, so no table outgrows the input.
     """
     if not split:
         return [_renumber(clauses)] if clauses else []
@@ -388,19 +388,14 @@ def _input_parts(clauses, split):
                 for moved in other:
                     group_of[moved] = group
                 group.extend(other)
-    # The parts in the order of their first clauses; the empty clauses
-    # share one, filed under the unused id 0.
-    parts, part_of = [], [None] * (top + 1)
+    grouped = {}
     for clause in clauses:
-        var = abs(clause[0]) if clause else 0
-        index = part_of[var]
-        if index is None:
-            index = part_of[var] = len(parts)
-            group = group_of[var] or ()
-            parts.append((sorted(group), []))
-            for other in group:
-                part_of[other] = index
-        parts[index][1].append(clause)
+        group = group_of[abs(clause[0])] if clause else None
+        part = grouped.get(id(group))
+        if part is None:
+            part = grouped[id(group)] = (sorted(group or ()), [])
+        part[1].append(clause)
+    parts = list(grouped.values())
     if len(parts) == 1:  # a connected input is its one part, as it is
         return [_renumber(clauses, parts[0][0])]
     number = [0] * (2 * top + 1)  # ``number[lit]`` is the literal in its part

@@ -11,6 +11,7 @@ tasks.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -95,6 +96,33 @@ class CnfFormula:
         raise ValueError(f"variable {var} not in any declared range")
 
 
+# Leading comment lines and the header line, each ending in its first
+# line break, "\n" or "\r\n": no other break hides a line in them.
+_PLAIN_HEAD = re.compile(r"(?:c[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*\r?\n)*"
+                         r"p cnf ([0-9]+) [0-9]+ *(?:\r?\n|\Z)")
+
+
+def _parse_plain(source: str) -> CnfFormula | None:
+    """The formula of a plain text, or ``None``."""
+    head = _PLAIN_HEAD.match(source)
+    if head is None or "vr" in head[0]:
+        return None
+    num_vars = int(head[1])
+    try:
+        ints = list(map(int, islice(source.split(), len(head[0].split()), None)))
+    except ValueError:
+        return None
+    if ints and (ints[-1] or max(ints) > num_vars or min(ints) < -num_vars):
+        return None
+    step = iter(ints).__next__
+    clauses = tuple([tuple(iter(step, 0)) for _ in range(ints.count(0))])
+    for clause in clauses:  # a repeated variable: a duplicate or a tautology
+        if len(clause) == 2 and abs(clause[0]) == abs(clause[1]) or (
+                len(clause) > 2 and len(set(map(abs, clause))) < len(clause)):
+            return None
+    return CnfFormula(clauses, num_vars, (VarRange(ORIG, 1, num_vars),))
+
+
 def parse_dimacs(source: str) -> CnfFormula:
     """Parse DIMACS CNF text into a :class:`CnfFormula`.
 
@@ -108,48 +136,14 @@ def parse_dimacs(source: str) -> CnfFormula:
     stats.
 
     A plain text is read from its whole token stream at once: comment
-    lines without ``vr``, a ``p cnf`` header line, then integers only,
-    none beyond the header's bound, the last a 0, and no clause that
-    repeats a variable.  Every other text goes to the line scanner, which
-    owns every error message and every ``c vr`` rule.
+    lines without ``vr``, the header line ``p cnf <n> <m>``, then integers
+    only, none beyond ``n``, the last a 0, and no clause that repeats a
+    variable.  Any other text is read line by line, and that scan owns
+    every error message and every ``c vr`` rule.
     """
     formula = _parse_plain(source)
-    return formula if formula is not None else _scan_lines(source)
-
-
-def _parse_plain(source: str) -> CnfFormula | None:
-    """The formula of a plain text, or ``None``."""
-    start = comments = 0
-    while source.startswith("c", start):
-        start = source.find("\n", start) + 1
-        comments += 1
-        if not start:
-            return None
-    head = source[:source.find("\n", start) + 1 or len(source)]
-    # A line break other than "\n" would move the header to another line.
-    lines = head.splitlines()
-    header = lines[-1].split() if len(lines) == comments + 1 and "vr" not in head else []
-    if len(header) != 4 or header[:2] != ["p", "cnf"]:
-        return None
-    try:
-        num_vars, num_clauses = int(header[2]), int(header[3])
-        ints = list(map(int, islice(source.split(), len(head.split()), None)))
-    except ValueError:
-        return None
-    if min(num_vars, num_clauses) < 0 or ints and (
-            ints[-1] or max(ints) > num_vars or min(ints) < -num_vars):
-        return None
-    step = iter(ints).__next__
-    clauses = tuple([tuple(iter(step, 0)) for _ in range(ints.count(0))])
-    for clause in clauses:  # a repeated variable: a duplicate or a tautology
-        if len(clause) == 2 and abs(clause[0]) == abs(clause[1]) or (
-                len(clause) > 2 and len(set(map(abs, clause))) < len(clause)):
-            return None
-    return CnfFormula(clauses, num_vars, (VarRange(ORIG, 1, num_vars),))
-
-
-def _scan_lines(source: str) -> CnfFormula:
-    """``parse_dimacs`` line by line, for any text."""
+    if formula is not None:
+        return formula
     header: tuple[int, int] | None = None
     ranges: list[VarRange] = []
     range_lines: list[int] = []

@@ -231,19 +231,12 @@ def test_parse_corpus_outcomes_are_pinned():
 
 
 def test_whole_stream_path_matches_the_line_scanner(monkeypatch):
-    # Every corpus text parses as the line scanner alone parses it.
-    scanned = []
-    for text in PARSE_CORPUS:
-        try:
-            f = formula._scan_lines(text)
-        except ParseError as exc:
-            scanned.append(("ParseError", str(exc), exc.line))
-        else:
-            scanned.append((f.clauses, f.num_original_vars, f.var_ranges, f.parse_stats))
-    assert [_parse_outcome(text) for text in PARSE_CORPUS] == scanned
-    # The plain texts among them never reach the scanner.
-    monkeypatch.setattr(formula, "_scan_lines", None)
+    # Every corpus text parses as the line scan alone parses it, and
+    # enough of them take the whole-stream path.
+    outcomes = [_parse_outcome(text) for text in PARSE_CORPUS]
     plain = [text for text in PARSE_CORPUS if formula._parse_plain(text) is not None]
+    monkeypatch.setattr(formula, "_parse_plain", lambda source: None)
+    assert [_parse_outcome(text) for text in PARSE_CORPUS] == outcomes
     assert len(plain) >= 80
     assert sum(text.startswith("c") for text in plain) >= 10
     assert sum("\r\n" in text for text in plain) >= 20
@@ -260,7 +253,7 @@ def test_whole_stream_path_matches_the_line_scanner(monkeypatch):
     "p cnf 3 1\n1 3 1 0\n",
     "\np cnf 1 1\n1 0\n",
 ])
-def test_texts_that_are_not_plain_go_to_the_line_scanner(text):
+def test_texts_that_are_not_plain_are_read_line_by_line(text):
     assert formula._parse_plain(text) is None
 
 
