@@ -11,7 +11,6 @@ tasks.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -96,23 +95,24 @@ class CnfFormula:
         raise ValueError(f"variable {var} not in any declared range")
 
 
-# Leading comment lines and the header line, each ending in its first
-# line break, "\n" or "\r\n": no other break hides a line in them.
-_PLAIN_HEAD = re.compile(r"(?:c[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*\r?\n)*"
-                         r"p cnf ([0-9]+) [0-9]+ *(?:\r?\n|\Z)")
-
-
 def _parse_plain(source: str) -> CnfFormula | None:
     """The formula of a plain text, or ``None``."""
-    head = _PLAIN_HEAD.match(source)
-    if head is None or "vr" in head[0]:
+    start = 0
+    while source.startswith("c", start):  # the leading comment lines
+        start = source.find("\n", start) + 1 or len(source)
+    head = source[:source.find("\n", start) + 1 or len(source)]
+    header = head[start:].split()
+    # "\n" and "\r\n" are the only line breaks the head may hold.
+    if "vr" in head or len(head.splitlines()) != head.count("\n") + (head[-1:] != "\n") \
+            or len(header) != 4 or header[:2] != ["p", "cnf"]:
         return None
-    num_vars = int(head[1])
     try:
-        ints = list(map(int, islice(source.split(), len(head[0].split()), None)))
+        num_vars, num_clauses = int(header[2]), int(header[3])
+        ints = list(map(int, islice(source.split(), len(head.split()), None)))
     except ValueError:
         return None
-    if ints and (ints[-1] or max(ints) > num_vars or min(ints) < -num_vars):
+    if min(num_vars, num_clauses) < 0 or ints and (
+            ints[-1] or max(ints) > num_vars or min(ints) < -num_vars):
         return None
     step = iter(ints).__next__
     clauses = tuple([tuple(iter(step, 0)) for _ in range(ints.count(0))])
