@@ -63,16 +63,17 @@ def build_pair(clauses, num_vars: int, copied):
                 forcing[a].append((b,) if b != a else ())
             if b > 0:
                 forcing[b].append((a,) if a != b else ())
-            positive = a > 0 or b > 0
-        else:
-            positive = False
-            for i, lit in enumerate(clause):
-                if lit > 0:
-                    positive = True
-                    co = clause[:i] + clause[i + 1:]
-                    if lit in co:  # a repeated literal
-                        co = tuple([other for other in co if other != lit])
-                    forcing[lit].append(co)
+            if (a > 0 or b > 0) and copied and (is_copied[abs(a)] or is_copied[abs(b)]):
+                imaged.append(clause)
+            continue
+        positive = False
+        for i, lit in enumerate(clause):
+            if lit > 0:
+                positive = True
+                co = clause[:i] + clause[i + 1:]
+                if lit in co:  # a repeated literal
+                    co = tuple([other for other in co if other != lit])
+                forcing[lit].append(co)
         if positive and copied and any([is_copied[abs(lit)] for lit in clause]):
             imaged.append(clause)
     search = list(clauses)
