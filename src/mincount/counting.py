@@ -134,10 +134,14 @@ class BranchPolicy:
 
     def pick(self, db: _Database, clauses: int, variables: int) -> int:
         """Choose among a component's free originals in its search clauses."""
-        search, lits = clauses & db.search, db.lits
+        search, occurs, lits = clauses & db.search, db.occurs, db.lits
+        # A tautology holding both polarities of a variable counts twice.
+        tautologies = search & db.repeats
         best = most = 0
         for var in _ids(variables & db.originals):
-            count = (lits[var] & search).bit_count() + (lits[-var] & search).bit_count()
+            count = (occurs[var] & search).bit_count()
+            if tautologies:
+                count += (lits[var] & lits[-var] & tautologies).bit_count()
             if count > most:
                 if self.heuristic == MIN_ID:
                     return var

@@ -28,14 +28,18 @@ class SatResult:
     witness: frozenset | None = None
 
 
+# ``_BITS[byte]``: the positions of the set bits of a byte, in increasing order.
+_BITS = [tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256)]
+
+
 def _ids(mask: int) -> list[int]:
     """The positions of the set bits of ``mask``, in increasing order."""
-    digits = bin(mask)[:1:-1]
-    ids = []
-    position = digits.find("1")
-    while position >= 0:
-        ids.append(position)
-        position = digits.find("1", position + 1)
+    ids, base = [], 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
+        if byte:
+            for bit in _BITS[byte]:
+                ids.append(base + bit)
+        base += 8
     return ids
 
 

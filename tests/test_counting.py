@@ -681,6 +681,22 @@ class TestInvariants:
         with pytest.raises(ValueError, match="heuristic"):
             BranchPolicy("random")
 
+    def test_pick_counts_a_tautology_once_per_polarity(self):
+        # Variables 1 and 2 occur in two clauses each, but one of 2's holds
+        # it twice over, so 2 outweighs 1.
+        db = _database(((1, 3), (1, 4), (2, -2, 3), (-2, 4)), copy_lo=5)
+        assert BranchPolicy().pick(db, db.all, db.variables) == 2
+        assert BranchPolicy(MIN_ID).pick(db, db.all, db.variables) == 1
+        db = _database(((1, 3), (1, 4), (2, 3), (-2, 4)), copy_lo=5)
+        assert BranchPolicy().pick(db, db.all, db.variables) == 1
+
+    def test_ids_lists_the_set_bits_in_order(self):
+        rng = random.Random(505)
+        masks = [0, 1, 0xFF, 0x100, 1 << 1079 | 1 << 500 | 1 << 5]
+        masks += [rng.getrandbits(rng.randint(1, 300)) for _ in range(300)]
+        for mask in masks:
+            assert _ids(mask) == [bit for bit in range(mask.bit_length()) if mask >> bit & 1]
+
 
 # Count, mode and (decisions, components, base_cases, sat_calls) of the
 # default engine without its cache on the formulas of
