@@ -11,8 +11,10 @@ instance and every repetition.  A repetition's ratio is the change's
 time over the parent's, each summed over the workload's instances.  One
 line per workload gives the median of the two sums, the median ratio
 over ``N`` repetitions (default 10), and the ratios' range.  The two
-checkouts must print the same output on every instance, or the script
-exits with status 1.
+checkouts must give the same exit code and ``s mc`` lines on every
+instance, or the script exits with status 1.  A change may alter the
+search by design, so differing ``c stat`` lines are only counted: the
+last column gives the number of instances where they differ.
 
 Why one process: a shared host's speed can drift by 1.7x within minutes,
 and separate-process A/B runs of one pair of checkouts read ratios from
@@ -52,12 +54,15 @@ def load_cli(name: str, src: str):
 
 
 def run_once(cli, path: str):
-    """Seconds of one ``cli.run`` and what it printed."""
+    """Seconds of one ``cli.run``, its exit code and ``s mc`` lines, and
+    its ``c stat`` lines."""
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     code = cli.run(cli.RunConfig(path, stats=True), out, err)
     seconds = time.perf_counter() - start
-    return seconds, (code, out.getvalue(), err.getvalue())
+    lines = out.getvalue().splitlines()
+    return (seconds, (code, [line for line in lines if line.startswith("s mc")]),
+            [line for line in lines if line.startswith("c stat")])
 
 
 def main(argv=None) -> int:
@@ -78,7 +83,7 @@ def main(argv=None) -> int:
              load_cli("mincount_change", os.path.join(ROOT, "src")))
     names = [args.workload] if args.workload else list(workloads.WORKLOADS)
     print(f"{'workload':<16} {'reps':>4} {'parent_s':>9} {'change_s':>9} "
-          f"{'ratio':>6}  range")
+          f"{'ratio':>6}  {'range':<11}  c_stat_differs")
     with tempfile.TemporaryDirectory() as scratch:
         for name in names:
             paths = []
@@ -86,11 +91,14 @@ def main(argv=None) -> int:
                 paths.append(os.path.join(scratch, instance.name + ".cnf"))
                 with open(paths[-1], "w", encoding="utf-8") as handle:
                     handle.write(instance.dimacs())
+            stats_differ = 0
             for path in paths:  # a warm-up pass, and the output check
-                outputs = [run_once(cli, path)[1] for cli in sides]
-                if outputs[0] != outputs[1]:
-                    print(f"outputs differ on {os.path.basename(path)}", file=sys.stderr)
+                (_, counts, stats), (_, other_counts, other_stats) = [
+                    run_once(cli, path) for cli in sides]
+                if counts != other_counts:
+                    print(f"counts differ on {os.path.basename(path)}", file=sys.stderr)
                     return 1
+                stats_differ += stats != other_stats
             totals = []
             for rep in range(args.reps):
                 total = [0.0, 0.0]
@@ -103,8 +111,8 @@ def main(argv=None) -> int:
             print(f"{name:<16} {args.reps:>4} "
                   f"{statistics.median(t[0] for t in totals):>9.3f} "
                   f"{statistics.median(t[1] for t in totals):>9.3f} "
-                  f"{statistics.median(ratios):>6.3f}  {ratios[0]:.3f}-{ratios[-1]:.3f}",
-                  flush=True)
+                  f"{statistics.median(ratios):>6.3f}  {ratios[0]:.3f}-{ratios[-1]:.3f}  "
+                  f"{stats_differ}/{len(paths)}", flush=True)
     return 0
 
 

@@ -4,15 +4,20 @@
 
 For every workload of ``bench/workloads.py`` and its ``seed`` instances,
 runs ``mincount.cli.run`` with ``--stats`` in the modes ``auto`` and
-``general``, and prints one sha256 per workload and mode over each run's
-exit code, stdout and stderr, then one total over those lines.  Two
-checkouts print the same lines exactly when every count, every ``c stat``
-line and every exit code agree, so a refactor that must not change any
-output is checked by running this at both and comparing:
+``general``, and prints per workload and mode two sha256s: the full one
+over each run's exit code, stdout and stderr, and the counts-only one
+over each run's exit code and ``s mc`` lines.  A last line gives both
+totals over the workload lines.  Two checkouts print the same full
+digests exactly when every count, every ``c stat`` line and every exit
+code agree, so a refactor that must not change any output is checked by
+running this at both and comparing:
 
     python3 scripts/same_outputs.py --src ../parent > before.txt
     python3 scripts/same_outputs.py > after.txt
     diff before.txt after.txt
+
+A change that alters the search by design, and so its ``c stat`` lines,
+must still print the same counts-only digests (the last column).
 
 ``--src`` names the checkout whose ``src/mincount`` runs (default: this
 one); the instances always come from this checkout's ``bench``.
@@ -43,7 +48,7 @@ def main(argv=None) -> int:
     from mincount import cli
 
     print(f"mincount from {os.path.dirname(cli.__file__)}", file=sys.stderr)
-    total = hashlib.sha256()
+    totals = hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as scratch:
         for name in workloads.WORKLOADS:
             paths = []
@@ -52,17 +57,22 @@ def main(argv=None) -> int:
                 with open(paths[-1], "w", encoding="utf-8") as handle:
                     handle.write(instance.dimacs())
             for mode in MODES:
-                digest = hashlib.sha256()
+                full, counts = hashlib.sha256(), hashlib.sha256()
                 for path in paths:
                     out, err = io.StringIO(), io.StringIO()
                     code = cli.run(cli.RunConfig(path, mode=mode, stats=True), out, err)
-                    for text in (str(code), out.getvalue(), err.getvalue()):
-                        digest.update(text.encode())
-                        digest.update(b"\0")
-                line = f"{name} {mode} {len(paths)} {digest.hexdigest()}"
-                total.update(line.encode() + b"\n")
-                print(line, flush=True)
-    print(f"total {total.hexdigest()}")
+                    counted = [line for line in out.getvalue().splitlines()
+                               if line.startswith("s mc")]
+                    for digest, texts in ((full, (str(code), out.getvalue(), err.getvalue())),
+                                          (counts, (str(code), *counted))):
+                        for text in texts:
+                            digest.update(text.encode())
+                            digest.update(b"\0")
+                digests = (full.hexdigest(), counts.hexdigest())
+                for total, digest in zip(totals, digests):
+                    total.update(f"{name} {mode} {len(paths)} {digest}\n".encode())
+                print(f"{name} {mode} {len(paths)} {' '.join(digests)}", flush=True)
+    print(f"total {' '.join(total.hexdigest() for total in totals)}")
     return 0
 
 

@@ -13,19 +13,25 @@ and auxiliary variables, being functionally determined, contribute
 nothing.
 
 A run indexes its pair, ``build_pair``'s two clause lists and three id
-bounds, once and as it is, in the clause database of ``sat``, whose
-sets of clauses and of variables are Python ints used as bit masks, and
+bounds, once and as it is, in the clause database of ``sat``, whose sets
+of clauses and of variables are Python ints used as bit masks, and
 propagates with its ``_bcp``, the one unit propagator.  It answers a
 justification query in that database too, with ``sat._search``, the
 depth-first loop that ``solve`` runs for the oracle.  A search node is
 four such ints: the assigned variables, the satisfied clauses, and its
-component's clauses and variables.  An unsatisfied clause's assigned
-literals are all false, so no values are stored: a clause is a unit
-when exactly one of its variables is unassigned.  Both children of a
-decision start from their parent's ints, so nothing is copied or
-undone, and propagation, the component walk and the branch heuristic
-do their per-clause and per-variable work in integer operations.  The
-walk grows a component one breadth-first level at a time and finds each
+component's clauses and variables.  The satisfied clauses are those that
+hold or no longer constrain.  An auxiliary variable is a don't-care once
+the implication using it holds, and the database names the clauses that
+define it (``sat._Database``).  After each node's propagation, every use
+that has just come to hold adds those clauses to the node's satisfied
+clauses.  So they are not propagated, do not join their literals into
+one component, and drop out of the cache keys.  An unsatisfied clause's
+assigned literals are all false, so no values are stored: a clause is a
+unit when exactly one of its variables is unassigned.  Both children of
+a decision start from their parent's ints, so nothing is copied or
+undone, and propagation, the component walk and the branch heuristic do
+their per-clause and per-variable work in integer operations.  The walk
+grows a component one breadth-first level at a time and finds each
 level's variables from the smaller side: from the reached clauses, or,
 once those are many, by testing the unreached free variables against
 them.
@@ -266,7 +272,8 @@ def count_pair(pair, *, policy: BranchPolicy | None = None,
     pair splits below its first decision.  The recursion starts from the
     empty assignment on an explicit stack.  A ``"count"`` task holds a
     node's four masks and the literals it asserts: those of the unit
-    clauses at the root, a decision below it.  ``stats``, when given,
+    clauses at the root, a decision below it.  After its propagation, the
+    uses it satisfies retire their definitions.  ``stats``, when given,
     accumulates the run's counters.
     """
     stats = stats if stats is not None else CountStats()
@@ -302,14 +309,19 @@ def count_pair(pair, *, policy: BranchPolicy | None = None,
         task = tasks.pop()
         op = task[0]
         if op == "count":
-            _, assigned, satisfied, clauses, variables, queue = task
+            _, assigned, before, clauses, variables, queue = task
             seeded = len(queue)
-            result = _bcp(db, assigned, satisfied, queue, db.search)
+            result = _bcp(db, assigned, before, queue, db.search)
             stats.propagations += len(queue) - seeded
             if result is _CONFLICT:
                 values.append(0)
                 continue
             assigned, satisfied = result
+            uses = (satisfied ^ before) & db.uses
+            while uses:  # each use that now holds retires its definitions
+                low = uses & -uses
+                uses ^= low
+                satisfied |= db.dead[low.bit_length() - 1]
             live, free = clauses & ~satisfied, variables & ~assigned
             if not live & db.search:
                 values.append(

@@ -58,6 +58,18 @@ class _Database:
     never acts as a unit.  ``units`` are the literals of the unit clauses
     that propagate: all search ones, and justification ones over copy
     variables.
+
+    ``uses`` and ``dead`` retire the definitions of auxiliary variables.
+    Such a variable qualifies when it occurs in search clauses only,
+    positively in exactly two, its definition ``D`` and then its use, and
+    every clause holding its negation also holds ``-l`` for another literal
+    ``l`` of ``D``.  Whatever the other variables hold, some value of it
+    then satisfies ``D`` and its negative clauses: false when a literal of
+    ``D`` is true, true otherwise.  So once its use holds it is a
+    don't-care, and those clauses no longer constrain the others (removing
+    defined variables: Lagniez & Marquis, AAAI 2014).  ``uses`` is the mask
+    of the uses, and ``dead[u]`` the mask of the clauses the use with id
+    ``u`` retires.
     """
 
     def __init__(self, search, justification, orig_limit, copy_lo, top):
@@ -90,6 +102,22 @@ class _Database:
         self.units = [clause[0] for index, clause in enumerate(clauses) if len(clause) == 1
                       and (index < num_search or abs(clause[0]) >= copy_lo)]
         self.empty = () in search
+        self.uses, self.dead = 0, {}
+        for aux in range(orig_limit + 1, copy_lo):
+            positive = lits[aux]
+            if positive.bit_count() != 2 or occurs[aux] >> num_search:
+                continue
+            definition = positive & -positive
+            covered = 0
+            for lit in clauses[definition.bit_length() - 1]:
+                if lit != aux:
+                    covered |= lits[-lit]
+            if lits[-aux] & ~covered:
+                continue
+            use = positive ^ definition
+            index = use.bit_length() - 1
+            self.uses |= use
+            self.dead[index] = self.dead.get(index, 0) | definition | lits[-aux]
 
     def occurring(self, clauses: int) -> int:
         """The mask of the variables the given clauses hold."""

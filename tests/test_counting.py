@@ -28,6 +28,7 @@ from mincount.counting import (
     count_pair,
 )
 from mincount.sat import _search, solve
+from mincount.transform import build_pair
 
 from conftest import (
     cnf_formulas,
@@ -630,6 +631,107 @@ class TestRepeatedVariables:
             assert count_minimal(repeated, use_decomposition=False).count == expected
 
 
+def _short_clause_formula(rng):
+    """A formula over 8-14 variables, mostly of 3-4-literal clauses, with
+    some repeated clauses and some clauses repeating a literal."""
+    f = random_formula(rng, min_vars=8, max_vars=14, min_clauses=5, max_clauses=20,
+                       min_len=3, max_len=4)
+    clauses = list(f.clauses)
+    clauses += random_formula(rng, min_vars=f.num_original_vars,
+                              max_vars=f.num_original_vars, min_clauses=0,
+                              max_clauses=3, min_len=1, max_len=2).clauses
+    for _ in range(rng.randint(0, 2)):
+        clauses.insert(rng.randrange(len(clauses) + 1), rng.choice(clauses))
+    for _ in range(rng.randint(0, 2)):
+        index = rng.randrange(len(clauses))
+        clauses[index] += (rng.choice(clauses[index]),)
+    return CnfFormula(tuple(clauses), f.num_original_vars)
+
+
+class _Unretiring(_Database):
+    """The clause database with no definition retired."""
+
+    def __init__(self, *pair):
+        super().__init__(*pair)
+        self.uses, self.dead = 0, {}
+
+
+class TestRetiredDefinitions:
+    """Once its use holds, an auxiliary variable's definition and negative
+    clauses retire (``_Database.uses`` and ``dead``)."""
+
+    # Originals 1-3; auxiliary 4 stands for 1's co-literals (-2, -3).  The
+    # minimal models are {2} and {3}.
+    CLAUSES = [(1, -2, -3), (2, 3)]
+
+    def _pair(self, search=(), justification=()):
+        """The pair of ``CLAUSES`` with extra clauses appended."""
+        pair = build_pair(self.CLAUSES, 3, ())
+        return (pair[0] + list(search), pair[1] + list(justification), *pair[2:])
+
+    def test_every_definition_build_pair_emits_retires(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            f = _short_clause_formula(rng)
+            for copied in ((), None):
+                pair = pair_of(f, copied)
+                db = _Database(*pair)
+                retired = 0
+                for clause_mask in db.dead.values():
+                    retired |= clause_mask
+                assert not retired & db.uses
+                for aux in range(pair[2] + 1, pair[3]):
+                    use = db.lits[aux] & db.uses
+                    definition = db.lits[aux] ^ use
+                    assert use > definition > 0
+                    assert db.dead[use.bit_length() - 1] & definition
+                    assert not (definition | db.lits[-aux]) & ~retired
+
+    def test_the_use_retires_the_definition_and_its_negative_clauses(self):
+        pair = self._pair()
+        assert pair[0][2:6] == [(-4, 2), (-4, 3), (4, -2, -3), (-1, 4)]
+        db = _Database(*pair)
+        assert (db.uses, db.dead) == (1 << 5, {5: 0b11100})
+        assert count_pair(pair).count == 2
+
+    @pytest.mark.parametrize("search, justification", [
+        ([(4, -2, -3, 1)], []),  # a third positive occurrence of 4
+        ([(-4, 1)], []),  # -4 without a negated literal of the definition
+        ([], [(-4, 2)]),  # 4 in a justification clause
+    ])
+    def test_pairs_failing_the_condition_retire_nothing(self, search, justification):
+        # Each extra clause holds in every model of the search side.
+        pair = self._pair(search, justification)
+        assert _Database(*pair).uses == 0
+        assert count_pair(pair).count == 2
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_short_clauses_match_oracle(self, monkeypatch, cached):
+        if not cached:
+            monkeypatch.setattr(counting, "_CACHE_WORD_BUDGET", 0)
+        rng = random.Random(4242)
+        for _ in range(25):
+            f = _short_clause_formula(rng)
+            expected = count_minimal_brute(f).count
+            for mode in (None, "general"):
+                for decompose in (True, False):
+                    for heuristic in (MAX_OCCURRENCE, MIN_ID):
+                        assert count_minimal(
+                            f, policy=BranchPolicy(heuristic), use_decomposition=decompose,
+                            force_mode=mode).count == expected
+
+    def test_retiring_agrees_with_not_retiring_and_searches_less(self, monkeypatch):
+        counts, decisions = [], [0, 0]
+        for formula in _differential_formulas(41, 8):
+            for side, database in enumerate((_Database, _Unretiring)):
+                monkeypatch.setattr(counting, "_Database", database)
+                result = count_minimal(formula, force_mode="general")
+                counts.append(result.count)
+                decisions[side] += result.stats.decisions
+        assert counts[::2] == counts[1::2]
+        assert decisions[0] < decisions[1]
+
+
 class TestInvariants:
     def test_engine_matches_oracle(self):
         rng = random.Random(2024)
@@ -705,52 +807,52 @@ class TestInvariants:
 # depends on propagation order.  Every base case here has a residual whose
 # clauses all hold a negative literal, so none takes a SAT call.
 SEARCH_SHAPES = [
-    (369, "general", 130, 64, 0, 0),
+    (369, "general", 124, 59, 0, 0),
     (216, "acyclic", 13, 10, 0, 0),
     (24, "general", 13, 7, 0, 0),
-    (78, "acyclic", 24, 15, 0, 0),
-    (10, "general", 13, 3, 2, 0),
-    (40, "acyclic", 20, 6, 0, 0),
-    (58, "acyclic", 35, 17, 0, 0),
+    (78, "acyclic", 17, 12, 0, 0),
+    (10, "general", 9, 5, 2, 0),
+    (40, "acyclic", 19, 8, 0, 0),
+    (58, "acyclic", 34, 19, 0, 0),
     (51, "acyclic", 16, 9, 0, 0),
     (96, "acyclic", 10, 6, 0, 0),
-    (118, "acyclic", 29, 12, 0, 0),
-    (36, "general", 14, 7, 0, 0),
+    (118, "acyclic", 25, 14, 0, 0),
+    (36, "general", 14, 5, 0, 0),
     (22, "acyclic", 16, 8, 0, 0),
     (24, "acyclic", 6, 3, 0, 0),
-    (137, "acyclic", 49, 14, 0, 0),
+    (137, "acyclic", 39, 19, 0, 0),
     (512, "general", 49, 17, 6, 0),
     (144, "acyclic", 18, 9, 0, 0),
-    (10, "general", 14, 4, 8, 0),
-    (165, "acyclic", 48, 24, 0, 0),
-    (531, "general", 343, 115, 11, 0),
-    (14, "acyclic", 15, 4, 0, 0),
+    (10, "general", 14, 12, 4, 0),
+    (165, "acyclic", 45, 25, 0, 0),
+    (531, "general", 307, 130, 10, 0),
+    (14, "acyclic", 14, 4, 0, 0),
 ]
 
 
 # (count, decisions, base_cases, sat_calls, cache_hits) of the default
 # engine, cache on, on the same formulas.
 CACHED_SEARCH_SHAPES = [
-    (369, 59, 0, 0, 53),
+    (369, 54, 0, 0, 52),
     (216, 13, 0, 0, 0),
-    (24, 11, 0, 0, 2),
-    (78, 18, 0, 0, 6),
-    (10, 12, 2, 0, 1),
-    (40, 18, 0, 0, 2),
-    (58, 26, 0, 0, 9),
+    (24, 10, 0, 0, 2),
+    (78, 13, 0, 0, 4),
+    (10, 9, 2, 0, 0),
+    (40, 18, 0, 0, 1),
+    (58, 25, 0, 0, 9),
     (51, 11, 0, 0, 4),
     (96, 10, 0, 0, 0),
-    (118, 23, 0, 0, 5),
+    (118, 22, 0, 0, 2),
     (36, 11, 0, 0, 3),
     (22, 10, 0, 0, 4),
     (24, 6, 0, 0, 0),
-    (137, 28, 0, 0, 14),
-    (512, 29, 2, 0, 10),
+    (137, 24, 0, 0, 15),
+    (512, 28, 2, 0, 11),
     (144, 12, 0, 0, 4),
-    (10, 13, 1, 0, 6),
-    (165, 27, 0, 0, 12),
-    (531, 173, 1, 0, 122),
-    (14, 14, 0, 0, 1),
+    (10, 12, 1, 0, 5),
+    (165, 26, 0, 0, 13),
+    (531, 142, 1, 0, 136),
+    (14, 13, 0, 0, 1),
 ]
 
 
@@ -758,11 +860,11 @@ CACHED_SEARCH_SHAPES = [
 # engine on the same formulas with a 64-word cache: the oldest entry goes
 # first, so these pin the eviction order.
 EVICTING_SEARCH_SHAPES = [
-    (369, 26, 5, 92), (216, 0, 10, 3), (24, 2, 7, 4), (78, 4, 8, 12),
-    (10, 1, 5, 9), (40, 2, 7, 11), (58, 5, 7, 23), (51, 4, 8, 3),
-    (96, 0, 8, 2), (118, 4, 8, 17), (36, 2, 7, 5), (22, 4, 8, 2),
-    (24, 0, 6, 0), (137, 10, 9, 23), (512, 7, 6, 32), (144, 4, 9, 3),
-    (10, 6, 6, 8), (165, 9, 8, 25), (531, 59, 5, 285), (14, 1, 9, 5),
+    (369, 26, 5, 88), (216, 0, 11, 2), (24, 2, 7, 3), (78, 3, 8, 6),
+    (10, 0, 5, 6), (40, 1, 7, 11), (58, 4, 7, 23), (51, 4, 8, 3),
+    (96, 0, 8, 2), (118, 1, 9, 15), (36, 3, 8, 3), (22, 4, 8, 2),
+    (24, 0, 6, 0), (137, 11, 9, 19), (512, 8, 6, 33), (144, 4, 9, 3),
+    (10, 5, 6, 7), (165, 8, 8, 24), (531, 63, 5, 233), (14, 1, 9, 4),
 ]
 
 
