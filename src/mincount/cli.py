@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from .bruteforce import DEFAULT_VAR_LIMIT, VariableLimitError, count_minimal_brute
-from .counting import MODE_ACYCLIC, MODE_GENERAL, copied_variables, count_minimal
+from .counting import _TABLE_VARS, MODE_ACYCLIC, MODE_GENERAL, copied_variables, count_minimal
 from .depgraph import build_dependency_graph, is_acyclic, is_head_cycle_free, to_dot
 from .formula import ParseError, parse_dimacs
 from .transform import build_pair, write_pair_files
@@ -56,7 +56,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("input", help="path to a DIMACS CNF file, or - for stdin")
     parser.add_argument(
         "--mode", choices=MODES, default="auto",
-        help="which variables get copies, or the oracle (default: auto)",
+        help=f"auto counts a part of at most {_TABLE_VARS} variables by truth table and "
+             "copies the other parts' cyclic variables; general copies every variable, "
+             "acyclic none; brute runs the oracle (default: auto)",
     )
     parser.add_argument(
         "--check", action="store_true",

@@ -46,7 +46,8 @@ occurring variables by the grouping pass (a part already over ``1..k``
 as it is) and with its own run and its own copy variables.  A run
 counts its pair as one component: a root that propagation leaves
 untouched is the whole pair and is not walked.  A part is connected, and
-so is its pair.
+so is its pair.  In auto mode a part of at most ``_TABLE_VARS`` variables
+builds no pair; ``_table_count`` counts it from its truth table.
 
 The recursion is realized with an explicit stack so that chain formulas
 cannot exhaust the interpreter's recursion limit.  Each counting run owns
@@ -76,6 +77,9 @@ MODE_GENERAL = "general"
 # oldest entries go first.
 _CACHE_WORD_BUDGET = 2**20
 
+# The largest part auto mode counts by truth table (scripts/crossover.py).
+_TABLE_VARS = 15
+
 
 @dataclass
 class CountStats:
@@ -85,7 +89,8 @@ class CountStats:
     that actually split their node, the input's included.  ``cache_hits``
     counts the components and base cases the cache answered;
     ``cache_entries`` is its final size, summed over the input's parts.
-    ``general_parts`` of the ``parts`` had at least one copy variable, and
+    ``table_parts`` of the ``parts`` were counted by truth table; of the
+    pairs built for the others, ``general_parts`` had a copy variable and
     ``copy_vars`` is the number of copy variables built.  ``sat_calls``
     counts the base cases that run a justification search: one whose
     residual clauses all have a negative literal is answered without it.
@@ -102,6 +107,7 @@ class CountStats:
     parts: int = 0
     general_parts: int = 0
     copy_vars: int = 0
+    table_parts: int = 0
     mode: str = ""
     acyclic: bool | None = None
     head_cycle_free: bool | None = None
@@ -423,6 +429,38 @@ def _input_parts(clauses, split):
     return parts
 
 
+def _table_count(clauses, num_vars: int) -> int:
+    """Minimal models of ``clauses`` over ``1..num_vars``, by truth table.
+
+    Bit ``i`` is the assignment giving ``v`` bit ``v - 1`` of ``i``, and
+    ``column[lit]`` holds those where ``lit`` is true, a negative ``lit``
+    indexing from the end.  One shift per variable, the subset (zeta)
+    transform, gathers the assignments strictly above a model (Björklund,
+    Husfeldt, Kaski & Koivisto, STOC 2007).
+    """
+    size = 1 << num_vars
+    full = (1 << size) - 1
+    column = [0]
+    for v in range(num_vars):
+        half = (1 << v) >> 3  # a period: ``half`` zero bytes, ``half`` 0xff
+        pattern = bytes(half) + b"\xff" * half if half else bytes((0xAA, 0xCC, 0xF0)[v:v + 1])
+        column.append(int.from_bytes(pattern * (max(size >> 3, 1) // len(pattern)),
+                                     "little") & full)
+    column += [full ^ positive for positive in reversed(column[1:])]
+    models = full
+    for clause in clauses:
+        either = 0
+        for lit in clause:
+            either |= column[lit]
+        models &= either
+        if not models:
+            return 0
+    above = 0
+    for v in range(1, num_vars + 1):
+        above |= ((models | above) & column[-v]) << (1 << (v - 1))
+    return (models & ~above).bit_count()
+
+
 def copied_variables(formula: CnfFormula, graph: DepGraph, force_mode: str | None = None):
     """The variables the pair of a mode gives a copy variable.
 
@@ -449,14 +487,16 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
     variable-disjoint part is, so the parts are counted one by one and
     their counts multiply (unless ``use_decomposition`` is off, which
     makes the whole input one part).  Every part is renumbered to its
-    occurring variables and goes through the pair recursion, with copy
-    variables for the variables ``copied_variables`` names: those on a
-    cycle of the dependency graph, so an acyclic part has no
-    justification side and its count is the model count of the part
-    strengthened with its forced implications.  ``force_mode``
-    ``general`` copies every variable; ``acyclic`` copies none and raises
-    ``ValueError`` on a cyclic formula.  ``graph`` is the formula's
-    dependency graph, if the caller has built it.
+    occurring variables.  Unless ``force_mode`` is given, a part of at most
+    ``_TABLE_VARS`` variables is counted from its truth table, where
+    ``policy`` and ``use_decomposition`` have no effect.  Every other part
+    goes through the pair recursion, with copy variables for the variables
+    ``copied_variables`` names: those on a cycle of the dependency graph,
+    so an acyclic part has no justification side and its count is the
+    model count of the part strengthened with its forced implications.
+    ``force_mode`` ``general`` copies every variable; ``acyclic`` copies
+    none and raises ``ValueError`` on a cyclic formula.  ``graph`` is the
+    formula's dependency graph, if the caller has built it.
 
     With decomposition on, every part is connected, and so is its pair:
     each clause ``build_pair`` adds holds a variable of the part or a copy
@@ -484,6 +524,10 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
         stats.components += len(parts)
     count = 1
     for variables, part in parts:
+        if force_mode is None and len(variables) <= _TABLE_VARS:
+            stats.table_parts += 1
+            count *= _table_count(part, len(variables))
+            continue
         part_copied = [new for new, var in enumerate(variables, 1) if var in copied]
         stats.copy_vars += len(part_copied)
         stats.general_parts += bool(part_copied)

@@ -24,6 +24,7 @@ from mincount import (
     minimal_models_pairwise,
     parse_dimacs,
 )
+import mincount.counting as counting
 from mincount.counting import _Database, _bcp, _justification_base, count_pair
 
 from conftest import (
@@ -123,14 +124,17 @@ def test_criterion_2_implication_cycle_reproduction():
     )
 
 
-def test_criterion_3_oracle_equivalence(suite3):
+def test_criterion_3_oracle_equivalence(suite3, monkeypatch):
     started = time.perf_counter()
     mismatches = []
     for index, f in enumerate(suite3):
-        got = count_minimal(f).count
         want = count_minimal_brute(f).count
-        if got != want:
-            mismatches.append((index, got, want))
+        # By truth table, then with every part counted by its pair.
+        for table_vars in (counting._TABLE_VARS, 0):
+            monkeypatch.setattr(counting, "_TABLE_VARS", table_vars)
+            got = count_minimal(f).count
+            if got != want:
+                mismatches.append((index, table_vars, got, want))
     elapsed = time.perf_counter() - started
     ok = not mismatches and elapsed < 300.0
     report(
@@ -170,7 +174,10 @@ def test_criterion_5_minimality_test_agreement(suite3):
     )
 
 
-def test_criterion_6_metamorphic_neutrality(suite3):
+def test_criterion_6_metamorphic_neutrality(suite3, monkeypatch):
+    # Decomposition and the branch heuristic act on the pair recursion, so
+    # every part is counted by its pair.
+    monkeypatch.setattr(counting, "_TABLE_VARS", 0)
     rng = random.Random(60633)
     failures = 0
     for f in suite3:

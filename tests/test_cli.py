@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+import mincount.counting as counting
 from mincount import parse_dimacs
 from mincount.cli import EXIT_CHECK_FAILED, EXIT_MODE, EXIT_OK, EXIT_USAGE, RunConfig, main, run
 
@@ -53,7 +54,8 @@ def test_general_mode_forced(ex1_path, capsys):
     assert out.strip().splitlines()[-1] == "s mc 3"
 
 
-def test_stats_lines_precede_count(ex2_path, capsys):
+def test_stats_lines_precede_count(ex2_path, capsys, monkeypatch):
+    monkeypatch.setattr(counting, "_TABLE_VARS", 0)  # count ex2 by its pair
     code, out, _ = run_main(capsys, ["--stats", ex2_path])
     assert code == EXIT_OK
     lines = out.strip().splitlines()
@@ -72,11 +74,26 @@ def test_stats_lines_precede_count(ex2_path, capsys):
     assert "c stat copy_vars 3" in lines
 
 
+def test_table_part_stats(ex2_path, capsys):
+    # ex2's three variables are counted from their truth table: no pair,
+    # so no copy variable and no search.
+    code, out, _ = run_main(capsys, ["--stats", ex2_path])
+    assert code == EXIT_OK
+    lines = out.strip().splitlines()
+    assert lines[-1] == "s mc 1"
+    keys = [line.split()[2] for line in lines[:-1]]
+    assert keys[keys.index("copy_vars") + 1] == "table_parts"
+    for line in ("c stat mode general", "c stat parts 1", "c stat general_parts 0",
+                 "c stat copy_vars 0", "c stat table_parts 1", "c stat decisions 0"):
+        assert line in lines
+
+
 # ex2's implication 3-cycle beside an acyclic part over variables 4-6.
 SPLIT_TEXT = "p cnf 6 5\n-1 2 0\n-2 3 0\n-3 1 0\n4 5 0\n-5 6 0\n"
 
 
-def test_split_input_stats(tmp_path, capsys):
+def test_split_input_stats(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(counting, "_TABLE_VARS", 0)
     path = tmp_path / "split.cnf"
     path.write_text(SPLIT_TEXT)
     code, out, _ = run_main(capsys, ["--stats", "--check", str(path)])

@@ -39,6 +39,13 @@ from conftest import (
 )
 
 
+def _by_pair(monkeypatch, formula, **options):
+    """``count_minimal`` with every part counted by its pair recursion."""
+    with monkeypatch.context() as patch:
+        patch.setattr(counting, "_TABLE_VARS", 0)
+        return count_minimal(formula, **options)
+
+
 class TestCountMinimal:
     def test_positive_cycle(self, ex1):
         result = count_minimal(ex1)
@@ -480,6 +487,7 @@ class TestBaseCase:
         # its assigned literals dropped, plus the demand that some live copy
         # be false.  The base case counts zero exactly when ``solve`` finds
         # that satisfiable; an empty residual demands the empty clause.
+        monkeypatch.setattr(counting, "_TABLE_VARS", 0)
         original = counting._justification_base
         answers = []
 
@@ -610,7 +618,7 @@ class TestRepeatedVariables:
             assert count_pair(hand_built).count == count_minimal_brute(f).count
 
     @pytest.mark.parametrize("repeat", ["clause", "literal"])
-    def test_repeats_in_input_match_oracle(self, repeat):
+    def test_repeats_in_input_match_oracle(self, monkeypatch, repeat):
         # In (1, 2, 2), (1, 3) the auxiliary co-literal variable of (2, 2)
         # is left a unit once 1 and 3 are false, and must propagate.
         formulas = [CnfFormula(((1, 2, 2), (1, 3)), 3)] if repeat == "literal" else []
@@ -627,6 +635,7 @@ class TestRepeatedVariables:
         for repeated in formulas:
             expected = count_minimal_brute(repeated).count
             assert count_minimal(repeated).count == expected
+            assert _by_pair(monkeypatch, repeated).count == expected
             assert count_minimal(repeated, force_mode="general").count == expected
             assert count_minimal(repeated, use_decomposition=False).count == expected
 
@@ -716,9 +725,10 @@ class TestRetiredDefinitions:
             for mode in (None, "general"):
                 for decompose in (True, False):
                     for heuristic in (MAX_OCCURRENCE, MIN_ID):
-                        assert count_minimal(
-                            f, policy=BranchPolicy(heuristic), use_decomposition=decompose,
-                            force_mode=mode).count == expected
+                        options = dict(policy=BranchPolicy(heuristic),
+                                       use_decomposition=decompose, force_mode=mode)
+                        assert count_minimal(f, **options).count == expected
+                        assert _by_pair(monkeypatch, f, **options).count == expected
 
     def test_retiring_agrees_with_not_retiring_and_searches_less(self, monkeypatch):
         counts, decisions = [], [0, 0]
@@ -733,13 +743,17 @@ class TestRetiredDefinitions:
 
 
 class TestInvariants:
-    def test_engine_matches_oracle(self):
+    def test_engine_matches_oracle(self, monkeypatch):
         rng = random.Random(2024)
         for _ in range(150):
             f = random_formula(rng)
-            assert count_minimal(f).count == count_minimal_brute(f).count
+            expected = count_minimal_brute(f).count
+            assert count_minimal(f).count == _by_pair(monkeypatch, f).count == expected
 
-    def test_decomposition_neutrality(self):
+    # Decomposition and the branch heuristic act on the recursion only.
+
+    def test_decomposition_neutrality(self, monkeypatch):
+        monkeypatch.setattr(counting, "_TABLE_VARS", 0)
         rng = random.Random(101)
         for _ in range(60):
             f = random_formula(rng, max_clauses=25)
@@ -748,7 +762,8 @@ class TestInvariants:
                 == count_minimal(f, use_decomposition=False).count
             )
 
-    def test_branch_policy_neutrality(self):
+    def test_branch_policy_neutrality(self, monkeypatch):
+        monkeypatch.setattr(counting, "_TABLE_VARS", 0)
         rng = random.Random(202)
         for _ in range(60):
             f = random_formula(rng, max_clauses=25)
@@ -881,6 +896,12 @@ def _search_shape_formulas():
 
 
 class TestSearchShape:
+    @pytest.fixture(autouse=True)
+    def _on_the_recursion(self, monkeypatch):
+        # The pins are the recursion's, and some parts here are small
+        # enough for the truth table.
+        monkeypatch.setattr(counting, "_TABLE_VARS", 0)
+
     def test_counts_and_counters_are_pinned(self, monkeypatch):
         monkeypatch.setattr(counting, "_CACHE_WORD_BUDGET", 0)
         for formula, expected in zip(_search_shape_formulas(), SEARCH_SHAPES):
@@ -1021,8 +1042,9 @@ class TestDifferential:
                 evictions += tiny.stats.cache_evictions
         assert evictions > 0
 
-    def test_planted_cycles_agree(self):
+    def test_planted_cycles_agree(self, monkeypatch):
         # Auto copies only the ring variables; forced general copies all.
+        monkeypatch.setattr(counting, "_TABLE_VARS", 0)
         rng = random.Random(16)
         for _ in range(8):
             formula = planted_cycle_formula(rng, min_vars=25, max_vars=80,
@@ -1101,9 +1123,10 @@ class TestSplitInput:
             with pytest.raises(ValueError, match="cycle"):
                 count_minimal(union, force_mode="acyclic")
 
-    def test_self_arc_makes_its_part_cyclic(self):
+    def test_self_arc_makes_its_part_cyclic(self, monkeypatch):
         # The tautology (1, -1) gives the arc 1 -> 1; the acyclic path would
         # let variable 1 justify itself.
+        monkeypatch.setattr(counting, "_TABLE_VARS", 0)
         union = CnfFormula(((1, -1), (2, 3)), 3)
         result = count_minimal(union)
         assert result.count == count_minimal_brute(union).count == 2
@@ -1129,6 +1152,7 @@ class TestSplitInput:
             return original(clauses, num_vars, copied)
 
         monkeypatch.setattr(counting, "build_pair", spy)
+        monkeypatch.setattr(counting, "_TABLE_VARS", 0)
         f = parse_dimacs("p cnf 5000 1\n4000 0\n")
         result = count_minimal(f, use_decomposition=decompose)
         assert (result.count, result.stats.parts, result.stats.components) == (1, 1, 0)
@@ -1179,7 +1203,7 @@ class TestSplitInput:
                 assert dense_calls == ([2] if len(dense_parts) == 1 else [])
         assert dense_inputs >= 40
 
-    def test_small_unions_match_oracle(self):
+    def test_small_unions_match_oracle(self, monkeypatch):
         rng = random.Random(606)
         for _ in range(120):
             clauses, offset = (), 0
@@ -1193,6 +1217,7 @@ class TestSplitInput:
             union = CnfFormula(clauses, offset)
             expected = count_minimal_brute(union).count
             assert count_minimal(union).count == expected
+            assert _by_pair(monkeypatch, union).count == expected
             assert count_minimal(union, force_mode="general").count == expected
 
 
@@ -1205,7 +1230,7 @@ def _cyclic_variables(formula):
 class TestPlantedCycles:
     """Copy variables only for the variables of cyclic SCCs."""
 
-    def test_small_planted_cycles_match_oracle(self):
+    def test_small_planted_cycles_match_oracle(self, monkeypatch):
         rng = random.Random(909)
         number, cyclic_total, mixed = 400, 0, 0
         for _ in range(number):
@@ -1214,16 +1239,22 @@ class TestPlantedCycles:
             cyclic_total += len(cyclic)
             mixed += 0 < len(cyclic) < len(formula.variables())
             expected = count_minimal_brute(formula).count
-            auto = count_minimal(formula)
-            assert auto.count == expected
-            assert auto.stats.copy_vars == len(cyclic)
-            general = count_minimal(formula, force_mode="general")
-            assert general.count == expected
-            assert general.stats.copy_vars == len(formula.variables())
-            whole = count_minimal(formula, use_decomposition=False)
-            assert whole.count == expected
-            assert (whole.stats.copy_vars, whole.stats.general_parts) == (len(cyclic), 1)
-            assert count_minimal(formula, policy=BranchPolicy(MIN_ID)).count == expected
+            table = count_minimal(formula)
+            assert table.count == expected
+            assert table.stats.copy_vars == 0
+            assert table.stats.table_parts == table.stats.parts
+            with monkeypatch.context() as patch:
+                patch.setattr(counting, "_TABLE_VARS", 0)
+                auto = count_minimal(formula)
+                assert auto.count == expected
+                assert auto.stats.copy_vars == len(cyclic)
+                general = count_minimal(formula, force_mode="general")
+                assert general.count == expected
+                assert general.stats.copy_vars == len(formula.variables())
+                whole = count_minimal(formula, use_decomposition=False)
+                assert whole.count == expected
+                assert (whole.stats.copy_vars, whole.stats.general_parts) == (len(cyclic), 1)
+                assert count_minimal(formula, policy=BranchPolicy(MIN_ID)).count == expected
         # The generator must keep planting cycles beside acyclic variables.
         assert cyclic_total / number >= 2
         assert mixed / number >= 0.4
@@ -1234,3 +1265,90 @@ class TestPlantedCycles:
             result = count_minimal(random_acyclic_formula(rng))
             assert (result.stats.copy_vars, result.stats.general_parts) == (0, 0)
             assert result.stats.base_cases == result.stats.sat_calls == 0
+
+
+def _table_formula(rng, n):
+    """A formula over ``1..n`` of 1-4-literal clauses, with some repeated
+    literals, tautologies, units (some conflicting) and empty clauses."""
+    clauses = list(random_formula(rng, min_vars=n, max_vars=n, min_clauses=0,
+                                  max_clauses=2 * n, min_len=2, max_len=4).clauses) if n else []
+    for _ in range(rng.randint(0, 2) if n else 0):
+        var = rng.randint(1, n)
+        kind = rng.choice(["repeat", "tautology", "unit", "conflict"])
+        if kind == "repeat" and clauses:
+            index = rng.randrange(len(clauses))
+            clauses[index] += (rng.choice(clauses[index]),)
+        elif kind == "tautology":
+            clauses.append((var, -var) + tuple(rng.sample(range(1, n + 1), min(2, n))))
+        elif kind == "unit":
+            clauses.append((rng.choice((var, -var)),))
+        else:
+            clauses += [(var,), (-var,)]
+    if rng.random() < 0.1:
+        clauses.insert(rng.randrange(len(clauses) + 1), ())
+    return CnfFormula(tuple(clauses), n)
+
+
+class TestTruthTable:
+    """Auto mode counts a part of at most ``_TABLE_VARS`` variables from its
+    truth table, with no pair."""
+
+    def test_table_matches_oracle(self):
+        rng = random.Random(1414)
+        counts = set()
+        for n in range(counting._TABLE_VARS + 1):
+            for _ in range(12):
+                f = _table_formula(rng, n)
+                expected = count_minimal_brute(f).count
+                assert counting._table_count(f.clauses, n) == expected
+                assert count_minimal(f).count == expected
+                counts.add(expected)
+        assert counting._table_count([], 0) == 1
+        assert counting._table_count([()], 0) == 0
+        assert counting._table_count([(1, -1)], 1) == 1
+        assert counting._table_count([(1,), (-1,)], 1) == 0
+        assert 0 in counts and len(counts) > 10
+
+    def test_table_agrees_with_the_pair_on_generators(self, monkeypatch):
+        # Unions of planted-cycle formulas, some parts above the threshold.
+        rng = random.Random(1415)
+        sizes = set()
+        for _ in range(40):
+            clauses, offset = (), 0
+            for _ in range(rng.randint(1, 4)):
+                part = planted_cycle_formula(rng, min_vars=5, max_vars=20)
+                clauses += _shifted(part, offset)
+                offset += part.num_original_vars
+            union = CnfFormula(clauses, offset)
+            result = count_minimal(union)
+            assert result.count == _by_pair(monkeypatch, union).count
+            parts = _input_parts(union.clauses, True)
+            small = sum(len(variables) <= counting._TABLE_VARS for variables, _ in parts)
+            assert result.stats.table_parts == small
+            assert result.stats.general_parts <= len(parts) - small
+            sizes.update(len(variables) for variables, _ in parts)
+        assert min(sizes) <= counting._TABLE_VARS < max(sizes)
+
+    @pytest.mark.parametrize("pairs", [0, 1])
+    def test_the_pair_is_built_above_the_threshold(self, monkeypatch, pairs):
+        n = counting._TABLE_VARS + pairs
+        built = []
+        original = counting.build_pair
+        monkeypatch.setattr(counting, "build_pair",
+                            lambda *args: built.append(args) or original(*args))
+        # A positive path over 1..n, closed into a ring by an implication.
+        f = CnfFormula(tuple((i, i + 1) for i in range(1, n)) + ((-n, 1),), n)
+        result = count_minimal(f)
+        assert len(built) == pairs
+        assert (result.stats.table_parts, result.stats.parts) == (1 - pairs, 1)
+        assert result.count == _by_pair(monkeypatch, f).count
+
+    def test_forced_modes_never_take_the_table(self, monkeypatch):
+        monkeypatch.setattr(counting, "_table_count", None)  # a call raises
+        rng = random.Random(1416)
+        for _ in range(30):
+            f = random_acyclic_formula(rng)
+            for mode in ("general", "acyclic"):
+                result = count_minimal(f, force_mode=mode)
+                assert result.count == count_minimal_brute(f).count
+                assert result.stats.table_parts == 0

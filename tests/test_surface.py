@@ -96,6 +96,7 @@ def test_traced_layers_are_called_through_their_sites(monkeypatch, ex2):
 
         monkeypatch.setattr(owner, name, wrapper)
 
+    monkeypatch.setattr(counting, "_TABLE_VARS", 0)
     for name in ("_bcp", "_split_components", "_justification_base"):
         spy(counting, name)
     spy(BranchPolicy, "pick")
@@ -115,6 +116,7 @@ def test_one_propagator(monkeypatch):
     # ``solve`` and the justification queries propagate with the engine's
     # ``_bcp`` through its own module, so the tracer's counting site sees
     # the search's calls and no others.
+    monkeypatch.setattr(counting, "_TABLE_VARS", 0)
     calls = []
     for module in (counting, sat):
         original = module._bcp
