@@ -249,6 +249,20 @@ EMITTED_PAIRS = [
     ), (
         "c vr orig 1 4\nc vr copy 8 11\np cnf 11 0\n"
     )),
+    # No variable, so no range at all.  No clause, and only an empty one:
+    # every variable is forced false, and the copy range is declared
+    # although no variable is copied.
+    ("auto", "p cnf 0 0\n", "p cnf 0 0\n", "p cnf 0 0\n"),
+    ("auto", "p cnf 3 0\n", (
+        "c vr orig 1 3\np cnf 3 3\n-1 0\n-2 0\n-3 0\n"
+    ), (
+        "c vr orig 1 3\nc vr copy 4 6\np cnf 6 0\n"
+    )),
+    ("auto", "p cnf 2 1\n0\n", (
+        "c vr orig 1 2\np cnf 2 3\n 0\n-1 0\n-2 0\n"
+    ), (
+        "c vr orig 1 2\nc vr copy 3 4\np cnf 4 0\n"
+    )),
 ]
 
 
