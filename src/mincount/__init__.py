@@ -27,12 +27,8 @@ from .depgraph import (
     to_dot,
 )
 from .formula import (
-    AUX,
-    COPY,
-    ORIG,
     CnfFormula,
     ParseError,
-    VarRange,
     evaluate,
     parse_dimacs,
     write_dimacs,
@@ -43,10 +39,8 @@ from .transform import build_pair
 __version__ = "0.1.0"
 
 __all__ = [
-    "AUX",
     "BranchPolicy",
     "CnfFormula",
-    "COPY",
     "CountResult",
     "CountStats",
     "DEFAULT_VAR_LIMIT",
@@ -55,10 +49,8 @@ __all__ = [
     "MIN_ID",
     "MODE_ACYCLIC",
     "MODE_GENERAL",
-    "ORIG",
     "OracleDisagreementError",
     "ParseError",
-    "VarRange",
     "VariableLimitError",
     "build_dependency_graph",
     "build_pair",

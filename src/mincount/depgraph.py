@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .formula import ORIG, CnfFormula
+from .formula import CnfFormula
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,15 +62,15 @@ class SccDecomposition:
 def build_dependency_graph(formula: CnfFormula) -> DepGraph:
     """Build the variable dependency graph of a formula.
 
-    Only defined over original variables; raises ``ValueError`` when the
-    formula's clauses mention auxiliary or copy ids.  Time and memory are
-    bounded by the clauses and their variables, not by the largest id.
+    Only defined over original variables; raises ``ValueError``, naming
+    the smallest, when the clauses hold ids above ``num_original_vars``.
+    Time and memory are bounded by the clauses and their variables, not
+    by the largest id.
     """
     nodes = formula.variables()
-    if any(vr.kind != ORIG for vr in formula.var_ranges):
-        for var in nodes:
-            if formula.kind_of(var) != ORIG:
-                raise ValueError(f"dependency graph requires original variables only, got {var}")
+    above = [var for var in nodes if var > formula.num_original_vars]
+    if above:
+        raise ValueError(f"dependency graph requires original variables only, got {min(above)}")
     successors: dict[int, list[int]] = {}
     for clause in formula.clauses:
         heads = [lit for lit in clause if lit > 0]

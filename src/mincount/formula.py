@@ -2,10 +2,10 @@
 
 Variables are positive integers and a literal is a signed integer: ``v``
 for the positive literal, ``-v`` for the negated one.  A clause is a tuple
-of literals and a formula is an immutable collection of clauses plus
-metadata describing which id ranges hold original, auxiliary and copy
-variables.  A total assignment is the set of its true variables; every
-other variable is false.  Formulas are safe to share between concurrent
+of literals and a formula is an immutable collection of clauses over
+ids up to ``num_vars``, the first ``num_original_vars`` of them original.
+A total assignment is the set of its true variables; every other
+variable is false.  Formulas are safe to share between concurrent
 tasks.
 """
 
@@ -13,10 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice
-
-ORIG = "orig"
-AUX = "aux"
-COPY = "copy"
 
 
 class ParseError(ValueError):
@@ -30,21 +26,6 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class VarRange:
-    """Inclusive variable-id range tagged as original, auxiliary or copy."""
-
-    kind: str
-    lo: int
-    hi: int
-
-    def __contains__(self, var: int) -> bool:
-        return self.lo <= var <= self.hi
-
-    def __len__(self) -> int:
-        return max(0, self.hi - self.lo + 1)
-
-
-@dataclass(frozen=True)
 class ParseStats:
     tautologies_dropped: int = 0
     duplicate_literals_dropped: int = 0
@@ -54,45 +35,33 @@ class ParseStats:
 class CnfFormula:
     """Immutable clause database.
 
-    ``num_original_vars`` is the size of the original id range 1..n.
-    Auxiliary and copy variables, when present, occupy disjoint ranges
-    above n recorded in ``var_ranges``.
+    The originals are ``1..num_original_vars``.  Clauses may hold ids up
+    to ``num_vars`` (by default ``num_original_vars``); the ids above the
+    originals are auxiliary or copy variables.
     """
 
     clauses: tuple[tuple[int, ...], ...]
     num_original_vars: int
-    var_ranges: tuple[VarRange, ...] = ()
+    num_vars: int | None = None
     parse_stats: ParseStats = ParseStats()
 
     def __post_init__(self):
-        if not self.var_ranges:
-            object.__setattr__(
-                self, "var_ranges", (VarRange(ORIG, 1, self.num_original_vars),)
-            )
-        top, gaps = 0, []  # the ids below ``top`` that no range covers
-        for lo, hi in sorted((r.lo, r.hi) for r in self.var_ranges if len(r)):
-            if lo > top + 1:
-                gaps.append(range(top + 1, lo))
-            top = max(top, hi)
+        if self.num_vars is None:
+            object.__setattr__(self, "num_vars", self.num_original_vars)
+        top = self.num_vars
         lits = list(chain.from_iterable(self.clauses))
-        if not gaps and (not lits or max(lits) <= top and min(lits) >= -top and 0 not in lits):
+        if not lits or max(lits) <= top and min(lits) >= -top and 0 not in lits:
             return
         for index, clause in enumerate(self.clauses):
             for lit in clause:
-                if lit == 0 or abs(lit) > top or gaps and any(abs(lit) in gap for gap in gaps):
+                if lit == 0 or abs(lit) > top:
                     error = ValueError(f"literal {lit} outside declared variable ranges")
-                    error.clause = index  # ``parse_dimacs`` names the clause's line
+                    error.clause = index  # the position of the offending clause
                     raise error
 
     def variables(self) -> set[int]:
         """Ids occurring in at least one clause."""
         return {abs(lit) for clause in self.clauses for lit in clause}
-
-    def kind_of(self, var: int) -> str:
-        for vr in self.var_ranges:
-            if var in vr:
-                return vr.kind
-        raise ValueError(f"variable {var} not in any declared range")
 
 
 def _parse_plain(source: str) -> CnfFormula | None:
@@ -120,20 +89,22 @@ def _parse_plain(source: str) -> CnfFormula | None:
         if len(clause) == 2 and abs(clause[0]) == abs(clause[1]) or (
                 len(clause) > 2 and len(set(map(abs, clause))) < len(clause)):
             return None
-    return CnfFormula(clauses, num_vars, (VarRange(ORIG, 1, num_vars),))
+    return CnfFormula(clauses, num_vars)
 
 
 def parse_dimacs(source: str) -> CnfFormula:
     """Parse DIMACS CNF text into a :class:`CnfFormula`.
 
     Comment lines starting with ``c`` are ignored, except ``c vr <kind> <lo> <hi>``
-    (kind one of orig/aux/copy) which restores variable-range metadata
-    written by :func:`write_dimacs`; an inverted range, one that overlaps
-    an earlier range, a second ``orig`` range, or ranges that leave a
-    literal uncovered are a :class:`ParseError`.  Duplicate literals
-    within a clause are dropped (first occurrence kept) and tautological
-    clauses are removed; both events are counted in the formula's parse
-    stats.
+    (kind one of orig/aux/copy), which declares an id range as written by
+    :func:`write_dimacs`; the originals then end at the ``orig`` range's
+    ``hi`` and ``num_vars`` is the largest ``hi`` (both are the header's
+    ``n`` without ranges).  An inverted range, one that overlaps an
+    earlier range, no or a second ``orig`` range, ranges that leave a
+    literal uncovered, or a range below the ``orig`` range are a
+    :class:`ParseError`.  Duplicate literals within a clause are dropped
+    (first occurrence kept) and tautological clauses are removed; both
+    events are counted in the formula's parse stats.
 
     A plain text is read from its whole token stream at once: comment
     lines without ``vr``, the header line ``p cnf <n> <m>``, then integers
@@ -145,8 +116,7 @@ def parse_dimacs(source: str) -> CnfFormula:
     if formula is not None:
         return formula
     header: tuple[int, int] | None = None
-    ranges: list[VarRange] = []
-    range_lines: list[int] = []
+    ranges: list[tuple[str, int, int, int]] = []  # kind, lo, hi and line
     clauses: list[tuple[int, ...]] = []
     clause_lines: list[int] = []
     tautologies = 0
@@ -178,21 +148,20 @@ def parse_dimacs(source: str) -> CnfFormula:
             continue
         if line.startswith("c"):
             parts = line.split()
-            if len(parts) == 5 and parts[1] == "vr" and parts[2] in (ORIG, AUX, COPY):
+            if len(parts) == 5 and parts[1] == "vr" and parts[2] in ("orig", "aux", "copy"):
                 try:
                     lo, hi = int(parts[3]), int(parts[4])
                 except ValueError:
                     continue
                 if lo > hi:
                     raise ParseError(f"inverted variable range {line!r}", line_no)
-                for other, other_line in zip(ranges, range_lines):
-                    if lo <= other.hi and other.lo <= hi:
+                for _, other_lo, other_hi, other_line in ranges:
+                    if lo <= other_hi and other_lo <= hi:
                         raise ParseError(
                             f"variable range {line!r} overlaps the range on line {other_line}",
                             line_no,
                         )
-                ranges.append(VarRange(parts[2], lo, hi))
-                range_lines.append(line_no)
+                ranges.append((parts[2], lo, hi, line_no))
             continue
         if line.startswith("p"):
             if header is not None:
@@ -234,43 +203,43 @@ def parse_dimacs(source: str) -> CnfFormula:
     if current:
         raise ParseError("clause not terminated by 0", current_line or last_line)
 
+    num_original = num_vars = header[0]
     if ranges:
-        orig = [(vr, line) for vr, line in zip(ranges, range_lines) if vr.kind == ORIG]
-        if not orig:
-            raise ParseError("'c vr' ranges declared without an 'orig' range", range_lines[0])
-        if len(orig) > 1:
+        origs = [vr for vr in ranges if vr[0] == "orig"]
+        if not origs:
+            raise ParseError("'c vr' ranges declared without an 'orig' range", ranges[0][3])
+        if len(origs) > 1:
             raise ParseError(
-                f"second 'orig' range; the original range is on line {orig[0][1]}", orig[1][1]
+                f"second 'orig' range; the original range is on line {origs[0][3]}", origs[1][3]
             )
-        num_original = orig[0][0].hi
-        var_ranges = tuple(ranges)
-    else:
-        num_original = header[0]
-        var_ranges = (VarRange(ORIG, 1, header[0]),)
-    try:
-        return CnfFormula(
-            tuple(clauses),
-            num_original,
-            var_ranges,
-            ParseStats(tautologies, duplicates),
-        )
-    except ValueError as exc:
-        # Declared ranges that leave a literal uncovered.
-        raise ParseError(str(exc), clause_lines[exc.clause]) from None
+        _, orig_lo, num_original, orig_line = origs[0]
+        covered = 0  # the ids 1..covered lie in the declared ranges
+        for lo, hi in sorted(vr[1:3] for vr in ranges):
+            if lo > covered + 1:
+                break
+            covered = hi
+        for clause, line_no in zip(clauses, clause_lines):
+            for lit in clause:
+                if abs(lit) > covered and not any(lo <= abs(lit) <= hi for _, lo, hi, _ in ranges):
+                    raise ParseError(f"literal {lit} outside declared variable ranges", line_no)
+        for kind, _, hi, line_no in ranges:
+            if hi < orig_lo:
+                raise ParseError(f"'{kind}' range below the 'orig' range on line {orig_line}",
+                                 line_no)
+        num_vars = max(hi for _, _, hi, _ in ranges)
+    return CnfFormula(tuple(clauses), num_original, num_vars, ParseStats(tautologies, duplicates))
 
 
 def write_dimacs(formula: CnfFormula, extra_comments=()) -> str:
-    """Serialize a formula to DIMACS text, with ``c vr`` range comments."""
-    lines = []
-    for vr in formula.var_ranges:
-        if len(vr):
-            lines.append(f"c vr {vr.kind} {vr.lo} {vr.hi}")
+    """Serialize a formula to DIMACS text, declaring ``c vr orig 1 n``.
+
+    A caller whose clauses hold ids above ``num_original_vars`` declares
+    their ranges in ``extra_comments``, written after that line.
+    """
+    n = formula.num_original_vars
+    lines = [f"c vr orig 1 {n}"] if n >= 1 else []
     lines.extend(extra_comments)
-    top = max(
-        (vr.hi for vr in formula.var_ranges if len(vr)),
-        default=formula.num_original_vars,
-    )
-    lines.append(f"p cnf {top} {len(formula.clauses)}")
+    lines.append(f"p cnf {formula.num_vars} {len(formula.clauses)}")
     for clause in formula.clauses:
         lines.append(" ".join(str(lit) for lit in clause) + " 0")
     return "\n".join(lines) + "\n"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 
-from .formula import AUX, COPY, ORIG, CnfFormula, VarRange, write_dimacs
+from .formula import CnfFormula, write_dimacs
 
 
 def build_pair(clauses, num_vars: int, copied):
@@ -121,19 +121,16 @@ def write_pair_files(pair, directory: str) -> tuple[str, str]:
     """
     search, justification, n, copy_lo, top = pair
     offset = copy_lo - 1
-    search_ranges = [VarRange(ORIG, 1, n)]
-    if copy_lo > n + 1:
-        search_ranges.append(VarRange(AUX, n + 1, offset))
-    copy_ranges = (VarRange(ORIG, 1, n), VarRange(COPY, copy_lo, top))
+    aux = [f"c vr aux {n + 1} {offset}"] if offset > n else []
     # Each copy occurs negated in its implication copy(x) -> x.
     copies = sorted({-lit for clause in justification for lit in clause if -lit >= copy_lo})
+    copy = [f"c vr copy {copy_lo} {top}"] if top >= copy_lo else []
+    copy += [f"c copy {var - offset} {var}" for var in copies]
     os.makedirs(directory, exist_ok=True)
     search_path = os.path.join(directory, "forced.cnf")
     copy_path = os.path.join(directory, "copy.cnf")
     with open(search_path, "w") as handle:
-        handle.write(write_dimacs(CnfFormula(tuple(search), n, tuple(search_ranges))))
+        handle.write(write_dimacs(CnfFormula(tuple(search), n, offset), aux))
     with open(copy_path, "w") as handle:
-        handle.write(write_dimacs(CnfFormula(tuple(justification), n, copy_ranges),
-                                  extra_comments=[f"c copy {var - offset} {var}"
-                                                  for var in copies]))
+        handle.write(write_dimacs(CnfFormula(tuple(justification), n, top), copy))
     return search_path, copy_path

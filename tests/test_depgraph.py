@@ -15,7 +15,6 @@ from mincount import (
     to_dot,
 )
 from mincount.counting import copied_variables
-from mincount.formula import AUX, ORIG, VarRange
 
 from conftest import cnf_formulas
 
@@ -38,9 +37,11 @@ def test_negative_clause_produces_no_arcs():
 
 def test_requires_original_variables_only(ex1):
     # The first auxiliary clause of the search side of (1, 2, 3).
-    forced = CnfFormula(((1, 2, 3), (-4, -2)), 3, (VarRange(ORIG, 1, 3), VarRange(AUX, 4, 6)))
-    with pytest.raises(ValueError, match="original"):
+    forced = CnfFormula(((1, 2, 3), (-6, -2), (-4, -2)), 3, num_vars=6)
+    with pytest.raises(ValueError, match="original variables only, got 4$"):
         build_dependency_graph(forced)
+    # Declared auxiliary ids that no clause holds are no obstacle.
+    assert build_dependency_graph(CnfFormula(((1, 2, 3),), 3, num_vars=6)).nodes == {1, 2, 3}
 
 
 def test_cycle_detected(ex2):

@@ -4,16 +4,7 @@ import random
 import pytest
 
 import mincount.formula as formula
-from mincount import (
-    AUX,
-    CnfFormula,
-    ORIG,
-    ParseError,
-    VarRange,
-    evaluate,
-    parse_dimacs,
-    write_dimacs,
-)
+from mincount import CnfFormula, ParseError, evaluate, parse_dimacs, write_dimacs
 
 from conftest import EX1_TEXT
 
@@ -73,17 +64,11 @@ class TestParse:
             parse_dimacs("p cnf 1 1\np cnf 1 1\n1 0\n")
 
     def test_var_range_comments_round_trip(self):
-        f = CnfFormula(
-            ((1, 4), (-4, 2)),
-            num_original_vars=2,
-            var_ranges=(VarRange(ORIG, 1, 2), VarRange(AUX, 3, 4)),
-        )
-        text = write_dimacs(f)
-        assert "c vr orig 1 2" in text
-        assert "c vr aux 3 4" in text
+        f = CnfFormula(((1, 4), (-4, 2)), num_original_vars=2, num_vars=4)
+        text = write_dimacs(f, ["c vr aux 3 4"])
+        assert text.startswith("c vr orig 1 2\nc vr aux 3 4\np cnf 4 2\n")
         back = parse_dimacs(text)
-        assert back.num_original_vars == 2
-        assert back.var_ranges == f.var_ranges
+        assert (back.num_original_vars, back.num_vars) == (2, 4)
         assert back.clauses == f.clauses
 
     def test_inverted_var_range_names_line(self):
@@ -119,10 +104,24 @@ class TestParse:
         # Between the ranges, not above them.
         with pytest.raises(ParseError, match="line 4: literal 3 outside declared variable ranges"):
             parse_dimacs("c vr orig 1 2\nc vr aux 5 6\np cnf 6 1\n3 0\n")
+        # Before a range below the ``orig`` range is reported.
+        with pytest.raises(ParseError, match="line 4: literal 2 outside declared variable ranges"):
+            parse_dimacs("c vr orig 3 5\nc vr aux 1 1\np cnf 5 1\n2 0\n")
 
     def test_adjacent_var_ranges_accepted(self):
         f = parse_dimacs("c vr orig 1 2\nc vr aux 3 4\nc vr copy 5 6\np cnf 6 1\n1 2 0\n")
-        assert [(vr.lo, vr.hi) for vr in f.var_ranges] == [(1, 2), (3, 4), (5, 6)]
+        assert (f.num_original_vars, f.num_vars) == (2, 6)
+
+    @pytest.mark.parametrize("kind", ["aux", "copy"])
+    @pytest.mark.parametrize("clause", ["1 3 0", "3 4 0"])
+    def test_var_range_below_orig_range_names_line(self, kind, clause):
+        # The originals are 1..5, so ids 1 and 2 would count as originals
+        # whether or not a clause holds one.
+        text = f"c vr orig 3 5\nc vr {kind} 1 2\np cnf 5 1\n{clause}\n"
+        with pytest.raises(
+            ParseError, match=rf"^line 2: '{kind}' range below the 'orig' range on line 1$"
+        ):
+            parse_dimacs(text)
 
 
 class TestEvaluate:
@@ -137,7 +136,7 @@ class TestEvaluate:
 
 
 # The parse outcomes below are pinned: a rewrite of ``parse_dimacs`` must
-# reproduce every clause list, range, statistic and error message exactly.
+# reproduce every clause list, id bound, statistic and error message exactly.
 _STRAY = ("x", "1.5", "%", "-", "c", "p", "0x1", "--1", "1-")
 _BAD_HEADERS = ("p cnf", "p dnf {n} {m}", "p cnf -1 {m}", "p cnf {n} -2", "p cnf a {m}",
                 "p cnf {n} {m} 1", "pcnf {n} {m}", "p  cnf  {n}  {m}")
@@ -210,13 +209,14 @@ def _parse_outcome(text: str):
         f = parse_dimacs(text)
     except ParseError as exc:
         return ("ParseError", str(exc), exc.line)
-    return (f.clauses, f.num_original_vars, f.var_ranges, f.parse_stats)
+    return (f.clauses, f.num_original_vars, f.num_vars, f.parse_stats)
 
 
 PARSE_CORPUS = [_corpus_text(random.Random(seed)) for seed in range(500)]
-# sha256 of the outcomes' reprs, one a line, recorded before the parser
-# was given its whole-stream path.
-PARSE_CORPUS_DIGEST = "59fe3609d12a5cd43d411f67b75d9ec7be6afb99388d386c22cd0560033d0570"
+# sha256 of the outcomes' reprs, one a line.  Recorded from the parser
+# that still kept ``c vr`` ranges in the formula, reading ``num_vars`` as
+# the largest upper end of a non-empty range, else ``num_original_vars``.
+PARSE_CORPUS_DIGEST = "103a9ab8c775b623dfb24a0aacbf483dd6d2fa8455de7bf2f32dfa5794857394"
 
 
 def test_parse_corpus_outcomes_are_pinned():
