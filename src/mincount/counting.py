@@ -59,6 +59,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import chain
 
 from .depgraph import DepGraph, build_dependency_graph, is_acyclic, is_head_cycle_free
@@ -429,14 +430,14 @@ def _input_parts(clauses, split):
     return parts
 
 
-def _table_count(clauses, num_vars: int) -> int:
-    """Minimal models of ``clauses`` over ``1..num_vars``, by truth table.
+@lru_cache(maxsize=_TABLE_VARS + 1)
+def _columns(num_vars: int):
+    """The literal columns over ``1..num_vars`` and the all-ones table.
 
     Bit ``i`` is the assignment giving ``v`` bit ``v - 1`` of ``i``, and
     ``column[lit]`` holds those where ``lit`` is true, a negative ``lit``
-    indexing from the end.  One shift per variable, the subset (zeta)
-    transform, gathers the assignments strictly above a model (Björklund,
-    Husfeldt, Kaski & Koivisto, STOC 2007).
+    indexing from the end.  One entry per size asked for, at most 16 (all
+    that ``count_minimal`` asks for): tuples of ints, about 0.25 MB in all.
     """
     size = 1 << num_vars
     full = (1 << size) - 1
@@ -447,7 +448,18 @@ def _table_count(clauses, num_vars: int) -> int:
         column.append(int.from_bytes(pattern * (max(size >> 3, 1) // len(pattern)),
                                      "little") & full)
     column += [full ^ positive for positive in reversed(column[1:])]
-    models = full
+    return tuple(column), full
+
+
+def _table_count(clauses, num_vars: int) -> int:
+    """Minimal models of ``clauses`` over ``1..num_vars``, by truth table.
+
+    The models are the AND over the clauses of the OR of their literals'
+    columns, which ``_columns`` caches for at most ``_TABLE_VARS + 1``
+    sizes.  One shift per variable, the subset (zeta) transform, gathers
+    those strictly above a model (Björklund et al., STOC 2007).
+    """
+    column, models = _columns(num_vars)
     for clause in clauses:
         either = 0
         for lit in clause:

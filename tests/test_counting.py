@@ -1343,6 +1343,43 @@ class TestTruthTable:
         assert (result.stats.table_parts, result.stats.parts) == (1 - pairs, 1)
         assert result.count == _by_pair(monkeypatch, f).count
 
+    def test_columns_are_built_once_per_size(self):
+        counting._columns.cache_clear()
+        first = counting._columns(12)
+        assert counting._columns(12) is first
+        assert counting._columns.cache_info()[:2] == (1, 1)  # hits, misses
+        column, full = first
+        with pytest.raises(TypeError):
+            column[1] = full
+
+    def test_interleaved_sizes_count_as_a_fresh_cache(self):
+        rng = random.Random(1423)
+        formulas = [_table_formula(rng, n) for n in (12, 3, 0, 12)]
+        fresh = []
+        for f in formulas:
+            counting._columns.cache_clear()
+            fresh.append(counting._table_count(f.clauses, f.num_original_vars))
+        counting._columns.cache_clear()
+        assert [counting._table_count(f.clauses, f.num_original_vars)
+                for f in formulas] == fresh == [count_minimal_brute(f).count for f in formulas]
+        assert counting._columns.cache_info()[:2] == (1, 3)
+
+    def test_cache_holds_only_table_sizes(self):
+        rng = random.Random(1418)
+        clauses, offset, sizes = (), 0, []
+        while not (sizes and min(sizes) <= counting._TABLE_VARS < max(sizes)):
+            part = planted_cycle_formula(rng, min_vars=5, max_vars=20)
+            clauses += _shifted(part, offset)
+            offset += part.num_original_vars
+            sizes = [len(variables) for variables, _ in _input_parts(clauses, True)]
+        counting._columns.cache_clear()
+        count_minimal(CnfFormula(clauses, offset))
+        small = {n for n in sizes if n <= counting._TABLE_VARS}
+        for n in small:  # each a hit: the cache holds these sizes and no other
+            counting._columns(n)
+        info = counting._columns.cache_info()
+        assert (info.misses, info.currsize) == (len(small), len(small))
+
     def test_forced_modes_never_take_the_table(self, monkeypatch):
         monkeypatch.setattr(counting, "_table_count", None)  # a call raises
         rng = random.Random(1416)
