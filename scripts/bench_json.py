@@ -1,6 +1,6 @@
 """Write one point of the benchmark trajectory as ``BENCH_<N>.json``.
 
-    python3 scripts/bench_json.py N [--seconds S] [--runs R] [--out DIR]
+    python3 scripts/bench_json.py N
 
 For every workload of ``bench/workloads.py`` it records:
 
@@ -9,18 +9,20 @@ For every workload of ``bench/workloads.py`` it records:
   ``--stats`` prints them) summed over those instances, read from
   ``mincount.cli.run`` with ``--stats`` in ``auto`` mode, as
   ``scripts/same_outputs.py`` runs it;
-* ``end_to_end``: the median over ``R`` runs (default 3) of each
-  end-to-end metric of ``bench/run.py --seed 0 --seconds S --trace 0``
-  (default ``S``: ``run_seconds`` of ``BENCHMARK.json``), with the runs'
-  medians of untraced passes and attempts, their summed failures, and
-  whether every run was correct.
+* ``end_to_end``: the median over ``RUNS`` (3) runs of each end-to-end
+  metric of ``bench/run.py --seed 0 --seconds S --trace 0``, with ``S``
+  the ``run_seconds`` of ``BENCHMARK.json``, and the runs' medians of
+  untraced passes and attempts, their summed failures, and whether every
+  run was correct.
 
-The counts come first.  When ``DIR`` (default: the repository root)
-already holds a ``BENCH_<M>.json`` with ``M < N``, the one with the
-largest ``M`` must carry the same counts: if any differs, the script
-names the instances and exits with status 1 before it measures or
-writes anything.  It also exits with status 1, writing nothing, when a
-benchmark run fails an attempt or is not correct.
+The file goes to the repository root.  The counts come first.  When the
+root already holds a ``BENCH_<M>.json`` with ``M < N``, the one with
+the largest ``M`` must carry the same count for every instance that
+both files name: if any differs, the script names the instances and
+exits with status 1 before it measures or writes anything.  Workloads
+and instances that file lacks are listed on stderr, not compared.  The
+script also exits with status 1, writing nothing, when a benchmark run
+fails an attempt or is not correct.
 
 Two rules for reading the numbers, both measured on this benchmark:
 
@@ -43,7 +45,6 @@ Standard library only; run it from anywhere.
 
 from __future__ import annotations
 
-import argparse
 import glob
 import io
 import json
@@ -57,6 +58,7 @@ from dataclasses import fields
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
 SEED = 0
+RUNS = 3
 # Runs its arguments as a command: a launcher of the size of a bare
 # interpreter, so that the command's peak RSS is not this process's.
 LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
@@ -85,21 +87,39 @@ def outputs(workloads, cli, counters):
     return result
 
 
-def earlier(out_dir: str, number: int):
-    """The path of the ``BENCH_<M>.json`` in ``out_dir`` with the largest
+def earlier(number: int):
+    """The path of the ``BENCH_<M>.json`` at the root with the largest
     ``M`` below ``number``, or ``None``."""
     found = {}
-    for path in glob.glob(os.path.join(out_dir, "BENCH_*.json")):
+    for path in glob.glob(os.path.join(ROOT, "BENCH_*.json")):
         match = re.fullmatch(r"BENCH_(\d+)\.json", os.path.basename(path))
         if match and int(match.group(1)) < number:
             found[int(match.group(1))] = path
     return found[max(found)] if found else None
 
 
-def bench_runs(workload: str, seconds: float, runs: int) -> dict:
-    """Medians of ``bench/run.py --trace 0`` over ``runs`` runs."""
+def compare(before: dict, data: dict):
+    """The ``workload/instance`` names whose counts in ``data`` differ
+    from ``before`` (an earlier file's ``workloads``), and those that
+    ``before`` lacks, whole workloads by their name alone."""
+    differ, new = [], []
+    for name, result in data.items():
+        if name not in before:
+            new.append(name)
+            continue
+        counts = before[name]["counts"]
+        for instance, count in result["counts"].items():
+            if instance not in counts:
+                new.append(f"{name}/{instance}")
+            elif counts[instance] != count:
+                differ.append(f"{name}/{instance}")
+    return differ, new
+
+
+def bench_runs(workload: str, seconds: float) -> dict:
+    """Medians of ``bench/run.py --trace 0`` over ``RUNS`` runs."""
     results, passes = [], []
-    for _ in range(runs):
+    for _ in range(RUNS):
         done = subprocess.run(
             [sys.executable, "-c", LAUNCHER,
              sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
@@ -113,7 +133,7 @@ def bench_runs(workload: str, seconds: float, runs: int) -> dict:
     metrics = {name: {"value": statistics.median(r["metrics"][name]["value"] for r in results),
                       "unit": metric["unit"]}
                for name, metric in results[0]["metrics"].items()}
-    return {"metrics": metrics, "runs": runs,
+    return {"metrics": metrics, "runs": RUNS,
             "passes": statistics.median(passes),
             "attempted": statistics.median(r["attempted"] for r in results),
             "failed": sum(r["failed"] for r in results),
@@ -121,17 +141,13 @@ def bench_runs(workload: str, seconds: float, runs: int) -> dict:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1 or not argv[0].isdigit():
+        print("usage: python3 scripts/bench_json.py N", file=sys.stderr)
+        return 2
+    number = int(argv[0])
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
-        run_seconds = json.load(handle)["run_seconds"]
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("number", type=int, metavar="N", help="the file's number")
-    parser.add_argument("--seconds", type=float, default=run_seconds,
-                        help=f"bench/run.py --seconds (default: {run_seconds})")
-    parser.add_argument("--runs", type=int, default=3, help="runs per workload (default: 3)")
-    parser.add_argument("--out", default=ROOT, help="directory of the files (default: the root)")
-    args = parser.parse_args(argv)
-    if args.number < 0 or args.runs < 1 or args.seconds <= 0:
-        parser.error("N must be non-negative, R and S positive")
+        seconds = json.load(handle)["run_seconds"]
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     sys.path.insert(0, os.path.join(ROOT, "src"))
     import workloads
@@ -139,33 +155,32 @@ def main(argv=None) -> int:
 
     counters = [f.name for f in fields(CountStats) if f.type == "int"]
     data = outputs(workloads, cli, counters)
-    previous = earlier(args.out, args.number)
+    previous = earlier(number)
     if previous:
         with open(previous, encoding="utf-8") as handle:
-            before = json.load(handle)["workloads"]
-        differ = [f"{name}/{instance}" for name in data
-                  for instance, count in data[name]["counts"].items()
-                  if before.get(name, {}).get("counts", {}).get(instance) != count]
+            differ, new = compare(json.load(handle)["workloads"], data)
+        if new:
+            print(f"not in {os.path.basename(previous)}: {', '.join(new)}", file=sys.stderr)
         if differ:
             print(f"counts differ from {os.path.basename(previous)}: {', '.join(differ)}",
                   file=sys.stderr)
             return 1
     for name in data:
         print(f"running {name}", file=sys.stderr, flush=True)
-        data[name]["end_to_end"] = bench_runs(name, args.seconds, args.runs)
+        data[name]["end_to_end"] = bench_runs(name, seconds)
         if data[name]["end_to_end"]["failed"] or not data[name]["end_to_end"]["correct"]:
             print(f"{name}: a benchmark run failed or was not correct", file=sys.stderr)
             return 1
     document = {
-        "number": args.number,
+        "number": number,
         "previous": os.path.basename(previous) if previous else None,
-        "bench": {"seed": SEED, "seconds": args.seconds},
+        "bench": {"seed": SEED, "seconds": seconds},
         "bytecode_cache": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "python": sys.version.split()[0],
         "nproc": os.cpu_count(),
         "workloads": data,
     }
-    path = os.path.join(args.out, f"BENCH_{args.number}.json")
+    path = os.path.join(ROOT, f"BENCH_{number}.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=1)
         handle.write("\n")

@@ -105,15 +105,10 @@ def build_pair(clauses, num_vars: int, copied):
     copies = sorted(copied)
     justification = [(-(x + offset), x) for x in copies]
     for clause in imaged:
-        if len(clause) == 2:  # negatives first, as below, with no lists
-            a, b = clause if clause[1] > 0 else clause[::-1]
-            a = (a + offset if a > 0 else a - offset) if is_copied[abs(a)] else a
-            justification.append((a, b + offset if is_copied[b] else b))
-        else:
-            justification.append(tuple(
-                [lit - offset if is_copied[-lit] else lit for lit in clause if lit < 0]
-                + [lit + offset if is_copied[lit] else lit for lit in clause if lit > 0]
-            ))
+        justification.append(tuple(
+            [lit - offset if is_copied[-lit] else lit for lit in clause if lit < 0]
+            + [lit + offset if is_copied[lit] else lit for lit in clause if lit > 0]
+        ))
     justification.extend([(-x,) for x in copies if not forcing[x]])
     return search, justification, n, next_id, offset + n
 
