@@ -38,7 +38,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
-from mincount import CnfFormula, build_dependency_graph, build_pair  # noqa: E402
+from mincount import build_dependency_graph, build_pair  # noqa: E402
 from mincount.counting import _columns, _input_parts, _table_count, count_pair  # noqa: E402
 
 FAMILIES = ("3cnf", "acyclic", "ring")
@@ -85,7 +85,7 @@ def connected(family: str, n: int, rng: random.Random) -> list:
 def time_both(clauses: list, n: int, table_first: bool):
     """Milliseconds of the table and of the recursion, after checking
     that they agree."""
-    copied = sorted(build_dependency_graph(CnfFormula(tuple(clauses), n)).cyclic)
+    copied = sorted(build_dependency_graph(clauses).cyclic)
     seconds, counts = {}, {}
     for way in (("table", "pair") if table_first else ("pair", "table")):
         start = time.perf_counter()

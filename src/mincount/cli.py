@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .bruteforce import DEFAULT_VAR_LIMIT, VariableLimitError, count_minimal_brute
 from .counting import _TABLE_VARS, MODE_ACYCLIC, MODE_GENERAL, copied_variables, count_minimal
 from .depgraph import build_dependency_graph, is_acyclic, is_head_cycle_free, to_dot
-from .formula import ParseError, parse_dimacs
+from .formula import parse_dimacs
 from .transform import build_pair, write_pair_files
 
 EXIT_OK = 0
@@ -102,23 +102,21 @@ def run(config: RunConfig, out=None, err=None) -> int:
         return EXIT_USAGE
     try:
         formula = parse_dimacs(text)
-    except ParseError as exc:
+        formula.require_originals()
+    except ValueError as exc:  # a ParseError too
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
 
-    try:
-        graph = build_dependency_graph(formula)
-    except ValueError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_USAGE
-
+    # The count takes each part's own graph; only these outputs read the input's.
+    whole = config.emit_depgraph or config.emit_pair or config.stats and config.mode == "brute"
+    graph = build_dependency_graph(formula.clauses) if whole else None
     force = config.mode if config.mode in (MODE_ACYCLIC, MODE_GENERAL) else None
     try:
         if config.emit_depgraph:
             with open(config.emit_depgraph, "w") as handle:
                 handle.write(to_dot(graph))
         if config.emit_pair:
-            copied = copied_variables(formula, graph, force)
+            copied = copied_variables(graph, force)
             write_pair_files(build_pair(formula.clauses, formula.num_original_vars, copied),
                              config.emit_pair)
     except OSError as exc:
@@ -133,7 +131,7 @@ def run(config: RunConfig, out=None, err=None) -> int:
             return EXIT_MODE
     else:
         try:
-            result = count_minimal(formula, force_mode=force, graph=graph)
+            result = count_minimal(formula, force_mode=force)
         except ValueError as exc:
             print(f"error: {exc}", file=err)
             return EXIT_MODE
@@ -142,8 +140,8 @@ def run(config: RunConfig, out=None, err=None) -> int:
         stats = result.stats.as_dict()
         if "acyclic" not in stats:  # the oracle does not read the graph
             stats["acyclic"] = is_acyclic(graph)
-            stats["head_cycle_free"] = is_head_cycle_free(formula, graph)
-        stats["vars"] = len(graph.nodes)
+            stats["head_cycle_free"] = is_head_cycle_free(formula.clauses, graph)
+        stats["vars"] = len(formula.variables())
         stats["clauses"] = len(formula.clauses)
         stats["tautologies_dropped"] = formula.parse_stats.tautologies_dropped
         for key, value in stats.items():

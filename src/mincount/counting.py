@@ -43,8 +43,8 @@ because the database of a run is fixed.
 ``count_minimal`` splits its input into variable-disjoint parts before
 any transform and counts them one after another, each renumbered to its
 occurring variables by the grouping pass (a part already over ``1..k``
-as it is) and with its own run and its own copy variables.  A run
-counts its pair as one component: a root that propagation leaves
+as it is), with its own run and, as copies, its own graph's cyclic ids.
+A run counts its pair as one component: a root that propagation leaves
 untouched is the whole pair and is not walked.  A part is connected, and
 so is its pair.  In auto mode a part of at most ``_TABLE_VARS`` variables
 builds no pair; ``_table_count`` counts it from its truth table.
@@ -473,26 +473,25 @@ def _table_count(clauses, num_vars: int) -> int:
     return (models & ~above).bit_count()
 
 
-def copied_variables(formula: CnfFormula, graph: DepGraph, force_mode: str | None = None):
+def copied_variables(graph: DepGraph, force_mode: str | None = None):
     """The variables the pair of a mode gives a copy variable.
 
-    Forced ``general`` copies every variable and forced ``acyclic`` none.
-    Otherwise a variable is copied when it lies on a cycle of ``graph``,
-    the formula's dependency graph: in a non-trivial SCC or on a self-arc.
-    The search side demands that every true variable be forced, so only
-    a set of true variables that support one another in a cycle can lack
-    justification.
+    Forced ``general`` copies every variable of ``graph``, the dependency
+    graph of the pair's clauses, and forced ``acyclic`` none.  Otherwise a
+    variable is copied when it lies on a cycle of ``graph``: in a
+    non-trivial SCC or on a self-arc.  The search side demands that every
+    true variable be forced, so only a set of true variables that support
+    one another in a cycle can lack justification.
     """
     if force_mode == MODE_GENERAL:
-        return formula.variables()
+        return graph.nodes
     if force_mode == MODE_ACYCLIC:
         return set()
     return graph.cyclic
 
 
 def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
-                  use_decomposition: bool = True, force_mode: str | None = None,
-                  graph: DepGraph | None = None) -> CountResult:
+                  use_decomposition: bool = True, force_mode: str | None = None) -> CountResult:
     """Count the minimal models of a CNF formula.
 
     A model is minimal exactly when its restriction to every
@@ -507,8 +506,9 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
     so an acyclic part has no justification side and its count is the
     model count of the part strengthened with its forced implications.
     ``force_mode`` ``general`` copies every variable; ``acyclic`` copies
-    none and raises ``ValueError`` on a cyclic formula.  ``graph`` is the
-    formula's dependency graph, if the caller has built it.
+    none and raises ``ValueError`` on a cyclic formula, as every mode does
+    on ids above ``num_original_vars``.  Each part's copies and cycle facts
+    come from its own graph, as a cycle never leaves its part.
 
     With decomposition on, every part is connected, and so is its pair:
     each clause ``build_pair`` adds holds a variable of the part or a copy
@@ -516,8 +516,15 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
     ``count_pair`` takes an untouched root for is what a walk would find,
     as it is with decomposition off, where the walk makes one group.
     """
-    graph = graph if graph is not None else build_dependency_graph(formula)
-    acyclic = is_acyclic(graph)
+    formula.require_originals()
+    # Each part is renumbered, so each gets its own graph, run and cache.
+    parts = _input_parts(formula.clauses, use_decomposition)
+    acyclic, head_cycle_free, copies = True, True, []
+    for _, part in parts:
+        graph = build_dependency_graph(part)
+        acyclic &= is_acyclic(graph)
+        head_cycle_free = head_cycle_free and is_head_cycle_free(part, graph)
+        copies.append(copied_variables(graph, force_mode))
     mode = force_mode if force_mode is not None else (
         MODE_ACYCLIC if acyclic else MODE_GENERAL
     )
@@ -525,22 +532,16 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
         raise ValueError("acyclic mode requested but the dependency graph has a cycle")
     if mode not in (MODE_ACYCLIC, MODE_GENERAL):
         raise ValueError(f"unknown mode {mode!r}")
-    stats = CountStats(
-        mode=mode, acyclic=acyclic, head_cycle_free=is_head_cycle_free(formula, graph)
-    )
-    copied = copied_variables(formula, graph, force_mode)
-    # Each part is renumbered, so each gets its own run and cache.
-    parts = _input_parts(formula.clauses, use_decomposition)
-    stats.parts = len(parts)
+    stats = CountStats(mode=mode, acyclic=acyclic, head_cycle_free=head_cycle_free,
+                       parts=len(parts))
     if len(parts) > 1:
         stats.components += len(parts)
     count = 1
-    for variables, part in parts:
+    for (variables, part), part_copied in zip(parts, copies):
         if force_mode is None and len(variables) <= _TABLE_VARS:
             stats.table_parts += 1
             count *= _table_count(part, len(variables))
             continue
-        part_copied = [new for new, var in enumerate(variables, 1) if var in copied]
         stats.copy_vars += len(part_copied)
         stats.general_parts += bool(part_copied)
         # The pair stays a temporary: a name bound to it would keep the

@@ -1,9 +1,9 @@
 """Dependency graph over CNF variables and SCC-based structure tests.
 
 The graph has an arc a -> b whenever some clause contains ``-a`` and
-``b`` (as a positive literal).  Only the variables on a cycle of this
-graph get copy variables in the counting pair; head-cycle-freeness is
-computed as a diagnostic only.
+``b`` (as a positive literal).  Only the variables on a cycle get copy
+variables in the counting pair, built per variable-disjoint part, where
+every cycle lies; head-cycle-freeness is computed as a diagnostic only.
 
 One pass over the clauses maps each tail to the list of its heads, and
 Tarjan's SCC pass walks those lists; the arcs as a set of pairs are
@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-
-from .formula import CnfFormula
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,20 +57,14 @@ class SccDecomposition:
     component_of: dict
 
 
-def build_dependency_graph(formula: CnfFormula) -> DepGraph:
-    """Build the variable dependency graph of a formula.
+def build_dependency_graph(clauses) -> DepGraph:
+    """Build the dependency graph of ``clauses`` over their variables.
 
-    Only defined over original variables; raises ``ValueError``, naming
-    the smallest, when the clauses hold ids above ``num_original_vars``.
     Time and memory are bounded by the clauses and their variables, not
     by the largest id.
     """
-    nodes = formula.variables()
-    above = [var for var in nodes if var > formula.num_original_vars]
-    if above:
-        raise ValueError(f"dependency graph requires original variables only, got {min(above)}")
     successors: dict[int, list[int]] = {}
-    for clause in formula.clauses:
+    for clause in clauses:
         heads = [lit for lit in clause if lit > 0]
         if heads and len(heads) < len(clause):
             for lit in clause:
@@ -82,7 +74,7 @@ def build_dependency_graph(formula: CnfFormula) -> DepGraph:
                         successors[-lit] = heads[:]
                     else:
                         tail += heads
-    return DepGraph(frozenset(nodes), successors)
+    return DepGraph(frozenset([abs(lit) for clause in clauses for lit in clause]), successors)
 
 
 def strongly_connected_components(graph: DepGraph) -> SccDecomposition:
@@ -150,14 +142,16 @@ def is_acyclic(graph: DepGraph) -> bool:
     return not graph.cyclic
 
 
-def is_head_cycle_free(formula: CnfFormula, graph: DepGraph) -> bool:
+def is_head_cycle_free(clauses, graph: DepGraph) -> bool:
     """True iff no cycle contains two variables positive in a common clause.
 
     Two distinct variables lie on a common cycle exactly when they share
     a strongly connected component.
     """
     component_of, cyclic = graph.sccs.component_of, graph.cyclic
-    for clause in formula.clauses:
+    if not cyclic:  # the scan below would find nothing
+        return True
+    for clause in clauses:
         seen: dict[int, int] = {}
         for lit in clause:
             if lit not in cyclic:  # it holds no negative literal

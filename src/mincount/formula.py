@@ -63,6 +63,13 @@ class CnfFormula:
         """Ids occurring in at least one clause."""
         return {abs(lit) for clause in self.clauses for lit in clause}
 
+    def require_originals(self) -> None:
+        """Raise ``ValueError``, naming the smallest, on an id above the originals."""
+        top = self.num_original_vars  # nothing to test unless ``num_vars`` is larger
+        above = self.num_vars > top and min([v for v in self.variables() if v > top], default=0)
+        if above:
+            raise ValueError(f"dependency graph requires original variables only, got {above}")
+
 
 def _parse_plain(source: str) -> CnfFormula | None:
     """The formula of a plain text, or ``None``."""

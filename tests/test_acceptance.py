@@ -58,7 +58,7 @@ def test_criterion_1_positive_cycle_reproduction():
     model_count = len(enumerate_models(f))
     strengthened_count = len(enumerate_models(strengthened(f)))
     minimal_count = count_minimal(f).count
-    acyclic = is_acyclic(build_dependency_graph(f))
+    acyclic = is_acyclic(build_dependency_graph(f.clauses))
     elapsed = time.perf_counter() - started
     ok = (
         model_count == 4
@@ -77,7 +77,7 @@ def test_criterion_1_positive_cycle_reproduction():
 def test_criterion_2_implication_cycle_reproduction():
     started = time.perf_counter()
     f = parse_dimacs(EX2_TEXT)
-    graph = build_dependency_graph(f)
+    graph = build_dependency_graph(f.clauses)
     arcs_ok = graph.arcs == frozenset({(1, 2), (2, 3), (3, 1)}) and not is_acyclic(graph)
 
     pair = pair_of(f)
@@ -149,7 +149,7 @@ def test_criterion_4_acyclic_strengthening_counts_minimal_models():
     mismatches = 0
     for _ in range(SUITE4_SIZE):
         f = random_acyclic_formula(rng)
-        assert is_acyclic(build_dependency_graph(f))
+        assert is_acyclic(build_dependency_graph(f.clauses))
         got = count_pair(pair_of(f, ())).count  # the strengthened model count
         want = count_minimal_brute(f).count
         if got != want:

@@ -287,22 +287,64 @@ def test_emit_pair_acyclic_mode_has_no_copies(ex1_path, tmp_path, capsys):
 
 @pytest.mark.parametrize("mode", ["auto", "acyclic", "general", "brute"])
 def test_one_graph_and_one_scc_pass_per_run(mode, ex1_path, capsys, monkeypatch):
-    assert _graph_and_scc_calls(capsys, monkeypatch, ["--mode", mode, ex1_path]) == [
-        "graph", "scc"]
+    # A connected input is one part: the counting modes build that part's
+    # graph, and the oracle's stats the input's.
+    calls, out = _graph_and_scc_calls(capsys, monkeypatch, ["--stats", "--mode", mode, ex1_path])
+    assert calls == ["input graph" if mode == "brute" else "part graph", "scc"]
+    assert "c stat acyclic true" in out and "c stat head_cycle_free true" in out
 
 
 @pytest.mark.parametrize("mode", ["auto", "acyclic", "general"])
-def test_one_graph_and_one_scc_pass_per_run_on_split_input(mode, tmp_path, capsys,
-                                                            monkeypatch):
+def test_one_graph_and_one_scc_pass_per_part_on_split_input(mode, tmp_path, capsys,
+                                                             monkeypatch):
+    # Each part gets its own graph and Tarjan pass, the input none.  The
+    # second part's cycle makes the input cyclic and not head-cycle-free.
     path = tmp_path / "split.cnf"
-    path.write_text("p cnf 4 2\n1 2 0\n3 4 0\n")
-    argv = ["--mode", mode, str(path)]
-    assert _graph_and_scc_calls(capsys, monkeypatch, argv) == ["graph", "scc"]
+    path.write_text("p cnf 5 4\n1 2 0\n3 4 5 0\n-3 4 0\n-4 3 0\n")
+    calls, out = _graph_and_scc_calls(capsys, monkeypatch, ["--stats", "--mode", mode, str(path)],
+                                      code=EXIT_MODE if mode == "acyclic" else EXIT_OK)
+    if mode == "acyclic":
+        assert out == ""
+    else:
+        assert "c stat acyclic false" in out and "c stat head_cycle_free false" in out
+        assert "c stat parts 2" in out
+    assert calls == ["part graph", "scc"] * 2
 
 
-def _graph_and_scc_calls(capsys, monkeypatch, argv):
+EMITS = ["--emit-depgraph", "{dir}/g.dot", "--emit-pair", "{dir}/pair"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # Tarjan runs on the input's graph for the auto pair's copies and the
+    # oracle's stats; the DOT text and the general pair need no SCCs.
+    (EMITS, ["input graph", "scc", "part graph", "scc"]),
+    (["--mode", "general"] + EMITS, ["input graph", "part graph", "scc"]),
+    (["--mode", "brute", "--stats"], ["input graph", "scc"]),
+    (["--mode", "brute", "--stats"] + EMITS, ["input graph", "scc"]),
+])
+def test_outputs_that_read_the_input_graph_build_it_once(argv, expected, ex2_path, tmp_path,
+                                                        capsys, monkeypatch):
+    argv = [arg.format(dir=tmp_path) for arg in argv] + [ex2_path]
+    calls, out = _graph_and_scc_calls(capsys, monkeypatch, argv)
+    assert calls == expected
+    if "--stats" in argv:
+        assert "c stat acyclic false" in out and "c stat head_cycle_free true" in out
+    if "--emit-depgraph" in argv:
+        assert (tmp_path / "g.dot").read_text().count(" -> ") == 3
+        assert (tmp_path / "pair" / "copy.cnf").is_file()
+
+
+@pytest.mark.parametrize("mode", ["auto", "acyclic", "general", "brute"])
+def test_counting_alone_builds_no_input_graph(mode, ex2_path, capsys, monkeypatch):
+    calls, _ = _graph_and_scc_calls(capsys, monkeypatch, ["--mode", mode, ex2_path],
+                                    code=EXIT_MODE if mode == "acyclic" else EXIT_OK)
+    assert calls == ([] if mode == "brute" else ["part graph", "scc"])
+
+
+def _graph_and_scc_calls(capsys, monkeypatch, argv, code=EXIT_OK):
+    """The graphs a run builds, by the module that builds them, and its
+    Tarjan passes, in order; and its standard output."""
     import mincount.cli as cli_module
-    import mincount.counting as counting_module
     import mincount.depgraph as depgraph_module
 
     calls = []
@@ -313,15 +355,14 @@ def _graph_and_scc_calls(capsys, monkeypatch, argv):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (cli_module, counting_module):
+    for module, name in ((cli_module, "input graph"), (counting, "part graph")):
         monkeypatch.setattr(module, "build_dependency_graph",
-                            counted("graph", module.build_dependency_graph))
+                            counted(name, module.build_dependency_graph))
     monkeypatch.setattr(depgraph_module, "strongly_connected_components",
                         counted("scc", depgraph_module.strongly_connected_components))
-    code, out, _ = run_main(capsys, ["--stats"] + argv)
-    assert code == EXIT_OK
-    assert "c stat acyclic true" in out and "c stat head_cycle_free true" in out
-    return calls
+    got, out, _ = run_main(capsys, argv)
+    assert got == code
+    return calls, out
 
 
 def test_auxiliary_ids_in_input_exit_code(tmp_path, capsys):

@@ -13,6 +13,8 @@ from mincount import (
     count_minimal,
     count_minimal_brute,
     enumerate_models,
+    is_acyclic,
+    is_head_cycle_free,
     minimal_models_pairwise,
     parse_dimacs,
 )
@@ -354,7 +356,7 @@ class TestRootWithoutWalk:
                 expected *= count_minimal_brute(f).count
             union = CnfFormula(clauses, offset)
             copied = union.variables() if rng.random() < 0.5 else (
-                build_dependency_graph(union).cyclic)
+                build_dependency_graph(union.clauses).cyclic)
             pair = pair_of(union, copied)
             db = _Database(*pair)
             root = _bcp(db, 0, 0, list(db.units), db.search)
@@ -1223,7 +1225,7 @@ class TestSplitInput:
 
 def _cyclic_variables(formula):
     """Variables in a non-trivial SCC of the formula's dependency graph."""
-    graph = build_dependency_graph(formula)
+    graph = build_dependency_graph(formula.clauses)
     return {var for scc in graph.sccs.components if len(scc) > 1 for var in scc}
 
 
@@ -1265,6 +1267,85 @@ class TestPlantedCycles:
             result = count_minimal(random_acyclic_formula(rng))
             assert (result.stats.copy_vars, result.stats.general_parts) == (0, 0)
             assert result.stats.base_cases == result.stats.sat_calls == 0
+
+
+def _cyclic_union(rng):
+    """Two to five blocks on shifted ids with gaps between them, their
+    clauses interleaved.  A quarter of the unions take only acyclic
+    blocks; the others also ``random_formula`` and planted-cycle blocks.
+    Some blocks have more than ``_TABLE_VARS`` variables."""
+    acyclic_only = rng.random() < 0.25
+    clauses, offset = [], rng.randint(0, 3)
+    for _ in range(rng.randint(2, 5)):
+        big = rng.random() < 0.4
+        kind = 0 if acyclic_only else rng.randrange(3)
+        if kind == 0:
+            block = random_acyclic_formula(rng, min_vars=16 if big else 4,
+                                           max_vars=20 if big else 10)
+        elif kind == 1:
+            block = random_formula(rng, max_vars=8, max_clauses=14)
+        else:
+            block = planted_cycle_formula(rng, min_vars=16 if big else 5,
+                                          max_vars=22 if big else 14)
+        clauses += _shifted(block, offset)
+        offset += block.num_original_vars + rng.randint(0, 3)
+    rng.shuffle(clauses)
+    return CnfFormula(tuple(clauses), offset)
+
+
+class TestCycleFactsPerPart:
+    """Every cycle lies inside one variable-disjoint part, so the facts
+    ``count_minimal`` takes from each part's own graph are the whole
+    input's."""
+
+    def test_part_graphs_give_the_input_graphs_facts(self, monkeypatch):
+        rng = random.Random(2101)
+        seen = {"cyclic": 0, "acyclic": 0, "not head-cycle-free": 0, "big cyclic part": 0}
+        for _ in range(60):
+            union = _cyclic_union(rng)
+            whole = build_dependency_graph(union.clauses)
+            counts = set()
+            for options in ({}, {"force_mode": "general"}, {"use_decomposition": False}):
+                record = {"parts": [], "graphs": [], "copies": [], "pairs": []}
+
+                def spy(patch, name, key):
+                    fn = getattr(counting, name)
+
+                    def wrapper(*args):
+                        result = fn(*args)
+                        record[key].append(args[2] if name == "build_pair" else result)
+                        return result
+                    patch.setattr(counting, name, wrapper)
+
+                with monkeypatch.context() as patch:
+                    spy(patch, "_input_parts", "parts")
+                    spy(patch, "build_dependency_graph", "graphs")
+                    spy(patch, "copied_variables", "copies")
+                    spy(patch, "build_pair", "pairs")
+                    result = count_minimal(union, **options)
+                counts.add(result.count)
+                assert result.stats.acyclic == is_acyclic(whole)
+                assert result.stats.head_cycle_free == is_head_cycle_free(union.clauses, whole)
+                [parts] = record["parts"]
+                assert len(record["graphs"]) == len(record["copies"]) == len(parts)
+                mapped = [{variables[var - 1] for var in copies}
+                          for (variables, _), copies in zip(parts, record["copies"])]
+                general = options.get("force_mode") == "general"
+                assert set().union(*mapped) == (whole.nodes if general else whole.cyclic)
+                # Each pair is built with exactly its part's copies.
+                paired = [copies for (variables, _), copies in zip(parts, record["copies"])
+                          if general or len(variables) > counting._TABLE_VARS]
+                assert record["pairs"] == paired
+                assert result.stats.copy_vars == sum(map(len, paired))
+                seen["big cyclic part"] += any(
+                    copies and len(variables) > counting._TABLE_VARS
+                    for (variables, _), copies in zip(parts, record["copies"]))
+            assert len(counts) == 1
+            seen["cyclic"] += bool(whole.cyclic)
+            seen["acyclic"] += not whole.cyclic
+            seen["not head-cycle-free"] += not is_head_cycle_free(union.clauses, whole)
+        # The unions must exercise every fact both ways, and big cyclic parts.
+        assert min(seen.values()) >= 3, seen
 
 
 def _table_formula(rng, n):

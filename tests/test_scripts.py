@@ -1,0 +1,32 @@
+"""Smoke runs of the measuring scripts, so an API change that breaks one
+fails here rather than at its next use."""
+
+import importlib.util
+import os
+
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_crossover_times_one_size(capsys):
+    # It checks that the table and the pair agree on every formula.
+    assert _load("crossover").main(["8", "--instances", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split()[:2] for line in lines[1:-1]]
+    assert rows == [["8", "3cnf"], ["8", "acyclic"], ["8", "ring"]]
+    assert lines[-1].startswith("largest size with the table")
+
+
+def test_scaling_counts_one_ring(capsys):
+    # The chord (1, 10) needs a true ring variable, and the ring then
+    # forces all twenty: one minimal model.
+    assert _load("scaling").main(["--one", "--family", "ring", "20"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("ring n=20 decisions=")
+    assert out.endswith(" count=1\n")
