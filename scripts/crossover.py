@@ -38,7 +38,11 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
-from mincount import build_dependency_graph, build_pair  # noqa: E402
+from mincount import (  # noqa: E402
+    build_dependency_graph,
+    build_pair,
+    strongly_connected_components,
+)
 from mincount.counting import _columns, _input_parts, _table_count, count_pair  # noqa: E402
 
 FAMILIES = ("3cnf", "acyclic", "ring")
@@ -85,7 +89,7 @@ def connected(family: str, n: int, rng: random.Random) -> list:
 def time_both(clauses: list, n: int, table_first: bool):
     """Milliseconds of the table and of the recursion, after checking
     that they agree."""
-    copied = sorted(build_dependency_graph(clauses).cyclic)
+    copied = sorted(strongly_connected_components(build_dependency_graph(clauses)))
     seconds, counts = {}, {}
     for way in (("table", "pair") if table_first else ("pair", "table")):
         start = time.perf_counter()

@@ -19,9 +19,7 @@ from .counting import (
     count_minimal,
 )
 from .depgraph import (
-    DepGraph,
     build_dependency_graph,
-    is_acyclic,
     is_head_cycle_free,
     strongly_connected_components,
     to_dot,
@@ -44,7 +42,6 @@ __all__ = [
     "CountResult",
     "CountStats",
     "DEFAULT_VAR_LIMIT",
-    "DepGraph",
     "MAX_OCCURRENCE",
     "MIN_ID",
     "MODE_ACYCLIC",
@@ -59,7 +56,6 @@ __all__ = [
     "count_minimal_brute",
     "enumerate_models",
     "evaluate",
-    "is_acyclic",
     "is_head_cycle_free",
     "minimal_models_pairwise",
     "parse_dimacs",

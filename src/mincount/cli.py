@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .bruteforce import DEFAULT_VAR_LIMIT, VariableLimitError, count_minimal_brute
 from .counting import _TABLE_VARS, MODE_ACYCLIC, MODE_GENERAL, copied_variables, count_minimal
-from .depgraph import build_dependency_graph, is_acyclic, is_head_cycle_free, to_dot
+from .depgraph import (build_dependency_graph, is_head_cycle_free,
+                       strongly_connected_components, to_dot)
 from .formula import parse_dimacs
 from .transform import build_pair, write_pair_files
 
@@ -107,16 +108,24 @@ def run(config: RunConfig, out=None, err=None) -> int:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
 
-    # The count takes each part's own graph; only these outputs read the input's.
-    whole = config.emit_depgraph or config.emit_pair or config.stats and config.mode == "brute"
-    graph = build_dependency_graph(formula.clauses) if whole else None
+    # The count takes each part's own graph; only these outputs read the
+    # input's, and Tarjan runs on it only for the auto pair's copies and the
+    # oracle's stats.
     force = config.mode if config.mode in (MODE_ACYCLIC, MODE_GENERAL) else None
+    brute_stats = config.stats and config.mode == "brute"
+    graph = cycles = variables = None
+    if config.emit_depgraph or config.emit_pair or brute_stats:
+        graph = build_dependency_graph(formula.clauses)
+    if config.emit_pair and force is None or brute_stats:
+        cycles = strongly_connected_components(graph)
+    if graph is not None or config.stats:
+        variables = formula.variables()
     try:
         if config.emit_depgraph:
             with open(config.emit_depgraph, "w") as handle:
-                handle.write(to_dot(graph))
+                handle.write(to_dot(graph, variables))
         if config.emit_pair:
-            copied = copied_variables(graph, force)
+            copied = copied_variables(cycles, variables, force)
             write_pair_files(build_pair(formula.clauses, formula.num_original_vars, copied),
                              config.emit_pair)
     except OSError as exc:
@@ -139,9 +148,9 @@ def run(config: RunConfig, out=None, err=None) -> int:
     if config.stats:
         stats = result.stats.as_dict()
         if "acyclic" not in stats:  # the oracle does not read the graph
-            stats["acyclic"] = is_acyclic(graph)
-            stats["head_cycle_free"] = is_head_cycle_free(formula.clauses, graph)
-        stats["vars"] = len(formula.variables())
+            stats["acyclic"] = not cycles
+            stats["head_cycle_free"] = is_head_cycle_free(formula.clauses, cycles)
+        stats["vars"] = len(variables)
         stats["clauses"] = len(formula.clauses)
         stats["tautologies_dropped"] = formula.parse_stats.tautologies_dropped
         for key, value in stats.items():
@@ -151,11 +160,13 @@ def run(config: RunConfig, out=None, err=None) -> int:
 
     status = EXIT_OK
     if config.check:
-        try:
-            expected = count_minimal_brute(formula, limit=config.oracle_limit).count
-        except VariableLimitError as exc:
-            print(f"error: {exc}", file=err)
-            return EXIT_MODE
+        expected = result.count  # the oracle's own count needs no second run
+        if config.mode != "brute":
+            try:
+                expected = count_minimal_brute(formula, limit=config.oracle_limit).count
+            except VariableLimitError as exc:
+                print(f"error: {exc}", file=err)
+                return EXIT_MODE
         if expected != result.count:
             print(f"c check FAIL expected {expected} got {result.count}", file=out)
             status = EXIT_CHECK_FAILED

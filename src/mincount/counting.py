@@ -62,7 +62,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import chain
 
-from .depgraph import DepGraph, build_dependency_graph, is_acyclic, is_head_cycle_free
+from .depgraph import build_dependency_graph, is_head_cycle_free, strongly_connected_components
 from .formula import CnfFormula
 from .sat import _CONFLICT, _Database, _bcp, _ids, _renumber, _search
 from .transform import build_pair
@@ -473,21 +473,22 @@ def _table_count(clauses, num_vars: int) -> int:
     return (models & ~above).bit_count()
 
 
-def copied_variables(graph: DepGraph, force_mode: str | None = None):
+def copied_variables(cycles, variables, force_mode: str | None = None):
     """The variables the pair of a mode gives a copy variable.
 
-    Forced ``general`` copies every variable of ``graph``, the dependency
-    graph of the pair's clauses, and forced ``acyclic`` none.  Otherwise a
-    variable is copied when it lies on a cycle of ``graph``: in a
-    non-trivial SCC or on a self-arc.  The search side demands that every
-    true variable be forced, so only a set of true variables that support
-    one another in a cycle can lack justification.
+    Forced ``general`` copies all of ``variables``, the pair's occurring
+    variables, and forced ``acyclic`` none.  Otherwise a variable is
+    copied when it lies on a cycle: when it is a key of ``cycles``, the
+    dict ``strongly_connected_components`` returns for the dependency
+    graph of the pair's clauses.  The search side demands that every true
+    variable be forced, so only a set of true variables that support one
+    another in a cycle can lack justification.
     """
     if force_mode == MODE_GENERAL:
-        return graph.nodes
+        return variables
     if force_mode == MODE_ACYCLIC:
-        return set()
-    return graph.cyclic
+        return ()
+    return cycles
 
 
 def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
@@ -520,11 +521,11 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
     # Each part is renumbered, so each gets its own graph, run and cache.
     parts = _input_parts(formula.clauses, use_decomposition)
     acyclic, head_cycle_free, copies = True, True, []
-    for _, part in parts:
-        graph = build_dependency_graph(part)
-        acyclic &= is_acyclic(graph)
-        head_cycle_free = head_cycle_free and is_head_cycle_free(part, graph)
-        copies.append(copied_variables(graph, force_mode))
+    for variables, part in parts:
+        cycles = strongly_connected_components(build_dependency_graph(part))
+        acyclic = acyclic and not cycles
+        head_cycle_free = head_cycle_free and is_head_cycle_free(part, cycles)
+        copies.append(copied_variables(cycles, range(1, len(variables) + 1), force_mode))
     mode = force_mode if force_mode is not None else (
         MODE_ACYCLIC if acyclic else MODE_GENERAL
     )

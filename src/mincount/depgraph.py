@@ -1,67 +1,28 @@
-"""Dependency graph over CNF variables and SCC-based structure tests.
+"""Dependency graph over CNF variables and the variables on its cycles.
 
 The graph has an arc a -> b whenever some clause contains ``-a`` and
-``b`` (as a positive literal).  Only the variables on a cycle get copy
+``b`` (as a positive literal).  It is a plain successor dict: each tail
+maps to the list of its heads.  Only the variables on a cycle get copy
 variables in the counting pair, built per variable-disjoint part, where
 every cycle lies; head-cycle-freeness is computed as a diagnostic only.
 
-One pass over the clauses maps each tail to the list of its heads, and
-Tarjan's SCC pass walks those lists; the arcs as a set of pairs are
-derived only when asked for.  Every table is keyed by the occurring
-variables, so a sparse input with a huge largest id costs no more than
-a dense one.
+Every cycle lies inside one strongly connected component, so Tarjan's
+pass returns just the cycle facts: a dict from each variable on a cycle
+to its component's number.  An empty dict means an acyclic graph.  Every
+table is keyed by the occurring variables, so a sparse input with a huge
+largest id costs no more than a dense one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 
+def build_dependency_graph(clauses) -> dict[int, list[int]]:
+    """The successor dict of the dependency graph of ``clauses``.
 
-@dataclass(frozen=True, eq=False)
-class DepGraph:
-    """The occurring variables and, for each tail of an arc, its heads.
-
-    ``successors`` maps a variable to the list of the heads of its arcs
-    in clause order, where an arc given twice is listed twice; a variable
-    without an outgoing arc has no entry.
-    """
-
-    nodes: frozenset[int]
-    successors: dict[int, list[int]]
-
-    @cached_property
-    def arcs(self) -> frozenset[tuple[int, int]]:
-        """The arcs as ``(tail, head)`` pairs, derived on first use."""
-        return frozenset((a, b) for a, heads in self.successors.items() for b in heads)
-
-    @cached_property
-    def sccs(self) -> SccDecomposition:
-        """The strongly connected components, computed on first use."""
-        return strongly_connected_components(self)
-
-    @cached_property
-    def cyclic(self) -> frozenset[int]:
-        """The variables on a cycle: in a non-trivial SCC or on a self-arc."""
-        return frozenset(
-            [var for component in self.sccs.components if len(component) > 1 for var in component]
-            + [a for a, heads in self.successors.items() if a in heads]
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class SccDecomposition:
-    """Strongly connected components in topological order."""
-
-    components: tuple[tuple[int, ...], ...]
-    component_of: dict
-
-
-def build_dependency_graph(clauses) -> DepGraph:
-    """Build the dependency graph of ``clauses`` over their variables.
-
-    Time and memory are bounded by the clauses and their variables, not
-    by the largest id.
+    Each tail of an arc maps to the heads of its arcs in clause order, an
+    arc given twice listed twice; a variable without an outgoing arc has
+    no entry.  Time and memory are bounded by the clauses and their
+    variables, not by the largest id.
     """
     successors: dict[int, list[int]] = {}
     for clause in clauses:
@@ -74,22 +35,28 @@ def build_dependency_graph(clauses) -> DepGraph:
                         successors[-lit] = heads[:]
                     else:
                         tail += heads
-    return DepGraph(frozenset([abs(lit) for clause in clauses for lit in clause]), successors)
+    return successors
 
 
-def strongly_connected_components(graph: DepGraph) -> SccDecomposition:
-    """Tarjan's algorithm, iterative to tolerate deep chain graphs."""
-    successors = graph.successors
+def strongly_connected_components(graph: dict[int, list[int]]) -> dict[int, int]:
+    """The variables on a cycle of ``graph``, each mapped to its SCC's number.
+
+    A variable is on a cycle when its SCC holds another variable or it has
+    a self-arc; two of them share a number exactly when they share an SCC.
+    Tarjan's algorithm, iterative to tolerate deep chain graphs, starts
+    roots only at arc tails: a node without an outgoing arc is on no cycle.
+    """
     # ``index`` and ``lowlink`` hold every visited node; ``finished`` maps
-    # the nodes already in a component to the position Tarjan emits that
-    # component at, so a visited node is on the stack while not in it.
+    # the nodes already in a component to that component's number, the
+    # count of nodes finished before it, which grows in Tarjan's emission
+    # order.  So a visited node is on the stack while not in ``finished``.
     index: dict[int, int] = {}
     lowlink: dict[int, int] = {}
     finished: dict[int, int] = {}
     stack: list[int] = []
-    components: list[tuple[int, ...]] = []
+    cycles: dict[int, int] = {}
 
-    for root in sorted(graph.nodes):
+    for root in graph:
         if root in index:
             continue
         # A work entry is a node on the DFS path and the iterator over its
@@ -97,14 +64,14 @@ def strongly_connected_components(graph: DepGraph) -> SccDecomposition:
         # is ``len(index)``, read before the node is stored.
         index[root] = lowlink[root] = len(index)
         stack.append(root)
-        work = [(root, iter(successors.get(root, ())))]
+        work = [(root, iter(graph[root]))]
         while work:
             node, children = work[-1]
             for child in children:
                 if child not in index:
                     index[child] = lowlink[child] = len(index)
                     stack.append(child)
-                    work.append((child, iter(successors.get(child, ()))))
+                    work.append((child, iter(graph.get(child, ()))))
                     break
                 if child not in finished and index[child] < lowlink[node]:
                     lowlink[node] = index[child]
@@ -112,63 +79,52 @@ def strongly_connected_components(graph: DepGraph) -> SccDecomposition:
                 work.pop()
                 low = lowlink[node]
                 if low == index[node]:
-                    position, component = len(components), []
-                    while True:
-                        member = stack.pop()
-                        finished[member] = position
-                        component.append(member)
-                        if member == node:
-                            break
-                    components.append(tuple(sorted(component)))
+                    number, member = len(finished), stack.pop()
+                    finished[member] = number
+                    if member != node:
+                        cycles[member] = number
+                        while member != node:
+                            member = stack.pop()
+                            finished[member] = cycles[member] = number
+                    elif node in graph.get(node, ()):
+                        cycles[node] = number
                 if work:
                     parent = work[-1][0]
                     if low < lowlink[parent]:
                         lowlink[parent] = low
 
-    # Tarjan emits components in reverse topological order.
-    components.reverse()
-    last = len(components) - 1
-    component_of = {node: last - position for node, position in finished.items()}
-    for a, heads in successors.items():
-        position = component_of[a]
+    # Tarjan emits a component only after every component it reaches.
+    for a, heads in graph.items():
+        number = finished[a]
         for b in heads:
-            if position > component_of[b]:
+            if finished[b] > number:
                 raise RuntimeError("condensation order violated; SCC computation is broken")
-    return SccDecomposition(tuple(components), component_of)
+    return cycles
 
 
-def is_acyclic(graph: DepGraph) -> bool:
-    """True iff the graph has no directed cycle."""
-    return not graph.cyclic
-
-
-def is_head_cycle_free(clauses, graph: DepGraph) -> bool:
+def is_head_cycle_free(clauses, cycles: dict[int, int]) -> bool:
     """True iff no cycle contains two variables positive in a common clause.
 
-    Two distinct variables lie on a common cycle exactly when they share
-    a strongly connected component.
+    ``cycles`` is what ``strongly_connected_components`` returns: two
+    distinct variables lie on a common cycle exactly when they share a
+    number there.
     """
-    component_of, cyclic = graph.sccs.component_of, graph.cyclic
-    if not cyclic:  # the scan below would find nothing
+    if not cycles:  # the scan below would find nothing
         return True
     for clause in clauses:
         seen: dict[int, int] = {}
         for lit in clause:
-            if lit not in cyclic:  # it holds no negative literal
-                continue
-            component = component_of[lit]
-            if component in seen and seen[component] != lit:
+            number = cycles.get(lit)  # a negative literal is never a key
+            if number is not None and seen.setdefault(number, lit) != lit:
                 return False
-            seen[component] = lit
     return True
 
 
-def to_dot(graph: DepGraph) -> str:
-    """Render the graph in DOT text format."""
+def to_dot(graph: dict[int, list[int]], variables) -> str:
+    """Render ``graph`` over the nodes ``variables`` in DOT text format."""
     lines = ["digraph dependencies {"]
-    for node in sorted(graph.nodes):
-        lines.append(f"  {node};")
-    for a, b in sorted(graph.arcs):
-        lines.append(f"  {a} -> {b};")
+    lines += [f"  {node};" for node in sorted(variables)]
+    lines += [f"  {a} -> {b};" for a, b in sorted({(a, b) for a, heads in graph.items()
+                                                   for b in heads})]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -3,7 +3,13 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from mincount import CnfFormula, build_dependency_graph, build_pair, is_acyclic, parse_dimacs
+from mincount import (
+    CnfFormula,
+    build_dependency_graph,
+    build_pair,
+    parse_dimacs,
+    strongly_connected_components,
+)
 
 # Three-variable fixtures used throughout: a positive 3-cycle of clauses
 # and an implication 3-cycle, with a, b, c mapped to 1, 2, 3.
@@ -68,7 +74,7 @@ def random_acyclic_formula(rng: random.Random, min_vars=4, max_vars=10,
         split = rng.randint(0, len(chosen))
         clauses.append(tuple(-v for v in chosen[:split]) + tuple(chosen[split:]))
     formula = CnfFormula(tuple(clauses), n)
-    assert is_acyclic(build_dependency_graph(formula.clauses))
+    assert not strongly_connected_components(build_dependency_graph(formula.clauses))
     return formula
 
 

@@ -151,6 +151,25 @@ def test_check_respects_oracle_limit(ex1_path, capsys):
     assert "limit" in err
 
 
+@pytest.mark.parametrize("stats", [[], ["--stats"]])
+def test_brute_check_enumerates_once(stats, ex2_path, capsys, monkeypatch):
+    # The oracle's count is its own check: one enumeration, same output.
+    import mincount.cli as cli_module
+
+    calls = []
+    original = cli_module.count_minimal_brute
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "count_minimal_brute", counted)
+    code, out, _ = run_main(capsys, ["--mode", "brute", "--check"] + stats + [ex2_path])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    assert out.splitlines()[-2:] == ["c check OK", "s mc 1"]
+
+
 def test_brute_mode_respects_oracle_limit(ex1_path, capsys):
     code, _, err = run_main(capsys, ["--mode", "brute", "--oracle-limit", "2", ex1_path])
     assert code == EXIT_MODE
@@ -345,7 +364,6 @@ def _graph_and_scc_calls(capsys, monkeypatch, argv, code=EXIT_OK):
     """The graphs a run builds, by the module that builds them, and its
     Tarjan passes, in order; and its standard output."""
     import mincount.cli as cli_module
-    import mincount.depgraph as depgraph_module
 
     calls = []
 
@@ -358,8 +376,8 @@ def _graph_and_scc_calls(capsys, monkeypatch, argv, code=EXIT_OK):
     for module, name in ((cli_module, "input graph"), (counting, "part graph")):
         monkeypatch.setattr(module, "build_dependency_graph",
                             counted(name, module.build_dependency_graph))
-    monkeypatch.setattr(depgraph_module, "strongly_connected_components",
-                        counted("scc", depgraph_module.strongly_connected_components))
+        monkeypatch.setattr(module, "strongly_connected_components",
+                            counted("scc", module.strongly_connected_components))
     got, out, _ = run_main(capsys, argv)
     assert got == code
     return calls, out

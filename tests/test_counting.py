@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +14,10 @@ from mincount import (
     count_minimal,
     count_minimal_brute,
     enumerate_models,
-    is_acyclic,
     is_head_cycle_free,
     minimal_models_pairwise,
     parse_dimacs,
+    strongly_connected_components,
 )
 import mincount.counting as counting
 from mincount.counting import (
@@ -356,7 +357,7 @@ class TestRootWithoutWalk:
                 expected *= count_minimal_brute(f).count
             union = CnfFormula(clauses, offset)
             copied = union.variables() if rng.random() < 0.5 else (
-                build_dependency_graph(union.clauses).cyclic)
+                strongly_connected_components(build_dependency_graph(union.clauses)))
             pair = pair_of(union, copied)
             db = _Database(*pair)
             root = _bcp(db, 0, 0, list(db.units), db.search)
@@ -1224,9 +1225,11 @@ class TestSplitInput:
 
 
 def _cyclic_variables(formula):
-    """Variables in a non-trivial SCC of the formula's dependency graph."""
-    graph = build_dependency_graph(formula.clauses)
-    return {var for scc in graph.sccs.components if len(scc) > 1 for var in scc}
+    """Variables in a non-trivial SCC of the formula's dependency graph:
+    those that share their SCC number with another."""
+    cycles = strongly_connected_components(build_dependency_graph(formula.clauses))
+    sizes = Counter(cycles.values())
+    return {var for var, number in cycles.items() if sizes[number] > 1}
 
 
 class TestPlantedCycles:
@@ -1303,10 +1306,11 @@ class TestCycleFactsPerPart:
         seen = {"cyclic": 0, "acyclic": 0, "not head-cycle-free": 0, "big cyclic part": 0}
         for _ in range(60):
             union = _cyclic_union(rng)
-            whole = build_dependency_graph(union.clauses)
+            whole = strongly_connected_components(build_dependency_graph(union.clauses))
+            whole_head_cycle_free = is_head_cycle_free(union.clauses, whole)
             counts = set()
             for options in ({}, {"force_mode": "general"}, {"use_decomposition": False}):
-                record = {"parts": [], "graphs": [], "copies": [], "pairs": []}
+                record = {"parts": [], "graphs": [], "cycles": [], "copies": [], "pairs": []}
 
                 def spy(patch, name, key):
                     fn = getattr(counting, name)
@@ -1320,30 +1324,38 @@ class TestCycleFactsPerPart:
                 with monkeypatch.context() as patch:
                     spy(patch, "_input_parts", "parts")
                     spy(patch, "build_dependency_graph", "graphs")
+                    spy(patch, "strongly_connected_components", "cycles")
                     spy(patch, "copied_variables", "copies")
                     spy(patch, "build_pair", "pairs")
                     result = count_minimal(union, **options)
                 counts.add(result.count)
-                assert result.stats.acyclic == is_acyclic(whole)
-                assert result.stats.head_cycle_free == is_head_cycle_free(union.clauses, whole)
+                assert result.stats.acyclic == (not whole)
+                assert result.stats.head_cycle_free == whole_head_cycle_free
                 [parts] = record["parts"]
-                assert len(record["graphs"]) == len(record["copies"]) == len(parts)
-                mapped = [{variables[var - 1] for var in copies}
-                          for (variables, _), copies in zip(parts, record["copies"])]
+                assert (len(record["graphs"]) == len(record["cycles"]) == len(record["copies"])
+                        == len(parts))
+                # Each part's copies, in input ids, are the whole input's
+                # cyclic variables in that part (every one under ``general``),
+                # and so are those each pair is built with.
                 general = options.get("force_mode") == "general"
-                assert set().union(*mapped) == (whole.nodes if general else whole.cyclic)
-                # Each pair is built with exactly its part's copies.
-                paired = [copies for (variables, _), copies in zip(parts, record["copies"])
+                expected = union.variables() if general else set(whole)
+                wanted = [expected & set(variables) for variables, _ in parts]
+                assert [{variables[var - 1] for var in copies}
+                        for (variables, _), copies in zip(parts, record["copies"])] == wanted
+                paired = [index for index, (variables, _) in enumerate(parts)
                           if general or len(variables) > counting._TABLE_VARS]
-                assert record["pairs"] == paired
-                assert result.stats.copy_vars == sum(map(len, paired))
+                assert len(record["pairs"]) == len(paired)
+                assert [{parts[index][0][var - 1] for var in copies}
+                        for index, copies in zip(paired, record["pairs"])] == [
+                    wanted[index] for index in paired]
+                assert result.stats.copy_vars == sum(len(wanted[index]) for index in paired)
                 seen["big cyclic part"] += any(
-                    copies and len(variables) > counting._TABLE_VARS
-                    for (variables, _), copies in zip(parts, record["copies"]))
+                    wanted[index] and len(parts[index][0]) > counting._TABLE_VARS
+                    for index in paired)
             assert len(counts) == 1
-            seen["cyclic"] += bool(whole.cyclic)
-            seen["acyclic"] += not whole.cyclic
-            seen["not head-cycle-free"] += not is_head_cycle_free(union.clauses, whole)
+            seen["cyclic"] += bool(whole)
+            seen["acyclic"] += not whole
+            seen["not head-cycle-free"] += not whole_head_cycle_free
         # The unions must exercise every fact both ways, and big cyclic parts.
         assert min(seen.values()) >= 3, seen
 

@@ -8,7 +8,6 @@ from mincount import (
     CnfFormula,
     build_dependency_graph,
     count_minimal,
-    is_acyclic,
     is_head_cycle_free,
     parse_dimacs,
     strongly_connected_components,
@@ -19,20 +18,35 @@ from mincount.counting import copied_variables
 from conftest import cnf_formulas
 
 
+def _arcs(graph):
+    """The arcs of a successor dict as ``(tail, head)`` pairs."""
+    return {(a, b) for a, heads in graph.items() for b in heads}
+
+
+def _cycles(clauses):
+    return strongly_connected_components(build_dependency_graph(clauses))
+
+
 def test_arcs_of_implication_cycle(ex2):
     g = build_dependency_graph(ex2.clauses)
-    assert g.arcs == frozenset({(1, 2), (2, 3), (3, 1)})
+    assert g == {1: [2], 2: [3], 3: [1]}
+    assert _arcs(g) == {(1, 2), (2, 3), (3, 1)}
 
 
 def test_positive_clauses_produce_no_arcs(ex1):
-    g = build_dependency_graph(ex1.clauses)
-    assert g.arcs == frozenset()
-    assert g.nodes == frozenset({1, 2, 3})
+    # Variables without an outgoing arc have no entry.
+    assert build_dependency_graph(ex1.clauses) == {}
 
 
 def test_negative_clause_produces_no_arcs():
     f = parse_dimacs("p cnf 2 1\n-1 -2 0\n")
-    assert build_dependency_graph(f.clauses).arcs == frozenset()
+    assert build_dependency_graph(f.clauses) == {}
+
+
+def test_successor_lists_keep_clause_order_and_repeats():
+    g = build_dependency_graph(((-1, 3, 2), (-2, -1, 3), (-1, 3)))
+    assert g == {1: [3, 2, 3, 3], 2: [3]}
+    assert _arcs(g) == {(1, 3), (1, 2), (2, 3)}
 
 
 def test_requires_original_variables_only():
@@ -65,55 +79,56 @@ def test_original_ids_check_reads_no_clause_unless_ids_are_declared(monkeypatch)
 
 
 def test_cycle_detected(ex2):
-    assert not is_acyclic(build_dependency_graph(ex2.clauses))
+    assert _cycles(ex2.clauses)
 
 
 def test_acyclic_detected(ex1):
-    assert is_acyclic(build_dependency_graph(ex1.clauses))
+    assert not _cycles(ex1.clauses)
 
 
 def test_empty_graph_acyclic():
-    assert is_acyclic(build_dependency_graph(parse_dimacs("p cnf 0 0\n").clauses))
+    assert _cycles(parse_dimacs("p cnf 0 0\n").clauses) == {}
 
 
 def test_head_cycle_free_despite_cycle(ex2):
-    assert is_head_cycle_free(ex2.clauses, build_dependency_graph(ex2.clauses))
+    assert is_head_cycle_free(ex2.clauses, _cycles(ex2.clauses))
 
 
 def test_two_positives_on_a_cycle():
     f = parse_dimacs("p cnf 2 3\n-1 2 0\n-2 1 0\n1 2 0\n")
-    assert not is_head_cycle_free(f.clauses, build_dependency_graph(f.clauses))
+    assert not is_head_cycle_free(f.clauses, _cycles(f.clauses))
 
 
 def test_single_clause_head_cycle_free():
     f = parse_dimacs("p cnf 2 1\n1 2 0\n")
-    assert is_head_cycle_free(f.clauses, build_dependency_graph(f.clauses))
+    assert is_head_cycle_free(f.clauses, _cycles(f.clauses))
 
 
 def test_scc_partition_and_topological_order(ex2):
-    g = build_dependency_graph(ex2.clauses)
-    scc = strongly_connected_components(g)
-    assert scc.components == ((1, 2, 3),)
-    assert scc.component_of == {1: 0, 2: 0, 3: 0}
+    # The order is checked inside, by the condensation-order RuntimeError;
+    # the result is the partition of the cyclic variables.
+    cycles = _cycles(ex2.clauses)
+    assert set(cycles) == {1, 2, 3}
+    assert len(set(cycles.values())) == 1
 
 
 def test_scc_chain_order():
+    # Every SCC of a chain is one variable without a self-arc: no cycle.
     f = parse_dimacs("p cnf 3 2\n-1 2 0\n-2 3 0\n")
-    scc = strongly_connected_components(build_dependency_graph(f.clauses))
-    assert scc.components == ((1,), (2,), (3,))
+    assert _cycles(f.clauses) == {}
 
 
 def test_cycle_set_holds_self_arcs_and_cyclic_sccs():
     # 1 is on a cycle through its self-arc alone, 2 and 3 through their
     # SCC, and 4 on none.
     f = CnfFormula(((1, -1), (-2, 3), (-3, 2), (-3, 4)), 4)
-    g = build_dependency_graph(f.clauses)
-    assert g.cyclic == {1, 2, 3}
-    assert not is_acyclic(g)
-    assert is_head_cycle_free(f.clauses, g)
-    assert copied_variables(g) == {1, 2, 3}
-    assert copied_variables(g, "general") == {1, 2, 3, 4}
-    assert copied_variables(g, "acyclic") == set()
+    cycles = _cycles(f.clauses)
+    assert set(cycles) == {1, 2, 3}
+    assert cycles[2] == cycles[3] != cycles[1]
+    assert is_head_cycle_free(f.clauses, cycles)
+    assert copied_variables(cycles, range(1, 5)) is cycles
+    assert list(copied_variables(cycles, range(1, 5), "general")) == [1, 2, 3, 4]
+    assert not copied_variables(cycles, range(1, 5), "acyclic")
 
 
 DEEP = 20000
@@ -121,22 +136,22 @@ DEEP = 20000
 
 def test_scc_of_a_deep_ring():
     f = CnfFormula(tuple((-i, i % DEEP + 1) for i in range(1, DEEP + 1)), DEEP)
-    scc = strongly_connected_components(build_dependency_graph(f.clauses))
-    assert scc.components == (tuple(range(1, DEEP + 1)),)
+    cycles = _cycles(f.clauses)
+    assert sorted(cycles) == list(range(1, DEEP + 1))
+    assert len(set(cycles.values())) == 1
 
 
 def test_scc_of_a_deep_chain():
     f = CnfFormula(tuple((-i, i + 1) for i in range(1, DEEP)), DEEP)
-    scc = strongly_connected_components(build_dependency_graph(f.clauses))
-    assert scc.components == tuple((i,) for i in range(1, DEEP + 1))
+    assert _cycles(f.clauses) == {}
 
 
 @given(cnf_formulas())
 @settings(max_examples=80)
 def test_acyclic_implies_head_cycle_free(f):
-    g = build_dependency_graph(f.clauses)
-    if is_acyclic(g):
-        assert is_head_cycle_free(f.clauses, g)
+    cycles = _cycles(f.clauses)
+    if not cycles:
+        assert is_head_cycle_free(f.clauses, cycles)
 
 
 @given(cnf_formulas())
@@ -146,11 +161,11 @@ def test_adding_a_clause_never_removes_arcs(f):
     extended = CnfFormula(f.clauses + ((-1, 1 if f.num_original_vars == 1 else 2),),
                           f.num_original_vars)
     g2 = build_dependency_graph(extended.clauses)
-    assert g.arcs <= g2.arcs
+    assert _arcs(g) <= _arcs(g2)
 
 
 def test_dot_output(ex2):
-    dot = to_dot(build_dependency_graph(ex2.clauses))
+    dot = to_dot(build_dependency_graph(ex2.clauses), ex2.variables())
     assert dot.startswith("digraph")
     assert "1 -> 2;" in dot
     assert "3 -> 1;" in dot
@@ -158,7 +173,7 @@ def test_dot_output(ex2):
 
 def test_dot_output_of_a_self_arc():
     # Parsing drops the tautology (1, -1); a clause handed in keeps its arc.
-    dot = to_dot(build_dependency_graph(((1, -1),)))
+    dot = to_dot(build_dependency_graph(((1, -1),)), {1})
     assert dot == "digraph dependencies {\n  1;\n  1 -> 1;\n}\n"
 
 
@@ -202,21 +217,16 @@ def test_graph_matches_set_reference_on_random_formulas():
         f = _messy_formula(rng)
         arcs, scc, cyclic, head_cycle_free = _reference(f)
         g = build_dependency_graph(f.clauses)
-        assert g.nodes == f.variables()
-        assert g.arcs == arcs
-        sccs = g.sccs
-        assert {frozenset(component) for component in sccs.components} == set(scc.values())
-        assert all(list(component) == sorted(component) for component in sccs.components)
-        assert sccs.component_of == {var: position
-                                     for position, component in enumerate(sccs.components)
-                                     for var in component}
-        # Topological: every arc stays in its component or goes forward.
-        assert all(sccs.component_of[a] <= sccs.component_of[b] for a, b in arcs)
-        assert g.cyclic == cyclic
-        assert is_acyclic(g) == (not cyclic)
-        assert is_head_cycle_free(f.clauses, g) == head_cycle_free
+        assert _arcs(g) == arcs
+        assert set(g) == {a for a, _ in arcs}
+        cycles = strongly_connected_components(g)
+        assert set(cycles) == cyclic
+        # Two cyclic variables share a number exactly when they share an SCC.
+        assert all((cycles[a] == cycles[b]) == (scc[a] == scc[b])
+                   for a in cycles for b in cycles)
+        assert is_head_cycle_free(f.clauses, cycles) == head_cycle_free
         self_arcs += any(a == b for a, b in arcs)
-        nontrivial += any(len(component) > 1 for component in sccs.components)
+        nontrivial += any(len(component) > 1 for component in scc.values())
     # The formulas must exercise both kinds of cycle.
     assert self_arcs >= 40 and nontrivial >= 40
 
@@ -228,13 +238,12 @@ def test_sparse_ids_cost_what_the_occurring_variables_cost():
     f = parse_dimacs(SPARSE)
     tracemalloc.start()
     try:
-        g = build_dependency_graph(f.clauses)
-        components = g.sccs.components
+        cycles = _cycles(f.clauses)
         result = count_minimal(f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert components == ((1, 3000000),)
+    assert sorted(cycles) == [1, 3000000] and len(set(cycles.values())) == 1
     assert result.count == 1
     assert peak < 2**20
 

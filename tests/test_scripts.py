@@ -3,6 +3,7 @@ fails here rather than at its next use."""
 
 import importlib.util
 import os
+import sys
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 
@@ -30,3 +31,21 @@ def test_scaling_counts_one_ring(capsys):
     out = capsys.readouterr().out
     assert out.startswith("ring n=20 decisions=")
     assert out.endswith(" count=1\n")
+
+
+def test_paired_runs_this_checkout_against_itself(capsys, monkeypatch):
+    # The checkout as its own parent: the same counts and ``c stat`` lines.
+    # The run imports ``bench/workloads.py`` and two package copies; drop
+    # them and its ``sys.path`` entry afterwards.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    before = set(sys.modules)
+    root = os.path.join(SCRIPTS, os.pardir)
+    argv = ["--parent", root, "--workload", "union-mixed", "--reps", "1"]
+    try:
+        assert _load("paired").main(argv) == 0
+    finally:
+        for name in set(sys.modules) - before:
+            del sys.modules[name]
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split()[-1] == "c_stat_differs"
+    assert row.split()[0] == "union-mixed" and row.split()[-1] == "0/22"

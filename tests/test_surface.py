@@ -26,7 +26,7 @@ def test_every_exported_name_resolves_once():
 
 def test_at_most_forty_exported_names():
     # Tightened as the surface shrinks; the name keeps its first bound.
-    assert len(mincount.__all__) <= 28
+    assert len(mincount.__all__) <= 26
 
 
 def test_var_range_comments_stay_with_their_reader_and_writers():
@@ -61,12 +61,12 @@ def test_module_layering():
 TRACED_SITES = (
     ("mincount.cli", "parse_dimacs"),
     ("mincount.cli", "build_dependency_graph"),
-    ("mincount.cli", "is_acyclic"),
+    ("mincount.cli", "strongly_connected_components"),
     ("mincount.cli", "is_head_cycle_free"),
     ("mincount.cli", "count_minimal"),
     ("mincount.depgraph", "strongly_connected_components"),
     ("mincount.counting", "build_dependency_graph"),
-    ("mincount.counting", "is_acyclic"),
+    ("mincount.counting", "strongly_connected_components"),
     ("mincount.counting", "is_head_cycle_free"),
     ("mincount.counting", "build_pair"),
     ("mincount.counting", "count_pair"),
@@ -105,7 +105,8 @@ def test_traced_layers_are_called_through_their_sites(monkeypatch, ex2):
         monkeypatch.setattr(owner, name, wrapper)
 
     monkeypatch.setattr(counting, "_TABLE_VARS", 0)
-    for name in ("_bcp", "_split_components", "_justification_base"):
+    for name in ("_bcp", "_split_components", "_justification_base", "build_dependency_graph",
+                 "strongly_connected_components", "is_head_cycle_free"):
         spy(counting, name)
     spy(BranchPolicy, "pick")
     assert count_minimal(ex2).count == 1
@@ -114,7 +115,14 @@ def test_traced_layers_are_called_through_their_sites(monkeypatch, ex2):
     split = pair_of(parse_dimacs("p cnf 5 2\n1 4 2 0\n2 5 3 0\n"))
     assert count_pair(split).count == 5
     assert count_minimal(parse_dimacs("p cnf 1 2\n1 0\n-1 0\n")).count == 0
-    assert sorted(results) == ["_bcp", "_justification_base", "_split_components", "pick"]
+    assert sorted(results) == ["_bcp", "_justification_base", "_split_components",
+                               "build_dependency_graph", "is_head_cycle_free", "pick",
+                               "strongly_connected_components"]
+    # One graph and one Tarjan pass per part of the two ``count_minimal``
+    # inputs: ex2's ring and the contradictory units.
+    assert results["build_dependency_graph"] == [{1: [2], 2: [3], 3: [1]}, {}]
+    assert [set(cycles) for cycles in results["strongly_connected_components"]] == [
+        {1, 2, 3}, set()]
     assert all(type(result) is list for result in results["_split_components"])
     assert any(len(result) > 1 for result in results["_split_components"])
     assert results["_bcp"][-1] is counting._CONFLICT
