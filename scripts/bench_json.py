@@ -22,7 +22,10 @@ both files name: if any differs, the script names the instances and
 exits with status 1 before it measures or writes anything.  Workloads
 and instances that file lacks are listed on stderr, not compared.  The
 script also exits with status 1, writing nothing, when a benchmark run
-fails an attempt or is not correct.
+fails an attempt or is not correct.  After measuring, it prints each
+end-to-end metric's ratio to that file's value, and flags a move beyond
+the metric's ``BENCHMARK.json`` bound as worse or better; the flags are a
+report only and leave the exit status as it is.
 
 Two rules for reading the numbers, both measured on this benchmark:
 
@@ -116,6 +119,28 @@ def compare(before: dict, data: dict):
     return differ, new
 
 
+def moves(before: dict, data: dict, bounds: dict) -> list:
+    """One line per workload and end-to-end metric that both ``before`` (an
+    earlier file's ``workloads``) and ``data`` measured: the ratio of the
+    new value to the earlier one, flagged when it moved by more than the
+    metric's bound.  ``bounds`` maps a metric's name to its
+    ``BENCHMARK.json`` entry."""
+    lines = []
+    for name, result in data.items():
+        earlier = before.get(name, {}).get("end_to_end", {}).get("metrics", {})
+        for metric, value in result["end_to_end"]["metrics"].items():
+            if metric not in bounds or not earlier.get(metric, {}).get("value"):
+                continue
+            ratio = value["value"] / earlier[metric]["value"]
+            line = f"{name} {metric} {ratio:.3f}"
+            bound = bounds[metric]["bound"]
+            if abs(ratio - 1) > bound:
+                worse = (ratio > 1) == (bounds[metric]["better"] == "lower")
+                line += f" {'worse' if worse else 'better'} beyond the {bound} bound"
+            lines.append(line)
+    return lines
+
+
 def bench_runs(workload: str, seconds: float) -> dict:
     """Medians of ``bench/run.py --trace 0`` over ``RUNS`` runs."""
     results, passes = [], []
@@ -147,7 +172,9 @@ def main(argv=None) -> int:
         return 2
     number = int(argv[0])
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
-        seconds = json.load(handle)["run_seconds"]
+        benchmark = json.load(handle)
+    seconds = benchmark["run_seconds"]
+    bounds = {metric["name"]: metric for metric in benchmark["end_to_end"]}
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     sys.path.insert(0, os.path.join(ROOT, "src"))
     import workloads
@@ -155,10 +182,11 @@ def main(argv=None) -> int:
 
     counters = [f.name for f in fields(CountStats) if f.type == "int"]
     data = outputs(workloads, cli, counters)
-    previous = earlier(number)
+    previous, before = earlier(number), {}
     if previous:
         with open(previous, encoding="utf-8") as handle:
-            differ, new = compare(json.load(handle)["workloads"], data)
+            before = json.load(handle)["workloads"]
+        differ, new = compare(before, data)
         if new:
             print(f"not in {os.path.basename(previous)}: {', '.join(new)}", file=sys.stderr)
         if differ:
@@ -171,6 +199,8 @@ def main(argv=None) -> int:
         if data[name]["end_to_end"]["failed"] or not data[name]["end_to_end"]["correct"]:
             print(f"{name}: a benchmark run failed or was not correct", file=sys.stderr)
             return 1
+    for line in moves(before, data, bounds):
+        print(line)
     document = {
         "number": number,
         "previous": os.path.basename(previous) if previous else None,

@@ -14,7 +14,9 @@ over ``N`` repetitions (default 10), and the ratios' range.  The two
 checkouts must give the same exit code and ``s mc`` lines on every
 instance, or the script exits with status 1.  A change may alter the
 search by design, so differing ``c stat`` lines are only counted: the
-last column gives the number of instances where they differ.
+last column gives the number of instances where they differ.  When some
+differ, a second line gives each checkout's ``decisions`` and
+``propagations`` summed over the workload's instances.
 
 Why one process: a shared host's speed can drift by 1.7x within minutes,
 and separate-process A/B runs of one pair of checkouts read ratios from
@@ -65,6 +67,20 @@ def run_once(cli, path: str):
             [line for line in lines if line.startswith("c stat")])
 
 
+SEARCH_SIZE = ("decisions", "propagations")
+
+
+def search_size(stats) -> dict:
+    """``SEARCH_SIZE`` counters summed over lists of ``c stat`` lines."""
+    sums = dict.fromkeys(SEARCH_SIZE, 0)
+    for lines in stats:
+        for line in lines:
+            _, _, key, value = line.split()
+            if key in sums:
+                sums[key] += int(value)
+    return sums
+
+
 def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     import workloads
@@ -91,14 +107,16 @@ def main(argv=None) -> int:
                 paths.append(os.path.join(scratch, instance.name + ".cnf"))
                 with open(paths[-1], "w", encoding="utf-8") as handle:
                     handle.write(instance.dimacs())
-            stats_differ = 0
+            stats_differ, stats = 0, ([], [])
             for path in paths:  # a warm-up pass, and the output check
-                (_, counts, stats), (_, other_counts, other_stats) = [
+                (_, counts, parent_stats), (_, other_counts, change_stats) = [
                     run_once(cli, path) for cli in sides]
                 if counts != other_counts:
                     print(f"counts differ on {os.path.basename(path)}", file=sys.stderr)
                     return 1
-                stats_differ += stats != other_stats
+                stats_differ += parent_stats != change_stats
+                stats[0].append(parent_stats)
+                stats[1].append(change_stats)
             totals = []
             for rep in range(args.reps):
                 total = [0.0, 0.0]
@@ -113,6 +131,11 @@ def main(argv=None) -> int:
                   f"{statistics.median(t[1] for t in totals):>9.3f} "
                   f"{statistics.median(ratios):>6.3f}  {ratios[0]:.3f}-{ratios[-1]:.3f}  "
                   f"{stats_differ}/{len(paths)}", flush=True)
+            if stats_differ:
+                parent, change = map(search_size, stats)
+                print(f"{name:<16} search  " + "  ".join(
+                    f"{key} {parent[key]} -> {change[key]}" for key in SEARCH_SIZE),
+                    flush=True)
     return 0
 
 

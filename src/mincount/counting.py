@@ -8,24 +8,19 @@ input strengthened with its forced implications.  Once the search side
 is empty, a justification residual that is empty too counts one, one
 whose clauses all hold a negative literal counts zero, and any other
 asks whether some model of it leaves a live copy variable false.
-Originals left unassigned there default to false, the minimal choice,
-and auxiliary variables, being functionally determined, contribute
-nothing.
+Originals left unassigned there default to false, the minimal choice.
 
-A run indexes its pair, ``build_pair``'s two clause lists and three id
-bounds, once and as it is, in the clause database of ``sat``, whose sets
-of clauses and of variables are Python ints used as bit masks, and
-propagates with its ``_bcp``, the one unit propagator.  It answers a
-justification query in that database too, with ``sat._search``, the
-depth-first loop that ``solve`` runs for the oracle.  A search node is
-four such ints: the assigned variables, the satisfied clauses, and its
-component's clauses and variables.  The satisfied clauses are those that
-hold or no longer constrain.  An auxiliary variable is a don't-care once
-the implication using it holds, and the database names the clauses that
-define it (``sat._Database``).  After each node's propagation, every use
-that has just come to hold adds those clauses to the node's satisfied
-clauses.  So they are not propagated, do not join their literals into
-one component, and drop out of the cache keys.  An unsatisfied clause's
+A run indexes its pair, ``build_pair``'s clause lists, bounds and
+supports, once and as it is, in the clause database of ``sat``, whose
+sets of clauses and of variables are Python ints used as bit masks, and
+propagates with its ``_bcp``, the one propagator, which applies the
+forced implications' support rule too: no auxiliary variable
+(``sat._Database``).  It answers a justification query in that database
+too, with ``sat._search``, the depth-first loop that ``solve`` runs for
+the oracle.  A search node is four such ints: the assigned variables,
+the satisfied clauses and supports, and its component's clauses and
+variables; a support spoiled or no longer needed drops out of
+propagation, the walk and the cache keys.  An unsatisfied clause's
 assigned literals are all false, so no values are stored: a clause is a
 unit when exactly one of its variables is unassigned.  Both children of
 a decision start from their parent's ints, so nothing is copied or
@@ -37,8 +32,8 @@ once those are many, by testing the unreached free variables against
 them.
 
 A run caches the count of each component and base case it solves,
-keyed by its clause and variable masks.  They fix the residual clauses,
-because the database of a run is fixed.
+keyed by its clause and variable masks.  They fix the residual clauses
+and supports, because the database of a run is fixed.
 
 ``count_minimal`` splits its input into variable-disjoint parts before
 any transform and counts them one after another, each renumbered to its
@@ -86,10 +81,12 @@ _TABLE_VARS = 15
 class CountStats:
     """Search statistics accumulated over one counting run.
 
-    ``components`` counts the sub-pairs produced by decomposition steps
-    that actually split their node, the input's included.  ``cache_hits``
-    counts the components and base cases the cache answered;
-    ``cache_entries`` is its final size, summed over the input's parts.
+    ``propagations`` counts the literals propagation asserts, none of them
+    auxiliary.  ``components`` counts the sub-pairs produced by
+    decomposition steps that actually split their node, the input's
+    included.  ``cache_hits`` counts the components and base cases the
+    cache answered; ``cache_entries`` is its final size, summed over the
+    input's parts.
     ``table_parts`` of the ``parts`` were counted by truth table; of the
     pairs built for the others, ``general_parts`` had a copy variable and
     ``copy_vars`` is the number of copy variables built.  ``sat_calls``
@@ -240,7 +237,7 @@ def _justification_base(db: _Database, assigned: int, satisfied: int,
     residuals take a search.  It tries false first, so a first model
     setting every live copy true is the only model.
     """
-    queue = [-var for var in _ids(variables & db.below_copies)]
+    queue = [-var for var in _ids(variables & db.originals)]
     seeded = len(queue)
     result = _bcp(db, assigned, satisfied, queue, db.search)
     stats.propagations += len(queue) - seeded
@@ -279,8 +276,7 @@ def count_pair(pair, *, policy: BranchPolicy | None = None,
     pair splits below its first decision.  The recursion starts from the
     empty assignment on an explicit stack.  A ``"count"`` task holds a
     node's four masks and the literals it asserts: those of the unit
-    clauses at the root, a decision below it.  After its propagation, the
-    uses it satisfies retire their definitions.  ``stats``, when given,
+    clauses at the root, a decision below it.  ``stats``, when given,
     accumulates the run's counters.
     """
     stats = stats if stats is not None else CountStats()
@@ -310,25 +306,20 @@ def count_pair(pair, *, policy: BranchPolicy | None = None,
         stats.cache_hits += 1
         return value
 
-    tasks = [("count", 0, 0, db.all, db.variables, list(db.units))]
+    tasks = [("count", 0, 0, db.all, db.occurring_vars, list(db.units))]
     values = []
     while tasks:
         task = tasks.pop()
         op = task[0]
         if op == "count":
-            _, assigned, before, clauses, variables, queue = task
+            _, assigned, satisfied, clauses, variables, queue = task
             seeded = len(queue)
-            result = _bcp(db, assigned, before, queue, db.search)
+            result = _bcp(db, assigned, satisfied, queue, db.search)
             stats.propagations += len(queue) - seeded
             if result is _CONFLICT:
                 values.append(0)
                 continue
             assigned, satisfied = result
-            uses = (satisfied ^ before) & db.uses
-            while uses:  # each use that now holds retires its definitions
-                low = uses & -uses
-                uses ^= low
-                satisfied |= db.dead[low.bit_length() - 1]
             live, free = clauses & ~satisfied, variables & ~assigned
             if not live & db.search:
                 values.append(
@@ -512,10 +503,11 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
     come from its own graph, as a cycle never leaves its part.
 
     With decomposition on, every part is connected, and so is its pair:
-    each clause ``build_pair`` adds holds a variable of the part or a copy
-    that its implication ``(-x', x)`` ties to one.  So the one component
-    ``count_pair`` takes an untouched root for is what a walk would find,
-    as it is with decomposition off, where the walk makes one group.
+    each clause or support ``build_pair`` adds holds a variable of the
+    part or a copy that its implication ``(-x', x)`` ties to one.  So the
+    one component ``count_pair`` takes an untouched root for is what a
+    walk would find, as it is with decomposition off, where the walk makes
+    one group.
     """
     formula.require_originals()
     # Each part is renumbered, so each gets its own graph, run and cache.

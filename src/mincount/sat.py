@@ -1,12 +1,13 @@
-"""The clause database, its unit propagator and a DPLL satisfiability kernel.
+"""The clause database, its propagator and a DPLL satisfiability kernel.
 
 A clause database indexes fixed clauses by bit masks: Python ints whose
-bits are clause or variable ids.  ``_bcp`` propagates units over it from
-two immutable masks, the assigned variables and the satisfied clauses,
-so a search node needs no trail and nothing is undone.  It is the only
-unit propagator, and ``_search`` the only depth-first loop: the counting
-recursion asks it justification queries in the run's own database, and
-``solve``, the oracle's kernel, runs it over a database of its clauses.
+bits are clause or variable ids.  ``_bcp`` propagates units and supports
+over it from two immutable masks, the assigned variables and the
+satisfied clauses, so a search node needs no trail and nothing is
+undone.  It is the only propagator, and ``_search`` the only depth-first
+loop: the counting recursion asks it justification queries in the run's
+own database, and ``solve``, the oracle's kernel, runs it over a
+database of its clauses.
 
 ``_search`` branches on the lowest unassigned variable and tries false
 first, so two runs on identical inputs return identical results.  Each
@@ -44,46 +45,44 @@ def _ids(mask: int) -> list[int]:
 
 
 class _Database:
-    """The fixed clauses of one counting run or ``solve`` call, indexed by
-    bit masks.
+    """The fixed clauses and supports of one counting run or ``solve``
+    call, indexed by bit masks.
 
-    Clause ids number the search clauses first, then the justification
-    clauses, and variable ids are at most ``top``.  ``lits[lit]`` is the
-    mask of the clauses holding the literal ``lit`` (a negative literal
-    indexes from the end), ``occurs[var]`` the mask of those holding
-    ``var`` either way, ``clause_vars[id]`` a clause's variable mask and
-    ``occurring_vars`` the mask of the variables some clause holds.
-    ``clauses`` holds each clause with its repeated literals dropped; one
-    that still repeats a variable is a tautology, is in ``repeats`` and
-    never acts as a unit.  ``units`` are the literals of the unit clauses
-    that propagate: all search ones, and justification ones over copy
-    variables.
+    Bit ids number the search clauses, the supports, the justification
+    clauses, then one trigger per supported variable; ``all`` masks the
+    clauses and supports, ``search`` the search side's and the triggers.
+    ``lits[lit]`` masks the bits a true ``lit`` satisfies (a negative
+    literal indexes from the end), ``checks[lit]`` those ``_bcp`` examines
+    when ``lit`` is asserted, ``occurs[var]`` those holding ``var``, and
+    ``clause_vars[id]`` a bit's variables.  ``clauses`` drops repeated
+    literals; one that still repeats a variable is in ``repeats`` and
+    never a unit.  ``units`` are the search unit clauses and the
+    justification ones over copies.
 
-    ``uses`` and ``dead`` retire the definitions of auxiliary variables.
-    Such a variable qualifies when it occurs in search clauses only,
-    positively in exactly two, its definition ``D`` and then its use, and
-    every clause holding its negation also holds ``-l`` for another literal
-    ``l`` of ``D``.  Whatever the other variables hold, some value of it
-    then satisfies ``D`` and its negative clauses: false when a literal of
-    ``D`` is true, true otherwise.  So once its use holds it is a
-    don't-care, and those clauses no longer constrain the others (removing
-    defined variables: Lagniez & Marquis, AAAI 2014).  ``uses`` is the mask
-    of the uses, and ``dead[u]`` the mask of the clauses the use with id
-    ``u`` retires.
+    The ``i``-th ``x`` of ``build_pair``'s ``supports`` gets the connector
+    ``orig_limit + 1 + i``, never assigned or picked.  Each co-literal set
+    is a support, the clause of its co-literals, ``-x`` and the connector:
+    a true co-literal spoils it, a false ``x`` needs none, and a true ``x``
+    keeps its supports in one component.  ``settle[x]`` masks them and the
+    trigger of ``x``, in ``checks`` of ``x`` and each co-literal; ``owner``
+    maps the ids of those bits to ``x``.
     """
 
-    def __init__(self, search, justification, orig_limit, copy_lo, top):
+    def __init__(self, search, justification, orig_limit, copy_lo, top, supports=()):
         self.num_search = num_search = len(search)
-        self.search = (1 << num_search) - 1
-        self.all = (1 << (num_search + len(justification))) - 1
-        self.variables = (1 << (top + 1)) - 2
+        co_sets = [(*co, -x, connector) for connector, (x, _, sets)
+                   in enumerate(supports, orig_limit + 1) for co in sets]
+        self.all = (1 << (num_search + len(co_sets) + len(justification))) - 1
+        one_each = (1 << len(supports)) - 1  # a trigger or connector per x
+        self.search = (1 << (num_search + len(co_sets))) - 1 | one_each << self.all.bit_length()
+        self.variables = ((1 << (top + 1)) - 2) ^ one_each << (orig_limit + 1)
         self.originals = (1 << (orig_limit + 1)) - 2
         self.below_copies = (1 << copy_lo) - 1
         self.lits = lits = [0] * (2 * top + 1)
         var_bits = [1 << var for var in range(top + 1)]
         var_bits += var_bits[:0:-1]  # indexed by literal too
         self.clause_vars = clause_vars = []
-        clauses, repeats = [*search, *justification], 0
+        clauses, repeats = [*search, *co_sets, *justification] + [()] * len(supports), 0
         for index, clause in enumerate(clauses):
             bit, variables = 1 << index, 0
             for lit in clause:
@@ -95,6 +94,15 @@ class _Database:
                     repeats |= bit
             clause_vars.append(variables)
         self.clauses, self.repeats = tuple(clauses), repeats
+        self.checks = checks = [0] + lits[:0:-1]  # ``checks[lit]`` is ``lits[-lit]``
+        self.settle, first, trigger = {}, num_search, self.all + 1
+        for x, _, sets in supports:
+            self.settle[x] = ((1 << len(sets)) - 1) << first | trigger
+            lits[-x] |= trigger
+            for lit in (x, *[lit for co in sets for lit in co]):
+                checks[lit] |= trigger
+            first, trigger = first + len(sets), trigger << 1
+        self.owner = {index: x for x, bits in self.settle.items() for index in _ids(bits)}
         self.occurs = occurs = [lits[var] | lits[-var] for var in range(top + 1)]
         # One bit per variable that occurs: cheaper than ORing every clause's mask.
         bits = ["1" if mask else "0" for mask in reversed(occurs)]
@@ -102,22 +110,6 @@ class _Database:
         self.units = [clause[0] for index, clause in enumerate(clauses) if len(clause) == 1
                       and (index < num_search or abs(clause[0]) >= copy_lo)]
         self.empty = () in search
-        self.uses, self.dead = 0, {}
-        for aux in range(orig_limit + 1, copy_lo):
-            positive = lits[aux]
-            if positive.bit_count() != 2 or occurs[aux] >> num_search:
-                continue
-            definition = positive & -positive
-            covered = 0
-            for lit in clauses[definition.bit_length() - 1]:
-                if lit != aux:
-                    covered |= lits[-lit]
-            if lits[-aux] & ~covered:
-                continue
-            use = positive ^ definition
-            index = use.bit_length() - 1
-            self.uses |= use
-            self.dead[index] = self.dead.get(index, 0) | definition | lits[-aux]
 
     def occurring(self, clauses: int) -> int:
         """The mask of the variables the given clauses hold."""
@@ -128,24 +120,29 @@ class _Database:
 
 
 def _bcp(db: _Database, assigned: int, satisfied: int, queue: list, conflicts: int):
-    """Assert the literals of ``queue`` and propagate units to fixpoint.
+    """Assert the literals of ``queue`` and propagate to fixpoint.
 
     ``assigned`` and ``satisfied`` are the masks of the assigned variables
-    and the satisfied clauses; ``queue`` is extended with the propagated
+    and the satisfied bits; ``queue`` is extended with the propagated
     literals.  A queued literal over an assigned variable is skipped: it
     comes from a unit clause, which propagating that variable checks.
 
-    Search-side units (original and auxiliary literals) are asserted.
-    On the justification side only units over copy variables propagate,
-    and their values never feed back into the search side because copies
-    do not occur there.  Units over original variables arising on the
-    justification side are left in place; the search side derives the
-    same assignment itself.
+    Search-side units are asserted.  On the justification side only units
+    over copy variables propagate, and their values never feed back into
+    the search side because copies do not occur there.  Units over
+    original variables arising on the justification side are left in
+    place; the search side derives the same assignment itself.
+
+    Support rule (Gebser, Kaufmann & Schaub, AIJ 2012), on bits with no
+    free variable: all co-literals of a support false justify a true ``x``;
+    else a free ``x`` with every support spoiled goes false, a true one
+    conflicts, and a true one's lone support sets its co-literals false.
 
     Returns the new ``(assigned, satisfied)`` masks, or the conflict
-    sentinel when a clause of the ``conflicts`` mask is emptied.
+    sentinel when a clause of the ``conflicts`` mask is emptied or the
+    support rule fails.
     """
-    lits, clause_vars = db.lits, db.clause_vars
+    lits, checks, clause_vars = db.lits, db.checks, db.clause_vars
     repeats, num_search, below_copies = db.repeats, db.num_search, db.below_copies
     free = db.variables ^ assigned
     for lit in queue:
@@ -157,7 +154,7 @@ def _bcp(db: _Database, assigned: int, satisfied: int, queue: list, conflicts: i
     # violation if no clause of ``conflicts`` is emptied by the fixpoint.
     violated = False
     for lit in queue:  # grows as units are found
-        falsified = lits[-lit] & ~satisfied
+        falsified = checks[lit] & ~satisfied
         while falsified:
             low = falsified & -falsified
             falsified ^= low
@@ -168,9 +165,26 @@ def _bcp(db: _Database, assigned: int, satisfied: int, queue: list, conflicts: i
             if open_vars & (open_vars - 1):
                 continue
             if not open_vars:
-                if low & conflicts:
-                    return _CONFLICT
-                violated = True
+                x = db.owner.get(index)
+                if not x:
+                    if low & conflicts:
+                        return _CONFLICT
+                    violated = True
+                elif low & db.all:  # a support with every co-literal false, x true
+                    satisfied |= db.settle[x]
+                else:  # the trigger: x is true or lost a support
+                    left = db.settle[x] & ~satisfied ^ low
+                    if free >> x & 1:
+                        negated = () if left else (x,)
+                    elif not left:
+                        return _CONFLICT
+                    else:  # a lone support's co-literals go false
+                        negated = () if left & (left - 1) else db.clauses[left.bit_length() - 1]
+                    for lit in negated:  # -x and the connector are not free
+                        if free >> abs(lit) & 1:
+                            free ^= 1 << abs(lit)
+                            satisfied |= lits[-lit]
+                            queue.append(-lit)
             elif not low & repeats and (index < num_search or open_vars > below_copies):
                 free ^= open_vars
                 unit = open_vars.bit_length() - 1

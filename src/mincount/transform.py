@@ -8,10 +8,11 @@ on a cycle of the dependency graph need a copy; the full pair copies
 every variable.
 
 A pair is plain data: ``(search, justification, orig_limit, copy_lo,
-top)``, two clause lists and three bounds.  The originals are ``1..
-orig_limit``, the auxiliary variables of the search side follow up to
-``copy_lo - 1``, and the copy of original ``x`` is ``x + copy_lo - 1``,
-at most ``top``.  The id of a variable that gets no copy stays unused.
+top, supports)``, two clause lists, three bounds and the supports of the
+forced implications.  The originals are ``1..orig_limit``, a connector
+per supported variable follows up to ``copy_lo - 1``, and the copy of
+original ``x`` is ``x + copy_lo - 1``, at most ``top``.  The id of a
+variable that gets no copy stays unused.
 """
 
 from __future__ import annotations
@@ -28,16 +29,15 @@ def build_pair(clauses, num_vars: int, copied):
     sets of the clauses holding x positively (a clause's other literals),
     and the clauses that need a justification image.
 
-    The search side is the input followed by the CNF of the forced
+    The search side is the input strengthened with the forced
     implications: if x is true, some clause holding x positively has all
-    its other literals false.  Co-literal sets of size one are inlined as
-    single negated literals; larger sets get a fresh auxiliary variable,
-    numbered upward from ``num_vars + 1``, defined by a full
-    biconditional, so auxiliary values are functionally determined and
-    the model count over original variables is unchanged.  A variable
-    that never occurs positively gets the unit clause requiring it false;
-    a variable forced by a unit clause of the input yields no implication
-    at all.
+    its other literals false.  If every co-literal set of x is one
+    literal, the implication is one clause; otherwise ``supports`` gets
+    ``(x, at, co_sets)``: its distinct co-literal sets, which the clause
+    database propagates as supports, and ``at``, where ``auxiliary_cnf``
+    puts the implication's clauses.  A variable that never occurs
+    positively gets the unit clause requiring it false; a variable forced
+    by a unit clause of the input yields no implication at all.
 
     Only the variables in ``copied`` get a copy on the justification
     side; any other variable stands for itself.  Three clause groups: one
@@ -76,8 +76,7 @@ def build_pair(clauses, num_vars: int, copied):
                 forcing[lit].append(co)
         if positive and copied and any([is_copied[abs(lit)] for lit in clause]):
             imaged.append(clause)
-    search = list(clauses)
-    next_id = n + 1
+    search, supports = list(clauses), []
     for x in range(1, n + 1):
         co_sets = forcing[x]
         if not co_sets:
@@ -87,21 +86,17 @@ def build_pair(clauses, num_vars: int, copied):
             # x occurs as a unit clause; flipping it always falsifies that
             # clause, so the implication is vacuously true.
             continue
-        implication = [-x]
         # A repeated input clause repeats its co-literal set; one is enough.
-        for co in dict.fromkeys(co_sets):
-            if len(co) == 1:
-                implication.append(-co[0])
-            else:
-                aux = next_id
-                next_id += 1
-                search.extend([(-aux, -lit) for lit in co])
-                search.append((aux,) + co)
-                implication.append(aux)
-        search.append(tuple(implication))
-    # The copies sit above the auxiliary variables, so the images of the
-    # clauses the walk kept wait until those are numbered.
-    offset = next_id - 1
+        co_sets = dict.fromkeys(co_sets)
+        implication = [-x]
+        for co in co_sets:
+            if len(co) > 1:
+                supports.append((x, len(search), list(co_sets)))
+                break
+            implication.append(-co[0])
+        else:
+            search.append(tuple(implication))
+    offset = n + len(supports)  # the copies sit above the connectors
     copies = sorted(copied)
     justification = [(-(x + offset), x) for x in copies]
     for clause in imaged:
@@ -110,16 +105,38 @@ def build_pair(clauses, num_vars: int, copied):
             + [lit + offset if is_copied[lit] else lit for lit in clause if lit > 0]
         ))
     justification.extend([(-x,) for x in copies if not forcing[x]])
-    return search, justification, n, next_id, offset + n
+    return search, justification, n, offset + 1, offset + n, supports
+
+
+def auxiliary_cnf(pair):
+    """The pair as ``--emit-pair`` writes it, ``(search, justification,
+    orig_limit, copy_lo, top)``: each co-literal set of two or more
+    literals becomes an auxiliary variable from ``orig_limit + 1`` up, true
+    exactly when its literals are false, and the copies move above them."""
+    search, justification, n, copy_lo, top, supports = pair
+    written, start, aux = [], 0, n
+    for x, at, co_sets in supports:
+        written += search[start:at]
+        start, implication = at, [-x]
+        for co in co_sets:
+            if len(co) > 1:
+                aux += 1
+                written += [(-aux, -lit) for lit in co] + [(aux, *co)]
+            implication.append(aux if len(co) > 1 else -co[0])
+        written.append(tuple(implication))
+    shift = aux + 1 - copy_lo
+    justification = [tuple([lit + shift if lit >= copy_lo else lit - shift if -lit >= copy_lo
+                            else lit for lit in clause]) for clause in justification]
+    return written + search[start:], justification, n, aux + 1, top + shift
 
 
 def write_pair_files(pair, directory: str) -> tuple[str, str]:
-    """Write the pair as DIMACS files ``forced.cnf`` and ``copy.cnf``.
+    """Write ``auxiliary_cnf(pair)`` as DIMACS files ``forced.cnf`` and ``copy.cnf``.
 
     Both files carry ``c vr`` range comments; the copy file additionally
     records one ``c copy <orig> <copy>`` comment per copied variable.
     """
-    search, justification, n, copy_lo, top = pair
+    search, justification, n, copy_lo, top = auxiliary_cnf(pair)
     offset = copy_lo - 1
     aux = [f"c vr aux {n + 1} {offset}"] if offset > n else []
     # Each copy occurs negated in its implication copy(x) -> x.

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import strategies as st
@@ -8,8 +9,10 @@ from mincount import (
     build_dependency_graph,
     build_pair,
     parse_dimacs,
+    solve,
     strongly_connected_components,
 )
+from mincount.transform import auxiliary_cnf
 
 # Three-variable fixtures used throughout: a positive 3-cycle of clauses
 # and an implication 3-cycle, with a, b, c mapped to 1, 2, 3.
@@ -34,10 +37,16 @@ def pair_of(formula, copied=None):
                       formula.variables() if copied is None else copied)
 
 
+def auxiliary_of(formula, copied=None):
+    """``pair_of`` with its supports written as auxiliary-variable clauses,
+    the pair that ``--emit-pair`` writes."""
+    return auxiliary_cnf(pair_of(formula, copied))
+
+
 def strengthened(formula):
     """The search side of a formula: the input strengthened with its forced
     implications, over the original and auxiliary variables."""
-    search, _, _, copy_lo, _ = pair_of(formula, ())
+    search, _, _, copy_lo, _ = auxiliary_of(formula, ())
     return CnfFormula(tuple(search), copy_lo - 1)
 
 
@@ -138,3 +147,40 @@ def planted_cycle_formula(rng: random.Random, min_vars=5, max_vars=14,
             clause.append(-rng.choice(ring_vars))
         clauses.append(tuple(clause))
     return CnfFormula(tuple(clauses), n)
+
+
+def count_by_enumeration(formula, limit=300):
+    """The number of minimal models of ``formula`` found with ``solve``
+    alone, or ``None`` once it passes ``limit``.
+
+    Find a model of the formula and the blocking clauses; shrink it by
+    asking for a model that keeps every false variable false and flips
+    some true one, until there is none; count it, and block its supersets
+    with the clause of its negated true variables.  Each minimal model is
+    found exactly once (Ben-Eliyahu-Zohary, AIJ 2005).  Of the counting
+    engine this shares only ``solve``, whose search branches on the lowest
+    id, false first: each search renames the variables so that those in
+    the most clauses, blocking ones included, come first, which keeps it
+    from re-proving most of the blocked region its predecessor did.
+    """
+    variables = sorted(formula.variables())
+    clauses, count = list(formula.clauses), 0
+    while True:
+        occurs = Counter(abs(lit) for clause in clauses for lit in clause)
+        ranked = sorted(variables, key=lambda var: -occurs[var])
+        rename = {var: new for new, var in enumerate(ranked, 1)}
+        rename.update({-var: -new for var, new in list(rename.items())})
+        found = solve([tuple(map(rename.__getitem__, clause)) for clause in clauses])
+        if not found.satisfiable:
+            return count
+        model = {ranked[var - 1] for var in found.witness}
+        while model:
+            keep = tuple((-var,) for var in variables if var not in model)
+            smaller = solve(formula.clauses + keep + (tuple(-var for var in model),))
+            if not smaller.satisfiable:
+                break
+            model = smaller.witness
+        count += 1
+        if count > limit:
+            return None
+        clauses.append(tuple(-var for var in sorted(model)))

@@ -3,11 +3,13 @@
 import importlib.util
 import json
 import os
+import shutil
 import sys
 
 import pytest
 
-PATH = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "bench_json.py")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+PATH = os.path.join(ROOT, "scripts", "bench_json.py")
 spec = importlib.util.spec_from_file_location("bench_json", PATH)
 bench_json = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_json)
@@ -72,3 +74,31 @@ def test_only_n_is_accepted(capsys):
     for argv in ([], ["20", "--seconds", "1"], ["x"]):
         assert bench_json.main(argv) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def measured(**values):
+    """``end_to_end`` metrics of one workload, by name."""
+    return {"metrics": {name: {"value": value, "unit": ""} for name, value in values.items()},
+            "failed": 0, "correct": True}
+
+
+def test_moves_beyond_the_bounds_are_reported_not_enforced(tmp_path, monkeypatch, capsys):
+    # The earlier file at a root of its own; the run's counts match it, and
+    # ``wall_s`` rose 50% where its bound is 20%.
+    shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), tmp_path)
+    earlier = workloads(a={"a-0": 1}, b={"b-0": 7})
+    earlier["a"]["end_to_end"] = measured(wall_s=1.0, peak_rss_mib=10.0, setup_s=0.2)
+    (tmp_path / "BENCH_19.json").write_text(json.dumps({"workloads": earlier}))
+    monkeypatch.setattr(bench_json, "ROOT", str(tmp_path))
+    monkeypatch.setattr(sys, "path", [os.path.join(ROOT, "bench")] + sys.path)
+    monkeypatch.setattr(bench_json, "outputs", lambda *args: workloads(a={"a-0": 1}, b={"b-0": 7}))
+    runs = {"a": measured(wall_s=1.5, peak_rss_mib=10.05, setup_s=0.1), "b": measured(wall_s=2.0)}
+    monkeypatch.setattr(bench_json, "bench_runs", lambda workload, seconds: runs[workload])
+    assert bench_json.main(["20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["a wall_s 1.500 worse beyond the 0.2 bound", "a peak_rss_mib 1.005",
+                         "a setup_s 0.500 better beyond the 0.25 bound"]
+    assert lines[3:] == [str(tmp_path / "BENCH_20.json")]
+    written = json.loads((tmp_path / "BENCH_20.json").read_text())
+    assert written["previous"] == "BENCH_19.json"
+    assert written["workloads"]["a"]["end_to_end"] == runs["a"]

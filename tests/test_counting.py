@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mincount import (
     BranchPolicy,
@@ -31,10 +32,11 @@ from mincount.counting import (
     count_pair,
 )
 from mincount.sat import _search, solve
-from mincount.transform import build_pair
+from mincount.transform import auxiliary_cnf, build_pair
 
 from conftest import (
     cnf_formulas,
+    count_by_enumeration,
     pair_of,
     planted_cycle_formula,
     random_acyclic_formula,
@@ -141,7 +143,7 @@ def _literals(queue):
 
 def _components(pair):
     db = _Database(*pair)
-    return db, _split_components(db, db.all, db.variables, True)
+    return db, _split_components(db, db.all, db.occurring_vars, True)
 
 
 class TestDecompose:
@@ -212,14 +214,15 @@ class TestDecompose:
             enabled = rng.random() < 0.8
             # A random node: some free variables may occur in no live clause.
             self._check(db, db.all & rng.getrandbits(db.all.bit_length()),
-                        db.variables & rng.getrandbits(db.variables.bit_length()), enabled)
+                        db.occurring_vars & rng.getrandbits(db.occurring_vars.bit_length()),
+                        enabled)
             # Nodes that propagation reaches from random decisions.
             decisions = rng.sample(sorted(f.variables()), min(4, len(f.variables())))
             queue = list(db.units) + [var if rng.random() < 0.5 else -var for var in decisions]
             result = _bcp(db, 0, 0, queue, db.search)
             if result is not _CONFLICT:
                 assigned, satisfied = result
-                self._check(db, db.all & ~satisfied, db.variables & ~assigned, enabled)
+                self._check(db, db.all & ~satisfied, db.occurring_vars & ~assigned, enabled)
 
     def test_walk_matches_reference_on_disjoint_unions(self):
         rng = random.Random(1304)
@@ -232,16 +235,16 @@ class TestDecompose:
                             for clause in block.clauses]
                 shift += block.num_original_vars
             db = _Database(*pair_of(CnfFormula(tuple(clauses), shift)))
-            assert len(self._check(db, db.all, db.variables)) >= len(
+            assert len(self._check(db, db.all, db.occurring_vars)) >= len(
                 _input_parts(clauses, True))
-            self._check(db, db.all, db.variables, False)
+            self._check(db, db.all, db.occurring_vars, False)
 
     def test_thin_chain_walks_top_down(self, monkeypatch):
         n = 60
         chain = [(-i, i + 1, i + 2) for i in range(1, n - 1)] + [(1,)]
         db = _Database(*pair_of(CnfFormula(tuple(chain), n)))
         assigned, satisfied = _bcp(db, 0, 0, list(db.units), db.search)
-        free = db.variables & ~assigned
+        free = db.occurring_vars & ~assigned
         left = self._bottom_up_candidates(monkeypatch, db, db.all & ~satisfied, free)
         # About 20 clauses a level: only the walk's last few levels, with
         # few variables left, go bottom-up.
@@ -252,8 +255,8 @@ class TestDecompose:
         clauses = tuple(tuple(var if rng.random() < 0.5 else -var
                               for var in rng.sample(range(1, 31), 3)) for _ in range(120))
         db = _Database(*pair_of(CnfFormula(clauses, 30)))
-        left = self._bottom_up_candidates(monkeypatch, db, db.all, db.variables)
-        assert left is not None and left * 2 > db.variables.bit_count()
+        left = self._bottom_up_candidates(monkeypatch, db, db.all, db.occurring_vars)
+        assert left is not None and left * 2 > db.occurring_vars.bit_count()
 
 
 def _ring(n):
@@ -307,7 +310,7 @@ class TestRootWithoutWalk:
             if db.empty:
                 continue
             assert db.occurring_vars == db.occurring(db.all)
-            assert _split_components(db, db.all, db.variables, True) == [
+            assert _split_components(db, db.all, db.occurring_vars, True) == [
                 (db.all, db.occurring_vars)]
             result = _bcp(db, 0, 0, list(db.units), db.search)
             untouched += result is not _CONFLICT and not result[0]
@@ -321,7 +324,7 @@ class TestRootWithoutWalk:
         original = counting._split_components
 
         def spy(db, live, free, enabled):
-            walks.append(live == db.all and free == db.variables)
+            walks.append(live == db.all and free == db.occurring_vars)
             return original(db, live, free, enabled)
 
         with monkeypatch.context() as patch:
@@ -382,7 +385,7 @@ class TestPropagation:
             if root is _CONFLICT:
                 continue
             assigned, satisfied = root
-            live, free = db.all & ~satisfied, db.variables & ~assigned
+            live, free = db.all & ~satisfied, db.occurring_vars & ~assigned
             for clauses, variables in _split_components(db, live, free, True):
                 if not clauses & db.search:
                     continue
@@ -418,33 +421,52 @@ class TestPropagation:
         db = _database(((1,), (-1,)), copy_lo=2)
         assert _bcp(db, 0, 0, list(db.units), db.search) is _CONFLICT
 
-    @given(cnf_formulas())
-    @settings(max_examples=60)
-    def test_fixpoint_of_the_pair(self, f):
-        search, _, _, copy_lo, _ = pair = pair_of(f)
+    @given(cnf_formulas(), st.lists(st.sampled_from((-1, 0, 1)), min_size=6, max_size=6))
+    @settings(max_examples=100)
+    def test_fixpoint_of_the_pair(self, f, signs):
+        # From the unit clauses and some decided originals.
+        search, _, _, copy_lo, _, supports = pair = pair_of(f)
         db = _Database(*pair)
-        queue = list(db.units)
+        queue = [sign * var for var, sign in zip(range(1, f.num_original_vars + 1), signs)
+                 if sign] + db.units
         result = _bcp(db, 0, 0, queue, db.search)
         assign = _literals(queue)
+
+        def true(lit):
+            return assign.get(abs(lit)) == (lit > 0)
+
+        # A supported variable is settled when false or justified by a
+        # support whose co-literals are all false; a true co-literal spoils
+        # a support.
+        settled, unspoiled = {}, {}
+        for x, _, co_sets in supports:
+            settled[x] = true(-x) or true(x) and any(
+                all(true(-lit) for lit in co) for co in co_sets)
+            unspoiled[x] = [co for co in co_sets if not any(map(true, co))]
         if result is _CONFLICT:
-            assert any(
-                all(assign.get(abs(lit)) == (lit < 0) for lit in clause)
-                for clause in search
-            )
+            assert any(all(true(-lit) for lit in clause) for clause in search) or any(
+                true(x) and not unspoiled[x] for x in unspoiled)
             return
         assigned, satisfied = result
         assert assigned == sum(1 << var for var in assign)
-        # Exactly the clauses with a true literal are satisfied, and no
-        # residual search clause is a unit, nor a justification one over a copy.
+        # Exactly the clauses with a true literal are satisfied, the supports
+        # spoiled or settled, and the triggers settled.  No residual search
+        # clause is a unit, nor a justification one over a copy.
         assert _ids(satisfied) == [
             index for index, clause in enumerate(db.clauses)
-            if any(assign.get(abs(lit)) == (lit > 0) for lit in clause)
+            if settled.get(db.owner.get(index)) or any(map(true, clause))
         ]
         for index in _ids(db.all & ~satisfied):
+            if index in db.owner:  # a support
+                continue
             residual = [lit for lit in db.clauses[index] if abs(lit) not in assign]
             assert len(residual) > 1 or (
                 index >= len(search) and abs(residual[0]) < copy_lo
             )
+        # The support rule is at its fixpoint too.
+        for x in settled:
+            if not settled[x]:
+                assert len(unspoiled[x]) >= (2 if true(x) else 1)
 
 
 def _base_case(pair, assign, stats=None):
@@ -567,7 +589,7 @@ class TestBaseCase:
                 outcome = _bcp(search, 0, 0, queue, search.search)
                 if outcome is _CONFLICT:
                     continue  # candidate violates the forced implications
-                if outcome[1] != search.all:
+                if search.all & ~outcome[1]:
                     continue
                 assert _base_case(pair, assign) == (1 if m in minimal else 0)
                 checked += 1
@@ -660,51 +682,45 @@ def _short_clause_formula(rng):
     return CnfFormula(tuple(clauses), f.num_original_vars)
 
 
-class _Unretiring(_Database):
-    """The clause database with no definition retired."""
-
-    def __init__(self, *pair):
-        super().__init__(*pair)
-        self.uses, self.dead = 0, {}
-
-
 class TestRetiredDefinitions:
-    """Once its use holds, an auxiliary variable's definition and negative
-    clauses retire (``_Database.uses`` and ``dead``)."""
+    """The auxiliary definitions of the forced implications are retired from
+    the counting engine: each co-literal set is a support that ``_bcp``
+    propagates by the support rule, and ``auxiliary_cnf`` writes the
+    definitions back only for ``--emit-pair`` and for these cross-checks."""
 
-    # Originals 1-3; auxiliary 4 stands for 1's co-literals (-2, -3).  The
-    # minimal models are {2} and {3}.
+    # Originals 1-3; 1's co-literals (-2, -3) are its one support, which the
+    # auxiliary CNF defines as variable 4.  The minimal models are {2} and {3}.
     CLAUSES = [(1, -2, -3), (2, 3)]
 
-    def _pair(self, search=(), justification=()):
-        """The pair of ``CLAUSES`` with extra clauses appended."""
-        pair = build_pair(self.CLAUSES, 3, ())
-        return (pair[0] + list(search), pair[1] + list(justification), *pair[2:])
-
     def test_every_definition_build_pair_emits_retires(self):
+        # Every auxiliary variable of the written CNF is a support of the
+        # pair, and the pair's ids between the originals and the copies are
+        # the connectors, one per supported variable.
         rng = random.Random(31)
         for _ in range(40):
             f = _short_clause_formula(rng)
             for copied in ((), None):
                 pair = pair_of(f, copied)
+                search, _, n, copy_lo, _, supports = pair
+                written = auxiliary_cnf(pair)
+                sets = [co for _, _, co_sets in supports for co in co_sets]
+                assert written[3] - n - 1 == sum(len(co) > 1 for co in sets)
+                assert copy_lo == n + 1 + len(supports)
+                assert all(abs(lit) <= n for clause in search for lit in clause)
                 db = _Database(*pair)
-                retired = 0
-                for clause_mask in db.dead.values():
-                    retired |= clause_mask
-                assert not retired & db.uses
-                for aux in range(pair[2] + 1, pair[3]):
-                    use = db.lits[aux] & db.uses
-                    definition = db.lits[aux] ^ use
-                    assert use > definition > 0
-                    assert db.dead[use.bit_length() - 1] & definition
-                    assert not (definition | db.lits[-aux]) & ~retired
+                assert (db.all & sum(db.settle.values())).bit_count() == len(sets)
+                for connector, (x, _, _) in enumerate(supports, n + 1):
+                    assert db.occurs[connector] == db.settle[x] & db.all
+                    for index in _ids(db.occurs[connector]):
+                        assert db.owner[index] == x
+                        assert db.clause_vars[index] >> x & 1
 
     def test_the_use_retires_the_definition_and_its_negative_clauses(self):
-        pair = self._pair()
-        assert pair[0][2:6] == [(-4, 2), (-4, 3), (4, -2, -3), (-1, 4)]
-        db = _Database(*pair)
-        assert (db.uses, db.dead) == (1 << 5, {5: 0b11100})
-        assert count_pair(pair).count == 2
+        pair = build_pair(self.CLAUSES, 3, ())
+        assert pair[0] == [(1, -2, -3), (2, 3), (-2, -3), (-3, -2)]
+        assert pair[3:] == (5, 7, [(1, 2, [(-2, -3)])])
+        assert auxiliary_cnf(pair)[0][2:6] == [(-4, 2), (-4, 3), (4, -2, -3), (-1, 4)]
+        assert count_pair(pair).count == count_pair(auxiliary_cnf(pair)).count == 2
 
     @pytest.mark.parametrize("search, justification", [
         ([(4, -2, -3, 1)], []),  # a third positive occurrence of 4
@@ -712,9 +728,12 @@ class TestRetiredDefinitions:
         ([], [(-4, 2)]),  # 4 in a justification clause
     ])
     def test_pairs_failing_the_condition_retire_nothing(self, search, justification):
-        # Each extra clause holds in every model of the search side.
-        pair = self._pair(search, justification)
-        assert _Database(*pair).uses == 0
+        # A hand-written pair of plain clauses has no support, and its
+        # auxiliary variable is counted like any clause variable.  Each extra
+        # clause holds in every model of the search side.
+        written = auxiliary_cnf(build_pair(self.CLAUSES, 3, ()))
+        pair = (written[0] + search, written[1] + justification, *written[2:])
+        assert _Database(*pair).owner == {}
         assert count_pair(pair).count == 2
 
     @pytest.mark.parametrize("cached", [True, False])
@@ -734,15 +753,55 @@ class TestRetiredDefinitions:
                         assert _by_pair(monkeypatch, f, **options).count == expected
 
     def test_retiring_agrees_with_not_retiring_and_searches_less(self, monkeypatch):
-        counts, decisions = [], [0, 0]
+        # The support rule against the auxiliary CNF counted as plain
+        # clauses: the same counts, with fewer literals propagated.
+        written = counting.build_pair
+        counts, propagations = [], [0, 0]
         for formula in _differential_formulas(41, 8):
-            for side, database in enumerate((_Database, _Unretiring)):
-                monkeypatch.setattr(counting, "_Database", database)
+            for side in (0, 1):
+                if side:
+                    monkeypatch.setattr(counting, "build_pair",
+                                        lambda *args: auxiliary_cnf(written(*args)))
                 result = count_minimal(formula, force_mode="general")
+                monkeypatch.undo()
                 counts.append(result.count)
-                decisions[side] += result.stats.decisions
+                propagations[side] += result.stats.propagations
         assert counts[::2] == counts[1::2]
-        assert decisions[0] < decisions[1]
+        assert propagations[0] < propagations[1]
+
+    def test_bcp_matches_the_auxiliary_cnf(self):
+        # From random partial assignments of the originals, propagation over
+        # the pair and over its auxiliary CNF as plain clauses conflicts
+        # alike and otherwise assigns the same originals, and the same
+        # copies up to their ids.
+        rng = random.Random(2301)
+        outcomes = Counter()
+        for _ in range(300):
+            f = random_formula(rng, min_vars=1, max_vars=10, min_clauses=1, max_clauses=20,
+                               min_len=1, max_len=4)
+            n = f.num_original_vars
+            copied = rng.choice([(), None, rng.sample(range(1, n + 1), rng.randint(0, n))])
+            pair = pair_of(f, copied)
+            written = auxiliary_cnf(pair)
+            native, plain = _Database(*pair), _Database(*written)
+            outcomes["supports"] += bool(pair[5])
+            for _ in range(4):
+                chosen = rng.sample(range(1, n + 1), rng.randint(0, n))
+                decided = [var if rng.random() < 0.5 else -var for var in chosen]
+                values = []
+                for db, copy_lo in ((native, pair[3]), (plain, written[3])):
+                    queue = decided + db.units
+                    result = _bcp(db, 0, 0, queue, db.search)
+                    if result is _CONFLICT:
+                        values.append(None)
+                        continue
+                    shift = copy_lo - 1 - n
+                    values.append({var - shift if var >= copy_lo else var: value
+                                   for var, value in _literals(queue).items()
+                                   if var <= n or var >= copy_lo})
+                assert values[0] == values[1]
+                outcomes["conflict" if values[0] is None else "fixpoint"] += 1
+        assert min(outcomes.values()) > 100, outcomes
 
 
 class TestInvariants:
@@ -825,52 +884,52 @@ class TestInvariants:
 # depends on propagation order.  Every base case here has a residual whose
 # clauses all hold a negative literal, so none takes a SAT call.
 SEARCH_SHAPES = [
-    (369, "general", 124, 59, 0, 0),
-    (216, "acyclic", 13, 10, 0, 0),
-    (24, "general", 13, 7, 0, 0),
-    (78, "acyclic", 17, 12, 0, 0),
-    (10, "general", 9, 5, 2, 0),
-    (40, "acyclic", 19, 8, 0, 0),
-    (58, "acyclic", 34, 19, 0, 0),
+    (369, "general", 127, 45, 0, 0),
+    (216, "acyclic", 18, 6, 0, 0),
+    (24, "general", 14, 7, 0, 0),
+    (78, "acyclic", 16, 10, 0, 0),
+    (10, "general", 10, 5, 2, 0),
+    (40, "acyclic", 25, 6, 0, 0),
+    (58, "acyclic", 29, 17, 0, 0),
     (51, "acyclic", 16, 9, 0, 0),
     (96, "acyclic", 10, 6, 0, 0),
-    (118, "acyclic", 25, 14, 0, 0),
+    (118, "acyclic", 25, 12, 0, 0),
     (36, "general", 14, 5, 0, 0),
     (22, "acyclic", 16, 8, 0, 0),
     (24, "acyclic", 6, 3, 0, 0),
-    (137, "acyclic", 39, 19, 0, 0),
-    (512, "general", 49, 17, 6, 0),
-    (144, "acyclic", 18, 9, 0, 0),
-    (10, "general", 14, 12, 4, 0),
-    (165, "acyclic", 45, 25, 0, 0),
-    (531, "general", 307, 130, 10, 0),
-    (14, "acyclic", 14, 4, 0, 0),
+    (137, "acyclic", 35, 19, 0, 0),
+    (512, "general", 47, 17, 6, 0),
+    (144, "acyclic", 16, 9, 0, 0),
+    (10, "general", 11, 4, 4, 0),
+    (165, "acyclic", 46, 25, 0, 0),
+    (531, "general", 315, 129, 10, 0),
+    (14, "acyclic", 12, 2, 0, 0),
 ]
 
 
 # (count, decisions, base_cases, sat_calls, cache_hits) of the default
 # engine, cache on, on the same formulas.
 CACHED_SEARCH_SHAPES = [
-    (369, 54, 0, 0, 52),
-    (216, 13, 0, 0, 0),
-    (24, 10, 0, 0, 2),
-    (78, 13, 0, 0, 4),
-    (10, 9, 2, 0, 0),
-    (40, 18, 0, 0, 1),
-    (58, 25, 0, 0, 9),
+    (369, 60, 0, 0, 48),
+    (216, 16, 0, 0, 1),
+    (24, 11, 0, 0, 2),
+    (78, 12, 0, 0, 4),
+    (10, 10, 2, 0, 0),
+    (40, 21, 0, 0, 4),
+    (58, 21, 0, 0, 8),
     (51, 11, 0, 0, 4),
     (96, 10, 0, 0, 0),
-    (118, 22, 0, 0, 2),
-    (36, 11, 0, 0, 3),
+    (118, 21, 0, 0, 3),
+    (36, 13, 0, 0, 1),
     (22, 10, 0, 0, 4),
     (24, 6, 0, 0, 0),
-    (137, 24, 0, 0, 15),
+    (137, 23, 0, 0, 12),
     (512, 28, 2, 0, 11),
-    (144, 12, 0, 0, 4),
-    (10, 12, 1, 0, 5),
-    (165, 26, 0, 0, 13),
-    (531, 142, 1, 0, 136),
-    (14, 13, 0, 0, 1),
+    (144, 13, 0, 0, 3),
+    (10, 11, 1, 0, 3),
+    (165, 26, 0, 0, 14),
+    (531, 150, 1, 0, 123),
+    (14, 12, 0, 0, 0),
 ]
 
 
@@ -878,11 +937,11 @@ CACHED_SEARCH_SHAPES = [
 # engine on the same formulas with a 64-word cache: the oldest entry goes
 # first, so these pin the eviction order.
 EVICTING_SEARCH_SHAPES = [
-    (369, 26, 5, 88), (216, 0, 11, 2), (24, 2, 7, 3), (78, 3, 8, 6),
-    (10, 0, 5, 6), (40, 1, 7, 11), (58, 4, 7, 23), (51, 4, 8, 3),
-    (96, 0, 8, 2), (118, 1, 9, 15), (36, 3, 8, 3), (22, 4, 8, 2),
-    (24, 0, 6, 0), (137, 11, 9, 19), (512, 8, 6, 33), (144, 4, 9, 3),
-    (10, 5, 6, 7), (165, 8, 8, 24), (531, 63, 5, 233), (14, 1, 9, 4),
+    (369, 32, 7, 78), (216, 1, 11, 5), (24, 2, 10, 1), (78, 4, 11, 1),
+    (10, 0, 7, 5), (40, 3, 9, 13), (58, 5, 10, 14), (51, 4, 11, 0),
+    (96, 0, 10, 0), (118, 3, 11, 10), (36, 0, 9, 5), (22, 4, 10, 0),
+    (24, 0, 6, 0), (137, 8, 11, 16), (512, 8, 8, 29), (144, 3, 13, 0),
+    (10, 3, 8, 4), (165, 10, 12, 19), (531, 62, 7, 248), (14, 0, 11, 1),
 ]
 
 
@@ -1059,6 +1118,37 @@ class TestDifferential:
             assert general.count == result.count
             assert general.stats.copy_vars == len(formula.variables())
             assert count_minimal(formula, use_decomposition=False).count == result.count
+
+    def test_enumeration_is_a_third_voice(self):
+        # Minimal models enumerated with ``solve`` alone, against auto and
+        # forced general, on formulas with at most 300 of them.
+        rng = random.Random(23)
+        checked = Counter()
+        for kind in ["planted"] * 12 + ["3-cnf"] * 8:
+            if kind == "planted":
+                formula = planted_cycle_formula(rng, min_vars=25, max_vars=60,
+                                                clauses_per_var=1.5)
+            else:
+                n = rng.randint(25, 40)
+                formula = random_formula(rng, min_vars=n, max_vars=n, min_clauses=3 * n,
+                                         max_clauses=4 * n, min_len=3, max_len=3)
+            count = count_minimal(formula).count
+            if count > 300:
+                continue
+            assert count_by_enumeration(formula) == count
+            assert count_minimal(formula, force_mode="general").count == count
+            checked[kind] += 1
+        assert min(checked.values()) >= 6, checked
+
+    def test_enumeration_matches_the_oracle(self):
+        # The third voice itself, below the oracle's limit.
+        rng = random.Random(24)
+        for index in range(40):
+            formula = (planted_cycle_formula(rng) if index % 2 else
+                       random_formula(rng, max_vars=12, max_clauses=24))
+            expected = count_minimal_brute(formula).count
+            assert count_by_enumeration(formula, limit=expected) == expected
+            assert count_by_enumeration(formula, limit=expected - 1) in (None, 0)
 
     def test_renaming_variables_keeps_the_count(self):
         rng = random.Random(12)

@@ -49,3 +49,10 @@ def test_paired_runs_this_checkout_against_itself(capsys, monkeypatch):
     header, row = capsys.readouterr().out.splitlines()
     assert header.split()[-1] == "c_stat_differs"
     assert row.split()[0] == "union-mixed" and row.split()[-1] == "0/22"
+
+
+def test_paired_sums_the_search_size():
+    # The line ``paired.py`` prints when ``c stat`` lines differ.
+    stats = [["c stat mode general", "c stat decisions 3", "c stat propagations 40"],
+             ["c stat decisions 4", "c stat propagations 2", "c stat components 9"]]
+    assert _load("paired").search_size(stats) == {"decisions": 7, "propagations": 42}

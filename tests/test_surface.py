@@ -163,13 +163,14 @@ def test_one_propagator(monkeypatch):
 def test_traced_result_shapes():
     # The tracer counts SAT calls by ``.satisfiable``.  ``build_pair``, which
     # it times as ``transform.pair``, returns the plain pair: two lists of
-    # clause tuples and the bounds ``orig_limit``, ``copy_lo`` and ``top``.
+    # clause tuples, the bounds ``orig_limit``, ``copy_lo`` and ``top``, and
+    # the list of supports.
     assert solve(((1,),)).satisfiable is True
     assert solve(((1,), (-1,))).satisfiable is False
     pair = build_pair(((-1, 2), (-2, 1)), 2, {1, 2})
     assert type(pair) is tuple
     assert pair == ([(-1, 2), (-2, 1), (-1, 2), (-2, 1)],
-                    [(-3, 1), (-4, 2), (-3, 4), (-4, 3)], 2, 3, 4)
+                    [(-3, 1), (-4, 2), (-3, 4), (-4, 3)], 2, 3, 4, [])
     assert [type(side) for side in pair[:2]] == [list, list]
 
 

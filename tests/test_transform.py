@@ -12,7 +12,9 @@ from mincount import (
     parse_dimacs,
 )
 
-from conftest import pair_of, random_acyclic_formula, random_formula, strengthened
+from mincount.transform import auxiliary_cnf
+
+from conftest import auxiliary_of, pair_of, random_acyclic_formula, random_formula, strengthened
 
 
 def clause_set(clauses):
@@ -20,13 +22,14 @@ def clause_set(clauses):
 
 
 def forced_clauses(formula):
-    """The clauses the search side adds after the input's."""
-    return tuple(pair_of(formula, ())[0][len(formula.clauses):])
+    """The clauses the written search side adds after the input's."""
+    return tuple(auxiliary_of(formula, ())[0][len(formula.clauses):])
 
 
 def first_copy(formula):
-    """The lowest copy id of a formula's pair; auxiliary ids lie below it."""
-    return pair_of(formula)[3]
+    """The lowest copy id of a formula's written pair; auxiliary ids lie
+    below it."""
+    return auxiliary_of(formula)[3]
 
 
 class TestForcedFormula:
@@ -98,8 +101,8 @@ class TestCopyFormula:
 
 
 class TestBuildPair:
-    # (input, copied, search, justification, orig_limit, copy_lo, top),
-    # written out by hand.
+    # (input, copied, search, justification, orig_limit, copy_lo, top) of
+    # the written pair, its supports as auxiliary variables, by hand.
     PINNED = [
         # A unit clause: variable 1 needs no implication.
         ("p cnf 2 2\n1 0\n-1 2 0\n", {1, 2},
@@ -131,7 +134,7 @@ class TestBuildPair:
     def test_plain_sides_are_pinned(self, text, copied, search, justification, orig_limit,
                                     copy_lo, top):
         f = parse_dimacs(text)
-        assert build_pair(f.clauses, f.num_original_vars, copied) == (
+        assert auxiliary_cnf(build_pair(f.clauses, f.num_original_vars, copied)) == (
             search, justification, orig_limit, copy_lo, top)
 
     # (clauses, num_vars, copied) -> pair, recorded before binary clauses
@@ -159,10 +162,30 @@ class TestBuildPair:
 
     @pytest.mark.parametrize("args, pair", BINARY)
     def test_binary_edge_cases_are_pinned(self, args, pair):
-        assert build_pair(*args) == pair
+        assert auxiliary_cnf(build_pair(*args)) == pair
+
+    # (input, copied) -> the pair itself: a supported variable's implication
+    # leaves the search side, and the copies sit above one connector per
+    # supported variable.
+    NATIVE = [
+        ("p cnf 3 1\n1 2 3 0\n", {1},
+         ([(1, 2, 3)], [(-7, 1), (7, 2, 3)], 3, 7, 9,
+          [(1, 1, [(2, 3)]), (2, 1, [(1, 3)]), (3, 1, [(1, 2)])])),
+        # Variable 2 keeps its plain implication; 1 and 3 are supported,
+        # with the single co-literal set (2,) of 1 a support too.
+        ("p cnf 3 3\n1 -2 -3 0\n1 2 0\n3 -1 -2 0\n", {1, 2, 3},
+         ([(1, -2, -3), (1, 2), (3, -1, -2), (-2, -1)],
+          [(-6, 1), (-7, 2), (-8, 3), (-7, -8, 6), (6, 7), (-6, -7, 8)], 3, 6, 8,
+          [(1, 3, [(-2, -3), (2,)]), (3, 4, [(-1, -2)])])),
+    ]
+
+    @pytest.mark.parametrize("text, copied, pair", NATIVE)
+    def test_native_pairs_are_pinned(self, text, copied, pair):
+        f = parse_dimacs(text)
+        assert build_pair(f.clauses, f.num_original_vars, copied) == pair
 
     def test_zero_copy_pair_is_the_strengthened_formula(self, ex2):
-        assert pair_of(ex2, ()) == (list(strengthened(ex2).clauses), [], 3, 4, 6)
+        assert pair_of(ex2, ()) == (list(strengthened(ex2).clauses), [], 3, 4, 6, [])
 
     def test_copies_only_for_the_given_variables(self):
         f = parse_dimacs("p cnf 3 3\n-1 2 0\n-2 1 0\n-2 3 0\n")
@@ -179,18 +202,20 @@ class TestBuildPair:
         assert pair_of(ex2)[0] == list(ex2.clauses) + [(-1, 3), (-2, 1), (-3, 2)]
 
     def test_empty_formula(self):
-        assert pair_of(parse_dimacs("p cnf 0 0\n")) == ([], [], 0, 1, 0)
+        assert pair_of(parse_dimacs("p cnf 0 0\n")) == ([], [], 0, 1, 0, [])
 
     def test_variable_universes_disjoint(self):
         rng = random.Random(5)
         for _ in range(25):
             f = random_formula(rng, max_vars=8, max_clauses=15)
-            search, justification, n, copy_lo, top = pair_of(f)
+            search, justification, n, copy_lo, top, supports = pair_of(f)
             assert n == f.num_original_vars
             search_vars = {abs(lit) for clause in search for lit in clause}
+            search_vars.update(abs(lit) for _, _, co_sets in supports
+                               for co in co_sets for lit in co)
             copy_vars = {abs(lit) for clause in justification for lit in clause}
             for var in search_vars:
-                assert var < copy_lo, "copy variable leaked into the search side"
+                assert var <= n, "a non-original variable on the search side"
             for var in copy_vars:
                 assert var <= n or copy_lo <= var <= top, "auxiliary leaked into the copy side"
             assert all(var <= n for var in search_vars & copy_vars)
