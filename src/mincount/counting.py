@@ -176,6 +176,8 @@ def _split_components(db: _Database, live: int, free: int, enabled: bool):
     taken once the reached clauses are at least half as many as the
     unreached free variables (a variable test costs about half a clause
     step), tests each of those variables against the reached clauses.
+    A walk that has reached every free variable takes the live clauses
+    left and stops: after a ``_bcp`` without conflict each holds one.
     """
     if not enabled:
         return [(live, db.occurring(live) & free)]
@@ -191,7 +193,7 @@ def _split_components(db: _Database, live: int, free: int, enabled: bool):
         live ^= first
         new = clause_vars[first.bit_length() - 1] & free
         free ^= new
-        while new and live:
+        while new and live and free:
             reached = 0
             while new:
                 bit = new & -new
@@ -218,6 +220,8 @@ def _split_components(db: _Database, live: int, free: int, enabled: bool):
                     new |= clause_vars[low.bit_length() - 1]
             new &= free
             free ^= new
+        if not free:
+            live = 0
         components.append((start_live ^ live, start_free ^ free))
     return components
 

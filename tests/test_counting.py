@@ -212,10 +212,12 @@ class TestDecompose:
             copied = f.variables() if rng.random() < 0.5 else ()
             db = _Database(*pair_of(f, copied))
             enabled = rng.random() < 0.8
-            # A random node: some free variables may occur in no live clause.
-            self._check(db, db.all & rng.getrandbits(db.all.bit_length()),
-                        db.occurring_vars & rng.getrandbits(db.occurring_vars.bit_length()),
-                        enabled)
+            # A random node: some free variables may occur in no live clause,
+            # but every live clause holds a free variable, as after a ``_bcp``.
+            live = db.all & rng.getrandbits(db.all.bit_length())
+            free = db.occurring_vars & rng.getrandbits(db.occurring_vars.bit_length())
+            live = sum(1 << index for index in _ids(live) if db.clause_vars[index] & free)
+            self._check(db, live, free, enabled)
             # Nodes that propagation reaches from random decisions.
             decisions = rng.sample(sorted(f.variables()), min(4, len(f.variables())))
             queue = list(db.units) + [var if rng.random() < 0.5 else -var for var in decisions]
