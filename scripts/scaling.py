@@ -10,6 +10,10 @@ Three families of one connected part over ``n`` variables:
 * ``ring``: the implication ring ``(-i, i+1)`` for ``i`` in ``1..n-1``,
   closed by ``(-n, 1)``, plus the positive chord ``(1, n//2)``: a cyclic
   part whose root propagates nothing and whose search is one decision.
+  ``count_minimal`` runs in ``auto`` mode, which merges the whole ring
+  into one variable (``counting._merge_equivalent``) and counts the unit
+  left by its truth table: no decision, so the ring times the front end,
+  the part's graph and Tarjan pass, and the merge.
 
 Each family and size runs in a fresh interpreter, so the peak RSS it
 prints is that count's own.  One line per run: the family, ``n``, the

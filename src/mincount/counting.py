@@ -41,8 +41,9 @@ occurring variables by the grouping pass (a part already over ``1..k``
 as it is), with its own run and, as copies, its own graph's cyclic ids.
 A run counts its pair as one component: a root that propagation leaves
 untouched is the whole pair and is not walked.  A part is connected, and
-so is its pair.  In auto mode a part of at most ``_TABLE_VARS`` variables
-builds no pair; ``_table_count`` counts it from its truth table.
+so is its pair.  In auto mode ``_table_count`` counts a part of at most
+``_TABLE_VARS`` variables from its truth table, and a larger cyclic one is
+first merged by ``_merge_equivalent`` and split again.
 
 The recursion is realized with an explicit stack so that chain formulas
 cannot exhaust the interpreter's recursion limit.  Each counting run owns
@@ -89,7 +90,9 @@ class CountStats:
     input's parts.
     ``table_parts`` of the ``parts`` were counted by truth table; of the
     pairs built for the others, ``general_parts`` had a copy variable and
-    ``copy_vars`` is the number of copy variables built.  ``sat_calls``
+    ``copy_vars`` is the number of copy variables built.  ``merged_vars``
+    counts the variables ``_merge_equivalent`` merged away; a merged part
+    counts there as the parts it splits into.  ``sat_calls``
     counts the base cases that run a justification search: one whose
     residual clauses all have a negative literal is answered without it.
     """
@@ -106,6 +109,7 @@ class CountStats:
     general_parts: int = 0
     copy_vars: int = 0
     table_parts: int = 0
+    merged_vars: int = 0
     mode: str = ""
     acyclic: bool | None = None
     head_cycle_free: bool | None = None
@@ -468,6 +472,32 @@ def _table_count(clauses, num_vars: int) -> int:
     return (models & ~above).bit_count()
 
 
+def _merge_equivalent(part, num_vars: int, cycles, stats):
+    """``part`` with each SCC of its binary clauses ``(-a, b)`` merged into
+    its lowest variable, less tautologies and repeated literals; ``None`` if
+    no SCC joins two.  With no longer clause they are the part's ``cycles``.
+
+    The part entails ``x <-> r`` for each ``x`` in the SCC of ``r``, both
+    positive, so ``M -> M \\ {x}`` maps its models one to one onto the
+    merged clauses' models and keeps their order, as ``x`` is in ``M``
+    exactly when ``r`` is: the minimal models correspond one to one.  A
+    negative ``x <-> -y`` would break the order and is never merged.  A
+    variable the merge leaves in no clause is false in every minimal model.
+    """
+    short = [clause for clause in part if len(clause) <= 2]
+    if len(short) < len(part):
+        cycles = strongly_connected_components(build_dependency_graph(short))
+    lowest = {number: var for var, number in sorted(cycles.items(), reverse=True)}
+    if len(lowest) == len(cycles):
+        return None
+    stats.merged_vars += len(cycles) - len(lowest)
+    rename = [*range(num_vars + 1), *range(-num_vars, 0)]  # ``rename[lit]`` is ``lit``
+    for var, number in cycles.items():
+        rename[var], rename[-var] = lowest[number], -lowest[number]
+    merged = [tuple(dict.fromkeys(map(rename.__getitem__, clause))) for clause in part]
+    return [clause for clause in merged if len(set(map(abs, clause))) == len(clause)]
+
+
 def copied_variables(cycles, variables, force_mode: str | None = None):
     """The variables the pair of a mode gives a copy variable.
 
@@ -496,15 +526,18 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
     makes the whole input one part).  Every part is renumbered to its
     occurring variables.  Unless ``force_mode`` is given, a part of at most
     ``_TABLE_VARS`` variables is counted from its truth table, where
-    ``policy`` and ``use_decomposition`` have no effect.  Every other part
-    goes through the pair recursion, with copy variables for the variables
-    ``copied_variables`` names: those on a cycle of the dependency graph,
-    so an acyclic part has no justification side and its count is the
-    model count of the part strengthened with its forced implications.
-    ``force_mode`` ``general`` copies every variable; ``acyclic`` copies
-    none and raises ``ValueError`` on a cyclic formula, as every mode does
-    on ids above ``num_original_vars``.  Each part's copies and cycle facts
-    come from its own graph, as a cycle never leaves its part.
+    ``policy`` and ``use_decomposition`` have no effect, and a larger cyclic
+    one is merged (``_merge_equivalent``) and split again first; the facts
+    ``mode``, ``acyclic`` and ``head_cycle_free`` are the unmerged parts'.
+    Every other part goes through the pair recursion, with copy variables
+    for the variables ``copied_variables`` names: those on a cycle of the
+    dependency graph, so an acyclic part has no justification side and its
+    count is the model count of the part strengthened with its forced
+    implications.  ``force_mode`` ``general`` copies every variable;
+    ``acyclic`` copies none and raises ``ValueError`` on a cyclic formula,
+    as every mode does on ids above ``num_original_vars``.  Each part's
+    copies and cycle facts come from its own graph, as a cycle never leaves
+    its part.
 
     With decomposition on, every part is connected, and so is its pair:
     each clause or support ``build_pair`` adds holds a variable of the
@@ -516,12 +549,12 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
     formula.require_originals()
     # Each part is renumbered, so each gets its own graph, run and cache.
     parts = _input_parts(formula.clauses, use_decomposition)
-    acyclic, head_cycle_free, copies = True, True, []
+    acyclic, head_cycle_free, todo = True, True, []
     for variables, part in parts:
         cycles = strongly_connected_components(build_dependency_graph(part))
         acyclic = acyclic and not cycles
         head_cycle_free = head_cycle_free and is_head_cycle_free(part, cycles)
-        copies.append(copied_variables(cycles, range(1, len(variables) + 1), force_mode))
+        todo.append((len(variables), part, cycles))
     mode = force_mode if force_mode is not None else (
         MODE_ACYCLIC if acyclic else MODE_GENERAL
     )
@@ -530,20 +563,28 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
     if mode not in (MODE_ACYCLIC, MODE_GENERAL):
         raise ValueError(f"unknown mode {mode!r}")
     stats = CountStats(mode=mode, acyclic=acyclic, head_cycle_free=head_cycle_free,
-                       parts=len(parts))
-    if len(parts) > 1:
-        stats.components += len(parts)
+                       parts=len(parts), components=len(parts) if len(parts) > 1 else 0)
     count = 1
-    for (variables, part), part_copied in zip(parts, copies):
-        if force_mode is None and len(variables) <= _TABLE_VARS:
+    # A merged part's re-split parts join the list with ``cycles`` unknown.
+    for num_vars, part, cycles in todo:
+        if force_mode is None and num_vars <= _TABLE_VARS:
             stats.table_parts += 1
-            count *= _table_count(part, len(variables))
+            count *= _table_count(part, num_vars)
             continue
+        if force_mode is None and cycles:
+            merged = _merge_equivalent(part, num_vars, cycles, stats)
+            if merged is not None:
+                todo += [(len(variables), clauses, None)
+                         for variables, clauses in _input_parts(merged, use_decomposition)]
+                continue
+        if cycles is None:
+            cycles = strongly_connected_components(build_dependency_graph(part))
+        part_copied = copied_variables(cycles, range(1, num_vars + 1), force_mode)
         stats.copy_vars += len(part_copied)
         stats.general_parts += bool(part_copied)
         # The pair stays a temporary: a name bound to it would keep the
         # previous part's pair alive while the next one is built.
-        count *= count_pair(build_pair(part, len(variables), part_copied),
+        count *= count_pair(build_pair(part, num_vars, part_copied),
                             policy=policy, use_decomposition=use_decomposition,
                             stats=stats).count
     return CountResult(count, stats)

@@ -102,7 +102,7 @@ def cnf_formulas(draw, max_vars=6, max_clauses=10, max_len=3):
 
 
 def planted_cycle_formula(rng: random.Random, min_vars=5, max_vars=14,
-                          clauses_per_var=1.2) -> CnfFormula:
+                          clauses_per_var=1.2, ternary_close=False) -> CnfFormula:
     """Random CNF whose cycles are planted rings of 2-5 variables.
 
     Each ring is an implication cycle ``-r_i r_{i+1}``; some of its
@@ -111,15 +111,17 @@ def planted_cycle_formula(rng: random.Random, min_vars=5, max_vars=14,
     The other variables are acyclic: arcs among them only go up a
     per-instance order, and the only arcs between the two kinds go from
     a ring variable to an acyclic one.  So the non-trivial SCCs are
-    exactly the rings.
+    exactly the rings.  With ``ternary_close``, at least one variable is
+    acyclic and each ring's last clause has three literals or more, so no
+    cycle is made of binary clauses alone and auto mode merges none.
     """
     n = rng.randint(min_vars, max_vars)
     ids = list(range(1, n + 1))
     rng.shuffle(ids)
     target = rng.uniform(0.2, 0.7) * n
     rings = []
-    while len(ids) >= 2 and (not rings or sum(map(len, rings)) < target):
-        size = rng.randint(2, min(5, len(ids)))
+    while len(ids) >= 2 + ternary_close and (not rings or sum(map(len, rings)) < target):
+        size = rng.randint(2, min(5, len(ids) - ternary_close))
         rings.append(ids[:size])
         del ids[:size]
     order = ids  # the acyclic variables, arcs pointing forward in this list
@@ -134,6 +136,8 @@ def planted_cycle_formula(rng: random.Random, min_vars=5, max_vars=14,
             if order and rng.random() < 0.3:
                 clause.append(rng.choice(order))
             clauses.append(tuple(clause))
+        if ternary_close and len(clauses[-1]) == 2:
+            clauses[-1] += (rng.choice(order),)
         support = [rng.choice(ring)]
         if rng.random() < 0.7:
             support.append(rng.choice([v for v in range(1, n + 1) if v != support[0]]))

@@ -54,9 +54,12 @@ def test_general_mode_forced(ex1_path, capsys):
     assert out.strip().splitlines()[-1] == "s mc 3"
 
 
-def test_stats_lines_precede_count(ex2_path, capsys, monkeypatch):
-    monkeypatch.setattr(counting, "_TABLE_VARS", 0)  # count ex2 by its pair
-    code, out, _ = run_main(capsys, ["--stats", ex2_path])
+def test_stats_lines_precede_count(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(counting, "_TABLE_VARS", 0)  # count the ring by its pair
+    # ex2's ring closed by a ternary clause, so no merge takes it apart.
+    path = tmp_path / "ring.cnf"
+    path.write_text(EX2_TEXT.replace("-3 1 0", "-3 -2 1 0"))
+    code, out, _ = run_main(capsys, ["--stats", str(path)])
     assert code == EXIT_OK
     lines = out.strip().splitlines()
     assert lines[-1] == "s mc 1"
@@ -82,10 +85,39 @@ def test_table_part_stats(ex2_path, capsys):
     lines = out.strip().splitlines()
     assert lines[-1] == "s mc 1"
     keys = [line.split()[2] for line in lines[:-1]]
-    assert keys[keys.index("copy_vars") + 1] == "table_parts"
+    assert keys[keys.index("copy_vars") + 1:keys.index("copy_vars") + 3] == [
+        "table_parts", "merged_vars"]
     for line in ("c stat mode general", "c stat parts 1", "c stat general_parts 0",
-                 "c stat copy_vars 0", "c stat table_parts 1", "c stat decisions 0"):
+                 "c stat copy_vars 0", "c stat table_parts 1", "c stat decisions 0",
+                 "c stat merged_vars 0"):
         assert line in lines
+
+
+# A 20-variable implication ring with a chord: one part above the table.
+RING_TEXT = "p cnf 20 21\n" + "".join(f"-{i} {i % 20 + 1} 0\n" for i in range(1, 21)) + "1 3 0\n"
+
+
+@pytest.mark.parametrize("mode, merged", [("auto", 19), ("general", 0)])
+def test_merged_ring_stats(mode, merged, tmp_path, capsys):
+    # Auto merges the ring into one variable; the facts describe the ring.
+    path = tmp_path / "ring.cnf"
+    path.write_text(RING_TEXT)
+    code, out, _ = run_main(capsys, ["--stats", "--check", "--mode", mode, str(path)])
+    assert code == EXIT_OK
+    lines = out.strip().splitlines()
+    for line in ("c stat mode general", "c stat acyclic false", "c stat head_cycle_free false",
+                 "c stat parts 1", f"c stat merged_vars {merged}", "c check OK", "s mc 1"):
+        assert line in lines
+    # The merged ring is one variable, counted by its truth table.
+    assert ("c stat copy_vars 0" in lines) == ("c stat table_parts 1" in lines) == (mode == "auto")
+
+
+def test_acyclic_mode_rejected_on_a_ring_auto_merges(tmp_path, capsys):
+    path = tmp_path / "ring.cnf"
+    path.write_text(RING_TEXT)
+    code, out, err = run_main(capsys, ["--mode", "acyclic", str(path)])
+    assert (code, out) == (EXIT_MODE, "")
+    assert "cycle" in err
 
 
 # ex2's implication 3-cycle beside an acyclic part over variables 4-6.
@@ -95,7 +127,7 @@ SPLIT_TEXT = "p cnf 6 5\n-1 2 0\n-2 3 0\n-3 1 0\n4 5 0\n-5 6 0\n"
 def test_split_input_stats(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(counting, "_TABLE_VARS", 0)
     path = tmp_path / "split.cnf"
-    path.write_text(SPLIT_TEXT)
+    path.write_text(SPLIT_TEXT.replace("-3 1 0", "-3 -2 1 0"))  # a ring no merge takes apart
     code, out, _ = run_main(capsys, ["--stats", "--check", str(path)])
     assert code == EXIT_OK
     lines = out.strip().splitlines()

@@ -1112,7 +1112,7 @@ class TestDifferential:
         rng = random.Random(16)
         for _ in range(8):
             formula = planted_cycle_formula(rng, min_vars=25, max_vars=80,
-                                            clauses_per_var=1.5)
+                                            clauses_per_var=1.5, ternary_close=True)
             result = count_minimal(formula)
             cyclic = _cyclic_variables(formula)
             assert result.stats.copy_vars == len(cyclic) < len(formula.variables())
@@ -1331,7 +1331,7 @@ class TestPlantedCycles:
         rng = random.Random(909)
         number, cyclic_total, mixed = 400, 0, 0
         for _ in range(number):
-            formula = planted_cycle_formula(rng)
+            formula = planted_cycle_formula(rng, ternary_close=True)
             cyclic = _cyclic_variables(formula)
             cyclic_total += len(cyclic)
             mixed += 0 < len(cyclic) < len(formula.variables())
@@ -1368,7 +1368,8 @@ def _cyclic_union(rng):
     """Two to five blocks on shifted ids with gaps between them, their
     clauses interleaved.  A quarter of the unions take only acyclic
     blocks; the others also ``random_formula`` and planted-cycle blocks.
-    Some blocks have more than ``_TABLE_VARS`` variables."""
+    Some blocks have more than ``_TABLE_VARS`` variables.  No cycle is
+    made of binary clauses alone, so auto mode merges no variable."""
     acyclic_only = rng.random() < 0.25
     clauses, offset = [], rng.randint(0, 3)
     for _ in range(rng.randint(2, 5)):
@@ -1378,10 +1379,10 @@ def _cyclic_union(rng):
             block = random_acyclic_formula(rng, min_vars=16 if big else 4,
                                            max_vars=20 if big else 10)
         elif kind == 1:
-            block = random_formula(rng, max_vars=8, max_clauses=14)
+            block = random_formula(rng, max_vars=8, max_clauses=14, min_len=3)
         else:
             block = planted_cycle_formula(rng, min_vars=16 if big else 5,
-                                          max_vars=22 if big else 14)
+                                          max_vars=22 if big else 14, ternary_close=True)
         clauses += _shifted(block, offset)
         offset += block.num_original_vars + rng.randint(0, 3)
     rng.shuffle(clauses)
@@ -1424,18 +1425,23 @@ class TestCycleFactsPerPart:
                 assert result.stats.acyclic == (not whole)
                 assert result.stats.head_cycle_free == whole_head_cycle_free
                 [parts] = record["parts"]
-                assert (len(record["graphs"]) == len(record["cycles"]) == len(record["copies"])
-                        == len(parts))
-                # Each part's copies, in input ids, are the whole input's
-                # cyclic variables in that part (every one under ``general``),
-                # and so are those each pair is built with.
+                # Each paired part's copies, in input ids, are the whole
+                # input's cyclic variables in that part (every one under
+                # ``general``), and so are those its pair is built with.
                 general = options.get("force_mode") == "general"
                 expected = union.variables() if general else set(whole)
                 wanted = [expected & set(variables) for variables, _ in parts]
-                assert [{variables[var - 1] for var in copies}
-                        for (variables, _), copies in zip(parts, record["copies"])] == wanted
                 paired = [index for index, (variables, _) in enumerate(parts)
                           if general or len(variables) > counting._TABLE_VARS]
+                # Auto mode looks for merges in each cyclic part it pairs, by
+                # one more graph and Tarjan pass over the part's binary clauses.
+                merge_tests = 0 if general else sum(bool(wanted[index]) for index in paired)
+                assert (len(record["graphs"]) == len(record["cycles"])
+                        == len(parts) + merge_tests)
+                assert len(record["copies"]) == len(paired) and result.stats.merged_vars == 0
+                assert [{parts[index][0][var - 1] for var in copies}
+                        for index, copies in zip(paired, record["copies"])] == [
+                    wanted[index] for index in paired]
                 assert len(record["pairs"]) == len(paired)
                 assert [{parts[index][0][var - 1] for var in copies}
                         for index, copies in zip(paired, record["pairs"])] == [
@@ -1501,7 +1507,7 @@ class TestTruthTable:
         for _ in range(40):
             clauses, offset = (), 0
             for _ in range(rng.randint(1, 4)):
-                part = planted_cycle_formula(rng, min_vars=5, max_vars=20)
+                part = planted_cycle_formula(rng, min_vars=5, max_vars=20, ternary_close=True)
                 clauses += _shifted(part, offset)
                 offset += part.num_original_vars
             union = CnfFormula(clauses, offset)
@@ -1553,7 +1559,8 @@ class TestTruthTable:
         rng = random.Random(1418)
         clauses, offset, sizes = (), 0, []
         while not (sizes and min(sizes) <= counting._TABLE_VARS < max(sizes)):
-            part = planted_cycle_formula(rng, min_vars=5, max_vars=20)
+            # No merge: a merged part's re-split parts would ask for more sizes.
+            part = planted_cycle_formula(rng, min_vars=5, max_vars=20, ternary_close=True)
             clauses += _shifted(part, offset)
             offset += part.num_original_vars
             sizes = [len(variables) for variables, _ in _input_parts(clauses, True)]
@@ -1574,3 +1581,123 @@ class TestTruthTable:
                 result = count_minimal(f, force_mode=mode)
                 assert result.count == count_minimal_brute(f).count
                 assert result.stats.table_parts == 0
+
+
+def _ring_clauses(ring):
+    """The binary implications ``ring[0] -> ring[1] -> ... -> ring[0]``."""
+    return [(-a, b) for a, b in zip(ring, ring[1:] + ring[:1])]
+
+
+def _ring_heavy_formula(rng, n):
+    """Rings of binary implications over ``1..n``, some sharing variables
+    and some closed by a ternary clause, beside clauses of every kind a
+    merge meets: positive clauses, ternary ones, negative equivalences
+    ``(x, y), (-x, -y)``, units and clauses a merge makes tautologies."""
+    clauses, arcs, on_ring = [], [], set()
+    for _ in range(rng.randint(1, max(1, n // 6))):
+        ring = _ring_clauses(rng.sample(range(1, n + 1), rng.randint(2, min(8, n))))
+        arcs += ring
+        on_ring.update(-a for a, _ in ring)
+        if rng.random() < 0.2:
+            ring[-1] += (rng.randint(1, n),)
+        clauses += ring
+    for _ in range(rng.randint(n // 2, n)):
+        x, y, z = (rng.randint(1, n) for _ in range(3))
+        kind = rng.choices(["positive", "ternary", "negative", "unit", "tautology"],
+                           [6, 4, 2, 1, 3])[0]
+        if kind == "positive":
+            clauses.append((x, y) if rng.random() < 0.7 else (x, y, z))
+        elif kind == "ternary":
+            clauses.append((-x, y, z) if rng.random() < 0.5 else (x, y, -z))
+        elif kind == "negative" and x != y and y not in on_ring:  # else often unsatisfiable
+            clauses += [(x, y), (-x, -y)]
+        elif kind == "unit":
+            clauses.append((x,) if x in on_ring or rng.random() < 0.5 else (-x,))
+        elif kind == "tautology":  # ``(-a, b)`` lies on a ring
+            clauses.append(rng.choice(arcs) + (z,))
+    return CnfFormula(tuple(clauses), n)
+
+
+class TestMergedCycles:
+    """Auto mode merges each cycle of binary implications of a part above
+    ``_TABLE_VARS`` into its lowest variable before it counts the part."""
+
+    # (clauses, number of variables the merge removes)
+    CASES = [
+        # A ring with a positive chord, and two rings joined by a positive clause.
+        (_ring_clauses([1, 2, 3, 4, 5]) + [(1, 3)], 4),
+        (_ring_clauses([1, 2, 3]) + _ring_clauses([4, 5, 6, 7]) + [(2, 6)], 5),
+        # Rings that share variable 3 form one class.
+        (_ring_clauses([1, 2, 3]) + _ring_clauses([3, 4, 5]) + [(5, 6), (-6, 7), (7, 1)], 4),
+        # A ring closed by a ternary clause does not merge.
+        ([(-1, 2), (-2, 3), (-3, 1, 4), (4, 2)], 0),
+        # ``x <-> -y`` by ``(x, y), (-x, -y)`` does not merge; the ring does.
+        ([(1, 2), (-1, -2)] + _ring_clauses([3, 4]) + [(3, 1)], 1),
+        # A class that holds a unit.
+        (_ring_clauses([1, 2, 3]) + [(2,), (1, 4), (-4, 5, 3)], 2),
+        # ``(-1, 2, 3)`` becomes a tautology, which leaves 3 in no clause.
+        (_ring_clauses([1, 2]) + [(-1, 2, 3), (1, 4)], 1),
+    ]
+    NAMES = ["ring", "two-rings", "shared-variable", "ternary-close", "negative-equivalence",
+             "unit-in-class", "tautology-orphan"]
+
+    @pytest.mark.parametrize("clauses, merged", CASES, ids=NAMES)
+    def test_cases_match_oracle_and_general(self, monkeypatch, clauses, merged):
+        n = max(abs(lit) for clause in clauses for lit in clause)
+        formula = CnfFormula(tuple(clauses), n)
+        expected = count_minimal_brute(formula).count
+        by_pair = _by_pair(monkeypatch, formula)  # merged parts take the pair too
+        assert (by_pair.count, by_pair.stats.merged_vars) == (expected, merged)
+        assert by_pair.stats.mode == "general" and by_pair.stats.acyclic is False
+        general = _by_pair(monkeypatch, formula, force_mode="general")
+        assert (general.count, general.stats.merged_vars) == (expected, 0)
+        # Parts of at most ``_TABLE_VARS`` variables are not merged.
+        assert count_minimal(formula).stats.merged_vars == 0
+
+    @pytest.mark.parametrize("clauses, merged", CASES, ids=NAMES)
+    def test_long_cases_match_enumeration_and_general(self, clauses, merged):
+        # Each variable of a case becomes a ring of eight: past the oracle
+        # and the table, and seven more merged variables each.
+        n = max(abs(lit) for clause in clauses for lit in clause)
+        stretched = [tuple(8 * lit - 7 if lit > 0 else 8 * lit + 7 for lit in clause)
+                     for clause in clauses]
+        rings = [clause for var in range(1, n + 1)
+                 for clause in _ring_clauses(list(range(8 * var - 7, 8 * var + 1)))]
+        formula = CnfFormula(tuple(stretched + rings), 8 * n)
+        result = count_minimal(formula)
+        assert result.stats.merged_vars == 7 * n + merged
+        assert result.count == count_by_enumeration(formula)
+        assert count_minimal(formula, force_mode="general").count == result.count
+        assert count_minimal(formula, use_decomposition=False).count == result.count
+        with pytest.raises(ValueError, match="cycle"):
+            count_minimal(formula, force_mode="acyclic")
+
+    def test_small_random_formulas_match_oracle(self, monkeypatch):
+        rng = random.Random(2401)
+        merged = 0
+        for _ in range(300):
+            formula = _ring_heavy_formula(rng, rng.randint(2, 14))
+            expected = count_minimal_brute(formula).count
+            by_pair = _by_pair(monkeypatch, formula)
+            assert by_pair.count == expected
+            assert _by_pair(monkeypatch, formula, use_decomposition=False).count == expected
+            assert count_minimal(formula, force_mode="general").count == expected
+            assert count_minimal(formula).count == expected
+            merged += by_pair.stats.merged_vars > 0
+        assert merged > 200
+
+    def test_large_random_formulas_match_enumeration(self):
+        rng = random.Random(2402)
+        merged = paired = 0
+        for _ in range(40):
+            formula = _ring_heavy_formula(rng, rng.randint(21, 60))
+            result = count_minimal(formula)
+            if result.count > 100:  # enumeration grows with the count
+                continue
+            expected = count_by_enumeration(formula)
+            assert result.count == expected
+            assert count_minimal(formula, force_mode="general").count == expected
+            merged += result.stats.merged_vars > 0
+            paired += result.stats.merged_vars > 0 and result.stats.general_parts > 0
+        # Some merged parts stay above the table and take the pair.
+        assert merged >= 25 and paired >= 10

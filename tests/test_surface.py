@@ -12,7 +12,7 @@ import mincount.sat as sat
 from mincount import BranchPolicy, build_pair, check_minimal, count_minimal, parse_dimacs, solve
 from mincount.counting import count_pair
 
-from conftest import pair_of
+from conftest import EX2_TEXT, pair_of
 
 SOURCE = Path(mincount.__file__).parent
 
@@ -89,7 +89,7 @@ def test_traced_sites_resolve():
     assert missing == []
 
 
-def test_traced_layers_are_called_through_their_sites(monkeypatch, ex2):
+def test_traced_layers_are_called_through_their_sites(monkeypatch):
     # The tracer times a layer only while the engine calls it through its
     # module or class attribute; inlining one would zero its metrics.
     results = {}
@@ -109,7 +109,9 @@ def test_traced_layers_are_called_through_their_sites(monkeypatch, ex2):
                  "strongly_connected_components", "is_head_cycle_free"):
         spy(counting, name)
     spy(BranchPolicy, "pick")
-    assert count_minimal(ex2).count == 1
+    # ex2's ring closed by a ternary clause, so no merge takes it apart.
+    ring = parse_dimacs(EX2_TEXT.replace("-3 1 0", "-3 -2 1 0"))
+    assert count_minimal(ring).count == 1
     # Connected, so its untouched root is not walked; deciding 2 false
     # splits (1, 4) from (5, 3).
     split = pair_of(parse_dimacs("p cnf 5 2\n1 4 2 0\n2 5 3 0\n"))
@@ -119,10 +121,12 @@ def test_traced_layers_are_called_through_their_sites(monkeypatch, ex2):
                                "build_dependency_graph", "is_head_cycle_free", "pick",
                                "strongly_connected_components"]
     # One graph and one Tarjan pass per part of the two ``count_minimal``
-    # inputs: ex2's ring and the contradictory units.
-    assert results["build_dependency_graph"] == [{1: [2], 2: [3], 3: [1]}, {}]
+    # inputs, the ring and the contradictory units, and one more over the
+    # ring's binary clauses, where the merge finds no cycle.
+    assert results["build_dependency_graph"] == [{1: [2], 2: [3, 1], 3: [1]},
+                                                 {1: [2], 2: [3]}, {}]
     assert [set(cycles) for cycles in results["strongly_connected_components"]] == [
-        {1, 2, 3}, set()]
+        {1, 2, 3}, set(), set()]
     assert all(type(result) is list for result in results["_split_components"])
     assert any(len(result) > 1 for result in results["_split_components"])
     assert results["_bcp"][-1] is counting._CONFLICT
@@ -146,11 +150,13 @@ def test_one_propagator(monkeypatch):
     assert check_minimal(parse_dimacs("p cnf 2 1\n1 2 0\n"), {1})
     assert set(calls) == {"mincount.sat"}
     calls.clear()
-    # With 1 and 2 true the residual image (3, 4) has no negative literal,
-    # so the base case searches the run's own database, without ``solve``.
+    # The ring of 1 and 2 is closed by a ternary clause, so no merge takes
+    # it apart.  With 1, 2 and 3 true the residual image (5, 6) of (1, 2)
+    # has no negative literal, so the base case searches the run's own
+    # database, without ``solve``.
     solved = []
     monkeypatch.setattr(sat, "solve", lambda clauses: solved.append(clauses))
-    result = count_minimal(parse_dimacs("p cnf 2 3\n1 2 0\n-1 2 0\n-2 1 0\n"))
+    result = count_minimal(parse_dimacs("p cnf 3 4\n1 2 0\n-1 2 0\n-2 1 -3 0\n3 0\n"))
     assert (result.count, result.stats.sat_calls) == (1, 1)
     assert set(calls) == {"mincount.counting", "mincount.sat"}
     assert solved == [] and not hasattr(counting, "solve")
