@@ -16,7 +16,10 @@ instance, or the script exits with status 1.  A change may alter the
 search by design, so differing ``c stat`` lines are only counted: the
 last column gives the number of instances where they differ.  When some
 differ, a second line gives each checkout's ``decisions`` and
-``propagations`` summed over the workload's instances.
+``propagations`` summed over the workload's instances, and a third the
+``c stat`` keys only one checkout prints apart from the keys both print
+with values that differ somewhere, so a counter a change adds does not
+hide whether the search moved.
 
 Why one process: a shared host's speed can drift by 1.7x within minutes,
 and separate-process A/B runs of one pair of checkouts read ratios from
@@ -81,6 +84,19 @@ def search_size(stats) -> dict:
     return sums
 
 
+def stat_keys(parent, change) -> tuple[list, list, list]:
+    """The ``c stat`` keys only ``parent`` prints, those only ``change``
+    prints, and those both print with different values, each sorted, over
+    two lists of ``c stat`` lines per instance."""
+    only_parent, only_change, differ = set(), set(), set()
+    for before, after in zip(parent, change):
+        before, after = (dict(line.split()[2:] for line in lines) for lines in (before, after))
+        only_parent |= before.keys() - after.keys()
+        only_change |= after.keys() - before.keys()
+        differ |= {key for key in before.keys() & after.keys() if before[key] != after[key]}
+    return sorted(only_parent), sorted(only_change), sorted(differ)
+
+
 def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     import workloads
@@ -135,6 +151,10 @@ def main(argv=None) -> int:
                 parent, change = map(search_size, stats)
                 print(f"{name:<16} search  " + "  ".join(
                     f"{key} {parent[key]} -> {change[key]}" for key in SEARCH_SIZE),
+                    flush=True)
+                print(f"{name:<16} keys    " + "  ".join(
+                    f"{label} {','.join(keys) or '-'}" for label, keys in zip(
+                        ("only_parent", "only_change", "values_differ"), stat_keys(*stats))),
                     flush=True)
     return 0
 

@@ -108,18 +108,16 @@ def run(config: RunConfig, out=None, err=None) -> int:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
 
-    # The count takes each part's own graph; only these outputs read the
-    # input's, and Tarjan runs on it only for the auto pair's copies and the
-    # oracle's stats.
+    # The count takes each part's own graph and variables; only these
+    # outputs read the input's, and Tarjan runs on it only for the auto
+    # pair's copies and the oracle's stats.
     force = config.mode if config.mode in (MODE_ACYCLIC, MODE_GENERAL) else None
-    brute_stats = config.stats and config.mode == "brute"
+    brute = config.mode == "brute"
     graph = cycles = variables = None
-    if config.emit_depgraph or config.emit_pair or brute_stats:
-        graph = build_dependency_graph(formula.clauses)
-    if config.emit_pair and force is None or brute_stats:
+    if config.emit_depgraph or config.emit_pair or brute and config.stats:
+        graph, variables = build_dependency_graph(formula.clauses), formula.variables()
+    if config.emit_pair and force is None or brute and config.stats:
         cycles = strongly_connected_components(graph)
-    if graph is not None or config.stats:
-        variables = formula.variables()
     try:
         if config.emit_depgraph:
             with open(config.emit_depgraph, "w") as handle:
@@ -132,7 +130,7 @@ def run(config: RunConfig, out=None, err=None) -> int:
         print(f"error: cannot write output: {exc}", file=err)
         return EXIT_USAGE
 
-    if config.mode == "brute":
+    if brute:
         try:
             result = count_minimal_brute(formula, limit=config.oracle_limit)
         except VariableLimitError as exc:
@@ -147,10 +145,11 @@ def run(config: RunConfig, out=None, err=None) -> int:
 
     if config.stats:
         stats = result.stats.as_dict()
-        if "acyclic" not in stats:  # the oracle does not read the graph
+        if brute:  # the oracle reads neither the graph nor the parts
+            del stats["vars"]
             stats["acyclic"] = not cycles
             stats["head_cycle_free"] = is_head_cycle_free(formula.clauses, cycles)
-        stats["vars"] = len(variables)
+            stats["vars"] = len(variables)
         stats["clauses"] = len(formula.clauses)
         stats["tautologies_dropped"] = formula.parse_stats.tautologies_dropped
         for key, value in stats.items():
@@ -161,7 +160,7 @@ def run(config: RunConfig, out=None, err=None) -> int:
     status = EXIT_OK
     if config.check:
         expected = result.count  # the oracle's own count needs no second run
-        if config.mode != "brute":
+        if not brute:
             try:
                 expected = count_minimal_brute(formula, limit=config.oracle_limit).count
             except VariableLimitError as exc:

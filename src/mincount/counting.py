@@ -92,7 +92,8 @@ class CountStats:
     pairs built for the others, ``general_parts`` had a copy variable and
     ``copy_vars`` is the number of copy variables built.  ``merged_vars``
     counts the variables ``_merge_equivalent`` merged away; a merged part
-    counts there as the parts it splits into.  ``sat_calls``
+    counts there as the parts it splits into.  ``vars`` counts the input's
+    occurring variables, the sum over its parts.  ``sat_calls``
     counts the base cases that run a justification search: one whose
     residual clauses all have a negative literal is answered without it.
     """
@@ -110,6 +111,7 @@ class CountStats:
     copy_vars: int = 0
     table_parts: int = 0
     merged_vars: int = 0
+    vars: int = 0
     mode: str = ""
     acyclic: bool | None = None
     head_cycle_free: bool | None = None
@@ -484,18 +486,31 @@ def _merge_equivalent(part, num_vars: int, cycles, stats):
     negative ``x <-> -y`` would break the order and is never merged.  A
     variable the merge leaves in no clause is false in every minimal model.
     """
-    short = [clause for clause in part if len(clause) <= 2]
-    if len(short) < len(part):
-        cycles = strongly_connected_components(build_dependency_graph(short))
-    lowest = {number: var for var, number in sorted(cycles.items(), reverse=True)}
+    if max(map(len, part)) > 2:
+        cycles = strongly_connected_components(
+            build_dependency_graph([clause for clause in part if len(clause) <= 2]))
+    lowest = {}
+    for var, number in cycles.items():
+        if var < lowest.setdefault(number, var):
+            lowest[number] = var
     if len(lowest) == len(cycles):
         return None
     stats.merged_vars += len(cycles) - len(lowest)
     rename = [*range(num_vars + 1), *range(-num_vars, 0)]  # ``rename[lit]`` is ``lit``
     for var, number in cycles.items():
         rename[var], rename[-var] = lowest[number], -lowest[number]
-    merged = [tuple(dict.fromkeys(map(rename.__getitem__, clause))) for clause in part]
-    return [clause for clause in merged if len(set(map(abs, clause))) == len(clause)]
+    # One loop renames and filters; a two-literal clause needs no dedup pass.
+    merged = []
+    for clause in part:
+        if len(clause) == 2:
+            a, b = rename[clause[0]], rename[clause[1]]
+            if a != -b:
+                merged.append((a, b) if a != b else (a,))
+        else:
+            clause = tuple(dict.fromkeys(map(rename.__getitem__, clause)))
+            if len(set(map(abs, clause))) == len(clause):
+                merged.append(clause)
+    return merged
 
 
 def copied_variables(cycles, variables, force_mode: str | None = None):
@@ -563,7 +578,8 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
     if mode not in (MODE_ACYCLIC, MODE_GENERAL):
         raise ValueError(f"unknown mode {mode!r}")
     stats = CountStats(mode=mode, acyclic=acyclic, head_cycle_free=head_cycle_free,
-                       parts=len(parts), components=len(parts) if len(parts) > 1 else 0)
+                       parts=len(parts), components=len(parts) if len(parts) > 1 else 0,
+                       vars=sum(num_vars for num_vars, _, _ in todo))
     count = 1
     # A merged part's re-split parts join the list with ``cycles`` unknown.
     for num_vars, part, cycles in todo:

@@ -26,6 +26,13 @@ def build_dependency_graph(clauses) -> dict[int, list[int]]:
     """
     successors: dict[int, list[int]] = {}
     for clause in clauses:
+        if len(clause) == 2:  # at most one arc, from the negative literal
+            a, b = clause
+            if a > b:
+                a, b = b, a
+            if a < 0 < b:
+                successors.setdefault(-a, []).append(b)
+            continue
         heads = [lit for lit in clause if lit > 0]
         if heads and len(heads) < len(clause):
             for lit in clause:

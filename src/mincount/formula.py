@@ -87,8 +87,7 @@ def _parse_plain(source: str) -> CnfFormula | None:
         ints = list(map(int, islice(source.split(), len(head.split()), None)))
     except ValueError:
         return None
-    if min(num_vars, num_clauses) < 0 or ints and (
-            ints[-1] or max(ints) > num_vars or min(ints) < -num_vars):
+    if min(num_vars, num_clauses) < 0 or ints and ints[-1]:
         return None
     step = iter(ints).__next__
     clauses = tuple([tuple(iter(step, 0)) for _ in range(ints.count(0))])
@@ -96,7 +95,10 @@ def _parse_plain(source: str) -> CnfFormula | None:
         if len(clause) == 2 and abs(clause[0]) == abs(clause[1]) or (
                 len(clause) > 2 and len(set(map(abs, clause))) < len(clause)):
             return None
-    return CnfFormula(clauses, num_vars)
+    try:  # ``CnfFormula`` checks the range; the line scan names the line
+        return CnfFormula(clauses, num_vars)
+    except ValueError:
+        return None
 
 
 def parse_dimacs(source: str) -> CnfFormula:

@@ -531,3 +531,67 @@ def test_unwritable_emit_path_exit_code(flag, ex2_path, tmp_path, capsys):
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "s mc" not in out
+
+
+def _ring_text(n, extra=""):
+    """A plain text: the ring of binary implications over ``1..n``, then
+    the clause lines ``extra``."""
+    lines = [f"-{v} {v % n + 1} 0" for v in range(1, n + 1)] + extra.splitlines()
+    return f"p cnf {n + 20} {len(lines)}\n" + "\n".join(lines) + "\n"
+
+
+# Texts whose occurring variables a run must count, not the header's ``n``.
+VARS_TEXTS = {
+    "sparse ids": "p cnf 3000000 3\n-3000000 1 0\n-1 3000000 0\n5 2999999 0\n",
+    "sparse acyclic": "p cnf 3000000 2\n-3000000 1 0\n7 -1 0\n",
+    "empty clause": "p cnf 3 2\n1 -2 0\n0\n",
+    "no clauses": "p cnf 5 0\n",
+    "unused ids": "p cnf 9 2\n1 -2 0\n2 4 0\n",
+    "declared ranges": "c vr orig 1 4\nc vr aux 5 6\np cnf 6 2\n1 -2 0\n-4 2 0\n",
+    "tautology dropped": "p cnf 4 2\n1 -1 0\n-2 3 0\n",
+    # Parts above the table, merged into one variable and split again.
+    "merged ring": _ring_text(18, "1 19 0\n-19 20 -3 0\n"),
+    "two rings": _ring_text(17, "18 -19 0\n-18 19 0\n"),
+}
+
+
+@pytest.mark.parametrize("mode", ["auto", "general", "acyclic", "brute"])
+def test_vars_stat_counts_the_occurring_variables(mode, tmp_path, capsys):
+    ran = 0
+    for name, text in VARS_TEXTS.items():
+        path = tmp_path / "in.cnf"
+        path.write_text(text)
+        code, out, _ = run_main(capsys, ["--stats", "--mode", mode, "--oracle-limit", "12",
+                                         str(path)])
+        if code == EXIT_MODE:  # a cycle in acyclic mode, or past the oracle's limit
+            assert mode in ("acyclic", "brute") and "s mc" not in out
+            continue
+        assert code == EXIT_OK, name
+        ran += 1
+        assert f"c stat vars {len(parse_dimacs(text).variables())}\n" in out, name
+        keys = [line.split()[2] for line in out.splitlines()[:-1]]
+        tail = ["acyclic", "head_cycle_free"] if mode == "brute" else []
+        assert keys[keys.index("merged_vars") + 1:] == tail + [
+            "vars", "clauses", "tautologies_dropped"]
+    assert ran >= {"acyclic": 5, "brute": 6}.get(mode, len(VARS_TEXTS))
+
+
+def test_counting_with_stats_never_lists_the_input_variables(tmp_path, capsys, monkeypatch):
+    # ``c stat vars`` comes from the parts; only the oracle, the DOT file
+    # and the pair files read the input's variables.
+    from mincount import CnfFormula
+
+    calls = []
+    listed = CnfFormula.variables
+    monkeypatch.setattr(CnfFormula, "variables", lambda self: calls.append(1) or listed(self))
+    path = tmp_path / "in.cnf"
+    for text in (VARS_TEXTS["sparse ids"], EX2_TEXT, VARS_TEXTS["merged ring"]):
+        path.write_text(text)
+        code, out, _ = run_main(capsys, ["--stats", str(path)])
+        assert code == EXIT_OK and "c stat vars " in out
+    assert calls == []
+    for flags in (["--mode", "brute"], ["--emit-depgraph", str(tmp_path / "g.dot")],
+                  ["--emit-pair", str(tmp_path / "pair")]):
+        code, _, _ = run_main(capsys, ["--stats", *flags, str(path)])
+        assert code == EXIT_OK and calls
+        calls.clear()

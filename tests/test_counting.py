@@ -1618,9 +1618,61 @@ def _ring_heavy_formula(rng, n):
     return CnfFormula(tuple(clauses), n)
 
 
+def _merge_reference(part, num_vars, cycles):
+    """``_merge_equivalent`` as first written, one comprehension at a time,
+    and the number of variables it merges: ``(None, 0)`` if none."""
+    short = [clause for clause in part if len(clause) <= 2]
+    if len(short) < len(part):
+        cycles = strongly_connected_components(build_dependency_graph(short))
+    lowest = {number: var for var, number in sorted(cycles.items(), reverse=True)}
+    if len(lowest) == len(cycles):
+        return None, 0
+    rename = [*range(num_vars + 1), *range(-num_vars, 0)]
+    for var, number in cycles.items():
+        rename[var], rename[-var] = lowest[number], -lowest[number]
+    merged = [tuple(dict.fromkeys(map(rename.__getitem__, clause))) for clause in part]
+    return ([clause for clause in merged if len(set(map(abs, clause))) == len(clause)],
+            len(cycles) - len(lowest))
+
+
+def _ring_part(rng, n):
+    """Mostly rings of binary implications over ``1..n``, shuffled among
+    units, tautologies, repeated literals, binary and ternary clauses."""
+    clauses = []
+    for _ in range(rng.randint(1, max(1, n // 5))):
+        clauses += _ring_clauses(rng.sample(range(1, n + 1), rng.randint(2, min(8, n))))
+    for _ in range(rng.randint(0, n // 2)):
+        x, y, z = (rng.randint(1, n) for _ in range(3))
+        clauses.append(rng.choice([(x,), (-x,), (x, -x), (x, x), (-x, -x), (x, y), (-x, -y),
+                                   (-x, y, z), (x, x, -y), (x, -y, -x)]))
+    rng.shuffle(clauses)
+    return clauses
+
+
 class TestMergedCycles:
     """Auto mode merges each cycle of binary implications of a part above
     ``_TABLE_VARS`` into its lowest variable before it counts the part."""
+
+    def test_one_pass_merge_matches_the_reference(self):
+        # Clause for clause, from the part's own cycles as ``count_minimal``
+        # hands them over, whether or not a clause is longer than two.
+        rng = random.Random(2503)
+        seen = Counter()
+        for _ in range(300):
+            n = rng.randint(2, 40)
+            part = _ring_part(rng, n)
+            cycles = strongly_connected_components(build_dependency_graph(part))
+            expected, merged_vars = _merge_reference(part, n, cycles)
+            stats = CountStats()
+            assert counting._merge_equivalent(part, n, cycles, stats) == expected
+            assert stats.merged_vars == merged_vars
+            if expected is not None:
+                seen["long" if max(map(len, part)) > 2 else "short"] += 1
+                seen["new unit"] += (sum(len(clause) == 1 for clause in expected)
+                                     > sum(len(clause) == 1 for clause in part))
+                seen["dropped"] += len(expected) < len(part)
+        assert seen["long"] >= 150 and seen["short"] >= 50
+        assert seen["new unit"] >= 120 and seen["dropped"] >= 250
 
     # (clauses, number of variables the merge removes)
     CASES = [

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -210,25 +211,95 @@ def _messy_formula(rng):
     return CnfFormula(clauses, 16)
 
 
+def _check_against_reference(f):
+    """Assert that the graph, Tarjan and the head-cycle test of ``f`` agree
+    with ``_reference``; return whether ``f`` has a self-arc and whether it
+    has an SCC of two or more variables."""
+    arcs, scc, cyclic, head_cycle_free = _reference(f)
+    g = build_dependency_graph(f.clauses)
+    assert _arcs(g) == arcs
+    assert set(g) == {a for a, _ in arcs}
+    cycles = strongly_connected_components(g)
+    assert set(cycles) == cyclic
+    # Two cyclic variables share a number exactly when they share an SCC.
+    assert all((cycles[a] == cycles[b]) == (scc[a] == scc[b])
+               for a in cycles for b in cycles)
+    assert is_head_cycle_free(f.clauses, cycles) == head_cycle_free
+    return (any(a == b for a, b in arcs),
+            any(len(component) > 1 for component in scc.values()))
+
+
 def test_graph_matches_set_reference_on_random_formulas():
     rng = random.Random(1401)
     self_arcs = nontrivial = 0
     for _ in range(400):
-        f = _messy_formula(rng)
-        arcs, scc, cyclic, head_cycle_free = _reference(f)
-        g = build_dependency_graph(f.clauses)
-        assert _arcs(g) == arcs
-        assert set(g) == {a for a, _ in arcs}
-        cycles = strongly_connected_components(g)
-        assert set(cycles) == cyclic
-        # Two cyclic variables share a number exactly when they share an SCC.
-        assert all((cycles[a] == cycles[b]) == (scc[a] == scc[b])
-                   for a in cycles for b in cycles)
-        assert is_head_cycle_free(f.clauses, cycles) == head_cycle_free
-        self_arcs += any(a == b for a, b in arcs)
-        nontrivial += any(len(component) > 1 for component in scc.values())
+        self_arc, cycle = _check_against_reference(_messy_formula(rng))
+        self_arcs += self_arc
+        nontrivial += cycle
     # The formulas must exercise both kinds of cycle.
     assert self_arcs >= 40 and nontrivial >= 40
+
+
+def _plain_graph(clauses):
+    """The successor dict by its definition, one clause at a time: each
+    negative literal's variable gets every positive literal of the clause,
+    in clause order."""
+    successors = {}
+    for clause in clauses:
+        heads = [lit for lit in clause if lit > 0]
+        for lit in clause:
+            if lit < 0 and heads:
+                successors.setdefault(-lit, []).extend(heads)
+    return successors
+
+
+# The clauses only a formula built in the library holds (parsing drops or
+# shortens them), beside the two-literal clauses every input has.
+BINARY_KINDS = ["implication", "positive", "negative", "x -x", "x x", "-x -x", "unit", "long"]
+
+
+def _binary_heavy_formula(rng):
+    """Mostly two-literal clauses over at most 14 of 20 ids, with every
+    kind of ``BINARY_KINDS`` and their counts."""
+    ids = rng.sample(range(1, 21), rng.randint(1, 14))
+    clauses, kinds = [], []
+    for _ in range(rng.randint(0, 30)):
+        x, y, z = (rng.choice(ids) for _ in range(3))
+        kind = rng.choices(BINARY_KINDS, [10, 3, 3, 1, 1, 1, 1, 2])[0]
+        clauses.append({"implication": (-x, y) if rng.random() < 0.5 else (y, -x),
+                        "positive": (x, y), "negative": (-x, -y), "x -x": (x, -x),
+                        "x x": (x, x), "-x -x": (-x, -x), "unit": (x,),
+                        "long": (-x, y, z) if rng.random() < 0.5 else (x, -y, -z, y)}[kind])
+        kinds.append(kind)
+    return CnfFormula(tuple(clauses), 20), kinds
+
+
+def test_two_literal_clauses_match_the_plain_builder():
+    # The same successor lists, in the same key order (which orders
+    # Tarjan's roots), with the same heads, order and repeats.
+    rng = random.Random(2501)
+    seen, self_arcs, nontrivial, repeats = Counter(), 0, 0, 0
+    for _ in range(400):
+        f, kinds = _binary_heavy_formula(rng)
+        g = build_dependency_graph(f.clauses)
+        assert list(g.items()) == list(_plain_graph(f.clauses).items())
+        self_arc, cycle = _check_against_reference(f)
+        seen.update(kinds)
+        self_arcs += self_arc
+        nontrivial += cycle
+        repeats += any(len(heads) > len(set(heads)) for heads in g.values())
+    assert sum(seen[kind] for kind in BINARY_KINDS[:6]) > 0.8 * sum(seen.values())
+    assert min(seen.values()) >= 100
+    assert self_arcs >= 150 and nontrivial >= 100 and repeats >= 120
+
+
+def test_two_literal_library_clauses():
+    # ``(x, -x)`` is a self-arc either way round; ``(x, x)`` and ``(-x, -x)``
+    # give no arc, and a repeated clause repeats its arc.
+    clauses = ((2, -2), (-3, 3), (4, 4), (-5, -5), (-1, 2), (2, -1), (1, 2))
+    g = build_dependency_graph(clauses)
+    assert list(g.items()) == [(2, [2]), (3, [3]), (1, [2, 2])]
+    assert list(g.items()) == list(_plain_graph(clauses).items())
 
 
 SPARSE = "p cnf 3000000 2\n-3000000 1 0\n-1 3000000 0\n"

@@ -257,6 +257,21 @@ def test_texts_that_are_not_plain_are_read_line_by_line(text):
     assert formula._parse_plain(text) is None
 
 
+@pytest.mark.parametrize("text, line, lit", [
+    ("p cnf 3 2\n1 -2 0\n2 4 0\n", 3, 4),
+    ("c one\np cnf 3 3\n1 0\n-2\n-4 3 0\n1 2 0\n", 5, -4),  # a clause over two lines
+    ("p cnf 2 2\r\n1 2 0\r\n-2 -3 3 0\r\n", 3, -3),
+])
+def test_plain_text_out_of_range_is_named_by_the_line_scan(text, line, lit):
+    # ``CnfFormula`` alone checks the range of a plain text; its error sends
+    # the text to the line scan, which names the literal and its line.
+    assert formula._parse_plain(text) is None
+    with pytest.raises(ParseError, match=rf"^line {line}: literal {lit} exceeds declared "
+                                         rf"variable count") as info:
+        parse_dimacs(text)
+    assert info.value.line == line
+
+
 def test_directly_built_formula_rejects_literals_outside_its_ranges():
     for clauses, n in [(((1, 0),), 1), (((1,), (-3,)), 2), (((2,),), 1)]:
         with pytest.raises(ValueError, match="outside declared variable ranges") as info:

@@ -56,3 +56,15 @@ def test_paired_sums_the_search_size():
     stats = [["c stat mode general", "c stat decisions 3", "c stat propagations 40"],
              ["c stat decisions 4", "c stat propagations 2", "c stat components 9"]]
     assert _load("paired").search_size(stats) == {"decisions": 7, "propagations": 42}
+
+
+def test_paired_tells_added_keys_from_changed_values():
+    # A key one side alone prints is not a value that differs.
+    parent = [["c stat mode general", "c stat decisions 3", "c stat vars 9"],
+              ["c stat mode acyclic", "c stat decisions 4", "c stat vars 2"]]
+    change = [["c stat mode general", "c stat decisions 3", "c stat merged_vars 0",
+               "c stat vars 9"],
+              ["c stat mode acyclic", "c stat decisions 5", "c stat merged_vars 1"]]
+    assert _load("paired").stat_keys(parent, change) == (
+        ["vars"], ["merged_vars"], ["decisions"])
+    assert _load("paired").stat_keys(parent, parent) == ([], [], [])
