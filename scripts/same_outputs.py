@@ -42,6 +42,10 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=ROOT, help="checkout to run (default: this one)")
     parser.add_argument("--seed", type=int, default=0, help="instance seed (default: 0)")
     args = parser.parse_args(argv)
+    # Without this check a missing package would quietly fall back to
+    # whatever ``mincount`` the interpreter's path already holds.
+    if not os.path.isfile(os.path.join(args.src, "src", "mincount", "__init__.py")):
+        parser.error(f"no src/mincount package under {args.src}")
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     sys.path.insert(0, os.path.join(os.path.abspath(args.src), "src"))
     import workloads

@@ -1,8 +1,10 @@
 """Time ``count_minimal`` on one large connected part as it grows.
 
-    python3 scripts/scaling.py 500 1000 [--family chain|path|ring ...]
+    python3 scripts/scaling.py 500 1000 [--family NAME]...
 
-Three families of one connected part over ``n`` variables:
+``--family`` takes one name and repeats (``--family chain --family
+path``); all three families run by default.  Each is one connected part
+over ``n`` variables:
 
 * ``chain``: the clauses ``(-i, i+1, i+2)`` for ``i`` in ``1..n-2`` and the
   unit ``(1)``, an acyclic chain whose every node is one wide component;

@@ -71,7 +71,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--emit-pair", metavar="DIR",
-        help="write the pair the chosen mode counts as DIMACS files into DIR",
+        help="write the whole input's pair under the chosen mode's copy rule "
+             "as DIMACS files into DIR",
     )
     parser.add_argument(
         "--emit-depgraph", metavar="FILE",

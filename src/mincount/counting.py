@@ -26,10 +26,8 @@ unit when exactly one of its variables is unassigned.  Both children of
 a decision start from their parent's ints, so nothing is copied or
 undone, and propagation, the component walk and the branch heuristic do
 their per-clause and per-variable work in integer operations.  The walk
-grows a component one breadth-first level at a time and finds each
-level's variables from the smaller side: from the reached clauses, or,
-once those are many, by testing the unreached free variables against
-them.
+grows a component one breadth-first level at a time: the live clauses
+of the last level's variables, then those clauses' free variables.
 
 A run caches the count of each component and base case it solves,
 keyed by its clause and variable masks.  They fix the residual clauses
@@ -176,22 +174,14 @@ def _split_components(db: _Database, live: int, free: int, enabled: bool):
     decomposition disabled everything lands in a single group.
 
     The walk goes one level at a time: the live clauses the last level's
-    variables occur in, then those clauses' free variables, found from
-    whichever side is smaller (Beamer, Asanović & Patterson, SC 2012).
-    Top-down joins the variables of each reached clause.  Bottom-up,
-    taken once the reached clauses are at least half as many as the
-    unreached free variables (a variable test costs about half a clause
-    step), tests each of those variables against the reached clauses.
-    A walk that has reached every free variable takes the live clauses
+    variables occur in, then the free variables of those clauses.  A
+    walk that has reached every free variable takes the live clauses
     left and stops: after a ``_bcp`` without conflict each holds one.
     """
     if not enabled:
         return [(live, db.occurring(live) & free)]
     clause_vars, occurs = db.clause_vars, db.occurs
-    # ``rest`` lists the free variables a bottom-up level may still reach.
-    # Those a top-down level reaches stay in it but match no later level:
-    # the next level reaches all their live clauses.
-    components, rest = [], None
+    components = []
     while live:
         # The walk moves what it reaches out of ``live`` and ``free``.
         start_live, start_free = live, free
@@ -209,21 +199,10 @@ def _split_components(db: _Database, live: int, free: int, enabled: bool):
             if not reached:
                 break
             live ^= reached
-            if reached.bit_count() * 2 >= free.bit_count():
-                if rest is None:
-                    rest = _ids(free)
-                kept = []
-                for var in rest:
-                    if occurs[var] & reached:
-                        new |= 1 << var
-                    else:
-                        kept.append(var)
-                rest = kept
-            else:
-                while reached:
-                    low = reached & -reached
-                    reached ^= low
-                    new |= clause_vars[low.bit_length() - 1]
+            while reached:
+                low = reached & -reached
+                reached ^= low
+                new |= clause_vars[low.bit_length() - 1]
             new &= free
             free ^= new
         if not free:

@@ -52,12 +52,9 @@ class CnfFormula:
         lits = list(chain.from_iterable(self.clauses))
         if not lits or max(lits) <= top and min(lits) >= -top and 0 not in lits:
             return
-        for index, clause in enumerate(self.clauses):
-            for lit in clause:
-                if lit == 0 or abs(lit) > top:
-                    error = ValueError(f"literal {lit} outside declared variable ranges")
-                    error.clause = index  # the position of the offending clause
-                    raise error
+        for lit in lits:
+            if lit == 0 or abs(lit) > top:
+                raise ValueError(f"literal {lit} outside declared variable ranges")
 
     def variables(self) -> set[int]:
         """Ids occurring in at least one clause."""

@@ -196,15 +196,6 @@ class TestDecompose:
         assert _split_components(db, live, free, enabled) == expected
         return expected
 
-    def _bottom_up_candidates(self, monkeypatch, db, live, free):
-        """How many free variables were left when the walk first went
-        bottom-up (only a bottom-up level lists them), or None."""
-        listed = []
-        monkeypatch.setattr(counting, "_ids", lambda mask: listed.append(mask) or _ids(mask))
-        self._check(db, live, free)
-        monkeypatch.undo()
-        return listed[0].bit_count() if listed else None
-
     def test_walk_matches_reference_on_random_nodes(self):
         rng = random.Random(1303)
         for _ in range(150):
@@ -241,24 +232,19 @@ class TestDecompose:
                 _input_parts(clauses, True))
             self._check(db, db.all, db.occurring_vars, False)
 
-    def test_thin_chain_walks_top_down(self, monkeypatch):
+    def test_walk_matches_reference_on_a_thin_chain_and_a_dense_root(self):
+        # A chain node after propagation walks many thin levels.
         n = 60
         chain = [(-i, i + 1, i + 2) for i in range(1, n - 1)] + [(1,)]
         db = _Database(*pair_of(CnfFormula(tuple(chain), n)))
         assigned, satisfied = _bcp(db, 0, 0, list(db.units), db.search)
-        free = db.occurring_vars & ~assigned
-        left = self._bottom_up_candidates(monkeypatch, db, db.all & ~satisfied, free)
-        # About 20 clauses a level: only the walk's last few levels, with
-        # few variables left, go bottom-up.
-        assert left is None or left * 4 < free.bit_count()
-
-    def test_dense_root_walks_bottom_up(self, monkeypatch):
+        self._check(db, db.all & ~satisfied, db.occurring_vars & ~assigned)
+        # A dense 3-CNF root is reached in a few wide levels.
         rng = random.Random(1305)
         clauses = tuple(tuple(var if rng.random() < 0.5 else -var
                               for var in rng.sample(range(1, 31), 3)) for _ in range(120))
         db = _Database(*pair_of(CnfFormula(clauses, 30)))
-        left = self._bottom_up_candidates(monkeypatch, db, db.all, db.occurring_vars)
-        assert left is not None and left * 2 > db.occurring_vars.bit_count()
+        assert len(self._check(db, db.all, db.occurring_vars)) == 1
 
 
 def _ring(n):

@@ -5,6 +5,8 @@ import importlib.util
 import os
 import sys
 
+import pytest
+
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 
 
@@ -68,3 +70,12 @@ def test_paired_tells_added_keys_from_changed_values():
     assert _load("paired").stat_keys(parent, change) == (
         ["vars"], ["merged_vars"], ["decisions"])
     assert _load("paired").stat_keys(parent, parent) == ([], [], [])
+
+
+def test_same_outputs_refuses_a_source_without_the_package(capsys, tmp_path):
+    with pytest.raises(SystemExit) as info:
+        _load("same_outputs").main(["--src", str(tmp_path / "missing")])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no src/mincount package under" in captured.err
