@@ -19,8 +19,8 @@ over ``n`` variables:
 
 Each family and size runs in a fresh interpreter, so the peak RSS it
 prints is that count's own.  One line per run: the family, ``n``, the
-decisions, the seconds ``count_minimal`` took, the peak RSS in MiB and
-the count.  Standard library only; run it from anywhere.
+decisions, the components, the seconds ``count_minimal`` took, the peak
+RSS in MiB and the count.  Standard library only; run it from anywhere.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ def count_one(family: str, n: int) -> str:
     result = count_minimal(formula)
     seconds = time.perf_counter() - start
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    return (f"{family} n={n} decisions={result.stats.decisions} seconds={seconds:.3f} "
+    return (f"{family} n={n} decisions={result.stats.decisions} "
+            f"components={result.stats.components} seconds={seconds:.3f} "
             f"peak_rss_mib={peak_mib:.1f} count={result.count}")
 
 

@@ -174,9 +174,7 @@ def _split_components(db: _Database, live: int, free: int, enabled: bool):
     decomposition disabled everything lands in a single group.
 
     The walk goes one level at a time: the live clauses the last level's
-    variables occur in, then the free variables of those clauses.  A
-    walk that has reached every free variable takes the live clauses
-    left and stops: after a ``_bcp`` without conflict each holds one.
+    variables occur in, then the free variables of those clauses.
     """
     if not enabled:
         return [(live, db.occurring(live) & free)]
@@ -189,15 +187,13 @@ def _split_components(db: _Database, live: int, free: int, enabled: bool):
         live ^= first
         new = clause_vars[first.bit_length() - 1] & free
         free ^= new
-        while new and live and free:
+        while new and live:
             reached = 0
             while new:
                 bit = new & -new
                 new ^= bit
                 reached |= occurs[bit.bit_length() - 1]
             reached &= live
-            if not reached:
-                break
             live ^= reached
             while reached:
                 low = reached & -reached
@@ -205,8 +201,6 @@ def _split_components(db: _Database, live: int, free: int, enabled: bool):
                 new |= clause_vars[low.bit_length() - 1]
             new &= free
             free ^= new
-        if not free:
-            live = 0
         components.append((start_live ^ live, start_free ^ free))
     return components
 

@@ -37,7 +37,8 @@ class CnfFormula:
 
     The originals are ``1..num_original_vars``.  Clauses may hold ids up
     to ``num_vars`` (by default ``num_original_vars``); the ids above the
-    originals are auxiliary or copy variables.
+    originals are auxiliary or copy variables.  Clauses given as other
+    sequences are stored as a tuple of tuples.
     """
 
     clauses: tuple[tuple[int, ...], ...]
@@ -46,6 +47,7 @@ class CnfFormula:
     parse_stats: ParseStats = ParseStats()
 
     def __post_init__(self):
+        object.__setattr__(self, "clauses", tuple(map(tuple, self.clauses)))
         if self.num_vars is None:
             object.__setattr__(self, "num_vars", self.num_original_vars)
         top = self.num_vars
@@ -219,14 +221,9 @@ def parse_dimacs(source: str) -> CnfFormula:
                 f"second 'orig' range; the original range is on line {origs[0][3]}", origs[1][3]
             )
         _, orig_lo, num_original, orig_line = origs[0]
-        covered = 0  # the ids 1..covered lie in the declared ranges
-        for lo, hi in sorted(vr[1:3] for vr in ranges):
-            if lo > covered + 1:
-                break
-            covered = hi
         for clause, line_no in zip(clauses, clause_lines):
             for lit in clause:
-                if abs(lit) > covered and not any(lo <= abs(lit) <= hi for _, lo, hi, _ in ranges):
+                if not any(lo <= abs(lit) <= hi for _, lo, hi, _ in ranges):
                     raise ParseError(f"literal {lit} outside declared variable ranges", line_no)
         for kind, _, hi, line_no in ranges:
             if hi < orig_lo:

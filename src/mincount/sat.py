@@ -104,12 +104,10 @@ class _Database:
             first, trigger = first + len(sets), trigger << 1
         self.owner = {index: x for x, bits in self.settle.items() for index in _ids(bits)}
         self.occurs = occurs = [lits[var] | lits[-var] for var in range(top + 1)]
-        # One bit per variable that occurs: cheaper than ORing every clause's mask.
-        bits = ["1" if mask else "0" for mask in reversed(occurs)]
-        self.occurring_vars = int("".join(bits), 2)
+        self.occurring_vars = self.occurring(self.all)
         self.units = [clause[0] for index, clause in enumerate(clauses) if len(clause) == 1
                       and (index < num_search or abs(clause[0]) >= copy_lo)]
-        self.empty = () in search
+        self.empty = not all(search)
 
     def occurring(self, clauses: int) -> int:
         """The mask of the variables the given clauses hold."""

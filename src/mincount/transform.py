@@ -57,15 +57,6 @@ def build_pair(clauses, num_vars: int, copied):
     forcing = [[] for _ in range(n + 1)]
     imaged = []
     for clause in clauses:
-        if len(clause) == 2:  # the other literal, without a slice
-            a, b = clause
-            if a > 0:
-                forcing[a].append((b,) if b != a else ())
-            if b > 0:
-                forcing[b].append((a,) if a != b else ())
-            if (a > 0 or b > 0) and copied and (is_copied[abs(a)] or is_copied[abs(b)]):
-                imaged.append(clause)
-            continue
         positive = False
         for i, lit in enumerate(clause):
             if lit > 0:

@@ -12,6 +12,7 @@ from mincount import (
     MAX_OCCURRENCE,
     MIN_ID,
     build_dependency_graph,
+    check_minimal,
     count_minimal,
     count_minimal_brute,
     enumerate_models,
@@ -81,6 +82,23 @@ class TestCountMinimal:
     def test_unknown_mode(self, ex1):
         with pytest.raises(ValueError, match="unknown mode"):
             count_minimal(ex1, force_mode="fast")
+
+    def test_clauses_given_as_lists(self):
+        # A part above the table size goes through ``build_pair``.
+        n = 21
+        chain = [[-i, i + 1, i + 2] for i in range(1, n - 1)] + [[1]]
+        as_lists = CnfFormula(chain, n)
+        assert as_lists.clauses == tuple(map(tuple, chain))
+        for mode in (None, "general"):  # ``count_by_enumeration`` finds 265 too
+            assert count_minimal(as_lists, force_mode=mode).count == 265
+        # An empty clause given as a list leaves no model in any mode.
+        empty = CnfFormula([[1, 2], []], 2)
+        assert count_minimal_brute(empty).count == 0
+        for mode in (None, "general", "acyclic"):
+            assert count_minimal(empty, force_mode=mode).count == 0
+        assert check_minimal(CnfFormula([[1, 2]], 2), {1})
+        assert not check_minimal(CnfFormula([[1, 2]], 2), {1, 2})
+        assert not solve([[]]).satisfiable
 
 
 class TestCountModels:
@@ -203,11 +221,9 @@ class TestDecompose:
             copied = f.variables() if rng.random() < 0.5 else ()
             db = _Database(*pair_of(f, copied))
             enabled = rng.random() < 0.8
-            # A random node: some free variables may occur in no live clause,
-            # but every live clause holds a free variable, as after a ``_bcp``.
+            # A random node.
             live = db.all & rng.getrandbits(db.all.bit_length())
             free = db.occurring_vars & rng.getrandbits(db.occurring_vars.bit_length())
-            live = sum(1 << index for index in _ids(live) if db.clause_vars[index] & free)
             self._check(db, live, free, enabled)
             # Nodes that propagation reaches from random decisions.
             decisions = rng.sample(sorted(f.variables()), min(4, len(f.variables())))

@@ -33,6 +33,7 @@ def test_scaling_counts_one_ring(capsys):
     out = capsys.readouterr().out
     assert out.startswith("ring n=20 decisions=")
     assert out.endswith(" count=1\n")
+    assert out.split()[3] == "components=0"  # one part, never split
 
 
 def test_paired_runs_this_checkout_against_itself(capsys, monkeypatch):
