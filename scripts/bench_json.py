@@ -8,7 +8,7 @@ For every workload of ``bench/workloads.py`` it records:
 * ``counters``: the ``CountStats`` counters (the int fields, as
   ``--stats`` prints them) summed over those instances, read from
   ``mincount.cli.run`` with ``--stats`` in ``auto`` mode, as
-  ``scripts/same_outputs.py`` runs it;
+  ``scripts/paired.py`` runs it by default;
 * ``end_to_end``: the median over ``RUNS`` (3) runs of each end-to-end
   metric of ``bench/run.py --seed 0 --seconds S --trace 0``, with ``S``
   the ``run_seconds`` of ``BENCHMARK.json``, and the runs' medians of

@@ -37,11 +37,9 @@ and supports, because the database of a run is fixed.
 any transform and counts them one after another, each renumbered to its
 occurring variables by the grouping pass (a part already over ``1..k``
 as it is), with its own run and, as copies, its own graph's cyclic ids.
-A run counts its pair as one component: a root that propagation leaves
-untouched is the whole pair and is not walked.  A part is connected, and
-so is its pair.  In auto mode ``_table_count`` counts a part of at most
-``_TABLE_VARS`` variables from its truth table, and a larger cyclic one is
-first merged by ``_merge_equivalent`` and split again.
+In auto mode ``_table_count`` counts a part of at most ``_TABLE_VARS``
+variables from its truth table, and a larger cyclic one is first merged
+by ``_merge_equivalent`` and split again.
 
 The recursion is realized with an explicit stack so that chain formulas
 cannot exhaust the interpreter's recursion limit.  Each counting run owns
@@ -135,9 +133,11 @@ class CountResult:
 class BranchPolicy:
     """Decision-variable selection among the unassigned originals.
 
-    ``max-occurrence`` picks the original variable occurring most often
-    in the residual search clauses; ``min-id`` picks the smallest id.
-    Ties always break toward the lowest id.
+    Both pick among the free originals that occur in the component's live
+    search clauses, so a free original occurring only in justification
+    clauses is never picked.  ``max-occurrence`` picks the one occurring
+    most often there; ``min-id`` picks the lowest.  Ties always break
+    toward the lowest id.
     """
 
     heuristic: str = MAX_OCCURRENCE
@@ -253,10 +253,7 @@ def count_pair(pair, *, policy: BranchPolicy | None = None,
                stats: CountStats | None = None) -> CountResult:
     """Count minimal models by recursing over the search/justification pair.
 
-    ``pair`` is what ``build_pair`` returns, and its clauses count as one
-    component: a root whose propagation assigns nothing is the whole pair,
-    ``(db.all, db.occurring_vars)``, without a walk, so a disconnected
-    pair splits below its first decision.  The recursion starts from the
+    ``pair`` is what ``build_pair`` returns.  The recursion starts from the
     empty assignment on an explicit stack.  A ``"count"`` task holds a
     node's four masks and the literals it asserts: those of the unit
     clauses at the root, a decision below it.  ``stats``, when given,
@@ -309,10 +306,7 @@ def count_pair(pair, *, policy: BranchPolicy | None = None,
                     base(assigned, satisfied, live, db.occurring(live) & free) if live else 1
                 )
                 continue
-            if not assigned:  # only the root assigns nothing
-                components = [(live, db.occurring_vars)]
-            else:
-                components = _split_components(db, live, free, use_decomposition)
+            components = _split_components(db, live, free, use_decomposition)
             if len(components) > 1:
                 stats.components += len(components)
                 tasks.append(("combine", len(components)))
@@ -526,13 +520,6 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
     as every mode does on ids above ``num_original_vars``.  Each part's
     copies and cycle facts come from its own graph, as a cycle never leaves
     its part.
-
-    With decomposition on, every part is connected, and so is its pair:
-    each clause or support ``build_pair`` adds holds a variable of the
-    part or a copy that its implication ``(-x', x)`` ties to one.  So the
-    one component ``count_pair`` takes an untouched root for is what a
-    walk would find, as it is with decomposition off, where the walk makes
-    one group.
     """
     formula.require_originals()
     # Each part is renumbered, so each gets its own graph, run and cache.

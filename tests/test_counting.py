@@ -263,12 +263,6 @@ class TestDecompose:
         assert len(self._check(db, db.all, db.occurring_vars)) == 1
 
 
-def _ring(n):
-    """The implication ring 1 -> 2 -> ... -> n -> 1 with the positive chord
-    (1, n//2): one connected part whose root propagates nothing."""
-    return CnfFormula(tuple((-i, i % n + 1) for i in range(1, n + 1)) + ((1, n // 2),), n)
-
-
 def _messy_formula(rng):
     """Up to 10 variables, some never positive; clauses of one to five
     literals drawn with replacement, so units, repeated literals,
@@ -283,9 +277,9 @@ def _messy_formula(rng):
     return CnfFormula(tuple(clauses), n)
 
 
-class TestRootWithoutWalk:
-    """``count_pair`` counts a root that propagates nothing as one component
-    without a walk; each part ``count_minimal`` hands it is connected."""
+class TestRootWalk:
+    """``count_pair`` walks every node's components, its root's included,
+    so it counts any pair, connected or not."""
 
     def test_every_part_root_walks_to_its_recorded_mask(self, monkeypatch):
         pairs = []
@@ -320,37 +314,19 @@ class TestRootWithoutWalk:
             untouched += result is not _CONFLICT and not result[0]
         assert untouched >= 20
 
-    @staticmethod
-    def _walks(monkeypatch, count, *args, **kwargs):
-        """For each ``_split_components`` call that ``count`` makes, whether
-        it was over the whole database; and the count."""
+    def test_disjoint_union_splits_at_its_root(self, monkeypatch):
+        # Random formulas over disjoint ids, handed to ``count_pair`` as one
+        # pair: a root that propagates nothing is walked over the whole
+        # database and splits into the parts' components there.
         walks = []
         original = counting._split_components
 
         def spy(db, live, free, enabled):
-            walks.append(live == db.all and free == db.occurring_vars)
-            return original(db, live, free, enabled)
+            components = original(db, live, free, enabled)
+            walks.append((live, components))
+            return components
 
-        with monkeypatch.context() as patch:
-            patch.setattr(counting, "_split_components", spy)
-            return walks, count(*args, **kwargs).count
-
-    def test_no_walk_at_an_untouched_ring_root(self, monkeypatch):
-        # Both children of the root's decision propagate to the end, so the
-        # root is the only node that could walk.
-        ring = _ring(30)
-        assert self._walks(monkeypatch, count_minimal, ring) == ([], 1)
-        assert self._walks(monkeypatch, count_pair, pair_of(ring, ring.variables())) == (
-            [], 1)
-
-    def test_no_root_walk_with_decomposition_off(self, monkeypatch):
-        assert self._walks(monkeypatch, count_minimal, _ring(30),
-                           use_decomposition=False) == ([], 1)
-
-    def test_disjoint_union_splits_below_its_root(self):
-        # Random formulas over disjoint ids, handed to ``count_pair`` as one
-        # pair: an untouched root is counted as one component, and the
-        # parts split apart below it.
+        monkeypatch.setattr(counting, "_split_components", spy)
         rng = random.Random(1501)
         split = 0
         for _ in range(40):
@@ -368,10 +344,13 @@ class TestRootWithoutWalk:
             pair = pair_of(union, copied)
             db = _Database(*pair)
             root = _bcp(db, 0, 0, list(db.units), db.search)
-            stats = CountStats()
-            assert count_pair(pair, stats=stats).count == expected
+            walks.clear()
+            assert count_pair(pair).count == expected
+            if root is not _CONFLICT and not root[0]:
+                live, components = walks[0]
+                assert live == db.all and len(components) >= 2
+                split += 1
             assert count_pair(pair, use_decomposition=False).count == expected
-            split += root is not _CONFLICT and not root[0] and stats.components > 0
         assert split >= 15
 
 

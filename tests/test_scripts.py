@@ -3,6 +3,7 @@ fails here rather than at its next use."""
 
 import importlib.util
 import os
+import shutil
 import sys
 
 import pytest
@@ -36,22 +37,54 @@ def test_scaling_counts_one_ring(capsys):
     assert out.split()[3] == "components=0"  # one part, never split
 
 
-def test_paired_runs_this_checkout_against_itself(capsys, monkeypatch):
-    # The checkout as its own parent: the same counts and ``c stat`` lines.
-    # The run imports ``bench/workloads.py`` and two package copies; drop
-    # them and its ``sys.path`` entry afterwards.
+def _paired(monkeypatch, *argv):
+    """``paired.py``'s exit status on ``argv``.  The run imports
+    ``bench/workloads.py`` and two package copies; drop them and its
+    ``sys.path`` entry afterwards."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     before = set(sys.modules)
-    root = os.path.join(SCRIPTS, os.pardir)
-    argv = ["--parent", root, "--workload", "union-mixed", "--reps", "1"]
     try:
-        assert _load("paired").main(argv) == 0
+        return _load("paired").main(list(argv))
     finally:
         for name in set(sys.modules) - before:
             del sys.modules[name]
-    header, row = capsys.readouterr().out.splitlines()
-    assert header.split()[-1] == "c_stat_differs"
-    assert row.split()[0] == "union-mixed" and row.split()[-1] == "0/22"
+
+
+def test_paired_runs_this_checkout_against_itself(capsys, monkeypatch):
+    # The checkout as its own parent: the same output and ``c stat`` lines.
+    root = os.path.join(SCRIPTS, os.pardir)
+    for options, timed in ((("--reps", "1"), True),
+                           (("--mode", "general", "--seed", "1", "--reps", "0"), False)):
+        assert _paired(monkeypatch, "--parent", root, "--workload", "union-mixed",
+                       *options) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.split()[-1] == "c_stat_differs"
+        assert row.split()[0] == "union-mixed" and row.split()[-1] == "0/22"
+        assert (row.split()[2] != "-") == timed
+
+
+def test_paired_refuses_a_parent_without_the_package(capsys, monkeypatch, tmp_path):
+    with pytest.raises(SystemExit) as info:
+        _paired(monkeypatch, "--parent", str(tmp_path / "missing"), "--reps", "0")
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no src/mincount package under" in captured.err
+
+
+def test_paired_fails_on_a_changed_error_message(capsys, monkeypatch, tmp_path):
+    # A parent that differs only in the text forced ``acyclic`` writes to
+    # stderr on a cyclic instance: the same exit codes and ``s mc`` lines.
+    shutil.copytree(os.path.join(SCRIPTS, os.pardir, "src"), tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    counting = tmp_path / "src" / "mincount" / "counting.py"
+    text = counting.read_text()
+    assert "acyclic mode requested" in text
+    counting.write_text(text.replace("acyclic mode requested", "acyclic mode asked for"))
+    assert _paired(monkeypatch, "--parent", str(tmp_path), "--mode", "acyclic",
+                   "--workload", "general-3cnf", "--reps", "0") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("stderr differ on general-3cnf")
 
 
 def test_paired_sums_the_search_size():
@@ -71,12 +104,3 @@ def test_paired_tells_added_keys_from_changed_values():
     assert _load("paired").stat_keys(parent, change) == (
         ["vars"], ["merged_vars"], ["decisions"])
     assert _load("paired").stat_keys(parent, parent) == ([], [], [])
-
-
-def test_same_outputs_refuses_a_source_without_the_package(capsys, tmp_path):
-    with pytest.raises(SystemExit) as info:
-        _load("same_outputs").main(["--src", str(tmp_path / "missing")])
-    assert info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "no src/mincount package under" in captured.err

@@ -112,7 +112,7 @@ def test_traced_layers_are_called_through_their_sites(monkeypatch):
     # ex2's ring closed by a ternary clause, so no merge takes it apart.
     ring = parse_dimacs(EX2_TEXT.replace("-3 1 0", "-3 -2 1 0"))
     assert count_minimal(ring).count == 1
-    # Connected, so its untouched root is not walked; deciding 2 false
+    # Connected, so its root walks to one component; deciding 2 false
     # splits (1, 4) from (5, 3).
     split = pair_of(parse_dimacs("p cnf 5 2\n1 4 2 0\n2 5 3 0\n"))
     assert count_pair(split).count == 5
