@@ -94,7 +94,7 @@ def time_both(clauses: list, n: int, table_first: bool):
     for way in (("table", "pair") if table_first else ("pair", "table")):
         start = time.perf_counter()
         if way == "table":
-            counts[way] = _table_count(clauses, n)
+            counts[way] = _table_count(clauses, range(1, n + 1))
         else:
             counts[way] = count_pair(build_pair(clauses, n, copied)).count
         seconds[way] = time.perf_counter() - start

@@ -1,10 +1,11 @@
-"""Time ``count_minimal`` on one large connected part as it grows.
+"""Time ``count_minimal`` on one large part, or many small ones, as the
+input grows.
 
     python3 scripts/scaling.py 500 1000 [--family NAME]...
 
 ``--family`` takes one name and repeats (``--family chain --family
-path``); all three families run by default.  Each is one connected part
-over ``n`` variables:
+path``); all four families run by default.  The first three are one
+connected part over ``n`` variables:
 
 * ``chain``: the clauses ``(-i, i+1, i+2)`` for ``i`` in ``1..n-2`` and the
   unit ``(1)``, an acyclic chain whose every node is one wide component;
@@ -16,6 +17,12 @@ over ``n`` variables:
   into one variable (``counting._merge_equivalent``) and counts the unit
   left by its truth table: no decision, so the ring times the front end,
   the part's graph and Tarjan pass, and the merge.
+
+The fourth, ``blocks``, is ``n // 12`` disjoint copies of one 12-variable
+block: a 3-cycle forced true by a unit, a clause holding two of its
+positive literals, so the first block settles the cycle facts, and an
+acyclic chain.  Each copy is a part counted by its truth table, so it
+times the per-part front end: the split, the facts and the tables.
 
 Each family and size runs in a fresh interpreter, so the peak RSS it
 prints is that count's own.  One line per run: the family, ``n``, the
@@ -33,10 +40,14 @@ import sys
 import time
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-FAMILIES = ("chain", "path", "ring")
+FAMILIES = ("chain", "path", "ring", "blocks")
+BLOCK = ((1,), (-1, 2), (-2, 3), (-3, 1), (1, 2, 4)) + tuple((-v, v + 1) for v in range(4, 12))
 
 
 def clauses(family: str, n: int) -> tuple:
+    if family == "blocks":
+        return tuple(tuple(lit + 12 * copy if lit > 0 else lit - 12 * copy for lit in clause)
+                     for copy in range(n // 12) for clause in BLOCK)
     if family == "chain":
         return tuple((-i, i + 1, i + 2) for i in range(1, n - 1)) + ((1,),)
     if family == "ring":

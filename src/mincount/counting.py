@@ -34,12 +34,13 @@ keyed by its clause and variable masks.  They fix the residual clauses
 and supports, because the database of a run is fixed.
 
 ``count_minimal`` splits its input into variable-disjoint parts before
-any transform and counts them one after another, each renumbered to its
-occurring variables by the grouping pass (a part already over ``1..k``
-as it is), with its own run and, as copies, its own graph's cyclic ids.
-In auto mode ``_table_count`` counts a part of at most ``_TABLE_VARS``
-variables from its truth table, and a larger cyclic one is first merged
-by ``_merge_equivalent`` and split again.
+any transform and counts them one after another.  In auto mode
+``_table_count`` counts a part of at most ``_TABLE_VARS`` variables from
+its truth table in its input ids, and a larger cyclic one is first
+merged by ``_merge_equivalent`` and split again.  Every other part is
+renumbered to its occurring variables, with its own run and, as copies,
+its own graph's cyclic ids; a part takes a graph only for those or while
+the input's cycle facts can still change.
 
 The recursion is realized with an explicit stack so that chain formulas
 cannot exhaust the interpreter's recursion limit.  Each counting run owns
@@ -340,27 +341,27 @@ def count_pair(pair, *, policy: BranchPolicy | None = None,
 def _input_parts(clauses, split):
     """``(variables, clauses)`` per variable-disjoint part of the input.
 
-    ``variables`` holds the part's input ids in increasing order, and
-    ``clauses`` its clauses in input order with ``variables[i - 1]``
-    renumbered to ``i``; a part whose ids are already ``1..k`` keeps its
-    clauses as they are.  Unless ``split``, all clauses form one part;
-    otherwise an empty clause is a part of its own.  No clause, no part.
+    ``variables`` holds the input ids the part's clauses hold, in
+    increasing order, and ``clauses`` those clauses in input order, as
+    they are; a connected input's are ``clauses`` itself.  Unless
+    ``split``, all clauses form one part; otherwise an empty clause is a
+    part of its own.  No clause, no part.
 
-    The grouping and the renumbering index lists by variable id and by
-    literal, as long as the largest id.  An input whose largest id
-    exceeds its number of literals is renumbered to its occurring
-    variables first, so no table outgrows the input.
+    The grouping indexes a list by variable id, as long as the largest
+    id; an input whose largest id exceeds its number of literals indexes a
+    dict by its occurring variables instead, so no table outgrows the
+    input.
     """
     if not split:
-        return [_renumber(clauses)] if clauses else []
+        variables = sorted({abs(lit) for clause in clauses for lit in clause})
+        return [(variables, clauses)] if clauses else []
     top = max(map(abs, chain.from_iterable(clauses)), default=0)
     if top > sum(map(len, clauses)):
-        variables, dense = _renumber(clauses)
-        return [([variables[var - 1] for var in ids], part)
-                for ids, part in _input_parts(dense, True)]
+        group_of = dict.fromkeys(map(abs, chain.from_iterable(clauses)))
+    else:
+        group_of = [None] * (top + 1)
     # Every variable maps to the list of the variables it shares clauses
     # with, transitively; a clause joining two lists moves the smaller.
-    group_of = [None] * (top + 1)
     for clause in clauses:
         group = None
         for lit in clause:
@@ -388,13 +389,7 @@ def _input_parts(clauses, split):
         part[1].append(clause)
     parts = list(grouped.values())
     if len(parts) == 1:  # a connected input is its one part, as it is
-        return [_renumber(clauses, parts[0][0])]
-    number = [0] * (2 * top + 1)  # ``number[lit]`` is the literal in its part
-    for variables, part in parts:
-        if variables and variables[-1] != len(variables):
-            for new, var in enumerate(variables, 1):
-                number[var], number[-var] = new, -new
-            part[:] = [tuple(map(number.__getitem__, clause)) for clause in part]
+        return [(parts[0][0], clauses)]
     return parts
 
 
@@ -419,15 +414,20 @@ def _columns(num_vars: int):
     return tuple(column), full
 
 
-def _table_count(clauses, num_vars: int) -> int:
-    """Minimal models of ``clauses`` over ``1..num_vars``, by truth table.
+def _table_count(clauses, variables) -> int:
+    """Minimal models of ``clauses`` over the ids ``variables``, in
+    increasing order, by truth table.
 
-    The models are the AND over the clauses of the OR of their literals'
-    columns, which ``_columns`` caches for at most ``_TABLE_VARS + 1``
-    sizes.  One shift per variable, the subset (zeta) transform, gathers
-    those strictly above a model (Björklund et al., STOC 2007).
+    The ``i``-th id takes the literal columns of ``i`` that ``_columns``
+    caches for at most ``_TABLE_VARS + 1`` sizes; ids ``1..k`` index them
+    as they are.  The models are the AND over the clauses of the OR of
+    their literals' columns.  One shift per variable, the subset (zeta)
+    transform, gathers those strictly above a model (Björklund et al.,
+    STOC 2007).
     """
-    column, models = _columns(num_vars)
+    column, models = _columns(len(variables))
+    if variables and variables[-1] != len(variables):  # ids with gaps: each to its column
+        column = dict(zip([*variables, *[-var for var in reversed(variables)]], column[1:]))
     for clause in clauses:
         either = 0
         for lit in clause:
@@ -436,8 +436,8 @@ def _table_count(clauses, num_vars: int) -> int:
         if not models:
             return 0
     above = 0
-    for v in range(1, num_vars + 1):
-        above |= ((models | above) & column[-v]) << (1 << (v - 1))
+    for shift, var in enumerate(variables):
+        above |= ((models | above) & column[-var]) << (1 << shift)
     return (models & ~above).bit_count()
 
 
@@ -505,56 +505,64 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
     A model is minimal exactly when its restriction to every
     variable-disjoint part is, so the parts are counted one by one and
     their counts multiply (unless ``use_decomposition`` is off, which
-    makes the whole input one part).  Every part is renumbered to its
-    occurring variables.  Unless ``force_mode`` is given, a part of at most
-    ``_TABLE_VARS`` variables is counted from its truth table, where
-    ``policy`` and ``use_decomposition`` have no effect, and a larger cyclic
-    one is merged (``_merge_equivalent``) and split again first; the facts
-    ``mode``, ``acyclic`` and ``head_cycle_free`` are the unmerged parts'.
-    Every other part goes through the pair recursion, with copy variables
-    for the variables ``copied_variables`` names: those on a cycle of the
-    dependency graph, so an acyclic part has no justification side and its
-    count is the model count of the part strengthened with its forced
-    implications.  ``force_mode`` ``general`` copies every variable;
-    ``acyclic`` copies none and raises ``ValueError`` on a cyclic formula,
-    as every mode does on ids above ``num_original_vars``.  Each part's
-    copies and cycle facts come from its own graph, as a cycle never leaves
-    its part.
+    makes the whole input one part).  Unless ``force_mode`` is given, a
+    part of at most ``_TABLE_VARS`` variables is counted from its truth
+    table in its input ids, where ``policy`` and ``use_decomposition`` have
+    no effect, and a larger cyclic one is merged (``_merge_equivalent``)
+    and split again first; the facts ``mode``, ``acyclic`` and
+    ``head_cycle_free`` are the unmerged parts'.  Every other part is
+    renumbered to its occurring variables for the pair recursion, with
+    copy variables for the variables ``copied_variables`` names: those on
+    a cycle of the dependency graph, so an acyclic part has no
+    justification side and its count is the model count of the part
+    strengthened with its forced implications.  ``force_mode`` ``general``
+    copies every variable; ``acyclic`` copies none and raises
+    ``ValueError`` at the first cyclic part, as every mode does on ids
+    above ``num_original_vars``.  A cycle never leaves its part, so the
+    facts are ANDs over the parts' own graphs, and a part takes a graph
+    only while they can change or for its copies and merge in auto mode.
     """
     formula.require_originals()
-    # Each part is renumbered, so each gets its own graph, run and cache.
+    if force_mode not in (None, MODE_ACYCLIC, MODE_GENERAL):
+        raise ValueError(f"unknown mode {force_mode!r}")
     parts = _input_parts(formula.clauses, use_decomposition)
     acyclic, head_cycle_free, todo = True, True, []
     for variables, part in parts:
-        cycles = strongly_connected_components(build_dependency_graph(part))
-        acyclic = acyclic and not cycles
-        head_cycle_free = head_cycle_free and is_head_cycle_free(part, cycles)
-        todo.append((len(variables), part, cycles))
-    mode = force_mode if force_mode is not None else (
-        MODE_ACYCLIC if acyclic else MODE_GENERAL
-    )
-    if mode == MODE_ACYCLIC and not acyclic:
-        raise ValueError("acyclic mode requested but the dependency graph has a cycle")
-    if mode not in (MODE_ACYCLIC, MODE_GENERAL):
-        raise ValueError(f"unknown mode {mode!r}")
+        big = force_mode is None and len(variables) > _TABLE_VARS
+        if big or force_mode is not None:  # bound for a pair: its own ids 1..k
+            part = _renumber(part, variables)[1]
+        cycles = None
+        # Acyclic implies head-cycle-free: once not, both facts are settled.
+        if head_cycle_free or big:
+            cycles = strongly_connected_components(build_dependency_graph(part))
+            if cycles and force_mode == MODE_ACYCLIC:
+                raise ValueError("acyclic mode requested but the dependency graph has a cycle")
+            acyclic = acyclic and not cycles
+            head_cycle_free = head_cycle_free and is_head_cycle_free(part, cycles)
+        todo.append((variables, part, cycles))
+    mode = force_mode or (MODE_ACYCLIC if acyclic else MODE_GENERAL)
     stats = CountStats(mode=mode, acyclic=acyclic, head_cycle_free=head_cycle_free,
                        parts=len(parts), components=len(parts) if len(parts) > 1 else 0,
-                       vars=sum(num_vars for num_vars, _, _ in todo))
+                       vars=sum(len(variables) for variables, _ in parts))
     count = 1
-    # A merged part's re-split parts join the list with ``cycles`` unknown.
-    for num_vars, part, cycles in todo:
-        if force_mode is None and num_vars <= _TABLE_VARS:
-            stats.table_parts += 1
-            count *= _table_count(part, num_vars)
-            continue
-        if force_mode is None and cycles:
-            merged = _merge_equivalent(part, num_vars, cycles, stats)
-            if merged is not None:
-                todo += [(len(variables), clauses, None)
-                         for variables, clauses in _input_parts(merged, use_decomposition)]
+    # A merged part's re-split parts join the list with ``cycles`` unknown,
+    # in the ids of the part they were merged from.
+    for variables, part, cycles in todo:
+        num_vars = len(variables)
+        if force_mode is None:
+            if num_vars <= _TABLE_VARS:
+                stats.table_parts += 1
+                count *= _table_count(part, variables)
                 continue
-        if cycles is None:
-            cycles = strongly_connected_components(build_dependency_graph(part))
+            if cycles is None:
+                part = _renumber(part, variables)[1]
+                cycles = strongly_connected_components(build_dependency_graph(part))
+            elif cycles:
+                merged = _merge_equivalent(part, num_vars, cycles, stats)
+                if merged is not None:
+                    todo += [(variables, clauses, None)
+                             for variables, clauses in _input_parts(merged, use_decomposition)]
+                    continue
         part_copied = copied_variables(cycles, range(1, num_vars + 1), force_mode)
         stats.copy_vars += len(part_copied)
         stats.general_parts += bool(part_copied)

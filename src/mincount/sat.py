@@ -206,10 +206,11 @@ def _renumber(clauses, variables=None):
         variables = sorted({abs(lit) for clause in clauses for lit in clause})
     if not variables or variables[-1] == len(variables):
         return variables, clauses
-    number = {var: new for new, var in enumerate(variables, 1)}
-    number.update({-var: -new for var, new in number.items()})
-    renumbered = tuple(tuple(map(number.__getitem__, clause)) for clause in clauses)
-    return variables, renumbered
+    number = dict(zip(variables, range(1, len(variables) + 1)))
+    number.update(zip([-var for var in variables], range(-1, -len(variables) - 1, -1)))
+    get = number.__getitem__  # a two-literal clause takes no ``map``
+    return variables, [(get(clause[0]), get(clause[1])) if len(clause) == 2
+                       else tuple(map(get, clause)) for clause in clauses]
 
 
 def _search(db: _Database, assigned: int, satisfied: int, clauses: int,

@@ -147,6 +147,25 @@ def test_acyclic_mode_rejected_on_input_with_a_cyclic_part(tmp_path, capsys):
     assert "s mc" not in out
 
 
+@pytest.mark.parametrize("first", [True, False])
+def test_acyclic_mode_stops_at_the_first_cyclic_part(first, tmp_path, monkeypatch):
+    # Four acyclic parts over 4-15 and ex2's 3-cycle over 1-3, its only
+    # cycle, given first or last: Tarjan runs up to the cyclic part.
+    acyclic = "".join(f"-{v} {v + 1} 0\n{v + 1} {v + 2} 0\n" for v in range(4, 16, 3))
+    ring = "-1 2 0\n-2 3 0\n-3 1 0\n"
+    path = tmp_path / "split.cnf"
+    path.write_text("p cnf 15 11\n" + (ring + acyclic if first else acyclic + ring))
+    passes = []
+    scc = counting.strongly_connected_components
+    monkeypatch.setattr(counting, "strongly_connected_components",
+                        lambda graph: passes.append(1) or scc(graph))
+    out, err = io.StringIO(), io.StringIO()
+    assert run(RunConfig(str(path), mode="acyclic", stats=True), out=out, err=err) == EXIT_MODE
+    assert (out.getvalue(), err.getvalue()) == (
+        "", "error: acyclic mode requested but the dependency graph has a cycle\n")
+    assert len(passes) == (1 if first else 5)
+
+
 @pytest.mark.parametrize("mode", ["auto", "general"])
 def test_empty_clause_in_one_part_counts_zero(mode, tmp_path, capsys):
     path = tmp_path / "empty.cnf"

@@ -32,7 +32,7 @@ from mincount.counting import (
     _split_components,
     count_pair,
 )
-from mincount.sat import _search, solve
+from mincount.sat import _renumber, _search, solve
 from mincount.transform import auxiliary_cnf, build_pair
 
 from conftest import (
@@ -1210,8 +1210,13 @@ class TestSplitInput:
 
     def test_empty_clause_in_one_part(self):
         _, _, union = next(_unions(28, 1))
+        with_empty = CnfFormula(union.clauses + ((),), union.num_original_vars)
+        # The empty clause is a part of its own, its ids none; the other
+        # parts keep the input's clauses.
+        parts = _input_parts(with_empty.clauses, True)
+        assert parts[-1] == ([], [()])
+        assert sorted(clause for _, part in parts[:-1] for clause in part) == sorted(union.clauses)
         for mode in (None, "general"):
-            with_empty = CnfFormula(union.clauses + ((),), union.num_original_vars)
             result = count_minimal(with_empty, force_mode=mode)
             assert result.count == 0
             assert result.stats.parts >= 3
@@ -1240,19 +1245,19 @@ class TestSplitInput:
         assert _input_parts(clauses, decompose) == [([1, 2, 3], clauses)]
         assert _input_parts(clauses, decompose)[0][1] is clauses
 
-    def test_parts_are_renumbered_by_the_grouping_pass(self):
+    def test_parts_keep_their_input_ids(self):
         clauses = ((5, -9), (2,), (), (9, 7), (-2, 4), ())
-        assert [(variables, list(part)) for variables, part in _input_parts(clauses, True)] == [
-            ([5, 7, 9], [(1, -3), (3, 2)]), ([2, 4], [(1,), (-1, 2)]), ([], [(), ()])]
+        parts = _input_parts(clauses, True)
+        assert parts == [([5, 7, 9], [(5, -9), (9, 7)]), ([2, 4], [(2,), (-2, 4)]),
+                         ([], [(), ()])]
+        # The input's clause objects, not copies.
+        assert [clause is clauses[0] for clause in parts[0][1]] == [True, False]
 
-    def test_sparse_and_dense_ids_group_alike(self, monkeypatch):
-        # An input whose largest id exceeds its literal count is renumbered
-        # before grouping; a dense one is grouped as it is.  Both give the
-        # same parts, up to the ids.
-        calls = []
-        renumber = counting._renumber
-        monkeypatch.setattr(counting, "_renumber",
-                            lambda *args: calls.append(len(args)) or renumber(*args))
+    def test_sparse_and_dense_ids_group_alike(self):
+        # An input whose largest id exceeds its literal count is grouped in a
+        # dict by its occurring variables, a dense one in a list by id.  Both
+        # give the same parts, up to the ids, and no table as long as the
+        # largest id: ``scale`` 10**15 would not fit one.
         rng = random.Random(607)
         dense_inputs = 0
         for _ in range(60):
@@ -1263,20 +1268,14 @@ class TestSplitInput:
                 offset += block.num_original_vars
             clauses += ((),) * rng.randint(0, 1)
             clauses = tuple(rng.sample(clauses, len(clauses)))
-            sparse = tuple(tuple(lit * 1000 for lit in clause) for clause in clauses)
-            del calls[:]
             dense_parts = _input_parts(clauses, True)
-            dense_calls, calls[:] = calls[:], []
-            sparse_parts = _input_parts(sparse, True)
-            assert [([var * 1000 for var in variables], list(part))
+            for scale in (1000, 10**15):
+                sparse = tuple(tuple(lit * scale for lit in clause) for clause in clauses)
+                assert [([var * scale for var in variables], [
+                    tuple(lit * scale for lit in clause) for clause in part])
                     for variables, part in dense_parts] == [
-                (variables, list(part)) for variables, part in sparse_parts]
-            # The sparse input took the renumbering first; a dense one
-            # renumbers at most its one connected part.
-            assert calls[0] == 1
-            if max(map(abs, sum(clauses, ()))) <= len(sum(clauses, ())):
-                dense_inputs += 1
-                assert dense_calls == ([2] if len(dense_parts) == 1 else [])
+                    (variables, list(part)) for variables, part in _input_parts(sparse, True)]
+            dense_inputs += max(map(abs, sum(clauses, ()))) <= len(sum(clauses, ()))
         assert dense_inputs >= 40
 
     def test_small_unions_match_oracle(self, monkeypatch):
@@ -1377,7 +1376,8 @@ class TestCycleFactsPerPart:
 
     def test_part_graphs_give_the_input_graphs_facts(self, monkeypatch):
         rng = random.Random(2101)
-        seen = {"cyclic": 0, "acyclic": 0, "not head-cycle-free": 0, "big cyclic part": 0}
+        seen = {"cyclic": 0, "acyclic": 0, "not head-cycle-free": 0, "big cyclic part": 0,
+                "settled before the last part": 0, "paired after settling": 0}
         for _ in range(60):
             union = _cyclic_union(rng)
             whole = strongly_connected_components(build_dependency_graph(union.clauses))
@@ -1414,11 +1414,19 @@ class TestCycleFactsPerPart:
                 wanted = [expected & set(variables) for variables, _ in parts]
                 paired = [index for index, (variables, _) in enumerate(parts)
                           if general or len(variables) > counting._TABLE_VARS]
-                # Auto mode looks for merges in each cyclic part it pairs, by
-                # one more graph and Tarjan pass over the part's binary clauses.
+                # The facts are ANDs over the parts, settled at the first part
+                # that is not head-cycle-free: every part up to it gets a graph
+                # and a Tarjan pass, a later one only if auto mode pairs it.
+                # Auto mode also looks for merges in each cyclic part it pairs,
+                # by one more pass over the part's binary clauses.
+                settled = next((index + 1 for index, (_, clauses) in enumerate(parts)
+                                if not is_head_cycle_free(clauses, whole)), len(parts))
+                later = 0 if general else sum(index >= settled for index in paired)
                 merge_tests = 0 if general else sum(bool(wanted[index]) for index in paired)
                 assert (len(record["graphs"]) == len(record["cycles"])
-                        == len(parts) + merge_tests)
+                        == settled + later + merge_tests)
+                seen["settled before the last part"] += settled < len(parts)
+                seen["paired after settling"] += later
                 assert len(record["copies"]) == len(paired) and result.stats.merged_vars == 0
                 assert [{parts[index][0][var - 1] for var in copies}
                         for index, copies in zip(paired, record["copies"])] == [
@@ -1435,8 +1443,47 @@ class TestCycleFactsPerPart:
             seen["cyclic"] += bool(whole)
             seen["acyclic"] += not whole
             seen["not head-cycle-free"] += not whole_head_cycle_free
-        # The unions must exercise every fact both ways, and big cyclic parts.
+        # The unions must exercise every fact both ways, big cyclic parts,
+        # and parts past the one that settles the facts.
         assert min(seen.values()) >= 3, seen
+
+    @pytest.mark.parametrize("order, passes", [
+        # Blocks in input order; Tarjan passes in auto and in forced general.
+        ("SAAAA", (1, 1)),
+        ("AAAAS", (5, 5)),
+        # A head-cycle-free ring leaves the facts open.
+        ("RASAA", (3, 3)),
+        # Auto mode pairs each big block after the one that settles the
+        # facts, and tests the cyclic one for merges by one more pass.
+        ("SABAC", (4, 1)),
+    ])
+    def test_tarjan_stops_once_the_facts_are_settled(self, monkeypatch, order, passes):
+        # No cycle of binary clauses alone, so auto mode merges none.
+        blocks = {
+            # A 3-cycle and a clause with two of its positive literals.
+            "S": ((-1, 2), (-2, 3), (-3, -4, 1), (1, 2, 4), (-4, 5)),
+            "A": ((-1, 2), (2, 3), (-3, -1)),
+            "R": ((-1, 2), (-2, 3), (-3, -4, 1), (1, 4)),
+            # 16 variables, above the table: a chain, and a ring.
+            "B": tuple((-i, i + 1) for i in range(1, 16)),
+            "C": tuple((-i, i + 1) for i in range(1, 16)) + ((-16, -2, 1),),
+        }
+        clauses, offset, expected = (), 0, 1
+        for name in order:
+            block = CnfFormula(blocks[name], 16)
+            clauses += _shifted(block, offset)
+            offset += 16
+            expected *= count_minimal_brute(block).count
+        union = CnfFormula(clauses, offset)
+        for options, want in zip(({}, {"force_mode": "general"}), passes):
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(counting, "strongly_connected_components",
+                              lambda graph: calls.append(1) or strongly_connected_components(graph))
+                result = count_minimal(union, **options)
+            assert len(calls) == want, options
+            assert (result.count, result.stats.parts, result.stats.acyclic,
+                    result.stats.head_cycle_free) == (expected, len(order), False, False)
 
 
 def _table_formula(rng, n):
@@ -1472,14 +1519,38 @@ class TestTruthTable:
             for _ in range(12):
                 f = _table_formula(rng, n)
                 expected = count_minimal_brute(f).count
-                assert counting._table_count(f.clauses, n) == expected
+                assert counting._table_count(f.clauses, range(1, n + 1)) == expected
                 assert count_minimal(f).count == expected
                 counts.add(expected)
-        assert counting._table_count([], 0) == 1
-        assert counting._table_count([()], 0) == 0
-        assert counting._table_count([(1, -1)], 1) == 1
-        assert counting._table_count([(1,), (-1,)], 1) == 0
+        assert counting._table_count([], []) == 1
+        assert counting._table_count([()], []) == 0
+        assert counting._table_count([(1, -1)], [1]) == 1
+        assert counting._table_count([(1,), (-1,)], [1]) == 0
         assert 0 in counts and len(counts) > 10
+
+    def test_gapped_ids_count_as_their_renumbered_clauses(self):
+        # A part keeps its input ids: the table maps each to its column.
+        rng = random.Random(1424)
+        counts = set()
+        for index in range(120):
+            if index % 2:
+                f = random_formula(rng, min_vars=1, max_vars=counting._TABLE_VARS,
+                                   max_clauses=30)
+            else:
+                f = planted_cycle_formula(rng, max_vars=counting._TABLE_VARS)
+            ids = sorted(rng.sample(range(2, 40 * f.num_original_vars), f.num_original_vars))
+            sparse = [tuple(ids[abs(lit) - 1] * (1 if lit > 0 else -1) for lit in clause)
+                      for clause in f.clauses]
+            variables, renumbered = _renumber(sparse)
+            assert variables[-1] > len(variables)  # gapped: no id is its column
+            expected = count_minimal_brute(f).count
+            assert counting._table_count(sparse, variables) == expected
+            assert counting._table_count(renumbered, range(1, len(variables) + 1)) == expected
+            counts.add(expected)
+        assert counting._table_count([], []) == 1
+        assert counting._table_count([(7, -30), ()], [7, 30]) == 0
+        assert counting._table_count([(7, 30), (-7, -30)], [7, 30]) == 2
+        assert 0 in counts and len(counts) >= 8
 
     def test_table_agrees_with_the_pair_on_generators(self, monkeypatch):
         # Unions of planted-cycle formulas, some parts above the threshold.
@@ -1530,9 +1601,9 @@ class TestTruthTable:
         fresh = []
         for f in formulas:
             counting._columns.cache_clear()
-            fresh.append(counting._table_count(f.clauses, f.num_original_vars))
+            fresh.append(counting._table_count(f.clauses, range(1, f.num_original_vars + 1)))
         counting._columns.cache_clear()
-        assert [counting._table_count(f.clauses, f.num_original_vars)
+        assert [counting._table_count(f.clauses, range(1, f.num_original_vars + 1))
                 for f in formulas] == fresh == [count_minimal_brute(f).count for f in formulas]
         assert counting._columns.cache_info()[:2] == (1, 3)
 

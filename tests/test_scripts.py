@@ -37,6 +37,15 @@ def test_scaling_counts_one_ring(capsys):
     assert out.split()[3] == "components=0"  # one part, never split
 
 
+def test_scaling_counts_blocks(capsys):
+    # Three copies of the block and two unused ids; the unit forces each
+    # block's one minimal model.
+    assert _load("scaling").main(["--one", "--family", "blocks", "38"]) == 0
+    out = capsys.readouterr().out.split()
+    assert out[:4] == ["blocks", "n=38", "decisions=0", "components=3"]
+    assert out[-1] == "count=1"
+
+
 def _paired(monkeypatch, *argv):
     """``paired.py``'s exit status on ``argv``.  The run imports
     ``bench/workloads.py`` and two package copies; drop them and its
