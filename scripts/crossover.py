@@ -43,7 +43,8 @@ from mincount import (  # noqa: E402
     build_pair,
     strongly_connected_components,
 )
-from mincount.counting import _columns, _input_parts, _table_count, count_pair  # noqa: E402
+from mincount.counting import _columns, _table_count, count_pair  # noqa: E402
+from mincount.sat import _input_parts  # noqa: E402
 
 FAMILIES = ("3cnf", "acyclic", "ring")
 SPEED_UP = 1.5
@@ -94,7 +95,7 @@ def time_both(clauses: list, n: int, table_first: bool):
     for way in (("table", "pair") if table_first else ("pair", "table")):
         start = time.perf_counter()
         if way == "table":
-            counts[way] = _table_count(clauses, range(1, n + 1))
+            counts[way] = _table_count(clauses, n)
         else:
             counts[way] = count_pair(build_pair(clauses, n, copied)).count
         seconds[way] = time.perf_counter() - start

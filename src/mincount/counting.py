@@ -33,14 +33,14 @@ A run caches the count of each component and base case it solves,
 keyed by its clause and variable masks.  They fix the residual clauses
 and supports, because the database of a run is fixed.
 
-``count_minimal`` splits its input into variable-disjoint parts before
-any transform and counts them one after another.  In auto mode
-``_table_count`` counts a part of at most ``_TABLE_VARS`` variables from
-its truth table in its input ids, and a larger cyclic one is first
-merged by ``_merge_equivalent`` and split again.  Every other part is
-renumbered to its occurring variables, with its own run and, as copies,
-its own graph's cyclic ids; a part takes a graph only for those or while
-the input's cycle facts can still change.
+``count_minimal`` splits its input into variable-disjoint parts, each
+renumbered to its own ids ``1..k`` (``sat._input_parts``), and counts
+them in one loop.  In auto mode ``_table_count`` counts a part of at
+most ``_TABLE_VARS`` variables from its truth table, and a larger cyclic
+one is first merged by ``_merge_equivalent`` and split again.  Every
+other part gets its own run and, as copies, its own graph's cyclic ids;
+a part takes a graph only for those or while the input's cycle facts
+can still change.
 
 The recursion is realized with an explicit stack so that chain formulas
 cannot exhaust the interpreter's recursion limit.  Each counting run owns
@@ -53,11 +53,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import chain
 
 from .depgraph import build_dependency_graph, is_head_cycle_free, strongly_connected_components
 from .formula import CnfFormula
-from .sat import _CONFLICT, _Database, _bcp, _ids, _renumber, _search
+from .sat import _CONFLICT, _Database, _bcp, _ids, _input_parts, _search
 from .transform import build_pair
 
 MIN_ID = "min-id"
@@ -338,61 +337,6 @@ def count_pair(pair, *, policy: BranchPolicy | None = None,
     return CountResult(values[0], stats)
 
 
-def _input_parts(clauses, split):
-    """``(variables, clauses)`` per variable-disjoint part of the input.
-
-    ``variables`` holds the input ids the part's clauses hold, in
-    increasing order, and ``clauses`` those clauses in input order, as
-    they are; a connected input's are ``clauses`` itself.  Unless
-    ``split``, all clauses form one part; otherwise an empty clause is a
-    part of its own.  No clause, no part.
-
-    The grouping indexes a list by variable id, as long as the largest
-    id; an input whose largest id exceeds its number of literals indexes a
-    dict by its occurring variables instead, so no table outgrows the
-    input.
-    """
-    if not split:
-        variables = sorted({abs(lit) for clause in clauses for lit in clause})
-        return [(variables, clauses)] if clauses else []
-    top = max(map(abs, chain.from_iterable(clauses)), default=0)
-    if top > sum(map(len, clauses)):
-        group_of = dict.fromkeys(map(abs, chain.from_iterable(clauses)))
-    else:
-        group_of = [None] * (top + 1)
-    # Every variable maps to the list of the variables it shares clauses
-    # with, transitively; a clause joining two lists moves the smaller.
-    for clause in clauses:
-        group = None
-        for lit in clause:
-            var = abs(lit)
-            other = group_of[var]
-            if other is None:
-                if group is None:
-                    group = []
-                group.append(var)
-                group_of[var] = group
-            elif group is None:
-                group = other
-            elif other is not group:
-                if len(other) > len(group):
-                    group, other = other, group
-                for moved in other:
-                    group_of[moved] = group
-                group.extend(other)
-    grouped = {}
-    for clause in clauses:
-        group = group_of[abs(clause[0])] if clause else None
-        part = grouped.get(id(group))
-        if part is None:
-            part = grouped[id(group)] = (sorted(group or ()), [])
-        part[1].append(clause)
-    parts = list(grouped.values())
-    if len(parts) == 1:  # a connected input is its one part, as it is
-        return [(parts[0][0], clauses)]
-    return parts
-
-
 @lru_cache(maxsize=_TABLE_VARS + 1)
 def _columns(num_vars: int):
     """The literal columns over ``1..num_vars`` and the all-ones table.
@@ -414,20 +358,15 @@ def _columns(num_vars: int):
     return tuple(column), full
 
 
-def _table_count(clauses, variables) -> int:
-    """Minimal models of ``clauses`` over the ids ``variables``, in
-    increasing order, by truth table.
+def _table_count(clauses, num_vars: int) -> int:
+    """Minimal models of ``clauses`` over ``1..num_vars``, by truth table.
 
-    The ``i``-th id takes the literal columns of ``i`` that ``_columns``
-    caches for at most ``_TABLE_VARS + 1`` sizes; ids ``1..k`` index them
-    as they are.  The models are the AND over the clauses of the OR of
-    their literals' columns.  One shift per variable, the subset (zeta)
-    transform, gathers those strictly above a model (Björklund et al.,
-    STOC 2007).
+    The models are the AND over the clauses of the OR of their literals'
+    columns, which ``_columns`` caches for at most ``_TABLE_VARS + 1``
+    sizes.  One shift per variable, the subset (zeta) transform, gathers
+    those strictly above a model (Björklund et al., STOC 2007).
     """
-    column, models = _columns(len(variables))
-    if variables and variables[-1] != len(variables):  # ids with gaps: each to its column
-        column = dict(zip([*variables, *[-var for var in reversed(variables)]], column[1:]))
+    column, models = _columns(num_vars)
     for clause in clauses:
         either = 0
         for lit in clause:
@@ -436,8 +375,8 @@ def _table_count(clauses, variables) -> int:
         if not models:
             return 0
     above = 0
-    for shift, var in enumerate(variables):
-        above |= ((models | above) & column[-var]) << (1 << shift)
+    for v in range(1, num_vars + 1):
+        above |= ((models | above) & column[-v]) << (1 << (v - 1))
     return (models & ~above).bit_count()
 
 
@@ -503,64 +442,54 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
     """Count the minimal models of a CNF formula.
 
     A model is minimal exactly when its restriction to every
-    variable-disjoint part is, so the parts are counted one by one and
-    their counts multiply (unless ``use_decomposition`` is off, which
-    makes the whole input one part).  Unless ``force_mode`` is given, a
-    part of at most ``_TABLE_VARS`` variables is counted from its truth
-    table in its input ids, where ``policy`` and ``use_decomposition`` have
-    no effect, and a larger cyclic one is merged (``_merge_equivalent``)
-    and split again first; the facts ``mode``, ``acyclic`` and
-    ``head_cycle_free`` are the unmerged parts'.  Every other part is
-    renumbered to its occurring variables for the pair recursion, with
-    copy variables for the variables ``copied_variables`` names: those on
-    a cycle of the dependency graph, so an acyclic part has no
-    justification side and its count is the model count of the part
-    strengthened with its forced implications.  ``force_mode`` ``general``
-    copies every variable; ``acyclic`` copies none and raises
-    ``ValueError`` at the first cyclic part, as every mode does on ids
-    above ``num_original_vars``.  A cycle never leaves its part, so the
-    facts are ANDs over the parts' own graphs, and a part takes a graph
-    only while they can change or for its copies and merge in auto mode.
+    variable-disjoint part is, so the parts, each in its own ids
+    ``1..k``, are counted in turn and their counts multiply (unless
+    ``use_decomposition`` is off, which makes the whole input one part).
+    Unless ``force_mode`` is given, a part of at most ``_TABLE_VARS``
+    variables is counted from its truth table, where ``policy`` and
+    ``use_decomposition`` have no effect, and a larger cyclic one is
+    merged (``_merge_equivalent``) and split again first, into parts that
+    neither feed the facts ``mode``, ``acyclic`` and ``head_cycle_free``
+    nor merge again.  Every other part goes through the pair recursion,
+    with copies of the variables ``copied_variables`` names: those on a
+    cycle of the dependency graph, so an acyclic part's count is the model
+    count of the part strengthened with its forced implications.
+    ``force_mode`` ``general`` copies every variable; ``acyclic`` none,
+    and it raises ``ValueError`` at the first cyclic part, after counting
+    the parts before it.  Every mode raises it on ids above
+    ``num_original_vars``.  The facts are ANDs over the parts' own
+    graphs, as a cycle never leaves its part; a part takes a graph only
+    while they can change or for its copies and merge in auto mode.
     """
     formula.require_originals()
     if force_mode not in (None, MODE_ACYCLIC, MODE_GENERAL):
         raise ValueError(f"unknown mode {force_mode!r}")
     parts = _input_parts(formula.clauses, use_decomposition)
-    acyclic, head_cycle_free, todo = True, True, []
-    for variables, part in parts:
-        big = force_mode is None and len(variables) > _TABLE_VARS
-        if big or force_mode is not None:  # bound for a pair: its own ids 1..k
-            part = _renumber(part, variables)[1]
+    stats = CountStats(parts=len(parts), components=len(parts) if len(parts) > 1 else 0,
+                       vars=sum(len(variables) for variables, _ in parts))
+    count, acyclic, head_cycle_free = 1, True, True
+    # Re-split parts come flagged: they feed no fact and merge no further.
+    todo = [(len(variables), part, False) for variables, part in parts]
+    for num_vars, part, resplit in todo:
+        auto_pair = force_mode is None and num_vars > _TABLE_VARS
         cycles = None
         # Acyclic implies head-cycle-free: once not, both facts are settled.
-        if head_cycle_free or big:
+        if auto_pair or head_cycle_free and not resplit:
             cycles = strongly_connected_components(build_dependency_graph(part))
-            if cycles and force_mode == MODE_ACYCLIC:
-                raise ValueError("acyclic mode requested but the dependency graph has a cycle")
-            acyclic = acyclic and not cycles
-            head_cycle_free = head_cycle_free and is_head_cycle_free(part, cycles)
-        todo.append((variables, part, cycles))
-    mode = force_mode or (MODE_ACYCLIC if acyclic else MODE_GENERAL)
-    stats = CountStats(mode=mode, acyclic=acyclic, head_cycle_free=head_cycle_free,
-                       parts=len(parts), components=len(parts) if len(parts) > 1 else 0,
-                       vars=sum(len(variables) for variables, _ in parts))
-    count = 1
-    # A merged part's re-split parts join the list with ``cycles`` unknown,
-    # in the ids of the part they were merged from.
-    for variables, part, cycles in todo:
-        num_vars = len(variables)
+            if not resplit:
+                if cycles and force_mode == MODE_ACYCLIC:
+                    raise ValueError("acyclic mode requested but the dependency graph has a cycle")
+                acyclic = acyclic and not cycles
+                head_cycle_free = head_cycle_free and is_head_cycle_free(part, cycles)
         if force_mode is None:
-            if num_vars <= _TABLE_VARS:
+            if not auto_pair:
                 stats.table_parts += 1
-                count *= _table_count(part, variables)
+                count *= _table_count(part, num_vars)
                 continue
-            if cycles is None:
-                part = _renumber(part, variables)[1]
-                cycles = strongly_connected_components(build_dependency_graph(part))
-            elif cycles:
+            if cycles and not resplit:
                 merged = _merge_equivalent(part, num_vars, cycles, stats)
                 if merged is not None:
-                    todo += [(variables, clauses, None)
+                    todo += [(len(variables), clauses, True)
                              for variables, clauses in _input_parts(merged, use_decomposition)]
                     continue
         part_copied = copied_variables(cycles, range(1, num_vars + 1), force_mode)
@@ -571,4 +500,6 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
         count *= count_pair(build_pair(part, num_vars, part_copied),
                             policy=policy, use_decomposition=use_decomposition,
                             stats=stats).count
+    stats.mode = force_mode or (MODE_ACYCLIC if acyclic else MODE_GENERAL)
+    stats.acyclic, stats.head_cycle_free = acyclic, head_cycle_free
     return CountResult(count, stats)

@@ -12,11 +12,16 @@ database of its clauses.
 ``_search`` branches on the lowest unassigned variable and tries false
 first, so two runs on identical inputs return identical results.  Each
 call is an independent search; there is no incremental state.
+
+``_input_parts`` renumbers clauses to their own ids ``1..k``, so that
+sparse ids do not widen the masks: for ``solve`` as one part, for
+``counting.count_minimal`` per variable-disjoint part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .formula import CnfFormula, evaluate
 
@@ -197,20 +202,64 @@ def _bcp(db: _Database, assigned: int, satisfied: int, queue: list, conflicts: i
     return db.variables ^ free, satisfied
 
 
-def _renumber(clauses, variables=None):
-    """The occurring variables in increasing order, and ``clauses`` with
-    ``variables[i - 1]`` renumbered to ``i``: ``clauses`` itself when they
-    are already ``1..k``.  ``variables``, when given, are the occurring
-    ones in increasing order."""
-    if variables is None:
-        variables = sorted({abs(lit) for clause in clauses for lit in clause})
-    if not variables or variables[-1] == len(variables):
-        return variables, clauses
-    number = dict(zip(variables, range(1, len(variables) + 1)))
-    number.update(zip([-var for var in variables], range(-1, -len(variables) - 1, -1)))
-    get = number.__getitem__  # a two-literal clause takes no ``map``
-    return variables, [(get(clause[0]), get(clause[1])) if len(clause) == 2
-                       else tuple(map(get, clause)) for clause in clauses]
+def _input_parts(clauses, split):
+    """``(variables, clauses)`` per variable-disjoint part of the input.
+
+    ``variables`` holds the input ids the part's clauses hold, in
+    increasing order, and ``clauses`` those clauses in input order with
+    ``variables[i - 1]`` renumbered to ``i``; a connected input already
+    over ``1..k`` is ``clauses`` itself.  Unless ``split``, all clauses
+    form one part; otherwise an empty clause is a part of its own.  No
+    clause, no part.
+
+    The grouping indexes a list by variable id and the renumbering one by
+    literal, both sized by the largest id, or dicts when that id exceeds
+    the input's number of literals, so no table outgrows the input.
+    """
+    top = max(map(abs, chain.from_iterable(clauses)), default=0)
+    if top > sum(map(len, clauses)):
+        group_of, number = dict.fromkeys(map(abs, chain.from_iterable(clauses))), {}
+    else:
+        group_of, number = [None] * (top + 1), [0] * (2 * top + 1)
+    # Each variable maps to the list of those it shares clauses with,
+    # transitively (one list unless ``split``); a join moves the smaller.
+    whole = None if split else []
+    for clause in clauses:
+        group = whole
+        for lit in clause:
+            var = abs(lit)
+            other = group_of[var]
+            if other is None:
+                if group is None:
+                    group = []
+                group.append(var)
+                group_of[var] = group
+            elif group is None:
+                group = other
+            elif other is not group:
+                if len(other) > len(group):
+                    group, other = other, group
+                for moved in other:
+                    group_of[moved] = group
+                group.extend(other)
+    # A part is numbered at its first clause; a short clause takes no ``map``.
+    grouped = {}
+    for clause in clauses:
+        group = group_of[abs(clause[0])] if clause else whole
+        part = grouped.get(id(group))
+        if part is None:
+            variables = sorted(group or ())
+            for new, var in enumerate(variables, 1):
+                number[var], number[-var] = new, -new
+            part = grouped[id(group)] = (variables, [])
+        size = len(clause)
+        part[1].append((number[clause[0]], number[clause[1]]) if size == 2 else
+                       (number[clause[0]], number[clause[1]], number[clause[2]]) if size == 3
+                       else tuple(map(number.__getitem__, clause)))
+    parts = list(grouped.values())
+    if len(parts) == 1 and len(parts[0][0]) == top:  # connected, over ``1..k``
+        return [(parts[0][0], clauses)]
+    return parts
 
 
 def _search(db: _Database, assigned: int, satisfied: int, clauses: int,
@@ -246,8 +295,7 @@ def solve(clauses) -> SatResult:
     The witness, when satisfiable, is the set of occurring variables the
     model sets true; every other occurring variable is false.
     """
-    # Renumbered, so that sparse ids do not widen the masks.
-    variables, renumbered = _renumber(clauses)
+    [(variables, renumbered)] = _input_parts(clauses, False) or [([], clauses)]
     top = len(variables)
     db = _Database(renumbered, (), top, top + 1, top)
     path = None if db.empty else _search(db, 0, 0, db.all, db.variables, list(db.units))
@@ -261,15 +309,16 @@ def check_minimal(formula: CnfFormula, true_vars) -> bool:
 
     Asks for a model of the formula that keeps every false variable
     false and flips at least one true variable; the input model is
-    minimal exactly when there is none.  A model with no true variable
-    is minimal without a solver call.  Raises ``ValueError`` when
-    ``true_vars`` is not a model of the formula.
+    minimal exactly when there is none.  A true variable in no clause can
+    always flip, so a model holding one, or no true variable at all, takes
+    no solver call.  Raises ``ValueError`` when ``true_vars`` is not a
+    model of the formula.
     """
     if not evaluate(formula, true_vars):
         raise ValueError("check_minimal requires a model of the formula")
     occurring = sorted(formula.variables())
     flip_some = tuple(-var for var in occurring if var in true_vars)
-    if not flip_some:
-        return True
+    if not flip_some or len(flip_some) < len(set(true_vars)):
+        return not true_vars
     false_units = tuple((-var,) for var in occurring if var not in true_vars)
     return not solve(formula.clauses + false_units + (flip_some,)).satisfiable

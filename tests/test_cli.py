@@ -166,6 +166,22 @@ def test_acyclic_mode_stops_at_the_first_cyclic_part(first, tmp_path, monkeypatc
     assert len(passes) == (1 if first else 5)
 
 
+def test_acyclic_mode_counts_an_acyclic_part_before_a_cyclic_one(tmp_path, monkeypatch):
+    # One loop takes each part's facts and count in turn: the acyclic part
+    # over 4-6 is counted before ex2's 3-cycle after it stops the run.
+    path = tmp_path / "split.cnf"
+    path.write_text("p cnf 6 5\n4 5 0\n-5 6 0\n-1 2 0\n-2 3 0\n-3 1 0\n")
+    counted = []
+    count_pair = counting.count_pair
+    monkeypatch.setattr(counting, "count_pair",
+                        lambda *args, **options: counted.append(1) or count_pair(*args, **options))
+    out, err = io.StringIO(), io.StringIO()
+    assert run(RunConfig(str(path), mode="acyclic", stats=True), out=out, err=err) == EXIT_MODE
+    assert (out.getvalue(), err.getvalue()) == (
+        "", "error: acyclic mode requested but the dependency graph has a cycle\n")
+    assert len(counted) == 1
+
+
 @pytest.mark.parametrize("mode", ["auto", "general"])
 def test_empty_clause_in_one_part_counts_zero(mode, tmp_path, capsys):
     path = tmp_path / "empty.cnf"
@@ -550,6 +566,17 @@ def test_unwritable_emit_path_exit_code(flag, ex2_path, tmp_path, capsys):
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "s mc" not in out
+
+
+def test_emit_pair_with_an_unindexable_header_count(tmp_path, capsys):
+    # The pair holds a unit for every id up to the header's count; this one
+    # fits no list, so the run fails before anything is allocated or written.
+    path = tmp_path / "huge.cnf"
+    path.write_text("p cnf 99999999999999999999 1\n1 2 0\n")
+    code, out, err = run_main(capsys, ["--emit-pair", str(tmp_path / "pair"), str(path)])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert not (tmp_path / "pair").exists()
 
 
 def _ring_text(n, extra=""):

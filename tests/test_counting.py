@@ -32,7 +32,7 @@ from mincount.counting import (
     _split_components,
     count_pair,
 )
-from mincount.sat import _renumber, _search, solve
+from mincount.sat import _search, solve
 from mincount.transform import auxiliary_cnf, build_pair
 
 from conftest import (
@@ -1165,6 +1165,25 @@ class TestDifferential:
             )
 
 
+def _restored(variables, part):
+    """``part``'s clauses with each id ``i`` mapped back to ``variables[i - 1]``."""
+    return [tuple(variables[lit - 1] if lit > 0 else -variables[-lit - 1] for lit in clause)
+            for clause in part]
+
+
+def _check_parts(clauses, parts):
+    """Each part of ``_input_parts(clauses, True)`` is over ``1..k`` for its
+    ``k`` ids, and maps back through them to its input clauses, in input
+    order; the parts hold every input clause."""
+    for variables, part in parts:
+        assert {abs(lit) for clause in part for lit in clause} == set(range(1, len(variables) + 1))
+        ids = set(variables)
+        assert _restored(variables, part) == [
+            clause for clause in clauses
+            if (clause and {abs(lit) for lit in clause} <= ids if ids else not clause)]
+    assert sum(len(part) for _, part in parts) == len(clauses)
+
+
 def _unions(seed, number):
     """Seeded unions of a cyclic and an acyclic 25-80-variable formula."""
     formulas = list(_differential_formulas(seed, 2 * number))
@@ -1212,10 +1231,10 @@ class TestSplitInput:
         _, _, union = next(_unions(28, 1))
         with_empty = CnfFormula(union.clauses + ((),), union.num_original_vars)
         # The empty clause is a part of its own, its ids none; the other
-        # parts keep the input's clauses.
+        # parts map back to the input's clauses.
         parts = _input_parts(with_empty.clauses, True)
         assert parts[-1] == ([], [()])
-        assert sorted(clause for _, part in parts[:-1] for clause in part) == sorted(union.clauses)
+        _check_parts(with_empty.clauses, parts)
         for mode in (None, "general"):
             result = count_minimal(with_empty, force_mode=mode)
             assert result.count == 0
@@ -1245,19 +1264,23 @@ class TestSplitInput:
         assert _input_parts(clauses, decompose) == [([1, 2, 3], clauses)]
         assert _input_parts(clauses, decompose)[0][1] is clauses
 
-    def test_parts_keep_their_input_ids(self):
+    def test_parts_are_renumbered_from_their_input_ids(self):
         clauses = ((5, -9), (2,), (), (9, 7), (-2, 4), ())
         parts = _input_parts(clauses, True)
-        assert parts == [([5, 7, 9], [(5, -9), (9, 7)]), ([2, 4], [(2,), (-2, 4)]),
+        assert parts == [([5, 7, 9], [(1, -3), (3, 2)]), ([2, 4], [(1,), (-1, 2)]),
                          ([], [(), ()])]
-        # The input's clause objects, not copies.
-        assert [clause is clauses[0] for clause in parts[0][1]] == [True, False]
+        _check_parts(clauses, parts)
+        # A connected input with gaps is renumbered, split or not.
+        for split in (True, False):
+            assert _input_parts(((4, -2), (2,)), split) == [([2, 4], [(2, -1), (1,)])]
+        assert _input_parts(((1,), (), (-3,)), False) == [([1, 3], [(1,), (), (-2,)])]
 
     def test_sparse_and_dense_ids_group_alike(self):
-        # An input whose largest id exceeds its literal count is grouped in a
-        # dict by its occurring variables, a dense one in a list by id.  Both
-        # give the same parts, up to the ids, and no table as long as the
-        # largest id: ``scale`` 10**15 would not fit one.
+        # An input whose largest id exceeds its literal count is grouped and
+        # renumbered in dicts by its occurring variables and literals, a
+        # dense one in lists by id and literal.  Both give the same parts
+        # and, scaled, the same ids, with no table as long as the largest
+        # id: ``scale`` 10**15 would not fit one.
         rng = random.Random(607)
         dense_inputs = 0
         for _ in range(60):
@@ -1269,11 +1292,11 @@ class TestSplitInput:
             clauses += ((),) * rng.randint(0, 1)
             clauses = tuple(rng.sample(clauses, len(clauses)))
             dense_parts = _input_parts(clauses, True)
+            _check_parts(clauses, dense_parts)
             for scale in (1000, 10**15):
                 sparse = tuple(tuple(lit * scale for lit in clause) for clause in clauses)
-                assert [([var * scale for var in variables], [
-                    tuple(lit * scale for lit in clause) for clause in part])
-                    for variables, part in dense_parts] == [
+                assert [([var * scale for var in variables], list(part))
+                        for variables, part in dense_parts] == [
                     (variables, list(part)) for variables, part in _input_parts(sparse, True)]
             dense_inputs += max(map(abs, sum(clauses, ()))) <= len(sum(clauses, ()))
         assert dense_inputs >= 40
@@ -1419,8 +1442,8 @@ class TestCycleFactsPerPart:
                 # and a Tarjan pass, a later one only if auto mode pairs it.
                 # Auto mode also looks for merges in each cyclic part it pairs,
                 # by one more pass over the part's binary clauses.
-                settled = next((index + 1 for index, (_, clauses) in enumerate(parts)
-                                if not is_head_cycle_free(clauses, whole)), len(parts))
+                settled = next((index + 1 for index, part in enumerate(parts)
+                                if not is_head_cycle_free(_restored(*part), whole)), len(parts))
                 later = 0 if general else sum(index >= settled for index in paired)
                 merge_tests = 0 if general else sum(bool(wanted[index]) for index in paired)
                 assert (len(record["graphs"]) == len(record["cycles"])
@@ -1519,17 +1542,17 @@ class TestTruthTable:
             for _ in range(12):
                 f = _table_formula(rng, n)
                 expected = count_minimal_brute(f).count
-                assert counting._table_count(f.clauses, range(1, n + 1)) == expected
+                assert counting._table_count(f.clauses, n) == expected
                 assert count_minimal(f).count == expected
                 counts.add(expected)
-        assert counting._table_count([], []) == 1
-        assert counting._table_count([()], []) == 0
-        assert counting._table_count([(1, -1)], [1]) == 1
-        assert counting._table_count([(1,), (-1,)], [1]) == 0
+        assert counting._table_count([], 0) == 1
+        assert counting._table_count([()], 0) == 0
+        assert counting._table_count([(1, -1)], 1) == 1
+        assert counting._table_count([(1,), (-1,)], 1) == 0
         assert 0 in counts and len(counts) > 10
 
     def test_gapped_ids_count_as_their_renumbered_clauses(self):
-        # A part keeps its input ids: the table maps each to its column.
+        # A part with gapped ids reaches the table over ``1..k``.
         rng = random.Random(1424)
         counts = set()
         for index in range(120):
@@ -1541,15 +1564,16 @@ class TestTruthTable:
             ids = sorted(rng.sample(range(2, 40 * f.num_original_vars), f.num_original_vars))
             sparse = [tuple(ids[abs(lit) - 1] * (1 if lit > 0 else -1) for lit in clause)
                       for clause in f.clauses]
-            variables, renumbered = _renumber(sparse)
+            [(variables, renumbered)] = _input_parts(sparse, False)
             assert variables[-1] > len(variables)  # gapped: no id is its column
             expected = count_minimal_brute(f).count
-            assert counting._table_count(sparse, variables) == expected
-            assert counting._table_count(renumbered, range(1, len(variables) + 1)) == expected
+            assert counting._table_count(renumbered, len(variables)) == expected
+            result = count_minimal(CnfFormula(tuple(sparse), variables[-1]))
+            assert result.count == expected
+            assert result.stats.table_parts == result.stats.parts
             counts.add(expected)
-        assert counting._table_count([], []) == 1
-        assert counting._table_count([(7, -30), ()], [7, 30]) == 0
-        assert counting._table_count([(7, 30), (-7, -30)], [7, 30]) == 2
+        assert count_minimal(CnfFormula(((7, -30), ()), 30)).count == 0
+        assert count_minimal(CnfFormula(((7, 30), (-7, -30)), 30)).count == 2
         assert 0 in counts and len(counts) >= 8
 
     def test_table_agrees_with_the_pair_on_generators(self, monkeypatch):
@@ -1601,9 +1625,9 @@ class TestTruthTable:
         fresh = []
         for f in formulas:
             counting._columns.cache_clear()
-            fresh.append(counting._table_count(f.clauses, range(1, f.num_original_vars + 1)))
+            fresh.append(counting._table_count(f.clauses, f.num_original_vars))
         counting._columns.cache_clear()
-        assert [counting._table_count(f.clauses, range(1, f.num_original_vars + 1))
+        assert [counting._table_count(f.clauses, f.num_original_vars)
                 for f in formulas] == fresh == [count_minimal_brute(f).count for f in formulas]
         assert counting._columns.cache_info()[:2] == (1, 3)
 

@@ -98,6 +98,14 @@ class TestCheckMinimal:
     def test_all_false_model_vacuously_minimal(self, ex2):
         assert check_minimal(ex2, set())
 
+    def test_true_variable_in_no_clause_rejected(self):
+        # Variable 2 occurs in no clause, so {1} is a smaller model.
+        f = CnfFormula(((1,),), 2)
+        assert not check_minimal(f, {1, 2})
+        assert not check_minimal(f, [2, 1, 2])
+        assert check_minimal(f, {1})
+        assert not check_minimal(CnfFormula(((-1,),), 2), {2})
+
     def test_non_model_rejected(self, ex1):
         with pytest.raises(ValueError, match="model"):
             check_minimal(ex1, {1})
