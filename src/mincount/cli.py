@@ -127,8 +127,8 @@ def run(config: RunConfig, out=None, err=None) -> int:
             copied = copied_variables(cycles, variables, force)
             write_pair_files(build_pair(formula.clauses, formula.num_original_vars, copied),
                              config.emit_pair)
-    except (OSError, OverflowError) as exc:  # a header ``n`` no list can hold
-        print(f"error: cannot write output: {exc}", file=err)
+    except (OSError, OverflowError, MemoryError) as exc:  # a header ``n`` too large
+        print(f"error: cannot write output: {str(exc) or 'out of memory'}", file=err)
         return EXIT_USAGE
 
     if brute:

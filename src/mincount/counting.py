@@ -67,7 +67,10 @@ MODE_GENERAL = "general"
 
 # Words the cache keys of one run may hold: each key costs one word plus
 # the 30-bit digits of its two masks, so 0 turns the cache off.  The
-# oldest entries go first.
+# oldest entries go first.  It bounds digits, not bytes: with the slot,
+# tuple and int headers (tracemalloc, CPython 3.11) a counted word costs
+# about 65 bytes for masks under 30 bits, 23 at 120 bits, 5 at 3000 and
+# 21 at the benchmark's seed-0 sizes, so a full cache takes 65 MiB at most.
 _CACHE_WORD_BUDGET = 2**20
 
 # The largest part auto mode counts by truth table (scripts/crossover.py).

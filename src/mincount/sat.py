@@ -54,7 +54,7 @@ class _Database:
     call, indexed by bit masks.
 
     Bit ids number the search clauses, the supports, the justification
-    clauses, then one trigger per supported variable; ``all`` masks the
+    clauses, then one trigger per ``x`` with supports; ``all`` masks the
     clauses and supports, ``search`` the search side's and the triggers.
     ``lits[lit]`` masks the bits a true ``lit`` satisfies (a negative
     literal indexes from the end), ``checks[lit]`` those ``_bcp`` examines
@@ -64,23 +64,28 @@ class _Database:
     never a unit.  ``units`` are the search unit clauses and the
     justification ones over copies.
 
-    The ``i``-th ``x`` of ``build_pair``'s ``supports`` gets the connector
-    ``orig_limit + 1 + i``, never assigned or picked.  Each co-literal set
-    is a support, the clause of its co-literals, ``-x`` and the connector:
-    a true co-literal spoils it, a false ``x`` needs none, and a true ``x``
-    keeps its supports in one component.  ``settle[x]`` masks them and the
-    trigger of ``x``, in ``checks`` of ``x`` and each co-literal; ``owner``
-    maps the ids of those bits to ``x``.
+    The ``i``-th ``x`` of ``build_pair``'s ``supports`` reserves the id
+    ``orig_limit + 1 + i``, never assigned or picked.  An ``x`` with one
+    co-literal set gets a search clause ``(-x, -c)`` per co-literal ``c``.
+    Otherwise the id is a connector, and each set a support, the clause of
+    its co-literals, ``-x`` and the connector: a true co-literal spoils it,
+    a false ``x`` needs none, and a true ``x`` keeps its supports in one
+    component.  ``settle[x]`` masks them and the trigger of ``x``, in
+    ``checks`` of ``x`` and each co-literal; ``owner`` maps the ids of
+    those bits to ``x``.
     """
 
     def __init__(self, search, justification, orig_limit, copy_lo, top, supports=()):
+        self.variables = ((1 << (top + 1)) - 2) ^ ((1 << len(supports)) - 1) << (orig_limit + 1)
+        search = [*search, *[(-x, -lit) for x, _, sets in supports if len(sets) == 1
+                             for lit in sets[0]]]
+        supports = [(connector, x, sets) for connector, (x, _, sets)
+                    in enumerate(supports, orig_limit + 1) if len(sets) > 1]
         self.num_search = num_search = len(search)
-        co_sets = [(*co, -x, connector) for connector, (x, _, sets)
-                   in enumerate(supports, orig_limit + 1) for co in sets]
+        co_sets = [(*co, -x, connector) for connector, x, sets in supports for co in sets]
         self.all = (1 << (num_search + len(co_sets) + len(justification))) - 1
-        one_each = (1 << len(supports)) - 1  # a trigger or connector per x
-        self.search = (1 << (num_search + len(co_sets))) - 1 | one_each << self.all.bit_length()
-        self.variables = ((1 << (top + 1)) - 2) ^ one_each << (orig_limit + 1)
+        triggers = ((1 << len(supports)) - 1) << self.all.bit_length()
+        self.search = (1 << (num_search + len(co_sets))) - 1 | triggers
         self.originals = (1 << (orig_limit + 1)) - 2
         self.below_copies = (1 << copy_lo) - 1
         self.lits = lits = [0] * (2 * top + 1)
@@ -101,7 +106,7 @@ class _Database:
         self.clauses, self.repeats = tuple(clauses), repeats
         self.checks = checks = [0] + lits[:0:-1]  # ``checks[lit]`` is ``lits[-lit]``
         self.settle, first, trigger = {}, num_search, self.all + 1
-        for x, _, sets in supports:
+        for _, x, sets in supports:
             self.settle[x] = ((1 << len(sets)) - 1) << first | trigger
             lits[-x] |= trigger
             for lit in (x, *[lit for co in sets for lit in co]):
@@ -145,7 +150,7 @@ def _bcp(db: _Database, assigned: int, satisfied: int, queue: list, conflicts: i
     sentinel when a clause of the ``conflicts`` mask is emptied or the
     support rule fails.
     """
-    lits, checks, clause_vars = db.lits, db.checks, db.clause_vars
+    lits, checks, clause_vars, all_bits = db.lits, db.checks, db.clause_vars, db.all
     repeats, num_search, below_copies = db.repeats, db.num_search, db.below_copies
     free = db.variables ^ assigned
     for lit in queue:
@@ -164,30 +169,32 @@ def _bcp(db: _Database, assigned: int, satisfied: int, queue: list, conflicts: i
             if low & satisfied:
                 continue
             index = low.bit_length() - 1
+            if low > all_bits:  # the trigger: x is true or lost a support
+                x = db.owner[index]
+                left = db.settle[x] & ~satisfied ^ low
+                if free >> x & 1:
+                    negated = () if left else (x,)
+                elif not left:
+                    return _CONFLICT
+                else:  # a lone support's co-literals go false
+                    negated = () if left & (left - 1) else db.clauses[left.bit_length() - 1]
+                for lit in negated:  # -x and the connector are not free
+                    if free >> abs(lit) & 1:
+                        free ^= 1 << abs(lit)
+                        satisfied |= lits[-lit]
+                        queue.append(-lit)
+                continue
             open_vars = clause_vars[index] & free
             if open_vars & (open_vars - 1):
                 continue
             if not open_vars:
                 x = db.owner.get(index)
-                if not x:
-                    if low & conflicts:
-                        return _CONFLICT
-                    violated = True
-                elif low & db.all:  # a support with every co-literal false, x true
+                if x:  # a support with every co-literal false, x true
                     satisfied |= db.settle[x]
-                else:  # the trigger: x is true or lost a support
-                    left = db.settle[x] & ~satisfied ^ low
-                    if free >> x & 1:
-                        negated = () if left else (x,)
-                    elif not left:
-                        return _CONFLICT
-                    else:  # a lone support's co-literals go false
-                        negated = () if left & (left - 1) else db.clauses[left.bit_length() - 1]
-                    for lit in negated:  # -x and the connector are not free
-                        if free >> abs(lit) & 1:
-                            free ^= 1 << abs(lit)
-                            satisfied |= lits[-lit]
-                            queue.append(-lit)
+                elif low & conflicts:
+                    return _CONFLICT
+                else:
+                    violated = True
             elif not low & repeats and (index < num_search or open_vars > below_copies):
                 free ^= open_vars
                 unit = open_vars.bit_length() - 1

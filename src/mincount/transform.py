@@ -34,10 +34,10 @@ def build_pair(clauses, num_vars: int, copied):
     its other literals false.  If every co-literal set of x is one
     literal, the implication is one clause; otherwise ``supports`` gets
     ``(x, at, co_sets)``: its distinct co-literal sets, which the clause
-    database propagates as supports, and ``at``, where ``auxiliary_cnf``
-    puts the implication's clauses.  A variable that never occurs
-    positively gets the unit clause requiring it false; a variable forced
-    by a unit clause of the input yields no implication at all.
+    database propagates as supports (one set, as binary clauses), and
+    ``at``, where ``auxiliary_cnf`` puts the implication's clauses.  A
+    variable never positive gets the unit clause requiring it false; one
+    forced by an input unit clause yields no implication at all.
 
     Only the variables in ``copied`` get a copy on the justification
     side; any other variable stands for itself.  Three clause groups: one

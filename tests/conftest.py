@@ -188,3 +188,15 @@ def count_by_enumeration(formula, limit=300):
         if count > limit:
             return None
         clauses.append(tuple(-var for var in sorted(model)))
+
+
+def recurrence_count(family, n):
+    """The minimal models of ``scripts/scaling.py``'s ``chain`` or ``path``
+    family over ``n`` variables, by ``a(n) = a(n-2) + a(n-3)``: from
+    ``a(3..5) = 2, 2, 3`` for the chain and ``p(1..3) = 1, 2, 2`` for the
+    path, whose minimal models are its maximal independent sets (the
+    complements of its minimal vertex covers)."""
+    first, counts = {"chain": (3, [2, 2, 3]), "path": (1, [1, 2, 2])}[family]
+    while len(counts) <= n - first:
+        counts.append(counts[-2] + counts[-3])
+    return counts[n - first]

@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+import mincount.cli as cli
 import mincount.counting as counting
 from mincount import parse_dimacs
 from mincount.cli import EXIT_CHECK_FAILED, EXIT_MODE, EXIT_OK, EXIT_USAGE, RunConfig, main, run
@@ -576,6 +577,21 @@ def test_emit_pair_with_an_unindexable_header_count(tmp_path, capsys):
     code, out, err = run_main(capsys, ["--emit-pair", str(tmp_path / "pair"), str(path)])
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert not (tmp_path / "pair").exists()
+
+
+def test_emit_pair_out_of_memory(tmp_path, capsys, monkeypatch):
+    # A header count that fits an index but not memory fails in
+    # ``build_pair``; the stand-in raises as it would, allocating nothing.
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_pair", out_of_memory)
+    path = tmp_path / "big.cnf"
+    path.write_text("p cnf 1000000000 1\n1 2 0\n")
+    code, out, err = run_main(capsys, ["--emit-pair", str(tmp_path / "pair"), str(path)])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: cannot write output: out of memory\n"
     assert not (tmp_path / "pair").exists()
 
 

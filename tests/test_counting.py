@@ -42,6 +42,7 @@ from conftest import (
     planted_cycle_formula,
     random_acyclic_formula,
     random_formula,
+    recurrence_count,
 )
 
 
@@ -665,20 +666,44 @@ def _short_clause_formula(rng):
     return CnfFormula(tuple(clauses), f.num_original_vars)
 
 
+def _once_positive_formula(rng, ordered=False):
+    """A formula over 6-14 variables where most variables occur positively
+    in one clause alone, of two to four literals: they get one co-literal
+    set each.  The other literals are mostly negative; with ``ordered``,
+    those of lower variables are and those of higher ones are not, so
+    every arc goes up and the formula is acyclic."""
+    n = rng.randint(6, 14)
+    clauses = []
+    for var in range(1, n + 1):
+        for _ in range(1 if rng.random() < 0.7 else rng.randint(0, 2)):
+            others = rng.sample([v for v in range(1, n + 1) if v != var], rng.randint(1, 3))
+            if ordered:
+                others = [-v if v < var else v for v in others
+                          if v < var or rng.random() < 0.2]
+            else:
+                others = [v if rng.random() < 0.15 else -v for v in others]
+            clauses.append((var, *others))
+    rng.shuffle(clauses)
+    return CnfFormula(tuple(clauses), n)
+
+
 class TestRetiredDefinitions:
     """The auxiliary definitions of the forced implications are retired from
-    the counting engine: each co-literal set is a support that ``_bcp``
-    propagates by the support rule, and ``auxiliary_cnf`` writes the
-    definitions back only for ``--emit-pair`` and for these cross-checks."""
+    the counting engine: each co-literal set of a variable with two or more
+    is a support that ``_bcp`` propagates by the support rule, a lone set
+    is binary clauses, and ``auxiliary_cnf`` writes the definitions back
+    only for ``--emit-pair`` and for these cross-checks."""
 
-    # Originals 1-3; 1's co-literals (-2, -3) are its one support, which the
-    # auxiliary CNF defines as variable 4.  The minimal models are {2} and {3}.
+    # Originals 1-3; 1's co-literals (-2, -3) are its one set, which the
+    # auxiliary CNF defines as variable 4 and the database writes as binary
+    # clauses.  The minimal models are {2} and {3}.
     CLAUSES = [(1, -2, -3), (2, 3)]
 
     def test_every_definition_build_pair_emits_retires(self):
-        # Every auxiliary variable of the written CNF is a support of the
-        # pair, and the pair's ids between the originals and the copies are
-        # the connectors, one per supported variable.
+        # Every auxiliary variable of the written CNF is a co-literal set of
+        # the pair, and the pair's ids between the originals and the copies
+        # are reserved, one per supported variable.  Those of the variables
+        # with two or more sets are the connectors of their supports.
         rng = random.Random(31)
         for _ in range(40):
             f = _short_clause_formula(rng)
@@ -691,8 +716,13 @@ class TestRetiredDefinitions:
                 assert copy_lo == n + 1 + len(supports)
                 assert all(abs(lit) <= n for clause in search for lit in clause)
                 db = _Database(*pair)
-                assert (db.all & sum(db.settle.values())).bit_count() == len(sets)
-                for connector, (x, _, _) in enumerate(supports, n + 1):
+                chosen = [co for _, _, co_sets in supports if len(co_sets) > 1
+                          for co in co_sets]
+                assert (db.all & sum(db.settle.values())).bit_count() == len(chosen)
+                for connector, (x, _, co_sets) in enumerate(supports, n + 1):
+                    if len(co_sets) == 1:
+                        assert not db.occurs[connector]
+                        continue
                     assert db.occurs[connector] == db.settle[x] & db.all
                     for index in _ids(db.occurs[connector]):
                         assert db.owner[index] == x
@@ -704,6 +734,42 @@ class TestRetiredDefinitions:
         assert pair[3:] == (5, 7, [(1, 2, [(-2, -3)])])
         assert auxiliary_cnf(pair)[0][2:6] == [(-4, 2), (-4, 3), (4, -2, -3), (-1, 4)]
         assert count_pair(pair).count == count_pair(auxiliary_cnf(pair)).count == 2
+
+    def test_one_set_is_binary_clauses(self):
+        # 1's lone set (-2, -3) becomes the search clauses (-1, 2) and
+        # (-1, 3), after the input's: no support, trigger or connector,
+        # and its reserved id 4 is no variable.
+        pair = build_pair(self.CLAUSES, 3, ())
+        db = _Database(*pair)
+        assert db.clauses[:db.num_search] == (*pair[0], (-1, 2), (-1, 3))
+        assert db.settle == db.owner == {}
+        assert db.search == db.all == (1 << 6) - 1
+        assert db.variables == 0b11101110
+
+    def test_supports_and_triggers_only_for_two_or_more_sets(self):
+        rng = random.Random(3131)
+        kinds = Counter()
+        for i in range(60):
+            f = _once_positive_formula(rng) if i % 2 else _short_clause_formula(rng)
+            for copied in ((), None):
+                search, _, n, copy_lo, _, supports = pair = pair_of(f, copied)
+                db = _Database(*pair)
+                many = {x: co_sets for x, _, co_sets in supports if len(co_sets) > 1}
+                binary = [(-x, -lit) for x, _, co_sets in supports if len(co_sets) == 1
+                          for lit in co_sets[0]]
+                assert db.clauses[:db.num_search] == tuple(
+                    tuple(dict.fromkeys(clause)) for clause in search + binary)
+                assert set(db.settle) == set(db.owner.values()) == set(many)
+                for x, co_sets in many.items():  # a bit per set, and a trigger
+                    assert (db.settle[x] & db.all).bit_count() == len(co_sets)
+                    assert (db.settle[x] >> db.all.bit_length()).bit_count() == 1
+                assert (db.search >> db.all.bit_length()).bit_count() == len(many)
+                # The reserved ids lie between the originals and the copies.
+                assert copy_lo == n + 1 + len(supports)
+                assert db.variables & (1 << copy_lo) - 1 == db.originals
+                kinds["one"] += len(supports) - len(many)
+                kinds["many"] += len(many)
+        assert kinds["one"] > 100 and kinds["many"] > 100
 
     @pytest.mark.parametrize("search, justification", [
         ([(4, -2, -3, 1)], []),  # a third positive occurrence of 4
@@ -723,11 +789,15 @@ class TestRetiredDefinitions:
     def test_short_clauses_match_oracle(self, monkeypatch, cached):
         if not cached:
             monkeypatch.setattr(counting, "_CACHE_WORD_BUDGET", 0)
-        rng = random.Random(4242)
-        for _ in range(25):
-            f = _short_clause_formula(rng)
+        # With formulas whose variables mostly have one co-literal set, and
+        # forced ``acyclic`` on the acyclic ones.
+        rng, once = random.Random(4242), random.Random(3132)
+        formulas = [_short_clause_formula(rng) for _ in range(25)]
+        formulas += [_once_positive_formula(once, ordered=i % 2) for i in range(30)]
+        for f in formulas:
             expected = count_minimal_brute(f).count
-            for mode in (None, "general"):
+            cyclic = strongly_connected_components(build_dependency_graph(f.clauses))
+            for mode in (None, "general") + (() if cyclic else ("acyclic",)):
                 for decompose in (True, False):
                     for heuristic in (MAX_OCCURRENCE, MIN_ID):
                         options = dict(policy=BranchPolicy(heuristic),
@@ -867,52 +937,52 @@ class TestInvariants:
 # depends on propagation order.  Every base case here has a residual whose
 # clauses all hold a negative literal, so none takes a SAT call.
 SEARCH_SHAPES = [
-    (369, "general", 127, 45, 0, 0),
-    (216, "acyclic", 18, 6, 0, 0),
+    (369, "general", 125, 51, 0, 0),
+    (216, "acyclic", 17, 6, 0, 0),
     (24, "general", 14, 7, 0, 0),
-    (78, "acyclic", 16, 10, 0, 0),
+    (78, "acyclic", 17, 12, 0, 0),
     (10, "general", 10, 5, 2, 0),
     (40, "acyclic", 25, 6, 0, 0),
-    (58, "acyclic", 29, 17, 0, 0),
+    (58, "acyclic", 28, 13, 0, 0),
     (51, "acyclic", 16, 9, 0, 0),
     (96, "acyclic", 10, 6, 0, 0),
     (118, "acyclic", 25, 12, 0, 0),
     (36, "general", 14, 5, 0, 0),
     (22, "acyclic", 16, 8, 0, 0),
     (24, "acyclic", 6, 3, 0, 0),
-    (137, "acyclic", 35, 19, 0, 0),
+    (137, "acyclic", 38, 18, 0, 0),
     (512, "general", 47, 17, 6, 0),
-    (144, "acyclic", 16, 9, 0, 0),
+    (144, "acyclic", 18, 9, 0, 0),
     (10, "general", 11, 4, 4, 0),
-    (165, "acyclic", 46, 25, 0, 0),
-    (531, "general", 315, 129, 10, 0),
-    (14, "acyclic", 12, 2, 0, 0),
+    (165, "acyclic", 45, 23, 0, 0),
+    (531, "general", 316, 131, 10, 0),
+    (14, "acyclic", 11, 2, 0, 0),
 ]
 
 
 # (count, decisions, base_cases, sat_calls, cache_hits) of the default
 # engine, cache on, on the same formulas.
 CACHED_SEARCH_SHAPES = [
-    (369, 60, 0, 0, 48),
-    (216, 16, 0, 0, 1),
+    (369, 63, 0, 0, 48),
+    (216, 17, 0, 0, 0),
     (24, 11, 0, 0, 2),
-    (78, 12, 0, 0, 4),
+    (78, 13, 0, 0, 4),
     (10, 10, 2, 0, 0),
     (40, 21, 0, 0, 4),
-    (58, 21, 0, 0, 8),
+    (58, 21, 0, 0, 7),
     (51, 11, 0, 0, 4),
     (96, 10, 0, 0, 0),
     (118, 21, 0, 0, 3),
     (36, 13, 0, 0, 1),
     (22, 10, 0, 0, 4),
     (24, 6, 0, 0, 0),
-    (137, 23, 0, 0, 12),
+    (137, 24, 0, 0, 14),
     (512, 28, 2, 0, 11),
     (144, 13, 0, 0, 3),
     (10, 11, 1, 0, 3),
-    (165, 26, 0, 0, 14),
-    (531, 150, 1, 0, 123),
-    (14, 12, 0, 0, 0),
+    (165, 27, 0, 0, 13),
+    (531, 149, 1, 0, 124),
+    (14, 10, 0, 0, 1),
 ]
 
 
@@ -920,11 +990,11 @@ CACHED_SEARCH_SHAPES = [
 # engine on the same formulas with a 64-word cache: the oldest entry goes
 # first, so these pin the eviction order.
 EVICTING_SEARCH_SHAPES = [
-    (369, 32, 7, 78), (216, 1, 11, 5), (24, 2, 10, 1), (78, 4, 11, 1),
-    (10, 0, 7, 5), (40, 3, 9, 13), (58, 5, 10, 14), (51, 4, 11, 0),
+    (369, 32, 7, 82), (216, 0, 12, 5), (24, 2, 9, 2), (78, 4, 11, 2),
+    (10, 0, 7, 5), (40, 3, 9, 13), (58, 4, 9, 15), (51, 4, 11, 0),
     (96, 0, 10, 0), (118, 3, 11, 10), (36, 0, 9, 5), (22, 4, 10, 0),
-    (24, 0, 6, 0), (137, 8, 11, 16), (512, 8, 8, 29), (144, 3, 13, 0),
-    (10, 3, 8, 4), (165, 10, 12, 19), (531, 62, 7, 248), (14, 0, 11, 1),
+    (24, 0, 6, 0), (137, 10, 11, 17), (512, 8, 8, 29), (144, 3, 11, 2),
+    (10, 3, 8, 4), (165, 10, 11, 20), (531, 63, 7, 247), (14, 1, 10, 0),
 ]
 
 
@@ -1132,6 +1202,30 @@ class TestDifferential:
             expected = count_minimal_brute(formula).count
             assert count_by_enumeration(formula, limit=expected) == expected
             assert count_by_enumeration(formula, limit=expected - 1) in (None, 0)
+
+    @staticmethod
+    def _scaling_family(family, n):
+        """``scripts/scaling.py``'s ``chain`` or ``path`` over ``n`` variables."""
+        if family == "chain":
+            clauses = tuple((-i, i + 1, i + 2) for i in range(1, n - 1)) + ((1,),)
+        else:
+            clauses = tuple((i, i + 1) for i in range(1, n))
+        return CnfFormula(clauses, n)
+
+    def test_recurrence_matches_the_oracle(self):
+        for family, first in (("chain", 3), ("path", 1)):
+            for n in range(first, 17):
+                formula = self._scaling_family(family, n)
+                assert count_minimal_brute(formula).count == recurrence_count(family, n)
+
+    @pytest.mark.parametrize("family, n", [("chain", 150), ("chain", 250),
+                                           ("path", 150), ("path", 300)])
+    def test_scaling_families_follow_the_recurrence(self, family, n):
+        # A voice far above the oracle's limit, on one connected part.
+        formula, expected = self._scaling_family(family, n), recurrence_count(family, n)
+        for options in ({}, dict(force_mode="general"), dict(use_decomposition=False),
+                        dict(policy=BranchPolicy(MIN_ID))):
+            assert count_minimal(formula, **options).count == expected
 
     def test_renaming_variables_keeps_the_count(self):
         rng = random.Random(12)

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from conftest import recurrence_count
+
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 
 
@@ -44,6 +46,19 @@ def test_scaling_counts_blocks(capsys):
     out = capsys.readouterr().out.split()
     assert out[:4] == ["blocks", "n=38", "decisions=0", "components=3"]
     assert out[-1] == "count=1"
+
+
+def test_scaling_counts_follow_the_recurrence(capfd):
+    # ``--one`` counts in this process; without it each run is a fresh
+    # interpreter writing to the shared stdout.
+    assert _load("scaling").main(["--one", "--family", "chain", "40"]) == 0
+    out = capfd.readouterr().out.split()
+    assert out[:2] == ["chain", "n=40"]
+    assert out[-1] == f"count={recurrence_count('chain', 40)}"
+    assert _load("scaling").main(["--family", "path", "40"]) == 0
+    out = capfd.readouterr().out.split()
+    assert out[:2] == ["path", "n=40"]
+    assert out[-1] == f"count={recurrence_count('path', 40)}"
 
 
 def _paired(monkeypatch, *argv):
