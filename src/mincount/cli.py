@@ -18,7 +18,7 @@ from .bruteforce import DEFAULT_VAR_LIMIT, VariableLimitError, count_minimal_bru
 from .counting import _TABLE_VARS, MODE_ACYCLIC, MODE_GENERAL, copied_variables, count_minimal
 from .depgraph import (build_dependency_graph, is_head_cycle_free,
                        strongly_connected_components, to_dot)
-from .formula import parse_dimacs
+from .formula import ParseError, parse_dimacs
 from .transform import build_pair, write_pair_files
 
 EXIT_OK = 0
@@ -104,8 +104,7 @@ def run(config: RunConfig, out=None, err=None) -> int:
         return EXIT_USAGE
     try:
         formula = parse_dimacs(text)
-        formula.require_originals()
-    except ValueError as exc:  # a ParseError too
+    except ParseError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
 

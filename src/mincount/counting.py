@@ -459,12 +459,10 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
     count of the part strengthened with its forced implications.
     ``force_mode`` ``general`` copies every variable; ``acyclic`` none,
     and it raises ``ValueError`` at the first cyclic part, after counting
-    the parts before it.  Every mode raises it on ids above
-    ``num_original_vars``.  The facts are ANDs over the parts' own
-    graphs, as a cycle never leaves its part; a part takes a graph only
-    while they can change or for its copies and merge in auto mode.
+    the parts before it.  The facts are ANDs over the parts' own graphs,
+    as a cycle never leaves its part; a part takes a graph only while
+    they can change or for its copies and merge in auto mode.
     """
-    formula.require_originals()
     if force_mode not in (None, MODE_ACYCLIC, MODE_GENERAL):
         raise ValueError(f"unknown mode {force_mode!r}")
     parts = _input_parts(formula.clauses, use_decomposition)

@@ -11,8 +11,9 @@ A pair is plain data: ``(search, justification, orig_limit, copy_lo,
 top, supports)``, two clause lists, three bounds and the supports of the
 forced implications.  The originals are ``1..orig_limit``, a connector
 per supported variable follows up to ``copy_lo - 1``, and the copy of
-original ``x`` is ``x + copy_lo - 1``, at most ``top``.  The id of a
-variable that gets no copy stays unused.
+original ``x`` is ``x + copy_lo - 1``.  ``top`` is the largest copy, or
+``copy_lo - 1`` without one; the id of a variable that gets no copy
+stays unused.
 """
 
 from __future__ import annotations
@@ -96,15 +97,16 @@ def build_pair(clauses, num_vars: int, copied):
             + [lit + offset if is_copied[lit] else lit for lit in clause if lit > 0]
         ))
     justification.extend([(-x,) for x in copies if not forcing[x]])
-    return search, justification, n, offset + 1, offset + n, supports
+    return search, justification, n, offset + 1, offset + max(copies, default=0), supports
 
 
 def auxiliary_cnf(pair):
     """The pair as ``--emit-pair`` writes it, ``(search, justification,
     orig_limit, copy_lo, top)``: each co-literal set of two or more
     literals becomes an auxiliary variable from ``orig_limit + 1`` up, true
-    exactly when its literals are false, and the copies move above them."""
-    search, justification, n, copy_lo, top, supports = pair
+    exactly when its literals are false, and the copies move above them,
+    ``top`` being the copy id of ``orig_limit``."""
+    search, justification, n, copy_lo, _, supports = pair
     written, start, aux = [], 0, n
     for x, at, co_sets in supports:
         written += search[start:at]
@@ -118,17 +120,20 @@ def auxiliary_cnf(pair):
     shift = aux + 1 - copy_lo
     justification = [tuple([lit + shift if lit >= copy_lo else lit - shift if -lit >= copy_lo
                             else lit for lit in clause]) for clause in justification]
-    return written + search[start:], justification, n, aux + 1, top + shift
+    return written + search[start:], justification, n, aux + 1, aux + n
 
 
 def write_pair_files(pair, directory: str) -> tuple[str, str]:
     """Write ``auxiliary_cnf(pair)`` as DIMACS files ``forced.cnf`` and ``copy.cnf``.
 
-    Both files carry ``c vr`` range comments; the copy file additionally
-    records one ``c copy <orig> <copy>`` comment per copied variable.
+    Both files open with ``c vr <orig|aux|copy> <lo> <hi>`` comments naming
+    their id ranges; the copy file additionally records one
+    ``c copy <orig> <copy>`` comment per copied variable.  Read back, each
+    is a plain CNF over its header's ``n``.
     """
     search, justification, n, copy_lo, top = auxiliary_cnf(pair)
     offset = copy_lo - 1
+    orig = [f"c vr orig 1 {n}"] if n else []
     aux = [f"c vr aux {n + 1} {offset}"] if offset > n else []
     # Each copy occurs negated in its implication copy(x) -> x.
     copies = sorted({-lit for clause in justification for lit in clause if -lit >= copy_lo})
@@ -138,7 +143,7 @@ def write_pair_files(pair, directory: str) -> tuple[str, str]:
     search_path = os.path.join(directory, "forced.cnf")
     copy_path = os.path.join(directory, "copy.cnf")
     with open(search_path, "w") as handle:
-        handle.write(write_dimacs(CnfFormula(tuple(search), n, offset), aux))
+        handle.write(write_dimacs(CnfFormula(search, offset), orig + aux))
     with open(copy_path, "w") as handle:
-        handle.write(write_dimacs(CnfFormula(tuple(justification), n, top), copy))
+        handle.write(write_dimacs(CnfFormula(justification, top), orig + copy))
     return search_path, copy_path

@@ -453,48 +453,41 @@ def _graph_and_scc_calls(capsys, monkeypatch, argv, code=EXIT_OK):
 
 def test_auxiliary_ids_in_input_exit_code(tmp_path, capsys):
     # The forced formula of a three-literal clause declares auxiliary ids;
-    # fed back in, it has no dependency graph.
+    # fed back in, it is a plain CNF over its header's ``n``, and the
+    # oracle agrees with its count in every mode.
     path = tmp_path / "in.cnf"
     path.write_text("p cnf 3 1\n1 2 3 0\n")
     outdir = tmp_path / "pair"
     assert run_main(capsys, ["--emit-pair", str(outdir), str(path)])[0] == EXIT_OK
     assert "c vr aux" in (outdir / "forced.cnf").read_text()
     for mode in ("auto", "acyclic", "general", "brute"):
-        code, out, err = run_main(capsys, ["--mode", mode, str(outdir / "forced.cnf")])
-        assert code == EXIT_USAGE
-        assert err == "error: dependency graph requires original variables only, got 4\n"
-        assert out == ""
+        code, out, err = run_main(capsys, ["--mode", mode, "--check", str(outdir / "forced.cnf")])
+        assert (code, out, err) == (EXIT_OK, "c check OK\ns mc 3\n", ""), mode
+
+
+def _counts_as_plain(capsys, path, count):
+    """Every mode counts ``path``, ``c vr`` lines and all, as a plain CNF."""
+    for mode in ("auto", "acyclic", "general", "brute"):
+        code, out, err = run_main(capsys, ["--mode", mode, "--check", str(path)])
+        assert (code, out, err) == (EXIT_OK, f"c check OK\ns mc {count}\n", ""), mode
 
 
 def test_var_ranges_without_orig_range_exit_code(tmp_path, capsys):
     path = tmp_path / "aux.cnf"
     path.write_text("c vr aux 1 2\np cnf 2 1\n1 2 0\n")
-    code, out, err = run_main(capsys, [str(path)])
-    assert code == EXIT_USAGE
-    assert err == "error: line 1: 'c vr' ranges declared without an 'orig' range\n"
-    assert out == ""
+    _counts_as_plain(capsys, path, 2)
 
 
 def test_var_range_below_orig_range_exit_code(tmp_path, capsys):
-    # Ids 1 and 2 lie below the originals 3..5, so no range may hold them.
     path = tmp_path / "below.cnf"
     path.write_text("c vr aux 1 2\nc vr orig 3 5\np cnf 5 1\n1 3 0\n")
-    for mode in ("auto", "acyclic", "general", "brute"):
-        code, out, err = run_main(capsys, ["--mode", mode, str(path)])
-        assert code == EXIT_USAGE
-        assert err == "error: line 1: 'aux' range below the 'orig' range on line 2\n"
-        assert out == ""
+    _counts_as_plain(capsys, path, 2)
 
 
 def test_second_orig_range_exit_code(tmp_path, capsys):
     path = tmp_path / "orig.cnf"
     path.write_text("c vr orig 1 2\nc vr orig 3 4\np cnf 4 2\n1 3 0\n-3 4 0\n")
-    for mode in ("auto", "acyclic", "general", "brute"):
-        code, out, err = run_main(capsys, ["--mode", mode, str(path)])
-        assert code == EXIT_USAGE
-        assert err == ("error: line 2: second 'orig' range; "
-                       "the original range is on line 1\n")
-        assert out == ""
+    _counts_as_plain(capsys, path, 2)
 
 
 def test_emit_depgraph(ex2_path, tmp_path, capsys):

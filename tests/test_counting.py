@@ -731,20 +731,21 @@ class TestRetiredDefinitions:
     def test_the_use_retires_the_definition_and_its_negative_clauses(self):
         pair = build_pair(self.CLAUSES, 3, ())
         assert pair[0] == [(1, -2, -3), (2, 3), (-2, -3), (-3, -2)]
-        assert pair[3:] == (5, 7, [(1, 2, [(-2, -3)])])
+        assert pair[3:] == (5, 4, [(1, 2, [(-2, -3)])])
         assert auxiliary_cnf(pair)[0][2:6] == [(-4, 2), (-4, 3), (4, -2, -3), (-1, 4)]
         assert count_pair(pair).count == count_pair(auxiliary_cnf(pair)).count == 2
 
     def test_one_set_is_binary_clauses(self):
         # 1's lone set (-2, -3) becomes the search clauses (-1, 2) and
         # (-1, 3), after the input's: no support, trigger or connector,
-        # and its reserved id 4 is no variable.
+        # and its reserved id 4 is no variable.  Nothing is copied, so no
+        # id lies above it.
         pair = build_pair(self.CLAUSES, 3, ())
         db = _Database(*pair)
         assert db.clauses[:db.num_search] == (*pair[0], (-1, 2), (-1, 3))
         assert db.settle == db.owner == {}
         assert db.search == db.all == (1 << 6) - 1
-        assert db.variables == 0b11101110
+        assert db.variables == 0b1110
 
     def test_supports_and_triggers_only_for_two_or_more_sets(self):
         rng = random.Random(3131)

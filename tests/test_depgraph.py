@@ -50,35 +50,6 @@ def test_successor_lists_keep_clause_order_and_repeats():
     assert _arcs(g) == {(1, 3), (1, 2), (2, 3)}
 
 
-def test_requires_original_variables_only():
-    # The first auxiliary clause of the search side of (1, 2, 3).
-    forced = CnfFormula(((1, 2, 3), (-6, -2), (-4, -2)), 3, num_vars=6)
-    with pytest.raises(ValueError, match="^dependency graph requires original variables only, "
-                                         "got 4$"):
-        forced.require_originals()
-    for mode in (None, "acyclic", "general"):
-        with pytest.raises(ValueError, match="original variables only, got 4$"):
-            count_minimal(forced, force_mode=mode)
-    # Declared auxiliary ids that no clause holds are no obstacle.
-    unused = CnfFormula(((1, 2, 3),), 3, num_vars=6)
-    unused.require_originals()
-    assert count_minimal(unused).count == 3
-
-
-def test_original_ids_check_reads_no_clause_unless_ids_are_declared(monkeypatch):
-    # Without ids declared above the originals there is nothing to test.
-    class Walked(Exception):
-        pass
-
-    def walk(self):
-        raise Walked
-
-    monkeypatch.setattr(CnfFormula, "variables", walk)
-    CnfFormula(((1, -2), (2, 3)), 3).require_originals()
-    with pytest.raises(Walked):
-        CnfFormula(((1, -2), (2, 3)), 3, num_vars=4).require_originals()
-
-
 def test_cycle_detected(ex2):
     assert _cycles(ex2.clauses)
 

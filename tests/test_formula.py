@@ -6,7 +6,7 @@ import pytest
 import mincount.formula as formula
 from mincount import CnfFormula, ParseError, evaluate, parse_dimacs, write_dimacs
 
-from conftest import EX1_TEXT
+from conftest import EX1_TEXT, random_formula
 
 
 class TestParse:
@@ -29,7 +29,6 @@ class TestParse:
     def test_duplicate_literals_deduplicated(self):
         f = parse_dimacs("p cnf 2 1\n1 1 2 0\n")
         assert f.clauses == ((1, 2),)
-        assert f.parse_stats.duplicate_literals_dropped == 1
 
     def test_clause_spanning_lines(self):
         f = parse_dimacs("p cnf 3 1\n1 2\n3 0\n")
@@ -64,64 +63,49 @@ class TestParse:
             parse_dimacs("p cnf 1 1\np cnf 1 1\n1 0\n")
 
     def test_var_range_comments_round_trip(self):
-        f = CnfFormula(((1, 4), (-4, 2)), num_original_vars=2, num_vars=4)
-        text = write_dimacs(f, ["c vr aux 3 4"])
-        assert text.startswith("c vr orig 1 2\nc vr aux 3 4\np cnf 4 2\n")
-        back = parse_dimacs(text)
-        assert (back.num_original_vars, back.num_vars) == (2, 4)
-        assert back.clauses == f.clauses
-
-    def test_inverted_var_range_names_line(self):
-        with pytest.raises(ParseError, match=r"line 2: inverted variable range"):
-            parse_dimacs("c vr orig 1 2\nc vr aux 5 3\np cnf 5 1\n1 2 0\n")
-
-    @pytest.mark.parametrize("second", ["c vr aux 2 4", "c vr copy 1 1", "c vr aux 0 9"])
-    def test_overlapping_var_ranges_name_line(self, second):
-        text = f"c vr orig 1 2\n{second}\np cnf 9 1\n1 2 0\n"
-        with pytest.raises(ParseError, match=r"line 2: .*overlaps the range on line 1"):
-            parse_dimacs(text)
-
-    @pytest.mark.parametrize("ranges", ["c vr aux 1 2\n", "c vr copy 3 4\nc vr aux 1 2\n"])
-    def test_var_ranges_without_orig_range_name_line(self, ranges):
-        with pytest.raises(ParseError, match=r"line 1: .*without an 'orig' range"):
-            parse_dimacs(f"{ranges}p cnf 4 1\n1 2 0\n")
-
-    @pytest.mark.parametrize("ranges", [
-        "c vr orig 1 2\nc vr orig 3 4\n",
-        "c vr orig 3 4\nc vr aux 5 6\nc vr orig 1 2\n",
-    ])
-    def test_second_orig_range_names_line(self, ranges):
-        second = ranges.count("\n")
-        with pytest.raises(
-            ParseError, match=rf"line {second}: second 'orig' range; .* on line 1"
-        ):
-            parse_dimacs(f"{ranges}p cnf 6 2\n1 3 0\n-3 4 0\n")
+        # ``c vr`` lines are comments: the formula is over the header's ``n``.
+        f = CnfFormula(((1, 4), (-4, 2)), 4)
+        text = write_dimacs(f, ["c vr orig 1 2", "c vr aux 3 4"])
+        assert text == "c vr orig 1 2\nc vr aux 3 4\np cnf 4 2\n1 4 0\n-4 2 0\n"
+        assert parse_dimacs(text) == f
 
     def test_literal_outside_var_ranges(self):
-        # The error names the line of the clause holding the literal.
-        with pytest.raises(ParseError, match="line 4: literal 2 outside declared variable ranges"):
-            parse_dimacs("c vr orig 1 1\np cnf 2 2\n1 0\n1\n2 0\n")
-        # Between the ranges, not above them.
-        with pytest.raises(ParseError, match="line 4: literal 3 outside declared variable ranges"):
-            parse_dimacs("c vr orig 1 2\nc vr aux 5 6\np cnf 6 1\n3 0\n")
-        # Before a range below the ``orig`` range is reported.
-        with pytest.raises(ParseError, match="line 4: literal 2 outside declared variable ranges"):
-            parse_dimacs("c vr orig 3 5\nc vr aux 1 1\np cnf 5 1\n2 0\n")
+        # Ranges bound nothing: a literal up to the header's ``n`` is read,
+        # and the line scan names one above it.
+        assert parse_dimacs("c vr orig 1 2\nc vr aux 5 6\np cnf 6 1\n3 0\n").clauses == ((3,),)
+        with pytest.raises(ParseError, match="^line 5: literal 3 exceeds declared variable "
+                                             "count 2$"):
+            parse_dimacs("c vr orig 1 1\nc vr aux 3 3\np cnf 2 2\n1 0\n3 0\n")
 
     def test_adjacent_var_ranges_accepted(self):
         f = parse_dimacs("c vr orig 1 2\nc vr aux 3 4\nc vr copy 5 6\np cnf 6 1\n1 2 0\n")
-        assert (f.num_original_vars, f.num_vars) == (2, 6)
+        assert (f.clauses, f.num_original_vars) == (((1, 2),), 6)
 
-    @pytest.mark.parametrize("kind", ["aux", "copy"])
-    @pytest.mark.parametrize("clause", ["1 3 0", "3 4 0"])
-    def test_var_range_below_orig_range_names_line(self, kind, clause):
-        # The originals are 1..5, so ids 1 and 2 would count as originals
-        # whether or not a clause holds one.
-        text = f"c vr orig 3 5\nc vr {kind} 1 2\np cnf 5 1\n{clause}\n"
-        with pytest.raises(
-            ParseError, match=rf"^line 2: '{kind}' range below the 'orig' range on line 1$"
-        ):
-            parse_dimacs(text)
+
+# Texts whose ``c vr`` lines name malformed id ranges, keyed by the fault.
+MALFORMED_RANGES = {
+    "inverted": "c vr orig 1 2\nc vr aux 5 3\np cnf 5 1\n1 2 0\n",
+    "overlapping": "c vr orig 1 2\nc vr aux 2 4\np cnf 9 1\n1 2 0\n",
+    "no-orig": "c vr copy 3 4\nc vr aux 1 2\np cnf 4 1\n1 2 0\n",
+    "second-orig": "c vr orig 1 2\nc vr orig 3 4\np cnf 6 2\n1 3 0\n-3 4 0\n",
+    "below-orig": "c vr orig 3 5\nc vr aux 1 2\np cnf 5 1\n1 3 0\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_RANGES.values(), ids=MALFORMED_RANGES)
+def test_var_range_comments_are_comments(text):
+    # Whatever its ranges say, the text is plain: a CNF over its header's ``n``.
+    bare = "".join(line for line in text.splitlines(True) if not line.startswith("c"))
+    assert formula._parse_plain(text) == parse_dimacs(bare) == parse_dimacs(text)
+
+
+def test_written_text_reads_back_by_the_whole_stream_path():
+    rng = random.Random(33)
+    for _ in range(200):
+        f = random_formula(rng, min_vars=0, max_vars=8, min_clauses=0, max_clauses=12,
+                           min_len=0)
+        text = write_dimacs(f, [f"c vr orig 1 {f.num_original_vars}"])
+        assert formula._parse_plain(text) == f == parse_dimacs(text)
 
 
 class TestEvaluate:
@@ -149,7 +133,8 @@ def _corpus_text(rng: random.Random) -> str:
     n, head, body = rng.randint(0, 8), [], []
     head.extend(rng.choice(_COMMENTS) for _ in range(rng.choice((0, 0, 1, 3))))
     if rng.random() < 0.25:
-        # ``c vr`` ranges: a partition of 1..n, sometimes broken.
+        # ``c vr`` comments as ``write_pair_files`` writes them, a partition
+        # of 1..n, sometimes broken: the parser takes them as comments.
         cut = rng.randint(1, max(n, 1))
         ranges = [("orig", 1, cut), ("aux", cut + 1, max(n, cut + 1) + rng.randint(0, 2))]
         broken = rng.choice(("", "", "inverted", "overlap", "no-orig", "second-orig", "gap"))
@@ -209,14 +194,14 @@ def _parse_outcome(text: str):
         f = parse_dimacs(text)
     except ParseError as exc:
         return ("ParseError", str(exc), exc.line)
-    return (f.clauses, f.num_original_vars, f.num_vars, f.parse_stats)
+    return (f.clauses, f.num_original_vars, f.parse_stats)
 
 
 PARSE_CORPUS = [_corpus_text(random.Random(seed)) for seed in range(500)]
-# sha256 of the outcomes' reprs, one a line.  Recorded from the parser
-# that still kept ``c vr`` ranges in the formula, reading ``num_vars`` as
-# the largest upper end of a non-empty range, else ``num_original_vars``.
-PARSE_CORPUS_DIGEST = "103a9ab8c775b623dfb24a0aacbf483dd6d2fa8455de7bf2f32dfa5794857394"
+# sha256 of the outcomes' reprs, one a line.  Recorded once ``c vr`` lines
+# became comments; each text without one gives the clauses, ``n``,
+# tautology count or error that the parser reading them as ranges gave.
+PARSE_CORPUS_DIGEST = "4a3080274d2de1038e291523a0d8051df4542e775adf817e375c01dd85583bb6"
 
 
 def test_parse_corpus_outcomes_are_pinned():
@@ -224,7 +209,7 @@ def test_parse_corpus_outcomes_are_pinned():
     errors = [outcome for outcome in outcomes if outcome[0] == "ParseError"]
     # Both sides of the corpus are well represented.
     assert 100 <= len(errors) <= 400
-    assert sum(outcome[3].duplicate_literals_dropped > 0 for outcome in outcomes
+    assert sum(outcome[2].tautologies_dropped > 0 for outcome in outcomes
                if outcome[0] != "ParseError") >= 10
     digest = hashlib.sha256("\n".join(map(repr, outcomes)).encode()).hexdigest()
     assert digest == PARSE_CORPUS_DIGEST
@@ -246,7 +231,6 @@ def test_whole_stream_path_matches_the_line_scanner(monkeypatch):
     "c a\rp cnf 9 9\np cnf 2 1\n1 0\n",  # a line break other than "\n" in a comment
     "p cnf 2\x0b1\n1 0\n",  # and in the header
     "p cnf 2 1\n1 2 0\nc late\n",
-    "c vr orig 1 2\np cnf 2 1\n1 2 0\n",
     "p cnf 2 1\n1 2\n",
     "p cnf 2 1\n1 -3 0\n",
     "p cnf 2 1\n2 -2 0\n",

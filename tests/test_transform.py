@@ -169,7 +169,7 @@ class TestBuildPair:
     # supported variable.
     NATIVE = [
         ("p cnf 3 1\n1 2 3 0\n", {1},
-         ([(1, 2, 3)], [(-7, 1), (7, 2, 3)], 3, 7, 9,
+         ([(1, 2, 3)], [(-7, 1), (7, 2, 3)], 3, 7, 7,
           [(1, 1, [(2, 3)]), (2, 1, [(1, 3)]), (3, 1, [(1, 2)])])),
         # Variable 2 keeps its plain implication; 1 and 3 are supported,
         # with the single co-literal set (2,) of 1 a support too.
@@ -185,7 +185,7 @@ class TestBuildPair:
         assert build_pair(f.clauses, f.num_original_vars, copied) == pair
 
     def test_zero_copy_pair_is_the_strengthened_formula(self, ex2):
-        assert pair_of(ex2, ()) == (list(strengthened(ex2).clauses), [], 3, 4, 6, [])
+        assert pair_of(ex2, ()) == (list(strengthened(ex2).clauses), [], 3, 4, 3, [])
 
     def test_copies_only_for_the_given_variables(self):
         f = parse_dimacs("p cnf 3 3\n-1 2 0\n-2 1 0\n-2 3 0\n")
