@@ -81,22 +81,44 @@ class TestParse:
         f = parse_dimacs("c vr orig 1 2\nc vr aux 3 4\nc vr copy 5 6\np cnf 6 1\n1 2 0\n")
         assert (f.clauses, f.num_original_vars) == (((1, 2),), 6)
 
+    # Malformed ``c vr`` ranges, once errors naming their line, are comments
+    # now: each text reads as plain CNF, and an error names its own line.
+    def test_inverted_var_range_names_line(self):
+        _assert_ranges_are_comments("c vr orig 1 2\nc vr aux 5 3\np cnf 5 1\n1 2 0\n")
 
-# Texts whose ``c vr`` lines name malformed id ranges, keyed by the fault.
-MALFORMED_RANGES = {
-    "inverted": "c vr orig 1 2\nc vr aux 5 3\np cnf 5 1\n1 2 0\n",
-    "overlapping": "c vr orig 1 2\nc vr aux 2 4\np cnf 9 1\n1 2 0\n",
-    "no-orig": "c vr copy 3 4\nc vr aux 1 2\np cnf 4 1\n1 2 0\n",
-    "second-orig": "c vr orig 1 2\nc vr orig 3 4\np cnf 6 2\n1 3 0\n-3 4 0\n",
-    "below-orig": "c vr orig 3 5\nc vr aux 1 2\np cnf 5 1\n1 3 0\n",
-}
+    @pytest.mark.parametrize("second", ["c vr aux 2 4", "c vr copy 1 1", "c vr aux 0 9"])
+    def test_overlapping_var_ranges_name_line(self, second):
+        _assert_ranges_are_comments(f"c vr orig 1 2\n{second}\np cnf 9 1\n1 2 0\n")
+
+    @pytest.mark.parametrize("ranges", ["c vr aux 1 2\n", "c vr copy 3 4\nc vr aux 1 2\n"])
+    def test_var_ranges_without_orig_range_name_line(self, ranges):
+        _assert_ranges_are_comments(f"{ranges}p cnf 4 1\n1 2 0\n")
+
+    @pytest.mark.parametrize("ranges", [
+        "c vr orig 1 2\nc vr orig 3 4\n",
+        "c vr orig 3 4\nc vr aux 5 6\nc vr orig 1 2\n",
+    ])
+    def test_second_orig_range_names_line(self, ranges):
+        _assert_ranges_are_comments(f"{ranges}p cnf 6 2\n1 3 0\n-3 4 0\n")
+
+    @pytest.mark.parametrize("kind", ["aux", "copy"])
+    @pytest.mark.parametrize("clause", ["1 3 0", "3 4 0"])
+    def test_var_range_below_orig_range_names_line(self, kind, clause):
+        _assert_ranges_are_comments(f"c vr orig 3 5\nc vr {kind} 1 2\np cnf 5 1\n{clause}\n")
 
 
-@pytest.mark.parametrize("text", MALFORMED_RANGES.values(), ids=MALFORMED_RANGES)
-def test_var_range_comments_are_comments(text):
-    # Whatever its ranges say, the text is plain: a CNF over its header's ``n``.
+def _assert_ranges_are_comments(text):
+    """``text`` reads, by the whole-stream path, as the CNF of its lines that
+    are not comments; with its last clause made ``n + 1 0`` the line scan's
+    error names that clause's line, the ``c vr`` lines counted."""
     bare = "".join(line for line in text.splitlines(True) if not line.startswith("c"))
-    assert formula._parse_plain(text) == parse_dimacs(bare) == parse_dimacs(text)
+    f = parse_dimacs(text)
+    assert formula._parse_plain(text) == parse_dimacs(bare) == f
+    *head, _ = text.splitlines(True)
+    n = f.num_original_vars
+    with pytest.raises(ParseError, match=rf"^line {len(head) + 1}: literal {n + 1} exceeds "
+                                         rf"declared variable count {n}$"):
+        parse_dimacs("".join(head) + f"{n + 1} 0\n")
 
 
 def test_written_text_reads_back_by_the_whole_stream_path():
