@@ -90,7 +90,7 @@ def connected(family: str, n: int, rng: random.Random) -> list:
 def time_both(clauses: list, n: int, table_first: bool):
     """Milliseconds of the table and of the recursion, after checking
     that they agree."""
-    copied = sorted(strongly_connected_components(build_dependency_graph(clauses)))
+    copied = sorted(strongly_connected_components(build_dependency_graph(clauses, n)))
     seconds, counts = {}, {}
     for way in (("table", "pair") if table_first else ("pair", "table")):
         start = time.perf_counter()

@@ -19,6 +19,7 @@ from .counting import _TABLE_VARS, MODE_ACYCLIC, MODE_GENERAL, copied_variables,
 from .depgraph import (build_dependency_graph, is_head_cycle_free,
                        strongly_connected_components, to_dot)
 from .formula import ParseError, parse_dimacs
+from .sat import _input_parts
 from .transform import build_pair, write_pair_files
 
 EXIT_OK = 0
@@ -108,16 +109,18 @@ def run(config: RunConfig, out=None, err=None) -> int:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
 
-    # The count takes each part's own graph and variables; only these
-    # outputs read the input's, and Tarjan runs on it only for the auto
-    # pair's copies and the oracle's stats.
+    # The count takes each part's own graph; only these outputs read the
+    # input's, renumbered once to ids ``1..k`` so that huge sparse ids cost
+    # nothing, and Tarjan runs on it only for the auto pair and the oracle's stats.
     force = config.mode if config.mode in (MODE_ACYCLIC, MODE_GENERAL) else None
     brute = config.mode == "brute"
     graph = cycles = variables = None
     if config.emit_depgraph or config.emit_pair or brute and config.stats:
-        graph, variables = build_dependency_graph(formula.clauses), formula.variables()
+        variables, clauses = (_input_parts(formula.clauses, False) or [([], [])])[0]
+        graph = build_dependency_graph(clauses, len(variables))
     if config.emit_pair and force is None or brute and config.stats:
-        cycles = strongly_connected_components(graph)
+        cycles = {variables[var - 1]: number
+                  for var, number in strongly_connected_components(graph).items()}
     try:
         if config.emit_depgraph:
             with open(config.emit_depgraph, "w") as handle:

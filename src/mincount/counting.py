@@ -397,7 +397,7 @@ def _merge_equivalent(part, num_vars: int, cycles, stats):
     """
     if max(map(len, part)) > 2:
         cycles = strongly_connected_components(
-            build_dependency_graph([clause for clause in part if len(clause) <= 2]))
+            build_dependency_graph([clause for clause in part if len(clause) <= 2], num_vars))
     lowest = {}
     for var, number in cycles.items():
         if var < lowest.setdefault(number, var):
@@ -476,7 +476,7 @@ def count_minimal(formula: CnfFormula, *, policy: BranchPolicy | None = None,
         cycles = None
         # Acyclic implies head-cycle-free: once not, both facts are settled.
         if auto_pair or head_cycle_free and not resplit:
-            cycles = strongly_connected_components(build_dependency_graph(part))
+            cycles = strongly_connected_components(build_dependency_graph(part, num_vars))
             if not resplit:
                 if cycles and force_mode == MODE_ACYCLIC:
                     raise ValueError("acyclic mode requested but the dependency graph has a cycle")

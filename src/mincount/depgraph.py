@@ -1,110 +1,105 @@
 """Dependency graph over CNF variables and the variables on its cycles.
 
 The graph has an arc a -> b whenever some clause contains ``-a`` and
-``b`` (as a positive literal).  It is a plain successor dict: each tail
-maps to the list of its heads.  Only the variables on a cycle get copy
+``b`` (as a positive literal).  It is a list indexed by variable id:
+each tail's list of heads.  Only the variables on a cycle get copy
 variables in the counting pair, built per variable-disjoint part, where
 every cycle lies; head-cycle-freeness is computed as a diagnostic only.
 
 Every cycle lies inside one strongly connected component, so Tarjan's
 pass returns just the cycle facts: a dict from each variable on a cycle
 to its component's number.  An empty dict means an acyclic graph.  Every
-table is keyed by the occurring variables, so a sparse input with a huge
-largest id costs no more than a dense one.
+table is sized by the largest id, so callers hand in their own ids ``1..k``.
 """
 
 from __future__ import annotations
 
+from itertools import count
 
-def build_dependency_graph(clauses) -> dict[int, list[int]]:
-    """The successor dict of the dependency graph of ``clauses``.
 
-    Each tail of an arc maps to the heads of its arcs in clause order, an
-    arc given twice listed twice; a variable without an outgoing arc has
-    no entry.  Time and memory are bounded by the clauses and their
-    variables, not by the largest id.
+def build_dependency_graph(clauses, num_vars: int) -> list[list[int]]:
+    """The successor lists of the dependency graph of ``clauses``.
+
+    ``graph[a]`` lists the heads of the arcs from ``a`` in clause order,
+    an arc given twice listed twice, for every ``a`` in ``0..num_vars``;
+    a variable without an outgoing arc, and ``0``, has an empty list.
     """
-    successors: dict[int, list[int]] = {}
+    successors: list[list[int]] = [[] for _ in range(num_vars + 1)]
     for clause in clauses:
         if len(clause) == 2:  # at most one arc, from the negative literal
             a, b = clause
             if a > b:
                 a, b = b, a
             if a < 0 < b:
-                successors.setdefault(-a, []).append(b)
+                successors[-a].append(b)
             continue
         heads = [lit for lit in clause if lit > 0]
         if heads and len(heads) < len(clause):
             for lit in clause:
                 if lit < 0:
-                    tail = successors.get(-lit)
-                    if tail is None:
-                        successors[-lit] = heads[:]
-                    else:
-                        tail += heads
+                    successors[-lit] += heads
     return successors
 
 
-def strongly_connected_components(graph: dict[int, list[int]]) -> dict[int, int]:
+def strongly_connected_components(graph: list[list[int]]) -> dict[int, int]:
     """The variables on a cycle of ``graph``, each mapped to its SCC's number.
 
     A variable is on a cycle when its SCC holds another variable or it has
     a self-arc; two of them share a number exactly when they share an SCC.
     Tarjan's algorithm, iterative to tolerate deep chain graphs, starts
-    roots only at arc tails: a node without an outgoing arc is on no cycle.
+    roots in id order and only at arc tails: a node without an outgoing
+    arc is on no cycle.
     """
-    # ``index`` and ``lowlink`` hold every visited node; ``finished`` maps
-    # the nodes already in a component to that component's number, the
-    # count of nodes finished before it, which grows in Tarjan's emission
-    # order.  So a visited node is on the stack while not in ``finished``.
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    finished: dict[int, int] = {}
-    stack: list[int] = []
-    cycles: dict[int, int] = {}
+    # ``index[v]`` is 0 until ``v`` is visited, then its visit's rank from
+    # 1, and once in a component that component's number, above every rank
+    # and growing in emission order: a visited node is on the stack while
+    # its ``index`` is at most ``size``, and no lowlink takes a number.
+    size = len(graph)
+    index, lowlink = [0] * size, [0] * size
+    stack, cycles, rank, number = [], {}, count(1), size
 
-    for root in graph:
-        if root in index:
+    for root in range(size):
+        if index[root] or not graph[root]:
             continue
-        # A work entry is a node on the DFS path and the iterator over its
-        # successors, resumed when the DFS returns to it.  A node's index
-        # is ``len(index)``, read before the node is stored.
-        index[root] = lowlink[root] = len(index)
+        # ``node`` is the DFS's current node, ``children`` its successors
+        # left; ``work`` holds the same for the nodes above it on the path.
+        node, children, work = root, iter(graph[root]), []
+        index[root] = lowlink[root] = next(rank)
         stack.append(root)
-        work = [(root, iter(graph[root]))]
-        while work:
-            node, children = work[-1]
+        while True:
             for child in children:
-                if child not in index:
-                    index[child] = lowlink[child] = len(index)
+                visit = index[child]
+                if not visit:
+                    work.append((node, children))
+                    node, children = child, iter(graph[child])
+                    index[child] = lowlink[child] = next(rank)
                     stack.append(child)
-                    work.append((child, iter(graph.get(child, ()))))
                     break
-                if child not in finished and index[child] < lowlink[node]:
-                    lowlink[node] = index[child]
+                if visit < lowlink[node]:
+                    lowlink[node] = visit
             else:
-                work.pop()
                 low = lowlink[node]
                 if low == index[node]:
-                    number, member = len(finished), stack.pop()
-                    finished[member] = number
+                    number += 1
+                    member = stack.pop()
+                    index[member] = number
                     if member != node:
                         cycles[member] = number
                         while member != node:
                             member = stack.pop()
-                            finished[member] = cycles[member] = number
-                    elif node in graph.get(node, ()):
+                            index[member] = cycles[member] = number
+                    elif node in graph[node]:
                         cycles[node] = number
-                if work:
-                    parent = work[-1][0]
-                    if low < lowlink[parent]:
-                        lowlink[parent] = low
+                if not work:
+                    break
+                node, children = work.pop()
+                if low < lowlink[node]:
+                    lowlink[node] = low
 
     # Tarjan emits a component only after every component it reaches.
-    for a, heads in graph.items():
-        number = finished[a]
+    for number, heads in zip(index, graph):
         for b in heads:
-            if finished[b] > number:
+            if index[b] > number:
                 raise RuntimeError("condensation order violated; SCC computation is broken")
     return cycles
 
@@ -127,11 +122,12 @@ def is_head_cycle_free(clauses, cycles: dict[int, int]) -> bool:
     return True
 
 
-def to_dot(graph: dict[int, list[int]], variables) -> str:
-    """Render ``graph`` over the nodes ``variables`` in DOT text format."""
+def to_dot(graph: list[list[int]], variables) -> str:
+    """Render ``graph`` in DOT text format, its node ``i`` named by the
+    ``i``-th of the increasing ``variables``, the ids it was renumbered from."""
     lines = ["digraph dependencies {"]
-    lines += [f"  {node};" for node in sorted(variables)]
-    lines += [f"  {a} -> {b};" for a, b in sorted({(a, b) for a, heads in graph.items()
-                                                   for b in heads})]
+    lines += [f"  {node};" for node in variables]
+    lines += [f"  {variables[a - 1]} -> {variables[b - 1]};"
+              for a, b in sorted({(a, b) for a, heads in enumerate(graph) for b in heads})]
     lines.append("}")
     return "\n".join(lines) + "\n"

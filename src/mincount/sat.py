@@ -14,7 +14,8 @@ first, so two runs on identical inputs return identical results.  Each
 call is an independent search; there is no incremental state.
 
 ``_input_parts`` renumbers clauses to their own ids ``1..k``, so that
-sparse ids do not widen the masks: for ``solve`` as one part, for
+sparse ids do not widen the masks or the dependency graph's tables: for
+``solve`` and the whole-input outputs of ``cli.run`` as one part, for
 ``counting.count_minimal`` per variable-disjoint part.
 """
 
@@ -115,6 +116,7 @@ class _Database:
         self.owner = {index: x for x, bits in self.settle.items() for index in _ids(bits)}
         self.occurs = occurs = [lits[var] | lits[-var] for var in range(top + 1)]
         self.occurring_vars = self.occurring(self.all)
+        self.variables &= self.occurring_vars | self.below_copies  # no copy id in no clause
         self.units = [clause[0] for index, clause in enumerate(clauses) if len(clause) == 1
                       and (index < num_search or abs(clause[0]) >= copy_lo)]
         self.empty = not all(search)

@@ -83,7 +83,7 @@ def random_acyclic_formula(rng: random.Random, min_vars=4, max_vars=10,
         split = rng.randint(0, len(chosen))
         clauses.append(tuple(-v for v in chosen[:split]) + tuple(chosen[split:]))
     formula = CnfFormula(tuple(clauses), n)
-    assert not strongly_connected_components(build_dependency_graph(formula.clauses))
+    assert not strongly_connected_components(build_dependency_graph(formula.clauses, n))
     return formula
 
 

@@ -58,7 +58,7 @@ def test_criterion_1_positive_cycle_reproduction():
     model_count = len(enumerate_models(f))
     strengthened_count = len(enumerate_models(strengthened(f)))
     minimal_count = count_minimal(f).count
-    acyclic = not strongly_connected_components(build_dependency_graph(f.clauses))
+    acyclic = not strongly_connected_components(build_dependency_graph(f.clauses, 3))
     elapsed = time.perf_counter() - started
     ok = (
         model_count == 4
@@ -77,8 +77,8 @@ def test_criterion_1_positive_cycle_reproduction():
 def test_criterion_2_implication_cycle_reproduction():
     started = time.perf_counter()
     f = parse_dimacs(EX2_TEXT)
-    graph = build_dependency_graph(f.clauses)
-    arcs = {(a, b) for a, heads in graph.items() for b in heads}
+    graph = build_dependency_graph(f.clauses, 3)
+    arcs = {(a, b) for a, heads in enumerate(graph) for b in heads}
     arcs_ok = arcs == {(1, 2), (2, 3), (3, 1)} and bool(strongly_connected_components(graph))
 
     pair = pair_of(f)
@@ -150,7 +150,8 @@ def test_criterion_4_acyclic_strengthening_counts_minimal_models():
     mismatches = 0
     for _ in range(SUITE4_SIZE):
         f = random_acyclic_formula(rng)
-        assert not strongly_connected_components(build_dependency_graph(f.clauses))
+        assert not strongly_connected_components(
+            build_dependency_graph(f.clauses, f.num_original_vars))
         got = count_pair(pair_of(f, ())).count  # the strengthened model count
         want = count_minimal_brute(f).count
         if got != want:

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import pytest
 
@@ -632,13 +633,17 @@ def test_vars_stat_counts_the_occurring_variables(mode, tmp_path, capsys):
 
 
 def test_counting_with_stats_never_lists_the_input_variables(tmp_path, capsys, monkeypatch):
-    # ``c stat vars`` comes from the parts; only the oracle, the DOT file
-    # and the pair files read the input's variables.
+    # ``c stat vars`` comes from the parts; only the oracle's stats, the
+    # DOT file and the pair files read the input's variables, from the one
+    # renumbering of the whole input in ``cli``.
     from mincount import CnfFormula
 
     calls = []
-    listed = CnfFormula.variables
-    monkeypatch.setattr(CnfFormula, "variables", lambda self: calls.append(1) or listed(self))
+    listed, renumber = CnfFormula.variables, cli._input_parts
+    monkeypatch.setattr(CnfFormula, "variables",
+                        lambda self: calls.append("variables") or listed(self))
+    monkeypatch.setattr(cli, "_input_parts",
+                        lambda *args: calls.append("renumber") or renumber(*args))
     path = tmp_path / "in.cnf"
     for text in (VARS_TEXTS["sparse ids"], EX2_TEXT, VARS_TEXTS["merged ring"]):
         path.write_text(text)
@@ -648,5 +653,36 @@ def test_counting_with_stats_never_lists_the_input_variables(tmp_path, capsys, m
     for flags in (["--mode", "brute"], ["--emit-depgraph", str(tmp_path / "g.dot")],
                   ["--emit-pair", str(tmp_path / "pair")]):
         code, _, _ = run_main(capsys, ["--stats", *flags, str(path)])
-        assert code == EXIT_OK and calls
+        assert code == EXIT_OK and calls.count("renumber") == 1
         calls.clear()
+
+
+def _traced_peak(path, **options):
+    """The exit code, output and tracemalloc peak of one in-process run,
+    after a first run has imported and cached what it needs."""
+    run(RunConfig(str(path), **options), out=io.StringIO(), err=io.StringIO())
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        code = run(RunConfig(str(path), **options), out=out, err=io.StringIO())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, out.getvalue(), peak
+
+
+def test_paths_reading_the_input_graph_cost_what_the_text_costs(tmp_path):
+    # The DOT file and the oracle's stats renumber the input to its four
+    # occurring ids, so a header ``n`` of 3000000 allocates no table per
+    # id (one list slot each would be 24 MB).  ``--emit-pair`` is left
+    # out: its pair still holds a unit for every id up to ``n``.
+    text = VARS_TEXTS["sparse ids"]
+    path, dot_path = tmp_path / "in.cnf", tmp_path / "g.dot"
+    path.write_text(text)
+    for options in ({"emit_depgraph": str(dot_path)}, {"mode": "brute", "stats": True}):
+        code, out, peak = _traced_peak(path, **options)
+        assert code == EXIT_OK and out.endswith("s mc 2\n"), options
+        assert peak < 600 * len(text), options
+    assert "c stat vars 4\n" in out and "c stat acyclic false\n" in out
+    assert dot_path.read_bytes() == (b"digraph dependencies {\n  1;\n  5;\n  2999999;\n"
+                                     b"  3000000;\n  1 -> 3000000;\n  3000000 -> 1;\n}\n")

@@ -341,7 +341,7 @@ class TestRootWalk:
                 expected *= count_minimal_brute(f).count
             union = CnfFormula(clauses, offset)
             copied = union.variables() if rng.random() < 0.5 else (
-                strongly_connected_components(build_dependency_graph(union.clauses)))
+                strongly_connected_components(build_dependency_graph(union.clauses, offset)))
             pair = pair_of(union, copied)
             db = _Database(*pair)
             root = _bcp(db, 0, 0, list(db.units), db.search)
@@ -797,7 +797,8 @@ class TestRetiredDefinitions:
         formulas += [_once_positive_formula(once, ordered=i % 2) for i in range(30)]
         for f in formulas:
             expected = count_minimal_brute(f).count
-            cyclic = strongly_connected_components(build_dependency_graph(f.clauses))
+            cyclic = strongly_connected_components(
+                build_dependency_graph(f.clauses, f.num_original_vars))
             for mode in (None, "general") + (() if cyclic else ("acyclic",)):
                 for decompose in (True, False):
                     for heuristic in (MAX_OCCURRENCE, MIN_ID):
@@ -1417,7 +1418,8 @@ class TestSplitInput:
 def _cyclic_variables(formula):
     """Variables in a non-trivial SCC of the formula's dependency graph:
     those that share their SCC number with another."""
-    cycles = strongly_connected_components(build_dependency_graph(formula.clauses))
+    cycles = strongly_connected_components(
+        build_dependency_graph(formula.clauses, formula.num_original_vars))
     sizes = Counter(cycles.values())
     return {var for var, number in cycles.items() if sizes[number] > 1}
 
@@ -1453,6 +1455,25 @@ class TestPlantedCycles:
         # The generator must keep planting cycles beside acyclic variables.
         assert cyclic_total / number >= 2
         assert mixed / number >= 0.4
+
+    def test_copy_ids_in_no_clause_are_no_variables(self):
+        # Copy ids run up to the largest copied variable's, so a copied set
+        # with gaps leaves ids in no clause: the database's variables hold
+        # the originals and the real copies only, and counts stay the oracle's.
+        rng = random.Random(911)
+        gapped = 0
+        for _ in range(200):
+            formula = planted_cycle_formula(rng, ternary_close=True)
+            copied = _cyclic_variables(formula)
+            pair = pair_of(formula, copied)
+            copy_lo, top = pair[3:5]
+            db = _Database(*pair)
+            assert db.variables & ~db.occurring_vars == 0
+            assert db.variables >> copy_lo << copy_lo == sum(
+                1 << (copy_lo - 1 + var) for var in copied)
+            assert count_pair(pair).count == count_minimal_brute(formula).count
+            gapped += top - copy_lo + 1 > len(copied)
+        assert gapped >= 100
 
     def test_acyclic_input_has_no_copies_and_no_base_cases(self):
         rng = random.Random(910)
@@ -1498,7 +1519,8 @@ class TestCycleFactsPerPart:
                 "settled before the last part": 0, "paired after settling": 0}
         for _ in range(60):
             union = _cyclic_union(rng)
-            whole = strongly_connected_components(build_dependency_graph(union.clauses))
+            whole = strongly_connected_components(
+                build_dependency_graph(union.clauses, union.num_original_vars))
             whole_head_cycle_free = is_head_cycle_free(union.clauses, whole)
             counts = set()
             for options in ({}, {"force_mode": "general"}, {"use_decomposition": False}):
@@ -1794,7 +1816,7 @@ def _merge_reference(part, num_vars, cycles):
     and the number of variables it merges: ``(None, 0)`` if none."""
     short = [clause for clause in part if len(clause) <= 2]
     if len(short) < len(part):
-        cycles = strongly_connected_components(build_dependency_graph(short))
+        cycles = strongly_connected_components(build_dependency_graph(short, num_vars))
     lowest = {number: var for var, number in sorted(cycles.items(), reverse=True)}
     if len(lowest) == len(cycles):
         return None, 0
@@ -1832,7 +1854,7 @@ class TestMergedCycles:
         for _ in range(300):
             n = rng.randint(2, 40)
             part = _ring_part(rng, n)
-            cycles = strongly_connected_components(build_dependency_graph(part))
+            cycles = strongly_connected_components(build_dependency_graph(part, n))
             expected, merged_vars = _merge_reference(part, n, cycles)
             stats = CountStats()
             assert counting._merge_equivalent(part, n, cycles, stats) == expected

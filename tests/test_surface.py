@@ -129,8 +129,8 @@ def test_traced_layers_are_called_through_their_sites(monkeypatch):
     # One graph and one Tarjan pass per part of the two ``count_minimal``
     # inputs, the ring and the contradictory units, and one more over the
     # ring's binary clauses, where the merge finds no cycle.
-    assert results["build_dependency_graph"] == [{1: [2], 2: [3, 1], 3: [1]},
-                                                 {1: [2], 2: [3]}, {}]
+    assert results["build_dependency_graph"] == [[[], [2], [3, 1], [1]],
+                                                 [[], [2], [3], []], [[], []]]
     assert [set(cycles) for cycles in results["strongly_connected_components"]] == [
         {1, 2, 3}, set(), set()]
     assert all(type(result) is list for result in results["_split_components"])
